@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -354,16 +352,6 @@ def _coeff_vector(c: Combination, basis: Sequence[DerivMonomial]) -> List[Fracti
     return out
 
 
-def _search_workers() -> int:
-    env = os.environ.get("HEATCALC_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(8, os.cpu_count() or 1)
-
-
 @dataclass
 class SearchConfig:
     """Knobs for the numeric certificate search."""
@@ -489,13 +477,7 @@ def search_certificate(n: int, config: SearchConfig | None = None) -> SearchOutc
             return None
         return float(np.max(np.abs(residual(sol.x)))), sol.x
 
-    # independent starts run concurrently; candidates merge by best residual
-    workers = _search_workers()
-    if workers > 1 and len(seeds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(polish, seeds))
-    else:
-        solved = [polish(x0) for x0 in seeds]
+    solved = [polish(x0) for x0 in seeds]
     candidates = sorted(
         ((norm, i, x) for i, item in enumerate(solved) if item for norm, x in [item]),
         key=lambda c: (c[0], c[1]),

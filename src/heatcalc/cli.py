@@ -71,6 +71,11 @@ def _require(condition: bool, where: str, message: str) -> None:
         raise ConfigError(f"config error at {where}: {message}")
 
 
+def _is_number(value, kind=(int, float)) -> bool:
+    """A JSON number of the given kind; JSON booleans are Python ints but not numbers."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     try:
         payload = json.loads(text)
@@ -87,7 +92,7 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         for key in ("w", "mu", "var"):
             _require(key in entry, f"{where}.{key}", "missing")
             _require(
-                isinstance(entry[key], (int, float)), f"{where}.{key}", "expected a number"
+                _is_number(entry[key]), f"{where}.{key}", "expected a number"
             )
         _require(entry["w"] > 0, f"{where}.w", "must be > 0")
         _require(entry["var"] > 0, f"{where}.var", "must be > 0")
@@ -102,15 +107,15 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     for key in ("start", "stop", "points"):
         _require(key in grid, f"t_grid.{key}", "missing")
     start, stop, points = grid["start"], grid["stop"], grid["points"]
-    _require(isinstance(start, (int, float)) and start > 0, "t_grid.start", "must be > 0")
-    _require(isinstance(stop, (int, float)) and stop > start, "t_grid.stop", "must be > start")
-    _require(isinstance(points, int) and points >= 3, "t_grid.points", "must be an int >= 3")
+    _require(_is_number(start) and start > 0, "t_grid.start", "must be > 0")
+    _require(_is_number(stop) and stop > start, "t_grid.stop", "must be > start")
+    _require(_is_number(points, int) and points >= 3, "t_grid.points", "must be an int >= 3")
     spacing = grid.get("spacing", "linear")
     _require(spacing in ("linear", "log"), "t_grid.spacing", "must be 'linear' or 'log'")
 
     max_order = payload.get("max_order", 4)
     _require(
-        isinstance(max_order, int) and 1 <= max_order <= 6,
+        _is_number(max_order, int) and 1 <= max_order <= 6,
         "max_order",
         "must be an int in 1..6",
     )
@@ -120,8 +125,9 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     if tolerances:
         _require(isinstance(tolerances, dict), "tolerances", "expected an object")
         if "quad" in tolerances:
-            quad_tol = float(tolerances["quad"])
-            _require(quad_tol > 0, "tolerances.quad", "must be > 0")
+            quad = tolerances["quad"]
+            _require(_is_number(quad) and quad > 0, "tolerances.quad", "must be a number > 0")
+            quad_tol = float(quad)
 
     output = payload.get("output")
     if output is not None:

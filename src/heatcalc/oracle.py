@@ -19,16 +19,14 @@ reported as inconclusive rather than asserted.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .mixtures import GaussianMixture, derivative_ratios, log_density
-from .quadrature import Mesh, QuadResult, adaptive_quad, build_mesh
+from .quadrature import QuadResult, adaptive_quad, build_mesh
 from .reduction import entropy_derivative
 from .terms import Combination
 
@@ -37,16 +35,6 @@ DEFAULT_TOL = 1e-11
 
 class FdAccuracyWarning(UserWarning):
     """A finite-difference estimate carries more than 10% estimated error."""
-
-
-def _worker_count() -> int:
-    env = os.environ.get("HEATCALC_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(8, os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -85,16 +73,11 @@ def _combination_integrand(
     return fn
 
 
-def entropy_result(
-    mix: GaussianMixture, t: float, tol: float = DEFAULT_TOL, mesh: Optional[Mesh] = None
-) -> QuadResult:
+def entropy_result(mix: GaussianMixture, t: float, tol: float = DEFAULT_TOL) -> QuadResult:
     if t <= 0:
         raise ValueError("entropy along the flow needs t > 0")
-    fn = _entropy_integrand(mix, t)
-    if mesh is not None:
-        return QuadResult(mesh.integrate(fn), tol)
     a, b = mix.support_interval(t)
-    return adaptive_quad(fn, a, b, tol)
+    return adaptive_quad(_entropy_integrand(mix, t), a, b, tol)
 
 
 def entropy(mix: GaussianMixture, t: float, tol: float = DEFAULT_TOL) -> float:
@@ -410,7 +393,6 @@ def scan_conjectures(
     t_grid: Sequence[float],
     max_order: int = 4,
     tol: float = DEFAULT_TOL,
-    threads: Optional[int] = None,
 ) -> ScanResult:
     """Evaluate the sign conjectures on a t-grid.
 
@@ -423,12 +405,7 @@ def scan_conjectures(
     ts = [float(t) for t in t_grid]
     if any(t <= 0 for t in ts) or sorted(ts) != ts:
         raise ValueError("grid must be positive and strictly increasing")
-    workers = threads if threads is not None else _worker_count()
-    if workers > 1 and len(ts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda t: _scan_row_core(mix, t, max_order, tol), ts))
-    else:
-        rows = [_scan_row_core(mix, t, max_order, tol) for t in ts]
+    rows = [_scan_row_core(mix, t, max_order, tol) for t in ts]
 
     h_vals = [r.h for r in rows]
     h_errs = [r.h_err for r in rows]
@@ -551,7 +528,6 @@ def wt_checks(
     mix: GaussianMixture,
     t_grid: Sequence[float],
     tol: float = DEFAULT_TOL,
-    threads: Optional[int] = None,
 ) -> WtReport:
     """Concavity/convexity checks for the interpolation on 0 < t < 1.
 
@@ -582,12 +558,7 @@ def wt_checks(
             txz_err=margin_err,
         )
 
-    workers = threads if threads is not None else _worker_count()
-    if workers > 1 and len(ts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row_core, ts))
-    else:
-        rows = [row_core(t) for t in ts]
+    rows = [row_core(t) for t in ts]
 
     hw_dd, hw_err = second_difference(
         ts, [r.hW for r in rows], [r.hW_err for r in rows]

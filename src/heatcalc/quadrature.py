@@ -10,7 +10,7 @@ the parameter and cancels in the differences.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, List, Sequence, Tuple
 
@@ -29,43 +29,48 @@ def _gl_rule(order: int) -> Tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _panel_eval(fn: Integrand, a: float, b: float, order: int) -> float:
-    nodes, weights = _gl_rule(order)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return float(half * np.dot(weights, fn(mid + half * nodes)))
-
-
-def _panel_eval_abs(fn: Integrand, a: float, b: float, order: int) -> Tuple[float, float]:
-    """Panel integral and the integral of |fn| from the same evaluations.
+def _panel_sums(
+    fn: Integrand, panels: Sequence[Tuple[float, float]], order: int
+) -> Tuple[List[float], List[float]]:
+    """Each panel's integral of ``fn`` and of ``|fn|``, from one call of ``fn``.
 
     The L1 magnitude sets the roundoff floor: when the integrand cancels
     within a panel, refinement below eps * magnitude only chases noise.
+    Each panel is summed by its own ``np.dot`` so its value does not depend
+    on which panels share the call; a matrix product reorders the sums and
+    changes the last bits, which finite differences in t amplify.
     """
     nodes, weights = _gl_rule(order)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    vals = fn(mid + half * nodes)
+    bounds = np.array(panels, dtype=float)
+    mids = 0.5 * (bounds[:, 0] + bounds[:, 1])
+    radii = 0.5 * (bounds[:, 1] - bounds[:, 0])
+    vals = fn((mids[:, None] + radii[:, None] * nodes).ravel()).reshape(len(bounds), order)
+    mags = np.abs(vals)
     return (
-        float(half * np.dot(weights, vals)),
-        float(half * np.dot(weights, np.abs(vals))),
+        [float(r * np.dot(weights, row)) for r, row in zip(radii, vals)],
+        [float(r * np.dot(weights, row)) for r, row in zip(radii, mags)],
     )
 
 
 @dataclass(frozen=True)
 class Mesh:
-    """A fixed list of panels; integration on a mesh is non-adaptive."""
+    """A fixed list of panels; integration on a mesh is non-adaptive.
+
+    ``estimates`` holds, for each panel of a mesh from ``build_mesh``, the
+    first integrand's half-panel sum and its whole-panel value minus that
+    sum, so ``adaptive_quad`` needs no second pass over the panels.
+    """
 
     panels: Tuple[Tuple[float, float], ...]
     order: int = 24
+    estimates: Tuple[Tuple[float, float], ...] = field(default=(), compare=False, repr=False)
 
     def integrate(self, fn: Integrand) -> float:
-        nodes, weights = _gl_rule(self.order)
+        # a plain loop, not sum(): sum() compensates its rounding from
+        # Python 3.12 on, which would change the last bits of the total
         total = 0.0
-        for a, b in self.panels:
-            mid = 0.5 * (a + b)
-            half = 0.5 * (b - a)
-            total += half * float(np.dot(weights, fn(mid + half * nodes)))
+        for value in _panel_sums(fn, self.panels, self.order)[0]:
+            total += value
         return total
 
 
@@ -86,43 +91,49 @@ def build_mesh(
     the two half-panel rules agree within the panel's share of ``tol`` or
     within ``rel_floor`` of the panel's own magnitude -- large integrals
     stop refining at machine precision instead of chasing an absolute
-    target below roundoff.
+    target below roundoff.  Every abscissa is evaluated once: a child
+    panel's whole-panel value is its parent's half-panel value.
     """
     width = b - a
-    stack: List[Tuple[float, float, int]] = [
-        (a + width * i / initial_panels, a + width * (i + 1) / initial_panels, 0)
-        for i in range(initial_panels)
+    edges = [a + width * i / initial_panels for i in range(initial_panels + 1)]
+    first = list(zip(edges[:-1], edges[1:]))
+    wholes = [_panel_sums(fn, first, order)[0] for fn in integrands]
+    # (lo, hi, depth, whole-panel value of each integrand)
+    stack: List[Tuple[float, float, int, Tuple[float, ...]]] = [
+        (lo, hi, 0, tuple(w[i] for w in wholes)) for i, (lo, hi) in enumerate(first)
     ]
-    accepted: List[Tuple[float, float]] = []
+    # (lo, hi, half-panel sum, whole minus halves) of the first integrand
+    accepted: List[Tuple[float, float, float, float]] = []
     exhausted = False
     while stack:
-        lo, hi, depth = stack.pop()
+        lo, hi, depth, whole = stack.pop()
         mid = 0.5 * (lo + hi)
         local_tol = tol * (hi - lo) / width
+        split = [_panel_sums(fn, [(lo, mid), (mid, hi)], order) for fn in integrands]
         ok = True
-        for fn in integrands:
-            whole = _panel_eval(fn, lo, hi, order)
-            lo_val, lo_abs = _panel_eval_abs(fn, lo, mid, order)
-            hi_val, hi_abs = _panel_eval_abs(fn, mid, hi, order)
-            halves = lo_val + hi_val
-            floor = rel_floor * max(abs(whole), abs(halves), lo_abs + hi_abs)
-            if abs(whole - halves) > max(local_tol, floor, 1e-300):
+        for w, (vals, mags) in zip(whole, split):
+            halves = vals[0] + vals[1]
+            floor = rel_floor * max(abs(w), abs(halves), mags[0] + mags[1])
+            if abs(w - halves) > max(local_tol, floor, 1e-300):
                 ok = False
-                break
         if ok or depth >= max_depth or len(accepted) + len(stack) >= max_panels:
             if not ok:
                 exhausted = True
-            accepted.append((lo, hi))
+            halves = split[0][0][0] + split[0][0][1]
+            accepted.append((lo, hi, halves, whole[0] - halves))
         else:
-            stack.append((lo, mid, depth + 1))
-            stack.append((mid, hi, depth + 1))
+            stack.append((lo, mid, depth + 1, tuple(vals[0] for vals, _ in split)))
+            stack.append((mid, hi, depth + 1, tuple(vals[1] for vals, _ in split)))
     if exhausted:
         warnings.warn(
             "mesh refinement hit its panel budget; result may miss the tolerance",
             QuadratureNonConvergence,
             stacklevel=2,
         )
-    return Mesh(tuple(sorted(accepted)), order)
+    accepted.sort(key=lambda p: p[:2])
+    return Mesh(
+        tuple(p[:2] for p in accepted), order, tuple(p[2:] for p in accepted)
+    )
 
 
 @dataclass(frozen=True)
@@ -149,10 +160,7 @@ def adaptive_quad(
     mesh = build_mesh([fn], a, b, tol, order, initial_panels, max_depth)
     total = 0.0
     err = 0.0
-    for lo, hi in mesh.panels:
-        mid = 0.5 * (lo + hi)
-        whole = _panel_eval(fn, lo, hi, order)
-        halves = _panel_eval(fn, lo, mid, order) + _panel_eval(fn, mid, hi, order)
+    for halves, diff in mesh.estimates:
         total += halves
-        err += abs(whole - halves)
+        err += abs(diff)
     return QuadResult(total, max(err, 1e-16 * abs(total)))

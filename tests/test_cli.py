@@ -164,6 +164,28 @@ class TestScanCommand:
         assert main(["scan", "--config", str(cfg)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field,mutate",
+        [
+            ("mixture[0].w", lambda d: d["mixture"][0].update(w=True)),
+            ("mixture[0].mu", lambda d: d["mixture"][0].update(mu=False)),
+            ("mixture[0].var", lambda d: d["mixture"][0].update(var=True)),
+            ("t_grid.start", lambda d: d["t_grid"].update(start=True)),
+            ("t_grid.stop", lambda d: d["t_grid"].update(stop=True)),
+            ("t_grid.points", lambda d: d["t_grid"].update(points=True)),
+            ("max_order", lambda d: d.update(max_order=True)),
+            ("tolerances.quad", lambda d: d.update(tolerances={"quad": True})),
+            ("tolerances.quad", lambda d: d.update(tolerances={"quad": "abc"})),
+        ],
+    )
+    def test_non_number_field_exit_1(self, tmp_path, capsys, field, mutate):
+        payload = json.loads(json.dumps(SMALL_SCAN))
+        mutate(payload)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(payload))
+        assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 1
+        assert f"config error at {field}:" in capsys.readouterr().err
+
     def test_missing_config_exit_1(self, tmp_path):
         assert main(["scan", "--config", str(tmp_path / "absent.json")]) == 1
 

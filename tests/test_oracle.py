@@ -251,24 +251,6 @@ class TestWt:
         assert len(text.splitlines()) == 4
 
 
-class TestThreading:
-    def test_env_var_caps_workers(self, monkeypatch):
-        from heatcalc.oracle import _worker_count
-
-        monkeypatch.setenv("HEATCALC_THREADS", "1")
-        assert _worker_count() == 1
-        monkeypatch.setenv("HEATCALC_THREADS", "5")
-        assert _worker_count() == 5
-        monkeypatch.setenv("HEATCALC_THREADS", "junk")
-        assert _worker_count() >= 1
-
-    def test_serial_and_threaded_scans_agree(self):
-        g = GaussianMixture.single(0, 1)
-        serial = scan_conjectures(g, [0.5, 1.0, 2.0], max_order=3, threads=1)
-        threaded = scan_conjectures(g, [0.5, 1.0, 2.0], max_order=3, threads=3)
-        assert scan_to_csv(serial) == scan_to_csv(threaded)
-
-
 class TestNumericInvariants:
     def test_total_derivative_integrates_to_zero(self):
         mix = GaussianMixture.create([(0.6, 0.0, 0.9), (0.4, 1.2, 0.5)])

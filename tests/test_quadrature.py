@@ -1,0 +1,67 @@
+"""Quadrature call counters: every abscissa is evaluated once per mesh.
+
+The counts are deterministic, so an accidental second pass over the
+panels fails here without any timing.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from heatcalc import quadrature
+from heatcalc.quadrature import adaptive_quad, build_mesh
+
+
+class Recorder:
+    """A Gaussian density that records every array of abscissae it is given."""
+
+    def __init__(self, var=1.0):
+        self.var = var
+        self.calls = []
+
+    def __call__(self, y):
+        self.calls.append(np.array(y, copy=True))
+        return np.exp(-0.5 * y * y / self.var) / math.sqrt(2.0 * math.pi * self.var)
+
+    def nodes(self):
+        return np.concatenate(self.calls)
+
+
+def test_build_mesh_evaluates_each_abscissa_once():
+    fns = [Recorder(0.01), Recorder(0.003)]
+    mesh = build_mesh(fns, -12.0, 12.0)
+    # one call for the initial panels, then one per visited panel; a visited
+    # panel is either accepted or split, and each split adds two panels
+    visited = 2 * len(mesh.panels) - 8
+    assert visited > 8
+    for fn in fns:
+        nodes = fn.nodes()
+        assert np.unique(nodes).size == nodes.size
+        assert len(fn.calls) == 1 + visited
+        assert nodes.size == mesh.order * (8 + 2 * visited)
+
+
+def test_adaptive_quad_makes_no_call_after_the_mesh(monkeypatch):
+    fn = Recorder(0.01)
+    built = []
+
+    def recording_build_mesh(*args, **kwargs):
+        mesh = build_mesh(*args, **kwargs)
+        built.append(len(fn.calls))
+        return mesh
+
+    monkeypatch.setattr(quadrature, "build_mesh", recording_build_mesh)
+    result = adaptive_quad(fn, -12.0, 12.0)
+    assert built == [len(fn.calls)]
+    assert result.value == pytest.approx(1.0, abs=1e-12)
+    assert result.error < 1e-11
+
+
+def test_mesh_integrate_makes_one_call():
+    mesh = build_mesh([Recorder(0.01)], -12.0, 12.0)
+    fn = Recorder(0.02)
+    value = mesh.integrate(fn)
+    assert len(fn.calls) == 1
+    assert fn.calls[0].size == mesh.order * len(mesh.panels)
+    assert value == pytest.approx(1.0, abs=1e-10)
