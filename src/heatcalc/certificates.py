@@ -97,6 +97,14 @@ class SquareForm:
                 )
 
 
+def _merged(a: DerivMonomial, b: DerivMonomial) -> DerivMonomial:
+    """f times the product of two partition-basis ratios: the merged partition."""
+    merged = a.as_dict()
+    for m, k in b.exps:
+        merged[m] = merged.get(m, 0) + k
+    return monomial(merged)
+
+
 def expand_square(square: SquareForm) -> Combination:
     """Expand f * (sum c_i B_i)^2 into canonical weight-2n monomials.
 
@@ -107,12 +115,7 @@ def expand_square(square: SquareForm) -> Combination:
     raw: Dict[DerivMonomial, Fraction] = {}
     pairs = list(square.coeffs)
     for (mono_a, ca), (mono_b, cb) in itertools.product(pairs, pairs):
-        merged: Dict[int, int] = {}
-        for m, k in mono_a.exps:
-            merged[m] = merged.get(m, 0) + k
-        for m, k in mono_b.exps:
-            merged[m] = merged.get(m, 0) + k
-        key = monomial(merged)
+        key = _merged(mono_a, mono_b)
         raw[key] = raw.get(key, Fraction(0)) + ca * cb
     return reduce(Combination(raw))
 
@@ -352,15 +355,18 @@ def _coeff_vector(c: Combination, basis: Sequence[DerivMonomial]) -> List[Fracti
     return out
 
 
+# A candidate is snapped only when its max residual is below _SNAP_TOL; each
+# coefficient then becomes the simplest rational within _SNAP_TOL of it.
+_SNAP_TOL = 1e-6
+_MAX_DENOMINATOR = 10**6
+
+
 @dataclass
 class SearchConfig:
     """Knobs for the numeric certificate search."""
 
     starts: int = 64
     seed: int = 0
-    max_denominator: int = 10**6
-    residual_tol: float = 1e-9
-    snap_tol: float = 1e-6
     seed_builtin: bool = True
 
 
@@ -375,30 +381,29 @@ class SearchOutcome:
     best_squares: List[List[float]] = field(default_factory=list)
 
 
-def _pair_reduction_table(n: int, basis: Sequence[DerivMonomial]):
-    """reduce(product of partition-basis elements i and j) in canonical coordinates."""
+def _gram_tensor(n: int, basis: Sequence[DerivMonomial]) -> np.ndarray:
+    """The map A from Gram matrices to canonical coordinates, shape (p, p, K).
+
+    ``P[a, b]`` is reduce(f B_a B_b) over ``basis`` for partition-basis
+    elements B_a, B_b, so the squares f (F[j] . B)^2 sum to
+    ``tensordot(F.T @ F, P, axes=2)``.  P is symmetric in its first two axes.
+    """
     pb = square_basis(n)
-    size = len(pb)
-    table = {}
-    for i in range(size):
-        for j in range(i, size):
-            merged: Dict[int, int] = {}
-            for m, k in pb[i].exps:
-                merged[m] = merged.get(m, 0) + k
-            for m, k in pb[j].exps:
-                merged[m] = merged.get(m, 0) + k
-            reduced = reduce(Combination.term(monomial(merged)))
-            table[(i, j)] = _coeff_vector(reduced, basis)
-    return table
+    tensor = np.zeros((len(pb), len(pb), len(basis)))
+    for i in range(len(pb)):
+        for j in range(i, len(pb)):
+            reduced = reduce(Combination.term(_merged(pb[i], pb[j])))
+            tensor[i, j] = tensor[j, i] = [float(c) for c in _coeff_vector(reduced, basis)]
+    return tensor
 
 
-def _simplest_fraction(x: float, tol: float, max_denominator: int) -> Fraction:
-    """Smallest-denominator rational within tol of x (continued fractions)."""
-    best = Fraction(x).limit_denominator(max_denominator)
+def _simplest_fraction(x: float) -> Fraction:
+    """Smallest-denominator rational within _SNAP_TOL of x (continued fractions)."""
+    best = Fraction(x).limit_denominator(_MAX_DENOMINATOR)
     d = 1
-    while d <= max_denominator:
+    while d <= _MAX_DENOMINATOR:
         cand = Fraction(x).limit_denominator(d)
-        if abs(float(cand) - x) <= tol:
+        if abs(float(cand) - x) <= _SNAP_TOL:
             return cand
         d *= 10
     return best
@@ -407,64 +412,54 @@ def _simplest_fraction(x: float, tol: float, max_denominator: int) -> Fraction:
 def search_certificate(n: int, config: SearchConfig | None = None) -> SearchOutcome:
     """Multi-start least-squares search for an order-n certificate.
 
-    Square coefficients follow the triangular ladder (square j uses basis
-    positions j onward); remainder weights are squared during the search
-    so feasibility is built in.  The best numeric candidates are snapped
-    to small rationals, the remainder is then re-derived exactly, and only
-    a certificate that passes ``verify_certificate`` is returned.
+    The unknowns are an upper-triangular factor F (row j is square j's
+    coefficient vector, using basis positions j onward) and remainder roots
+    u, so the Gram matrix Q = F^T F is PSD and the remainder u^2 is
+    nonnegative by construction; the residual is A(Q) + E u^2 - sign C_n
+    with A the Gram tensor.  The best numeric candidates are snapped to
+    small rationals, the remainder is then re-derived exactly, and only a
+    certificate that passes ``verify_certificate`` is returned.
     """
     from scipy.optimize import least_squares
 
     cfg = config or SearchConfig()
+    if cfg.starts < 1:
+        raise ValueError(f"starts must be >= 1, got {cfg.starts}")
     sign = (-1) ** (n + 1)
     basis = canonical_basis(2 * n)
-    pb_size = len(square_basis(n))
-    pairs = _pair_reduction_table(n, basis)
+    gram = _gram_tensor(n, basis)
+    pb_size = gram.shape[0]
     target = np.array(
         [float(c) for c in _coeff_vector(entropy_derivative(n).scaled(sign), basis)]
     )
     remainder_slots = [i for i, m in enumerate(basis) if not any(k % 2 for _, k in m.exps)]
 
-    # variable layout: triangular square coefficients, then remainder roots
-    tri = [(j, i) for j in range(pb_size) for i in range(j, pb_size)]
-    n_sq = len(tri)
+    # variable layout: F's upper triangle in row-major order, then remainder roots
+    tri = np.triu_indices(pb_size)
+    n_sq = len(tri[0])
     n_rem = len(remainder_slots)
 
-    def residual(x: np.ndarray) -> np.ndarray:
-        acc = np.zeros(len(basis))
+    def factor(x: np.ndarray) -> np.ndarray:
         full = np.zeros((pb_size, pb_size))
-        for idx, (j, i) in enumerate(tri):
-            full[j, i] = x[idx]
-        for j in range(pb_size):
-            row = full[j]
-            for a in range(pb_size):
-                if not row[a]:
-                    continue
-                for b in range(a, pb_size):
-                    if not row[b]:
-                        continue
-                    factor = row[a] * row[b] * (1 if a == b else 2)
-                    acc += factor * pair_f[(a, b)]
-        for slot, u in zip(remainder_slots, x[n_sq:]):
-            acc[slot] += u * u
-        return acc - target
+        full[tri] = x[:n_sq]
+        return full
 
-    pair_f = {key: np.array([float(v) for v in vec]) for key, vec in pairs.items()}
+    def residual(x: np.ndarray) -> np.ndarray:
+        full = factor(x)
+        acc = np.tensordot(full.T @ full, gram, axes=2)
+        acc[remainder_slots] += x[n_sq:] ** 2
+        return acc - target
 
     rng = np.random.default_rng(cfg.seed)
     seeds = []
     if cfg.seed_builtin and 2 <= n <= 4:
         builtin = builtin_certificate(n)
-        x0 = np.zeros(n_sq + n_rem)
+        full = np.zeros((pb_size, pb_size))
         for j, sq in enumerate(builtin.squares):
-            vec = sq.vector()
-            for idx, (jj, ii) in enumerate(tri):
-                if jj == j:
-                    x0[idx] = float(vec[ii])
+            full[j] = [float(v) for v in sq.vector()]
         rem_vec = _coeff_vector(builtin.remainder, basis)
-        for k, slot in enumerate(remainder_slots):
-            x0[n_sq + k] = float(rem_vec[slot]) ** 0.5
-        seeds.append(x0)
+        roots = [float(rem_vec[slot]) ** 0.5 for slot in remainder_slots]
+        seeds.append(np.concatenate([full[tri], roots]))
     while len(seeds) < cfg.starts:
         seeds.append(rng.normal(scale=1.0, size=n_sq + n_rem))
 
@@ -485,37 +480,21 @@ def search_certificate(n: int, config: SearchConfig | None = None) -> SearchOutc
 
     best_norm = candidates[0][0] if candidates else np.inf
     best_x = candidates[0][2] if candidates else None
-    snap_gate = max(cfg.residual_tol, 1e-6)
     for norm, _, x in candidates:
-        if norm >= snap_gate:
+        if norm >= _SNAP_TOL:
             break
         # exact completion decides; a failed snap just means keep trying
-        cert = _rationalize(n, sign, basis, tri, x[:n_sq], cfg)
+        cert = _rationalize(n, sign, factor(x))
         if cert is not None:
             squares = [[float(v) for v in sq.vector()] for sq in cert.squares]
             return SearchOutcome(n, cert, norm, cfg.starts, squares)
-    shaped = []
-    if best_x is not None:
-        full = np.zeros((pb_size, pb_size))
-        for idx, (j, i) in enumerate(tri):
-            full[j, i] = best_x[idx]
-        shaped = [list(map(float, row)) for row in full]
+    shaped = [] if best_x is None else factor(best_x).tolist()
     return SearchOutcome(n, None, best_norm, cfg.starts, shaped)
 
 
-def _rationalize(
-    n: int,
-    sign: int,
-    basis: Sequence[DerivMonomial],
-    tri: Sequence[Tuple[int, int]],
-    x_sq: np.ndarray,
-    cfg: SearchConfig,
-) -> Optional[Certificate]:
-    """Snap square coefficients to rationals and complete the remainder exactly."""
-    pb_size = len(square_basis(n))
-    vectors: List[List[Fraction]] = [[Fraction(0)] * pb_size for _ in range(pb_size)]
-    for idx, (j, i) in enumerate(tri):
-        vectors[j][i] = _simplest_fraction(float(x_sq[idx]), cfg.snap_tol, cfg.max_denominator)
+def _rationalize(n: int, sign: int, full: np.ndarray) -> Optional[Certificate]:
+    """Snap the factor's rows to rationals and complete the remainder exactly."""
+    vectors = [[_simplest_fraction(float(v)) for v in row] for row in full]
     squares = tuple(
         SquareForm.from_vector(n, vec) for vec in vectors if any(vec)
     )

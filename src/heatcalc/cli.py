@@ -283,6 +283,9 @@ def _cmd_certify(args) -> int:
         if args.order < 2:
             print("certify: --search needs --order >= 2", file=sys.stderr)
             return 1
+        if args.starts < 1:
+            print("certify: --starts must be >= 1", file=sys.stderr)
+            return 1
         cfg = SearchConfig(starts=args.starts, seed=args.seed)
         outcome = search_certificate(args.order, cfg)
         print(

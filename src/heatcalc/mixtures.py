@@ -79,27 +79,6 @@ class GaussianMixture:
 BIMODAL_MIXTURE = GaussianMixture(((0.5, 0.0, 0.1), (0.5, 10.0, 0.1)))
 
 
-def _component_logpdf(mix: GaussianMixture, t: float, y: np.ndarray) -> np.ndarray:
-    """log(w_i * phi_i(y)) for every component, shape (n_components, n_points)."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    s = mix.variances + t
-    z = (y[None, :] - mix.means[:, None]) / np.sqrt(s)[:, None]
-    return (
-        np.log(mix.weights)[:, None]
-        - 0.5 * (_LOG_2PI + np.log(s))[:, None]
-        - 0.5 * z * z
-    )
-
-
-def log_density(mix: GaussianMixture, t: float, y: np.ndarray) -> np.ndarray:
-    """log f(y, t) for the mixture flowed to time t >= 0."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    lp = _component_logpdf(mix, t, y)
-    top = np.max(lp, axis=0)
-    return top + np.log(np.sum(np.exp(lp - top), axis=0))
-
-
 def hermite_he(max_m: int, z: np.ndarray) -> np.ndarray:
     """Probabilists' Hermite values He_0..He_max_m, shape (max_m+1, *z.shape)."""
     out = np.empty((max_m + 1,) + z.shape)
@@ -111,31 +90,50 @@ def hermite_he(max_m: int, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def derivative_ratios(
+def log_density_and_ratios(
     mix: GaussianMixture, t: float, y: np.ndarray, max_m: int
-) -> np.ndarray:
-    """Rows m = 0..max_m of f_m(y, t) / f(y, t); row 0 is all ones.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """log f(y, t) and the rows m = 0..max_m of f_m(y, t) / f(y, t).
 
-    Each row is the posterior-weighted average of the per-component ratio
-    (-1)^m He_m(z_i) / s_i^(m/2), so no explicit density quotient appears.
+    Both come from one per-component log-pdf log(w_i phi_i(y)).  Row 0 is
+    all ones; row m is the posterior-weighted average of the per-component
+    ratio (-1)^m He_m(z_i) / s_i^(m/2), so no explicit density quotient
+    appears.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
     y = np.atleast_1d(np.asarray(y, dtype=float))
     s = mix.variances + t
     z = (y[None, :] - mix.means[:, None]) / np.sqrt(s)[:, None]
-    lp = _component_logpdf(mix, t, y)
+    lp = (
+        np.log(mix.weights)[:, None]
+        - 0.5 * (_LOG_2PI + np.log(s))[:, None]
+        - 0.5 * z * z
+    )
     top = np.max(lp, axis=0)
-    post = np.exp(lp - top[None, :])
-    post /= np.sum(post, axis=0)[None, :]
-
-    he = hermite_he(max_m, z)
+    post = np.exp(lp - top)
+    total = np.sum(post, axis=0)
     out = np.empty((max_m + 1, y.size))
     out[0] = 1.0
-    for m in range(1, max_m + 1):
-        scale = ((-1.0) ** m) / s ** (m / 2.0)
-        out[m] = np.sum(post * scale[:, None] * he[m], axis=0)
-    return out
+    if max_m:
+        post /= total
+        he = hermite_he(max_m, z)
+        for m in range(1, max_m + 1):
+            scale = ((-1.0) ** m) / s ** (m / 2.0)
+            out[m] = np.sum(post * scale[:, None] * he[m], axis=0)
+    return top + np.log(total), out
+
+
+def log_density(mix: GaussianMixture, t: float, y: np.ndarray) -> np.ndarray:
+    """log f(y, t) for the mixture flowed to time t >= 0."""
+    return log_density_and_ratios(mix, t, y, 0)[0]
+
+
+def derivative_ratios(
+    mix: GaussianMixture, t: float, y: np.ndarray, max_m: int
+) -> np.ndarray:
+    """Rows m = 0..max_m of f_m(y, t) / f(y, t); row 0 is all ones."""
+    return log_density_and_ratios(mix, t, y, max_m)[1]
 
 
 def density_deriv(mix: GaussianMixture, t: float, y, m: int = 0):
@@ -151,11 +149,8 @@ def density_deriv(mix: GaussianMixture, t: float, y, m: int = 0):
     if t == 0 and m > 0:
         raise ValueError("derivatives require t > 0")
     arr = np.atleast_1d(np.asarray(y, dtype=float))
-    f = np.exp(log_density(mix, t, arr))
-    if m == 0:
-        values = f
-    else:
-        values = f * derivative_ratios(mix, t, arr, m)[m]
+    lf, ratios = log_density_and_ratios(mix, t, arr, m)
+    values = np.exp(lf) * ratios[m]
     if np.isscalar(y) or getattr(y, "ndim", 0) == 0:
         return float(values[0])
     return values

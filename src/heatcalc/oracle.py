@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .mixtures import GaussianMixture, derivative_ratios, log_density
+from .mixtures import GaussianMixture, log_density, log_density_and_ratios
 from .quadrature import QuadResult, adaptive_quad, build_mesh
 from .reduction import entropy_derivative
 from .terms import Combination
@@ -59,9 +59,8 @@ def _combination_integrand(
     max_m = max((mono.max_order for mono, _ in comb.items()), default=0)
 
     def fn(y: np.ndarray) -> np.ndarray:
-        lf = log_density(mix, t, y)
+        lf, ratios = log_density_and_ratios(mix, t, y, max_m)
         f = np.exp(lf)
-        ratios = derivative_ratios(mix, t, y, max_m) if max_m else None
         acc = np.zeros_like(y, dtype=float)
         for exps, coeff in items:
             term = np.full_like(acc, coeff)
@@ -88,16 +87,8 @@ def entropy(mix: GaussianMixture, t: float, tol: float = DEFAULT_TOL) -> float:
 def fisher_result(
     mix: GaussianMixture, t: float, tol: float = DEFAULT_TOL
 ) -> QuadResult:
-    if t <= 0:
-        raise ValueError("Fisher information along the flow needs t > 0")
-
-    def fn(y: np.ndarray) -> np.ndarray:
-        f = np.exp(log_density(mix, t, y))
-        r1 = derivative_ratios(mix, t, y, 1)[1]
-        return f * r1 * r1
-
-    a, b = mix.support_interval(t)
-    return adaptive_quad(fn, a, b, tol)
+    """J(t) as the integral of C_1 = f1^2/f."""
+    return functional_result(entropy_derivative(1), mix, t, tol)
 
 
 def fisher(mix: GaussianMixture, t: float, tol: float = DEFAULT_TOL) -> float:
@@ -364,14 +355,16 @@ def _scan_row_core(
     mix: GaussianMixture, t: float, max_order: int, tol: float
 ) -> ScanRow:
     h_res = entropy_result(mix, t, tol)
-    j_res = fisher_result(mix, t, tol)
     d_fd = tuple(
         fd_entropy_deriv_result(mix, t, n, tol=tol) for n in range(1, max_order + 1)
     )
-    d_sym = tuple(
-        0.5 * functional_result(entropy_derivative(n), mix, t, tol).value
+    sym = [
+        functional_result(entropy_derivative(n), mix, t, tol)
         for n in range(1, min(_SYM_ORDERS, max_order) + 1)
-    )
+    ]
+    # C_1 integrates to J, so the first symbolic order is the Fisher information
+    j_res = sym[0] if sym else fisher_result(mix, t, tol)
+    d_sym = tuple(0.5 * r.value for r in sym)
     jprime = 2.0 * (d_sym[1] if len(d_sym) >= 2 else fd_entropy_deriv_result(mix, t, 2, tol=tol)[0])
     costa_margin = -jprime - j_res.value * j_res.value
     costa_err = 2.0 * tol + 2.0 * j_res.value * j_res.error + 1e-12 * abs(jprime)

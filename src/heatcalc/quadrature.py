@@ -20,7 +20,7 @@ Integrand = Callable[[np.ndarray], np.ndarray]
 
 
 class QuadratureNonConvergence(UserWarning):
-    """Adaptive refinement hit its depth limit before the tolerance."""
+    """Adaptive refinement hit its depth or panel limit before the tolerance."""
 
 
 @lru_cache(maxsize=None)
@@ -125,8 +125,11 @@ def build_mesh(
             stack.append((lo, mid, depth + 1, tuple(vals[0] for vals, _ in split)))
             stack.append((mid, hi, depth + 1, tuple(vals[1] for vals, _ in split)))
     if exhausted:
+        # the interval and panel count make each event's text distinct, so
+        # the default warning filter shows every one, not one per call site
         warnings.warn(
-            "mesh refinement hit its panel budget; result may miss the tolerance",
+            f"mesh refinement on [{a:.17g}, {b:.17g}] hit its depth or panel "
+            f"limit at {len(accepted)} panels; result may miss tol {tol:.3g}",
             QuadratureNonConvergence,
             stacklevel=2,
         )

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,7 @@ from heatcalc.certificates import (
     square_basis,
     verify_certificate,
 )
+from heatcalc.certificates import _coeff_vector, _gram_tensor
 from heatcalc.reduction import entropy_derivative, reduce
 from heatcalc.terms import Combination, make_monomial, parse_monomial
 
@@ -307,6 +309,34 @@ class TestSearch:
             assert ok  # only an exactly-verified certificate may be returned
         else:
             assert out.best_squares  # the candidate is still reported
+
+
+    @pytest.mark.parametrize("starts", [0, -2])
+    def test_needs_at_least_one_start(self, starts):
+        with pytest.raises(ValueError, match="starts must be >= 1"):
+            search_certificate(3, SearchConfig(starts=starts))
+
+
+class TestGramTensor:
+    """The search's float model A(F^T F) + E u^2 against the exact expansion."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_builtin_certificates_through_the_gram_map(self, n):
+        cert = builtin_certificate(n)
+        basis = canonical_basis(2 * n)
+        gram = _gram_tensor(n, basis)
+        assert np.array_equal(gram, gram.transpose(1, 0, 2))
+
+        factor = np.array([[float(v) for v in sq.vector()] for sq in cert.squares])
+        remainder = [float(c) for c in _coeff_vector(cert.remainder, basis)]
+        even = [i for i, m in enumerate(basis) if not any(k % 2 for _, k in m.exps)]
+        assert all(remainder[i] == 0 for i in range(len(basis)) if i not in even)
+        roots = np.sqrt([remainder[i] for i in even])
+
+        model = np.tensordot(factor.T @ factor, gram, axes=2)
+        model[even] += roots**2
+        target = _coeff_vector(entropy_derivative(n).scaled(cert.sign), basis)
+        assert np.max(np.abs(model - [float(c) for c in target])) < 1e-12
 
 
 class TestCertifiedSignsHoldNumerically:

@@ -97,6 +97,13 @@ class TestCertify:
         assert "re-verified exactly" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("starts", ["0", "-2"])
+    def test_search_needs_at_least_one_start(self, starts, capsys):
+        code = main(["certify", "--order", "4", "--search", "--starts", starts])
+        assert code == 1
+        assert "certify: --starts must be >= 1" in capsys.readouterr().err
+
+
 class TestConfigParsing:
     def test_valid(self):
         cfg = parse_config(json.dumps(SMALL_SCAN))

@@ -191,6 +191,12 @@ class TestScan:
         assert res.invJ_dd_has_both_signs()
         assert res.all_signs_ok()
 
+    def test_J_is_the_first_symbolic_integral(self):
+        # C_1 integrates to J, so a row evaluates it once for both columns
+        res = scan_conjectures(BIMODAL_MIXTURE, [0.06, 0.2, 1.0], max_order=1)
+        for row in res.rows:
+            assert row.J == 2.0 * row.d_sym[0]
+
     def test_csv_schema_and_determinism(self):
         g = GaussianMixture.single(0, 1)
         res1 = scan_conjectures(g, [0.5, 1.0, 2.0], max_order=4)

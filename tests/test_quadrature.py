@@ -5,12 +5,13 @@ panels fails here without any timing.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from heatcalc import quadrature
-from heatcalc.quadrature import adaptive_quad, build_mesh
+from heatcalc.quadrature import QuadratureNonConvergence, adaptive_quad, build_mesh
 
 
 class Recorder:
@@ -65,3 +66,18 @@ def test_mesh_integrate_makes_one_call():
     assert len(fn.calls) == 1
     assert fn.calls[0].size == mesh.order * len(mesh.panels)
     assert value == pytest.approx(1.0, abs=1e-10)
+
+
+def test_every_nonconverged_mesh_warns():
+    # the default filter keeps one warning per text and call site, so the
+    # two events must differ in their text to both be shown
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        for a, b in ((-12.0, 12.0), (-10.0, 10.0)):
+            build_mesh([Recorder(0.001)], a, b, max_depth=0)
+    messages = [
+        str(w.message) for w in caught if issubclass(w.category, QuadratureNonConvergence)
+    ]
+    assert len(messages) == 2
+    assert "[-12, 12]" in messages[0] and "[-10, 10]" in messages[1]
+    assert "8 panels" in messages[0] and "depth or panel limit" in messages[0]
