@@ -79,15 +79,14 @@ class GaussianMixture:
 BIMODAL_MIXTURE = GaussianMixture(((0.5, 0.0, 0.1), (0.5, 10.0, 0.1)))
 
 
-def hermite_he(max_m: int, z: np.ndarray) -> np.ndarray:
-    """Probabilists' Hermite values He_0..He_max_m, shape (max_m+1, *z.shape)."""
-    out = np.empty((max_m + 1,) + z.shape)
-    out[0] = 1.0
-    if max_m >= 1:
-        out[1] = z
-    for m in range(1, max_m):
-        out[m + 1] = z * out[m] - m * out[m - 1]
-    return out
+# The kernel works on blocks of nodes with at most this many (component,
+# node) pairs, so each per-component temporary stays at 64 KiB or less.
+# Larger temporaries are mapped from and returned to the OS on every call:
+# whole refinement levels of a 16-component mixture cost a wt-scan 20k-31k
+# page faults instead of 5k, and the count moved with the size of the
+# process environment.  Every value is computed per node, so blocking
+# changes no bit.
+_BLOCK_PAIRS = 8192
 
 
 def log_density_and_ratios(
@@ -104,24 +103,41 @@ def log_density_and_ratios(
         raise ValueError("t must be >= 0")
     y = np.atleast_1d(np.asarray(y, dtype=float))
     s = mix.variances + t
-    z = (y[None, :] - mix.means[:, None]) / np.sqrt(s)[:, None]
-    lp = (
-        np.log(mix.weights)[:, None]
-        - 0.5 * (_LOG_2PI + np.log(s))[:, None]
-        - 0.5 * z * z
+    comps = (
+        mix.means[:, None],
+        np.sqrt(s)[:, None],
+        np.log(mix.weights)[:, None] - 0.5 * (_LOG_2PI + np.log(s))[:, None],
+        [((-1.0) ** m / s ** (m / 2.0))[:, None] for m in range(1, max_m + 1)],
     )
+    lf = np.empty(y.size)
+    out = np.empty((max_m + 1, y.size))
+    out[0] = 1.0
+    # equal blocks, never a single node: a one-node block would sum its
+    # components in another order
+    blocks = -(-y.size // max(64, _BLOCK_PAIRS // len(s)))
+    edges = [y.size * i // blocks for i in range(blocks + 1)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        lf[lo:hi] = _block(comps, y[lo:hi], out[1:, lo:hi])
+    return lf, out
+
+
+def _block(comps, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """log f on one block of nodes; writes the ratio rows m >= 1 into ``rows``."""
+    means, scales, log_norm, ratio_scales = comps
+    z = (y[None, :] - means) / scales
+    lp = log_norm - 0.5 * z * z
     top = np.max(lp, axis=0)
     post = np.exp(lp - top)
     total = np.sum(post, axis=0)
-    out = np.empty((max_m + 1, y.size))
-    out[0] = 1.0
-    if max_m:
+    if ratio_scales:
         post /= total
-        he = hermite_he(max_m, z)
-        for m in range(1, max_m + 1):
-            scale = ((-1.0) ** m) / s ** (m / 2.0)
-            out[m] = np.sum(post * scale[:, None] * he[m], axis=0)
-    return top + np.log(total), out
+        # He_m(z) by its three-term recurrence, two rows at a time
+        he_prev, he = np.ones_like(z), z
+        for m, scale in enumerate(ratio_scales, start=1):
+            if m > 1:
+                he_prev, he = he, z * he - (m - 1) * he_prev
+            rows[m - 1] = np.sum(post * scale * he, axis=0)
+    return top + np.log(total)
 
 
 def log_density(mix: GaussianMixture, t: float, y: np.ndarray) -> np.ndarray:
@@ -151,6 +167,6 @@ def density_deriv(mix: GaussianMixture, t: float, y, m: int = 0):
     arr = np.atleast_1d(np.asarray(y, dtype=float))
     lf, ratios = log_density_and_ratios(mix, t, arr, m)
     values = np.exp(lf) * ratios[m]
-    if np.isscalar(y) or getattr(y, "ndim", 0) == 0:
+    if np.ndim(y) == 0:
         return float(values[0])
     return values

@@ -192,13 +192,15 @@ def fd_entropy_deriv_result(
     t_values = [t + off * half for off in offsets]
 
     a, b = mix.support_interval(max(t_values))
-    probes = [
-        _entropy_integrand(mix, min(t_values)),
-        _entropy_integrand(mix, t),
-        _entropy_integrand(mix, max(t_values)),
-    ]
-    mesh = build_mesh(probes, a, b, tol)
-    h_at = {off: mesh.integrate(_entropy_integrand(mix, tv)) for off, tv in zip(offsets, t_values)}
+    probe_t = (min(t_values), t, max(t_values))
+    mesh = build_mesh([_entropy_integrand(mix, tv) for tv in probe_t], a, b, tol)
+    # the probes' entropies come with the mesh; the rest of the stencil is
+    # integrated on it (t itself is a stencil point at even orders only)
+    probed = dict(zip(probe_t, mesh.totals))
+    h_at = {
+        off: probed[tv] if tv in probed else mesh.integrate(_entropy_integrand(mix, tv))
+        for off, tv in zip(offsets, t_values)
+    }
 
     coarse = sum(c * h_at[2 * off] for off, c in stencil) / h**n
     fine = sum(c * h_at[off] for off, c in stencil) / half**n

@@ -29,49 +29,57 @@ def _gl_rule(order: int) -> Tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _panel_sums(
+def _panel_values(
     fn: Integrand, panels: Sequence[Tuple[float, float]], order: int
-) -> Tuple[List[float], List[float]]:
-    """Each panel's integral of ``fn`` and of ``|fn|``, from one call of ``fn``.
-
-    The L1 magnitude sets the roundoff floor: when the integrand cancels
-    within a panel, refinement below eps * magnitude only chases noise.
-    Each panel is summed by its own ``np.dot`` so its value does not depend
-    on which panels share the call; a matrix product reorders the sums and
-    changes the last bits, which finite differences in t amplify.
-    """
-    nodes, weights = _gl_rule(order)
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each panel's half-width and ``fn`` at its nodes, from one call of ``fn``."""
+    nodes, _ = _gl_rule(order)
     bounds = np.array(panels, dtype=float)
     mids = 0.5 * (bounds[:, 0] + bounds[:, 1])
     radii = 0.5 * (bounds[:, 1] - bounds[:, 0])
     vals = fn((mids[:, None] + radii[:, None] * nodes).ravel()).reshape(len(bounds), order)
-    mags = np.abs(vals)
-    return (
-        [float(r * np.dot(weights, row)) for r, row in zip(radii, vals)],
-        [float(r * np.dot(weights, row)) for r, row in zip(radii, mags)],
-    )
+    return radii, vals
+
+
+def _panel_sums(radii: np.ndarray, vals: np.ndarray, order: int) -> List[float]:
+    """Each panel's rule sum from its row of node values.
+
+    Each panel is summed by its own ``np.dot`` so its value does not depend
+    on which panels share the call; a matrix product reorders the sums and
+    changes the last bits, which finite differences in t amplify.
+    """
+    _, weights = _gl_rule(order)
+    return [float(r * np.dot(weights, row)) for r, row in zip(radii, vals)]
+
+
+def _plain_sum(values: Sequence[float]) -> float:
+    # a plain loop, not sum(): sum() compensates its rounding from
+    # Python 3.12 on, which would change the last bits of the total
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 @dataclass(frozen=True)
 class Mesh:
     """A fixed list of panels; integration on a mesh is non-adaptive.
 
-    ``estimates`` holds, for each panel of a mesh from ``build_mesh``, the
-    first integrand's half-panel sum and its whole-panel value minus that
-    sum, so ``adaptive_quad`` needs no second pass over the panels.
+    A mesh from ``build_mesh`` also keeps what bisection computed, so no
+    panel is evaluated again: ``estimates`` holds, per panel, the first
+    integrand's half-panel sum and its whole-panel value minus that sum
+    (``adaptive_quad`` sums these), and ``totals`` holds each integrand's
+    sum of whole-panel values, equal to ``integrate`` of that integrand.
     """
 
     panels: Tuple[Tuple[float, float], ...]
     order: int = 24
     estimates: Tuple[Tuple[float, float], ...] = field(default=(), compare=False, repr=False)
+    totals: Tuple[float, ...] = field(default=(), compare=False, repr=False)
 
     def integrate(self, fn: Integrand) -> float:
-        # a plain loop, not sum(): sum() compensates its rounding from
-        # Python 3.12 on, which would change the last bits of the total
-        total = 0.0
-        for value in _panel_sums(fn, self.panels, self.order)[0]:
-            total += value
-        return total
+        radii, vals = _panel_values(fn, self.panels, self.order)
+        return _plain_sum(_panel_sums(radii, vals, self.order))
 
 
 def build_mesh(
@@ -93,37 +101,62 @@ def build_mesh(
     stop refining at machine precision instead of chasing an absolute
     target below roundoff.  Every abscissa is evaluated once: a child
     panel's whole-panel value is its parent's half-panel value.
+
+    Bisection runs level by level: the halves of every panel open at one
+    depth go to one call per integrand.  A level whose splits would take
+    the mesh past ``max_panels`` accepts its open panels unconverged
+    instead, so the mesh never has more than ``max(max_panels,
+    initial_panels)`` panels.
     """
     width = b - a
     edges = [a + width * i / initial_panels for i in range(initial_panels + 1)]
-    first = list(zip(edges[:-1], edges[1:]))
-    wholes = [_panel_sums(fn, first, order)[0] for fn in integrands]
-    # (lo, hi, depth, whole-panel value of each integrand)
-    stack: List[Tuple[float, float, int, Tuple[float, ...]]] = [
-        (lo, hi, 0, tuple(w[i] for w in wholes)) for i, (lo, hi) in enumerate(first)
-    ]
-    # (lo, hi, half-panel sum, whole minus halves) of the first integrand
-    accepted: List[Tuple[float, float, float, float]] = []
+    level = list(zip(edges[:-1], edges[1:]))
+    # each integrand's whole-panel value on every panel of the level
+    wholes = [_panel_sums(*_panel_values(fn, level, order), order) for fn in integrands]
+    # (lo, hi, half-panel sum and whole minus halves of the first integrand,
+    # whole-panel value of each integrand)
+    accepted: List[Tuple[float, float, float, float, Tuple[float, ...]]] = []
     exhausted = False
-    while stack:
-        lo, hi, depth, whole = stack.pop()
-        mid = 0.5 * (lo + hi)
-        local_tol = tol * (hi - lo) / width
-        split = [_panel_sums(fn, [(lo, mid), (mid, hi)], order) for fn in integrands]
-        ok = True
-        for w, (vals, mags) in zip(whole, split):
-            halves = vals[0] + vals[1]
-            floor = rel_floor * max(abs(w), abs(halves), mags[0] + mags[1])
-            if abs(w - halves) > max(local_tol, floor, 1e-300):
-                ok = False
-        if ok or depth >= max_depth or len(accepted) + len(stack) >= max_panels:
-            if not ok:
-                exhausted = True
-            halves = split[0][0][0] + split[0][0][1]
-            accepted.append((lo, hi, halves, whole[0] - halves))
-        else:
-            stack.append((lo, mid, depth + 1, tuple(vals[0] for vals, _ in split)))
-            stack.append((mid, hi, depth + 1, tuple(vals[1] for vals, _ in split)))
+    depth = 0
+    while level:
+        halves = []
+        for lo, hi in level:
+            mid = 0.5 * (lo + hi)
+            halves += [(lo, mid), (mid, hi)]
+        split = []
+        for fn in integrands:
+            radii, vals = _panel_values(fn, halves, order)
+            # the L1 magnitude sets the roundoff floor: when the integrand
+            # cancels within a panel, refinement below eps * magnitude
+            # only chases noise
+            split.append((_panel_sums(radii, vals, order), _panel_sums(radii, np.abs(vals), order)))
+        keep, refine = [], []
+        for i, (lo, hi) in enumerate(level):
+            local_tol = tol * (hi - lo) / width
+            ok = True
+            for w, (vals, mags) in zip(wholes, split):
+                halves_sum = vals[2 * i] + vals[2 * i + 1]
+                floor = rel_floor * max(abs(w[i]), abs(halves_sum), mags[2 * i] + mags[2 * i + 1])
+                if abs(w[i] - halves_sum) > max(local_tol, floor, 1e-300):
+                    ok = False
+            if ok or depth >= max_depth:
+                exhausted = exhausted or not ok
+                keep.append(i)
+            else:
+                refine.append(i)
+        if len(accepted) + len(keep) + 2 * len(refine) > max_panels:
+            exhausted = exhausted or bool(refine)
+            keep += refine
+            refine = []
+        first = split[0][0]
+        for i in keep:
+            halves_sum = first[2 * i] + first[2 * i + 1]
+            accepted.append(
+                (*level[i], halves_sum, wholes[0][i] - halves_sum, tuple(w[i] for w in wholes))
+            )
+        level = [halves[2 * i + k] for i in refine for k in (0, 1)]
+        wholes = [[vals[2 * i + k] for i in refine for k in (0, 1)] for vals, _ in split]
+        depth += 1
     if exhausted:
         # the interval and panel count make each event's text distinct, so
         # the default warning filter shows every one, not one per call site
@@ -135,7 +168,10 @@ def build_mesh(
         )
     accepted.sort(key=lambda p: p[:2])
     return Mesh(
-        tuple(p[:2] for p in accepted), order, tuple(p[2:] for p in accepted)
+        tuple(p[:2] for p in accepted),
+        order,
+        tuple(p[2:4] for p in accepted),
+        tuple(_plain_sum(values) for values in zip(*(p[4] for p in accepted))),
     )
 
 

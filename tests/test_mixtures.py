@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from heatcalc import mixtures
 from heatcalc.mixtures import (
     BIMODAL_MIXTURE,
     GaussianMixture,
     density_deriv,
     derivative_ratios,
     log_density,
+    log_density_and_ratios,
 )
 
 
@@ -64,6 +66,16 @@ class TestDensityDeriv:
         with pytest.raises(ValueError):
             density_deriv(g, -0.5, 0.0, 0)
 
+    def test_sequence_in_array_out_scalar_in_float_out(self):
+        ys = [0.3, 1.0]
+        expected = [density_deriv(BIMODAL_MIXTURE, 1.0, y, 2) for y in ys]
+        for y in (ys, tuple(ys), np.array(ys)):
+            values = density_deriv(BIMODAL_MIXTURE, 1.0, y, 2)
+            assert isinstance(values, np.ndarray) and values.shape == (2,)
+            assert values.tolist() == expected
+        value = density_deriv(BIMODAL_MIXTURE, 1.0, np.array(0.3), 2)
+        assert type(value) is float and value == expected[0]
+
     def test_matches_finite_difference_in_y(self):
         mix = GaussianMixture.create([(0.3, -1.0, 0.5), (0.7, 2.0, 1.5)])
         t, dy = 0.7, 1e-5
@@ -98,6 +110,18 @@ class TestRatios:
         # f1^8/f^7 = f * r1^8 must stay finite and tiny out there
         f = density_deriv(BIMODAL_MIXTURE, 0.05, y, 0)
         assert np.all(np.isfinite(f * ratios[1] ** 8))
+
+    def test_node_blocks_change_no_bit(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        mix = GaussianMixture.create(
+            zip(rng.dirichlet(np.ones(16)), rng.uniform(-20, 20, 16), rng.uniform(0.01, 1, 16))
+        )
+        y = np.linspace(-30.0, 30.0, 1001)
+        whole = log_density_and_ratios(mix, 0.3, y, 8)
+        monkeypatch.setattr(mixtures, "_BLOCK_PAIRS", 1)  # 16 blocks of 62-63 nodes
+        blocked = log_density_and_ratios(mix, 0.3, y, 8)
+        assert np.array_equal(blocked[0], whole[0])
+        assert np.array_equal(blocked[1], whole[1])
 
     def test_log_density_normalization(self):
         # crude Riemann check that log_density integrates to one

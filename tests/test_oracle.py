@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from heatcalc import oracle
 from heatcalc.mixtures import BIMODAL_MIXTURE, GaussianMixture
 from heatcalc.oracle import (
+    DEFAULT_TOL,
     FdAccuracyWarning,
     default_fd_step,
     entropy,
@@ -143,6 +145,36 @@ class TestFiniteDifferences:
         sym = functional(entropy_derivative(5), mix, 0.8)
         fd, _ = fd_entropy_deriv_result(mix, 0.8, 5)
         assert math.isclose(sym, 2 * fd, rel_tol=1e-4)
+
+
+class TestKernelCalls:
+    """Mixture-kernel calls are deterministic, so a second pass over a mesh
+    or a return to one call per panel fails here without any timing."""
+
+    def test_scan_row_on_a_gaussian(self, monkeypatch):
+        sizes = []
+
+        def counting(kernel):
+            def wrapper(mix, t, y, *args):
+                sizes.append(y.size)
+                return kernel(mix, t, y, *args)
+
+            return wrapper
+
+        monkeypatch.setattr(oracle, "log_density", counting(oracle.log_density))
+        monkeypatch.setattr(
+            oracle, "log_density_and_ratios", counting(oracle.log_density_and_ratios)
+        )
+        oracle._scan_row_core(GaussianMixture.single(), 1.0, 4, DEFAULT_TOL)
+        # every mesh of this row accepts its 8 initial panels, so each of its
+        # integrands makes two calls: 8 panels, then their 16 halves.  The
+        # meshes carry 17 integrands: h, C_1..C_4 and 3 probes per fd order.
+        # The fd stencils of orders 1-4 have 4, 5, 6 and 7 points; the
+        # probes' entropies are reused, so 2, 2, 4 and 4 points are
+        # integrated on the probe mesh, one call of 8 panels each.
+        panels = 8 * 24
+        assert len(sizes) == 17 * 2 + 12
+        assert sum(sizes) == 17 * 3 * panels + 12 * panels
 
 
 class TestSecondDifference:

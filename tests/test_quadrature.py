@@ -32,14 +32,18 @@ class Recorder:
 def test_build_mesh_evaluates_each_abscissa_once():
     fns = [Recorder(0.01), Recorder(0.003)]
     mesh = build_mesh(fns, -12.0, 12.0)
-    # one call for the initial panels, then one per visited panel; a visited
-    # panel is either accepted or split, and each split adds two panels
+    # a visited panel is either accepted or split, and each split adds two panels
     visited = 2 * len(mesh.panels) - 8
     assert visited > 8
+    # one call for the initial panels, then one per refinement level: the
+    # panels of depth d are 3 / 2**d wide, and levels 0..max depth are reached
+    depths = [round(math.log2(3.0 / (hi - lo))) for lo, hi in mesh.panels]
+    levels = max(depths) + 1
+    assert levels < visited
     for fn in fns:
         nodes = fn.nodes()
         assert np.unique(nodes).size == nodes.size
-        assert len(fn.calls) == 1 + visited
+        assert len(fn.calls) == 1 + levels
         assert nodes.size == mesh.order * (8 + 2 * visited)
 
 
@@ -66,6 +70,26 @@ def test_mesh_integrate_makes_one_call():
     assert len(fn.calls) == 1
     assert fn.calls[0].size == mesh.order * len(mesh.panels)
     assert value == pytest.approx(1.0, abs=1e-10)
+
+
+def test_mesh_totals_equal_integrate():
+    fns = [Recorder(0.01), Recorder(0.003), Recorder(0.02)]
+    mesh = build_mesh(fns, -12.0, 12.0)
+    totals = mesh.totals
+    assert len(totals) == len(fns)
+    for fn, total in zip(fns, totals):
+        assert total == mesh.integrate(fn)
+
+
+def test_panel_budget_caps_the_mesh():
+    fn = Recorder(1e-6)
+    assert len(build_mesh([fn], -12.0, 12.0).panels) > 16
+    with pytest.warns(QuadratureNonConvergence, match="depth or panel limit"):
+        mesh = build_mesh([fn], -12.0, 12.0, max_panels=16)
+    assert 8 < len(mesh.panels) <= 16
+    # the accepted panels still tile the interval
+    assert mesh.panels[0][0] == -12.0 and mesh.panels[-1][1] == 12.0
+    assert all(p[1] == q[0] for p, q in zip(mesh.panels, mesh.panels[1:]))
 
 
 def test_every_nonconverged_mesh_warns():
