@@ -409,16 +409,65 @@ def _simplest_fraction(x: float) -> Fraction:
     return best
 
 
+class GramSystem:
+    """The search's residual and its exact Jacobian at order n.
+
+    The unknowns x are the upper triangle of a factor F (row-major, row j
+    holds square j's coefficients over the partition basis) followed by the
+    remainder roots u, one per even-exponent canonical slot.  The residual
+    is ``tensordot(F^T F, P) + E u^2 - sign C_n`` with P the Gram tensor and
+    E the remainder slots, so its Jacobian is exact: with respect to F[a, b]
+    it is ``2 sum_j F[a, j] P[b, j, :]`` (P is symmetric in its first two
+    axes), and with respect to u_s it is ``2 u_s`` at slot s.
+    """
+
+    def __init__(self, n: int):
+        self.basis = tuple(canonical_basis(2 * n))
+        self.gram = _gram_tensor(n, self.basis)
+        target = _coeff_vector(entropy_derivative(n).scaled((-1) ** (n + 1)), self.basis)
+        self.target = np.array([float(c) for c in target])
+        self.remainder_slots = [
+            i for i, m in enumerate(self.basis) if not any(k % 2 for _, k in m.exps)
+        ]
+        p = self.gram.shape[0]
+        self.triu = np.triu_indices(p)
+        self.n_factor = len(self.triu[0])
+        self.size = self.n_factor + len(self.remainder_slots)
+
+    def factor(self, x: np.ndarray) -> np.ndarray:
+        p = self.gram.shape[0]
+        full = np.zeros((p, p))
+        full[self.triu] = x[: self.n_factor]
+        return full
+
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        full = self.factor(x)
+        acc = np.tensordot(full.T @ full, self.gram, axes=2)
+        acc[self.remainder_slots] += x[self.n_factor :] ** 2
+        return acc - self.target
+
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        p, _, k = self.gram.shape
+        n_sq = self.n_factor
+        # d_factor[a, b, :] = 2 sum_j F[a, j] P[j, b, :], one matrix product
+        d_factor = 2.0 * (self.factor(x) @ self.gram.reshape(p, p * k)).reshape(p, p, k)
+        jac = np.zeros((k, len(x)))
+        jac[:, :n_sq] = d_factor[self.triu].T
+        jac[self.remainder_slots, np.arange(n_sq, len(x))] = 2.0 * x[n_sq:]
+        return jac
+
+
 def search_certificate(n: int, config: SearchConfig | None = None) -> SearchOutcome:
     """Multi-start least-squares search for an order-n certificate.
 
     The unknowns are an upper-triangular factor F (row j is square j's
     coefficient vector, using basis positions j onward) and remainder roots
     u, so the Gram matrix Q = F^T F is PSD and the remainder u^2 is
-    nonnegative by construction; the residual is A(Q) + E u^2 - sign C_n
-    with A the Gram tensor.  The best numeric candidates are snapped to
-    small rationals, the remainder is then re-derived exactly, and only a
-    certificate that passes ``verify_certificate`` is returned.
+    nonnegative by construction; ``GramSystem`` gives the residual
+    A(Q) + E u^2 - sign C_n and its exact Jacobian.  The best numeric
+    candidates are snapped to small rationals, the remainder is then
+    re-derived exactly, and only a certificate that passes
+    ``verify_certificate`` is returned.
     """
     from scipy.optimize import least_squares
 
@@ -426,29 +475,8 @@ def search_certificate(n: int, config: SearchConfig | None = None) -> SearchOutc
     if cfg.starts < 1:
         raise ValueError(f"starts must be >= 1, got {cfg.starts}")
     sign = (-1) ** (n + 1)
-    basis = canonical_basis(2 * n)
-    gram = _gram_tensor(n, basis)
-    pb_size = gram.shape[0]
-    target = np.array(
-        [float(c) for c in _coeff_vector(entropy_derivative(n).scaled(sign), basis)]
-    )
-    remainder_slots = [i for i, m in enumerate(basis) if not any(k % 2 for _, k in m.exps)]
-
-    # variable layout: F's upper triangle in row-major order, then remainder roots
-    tri = np.triu_indices(pb_size)
-    n_sq = len(tri[0])
-    n_rem = len(remainder_slots)
-
-    def factor(x: np.ndarray) -> np.ndarray:
-        full = np.zeros((pb_size, pb_size))
-        full[tri] = x[:n_sq]
-        return full
-
-    def residual(x: np.ndarray) -> np.ndarray:
-        full = factor(x)
-        acc = np.tensordot(full.T @ full, gram, axes=2)
-        acc[remainder_slots] += x[n_sq:] ** 2
-        return acc - target
+    system = GramSystem(n)
+    pb_size = system.gram.shape[0]
 
     rng = np.random.default_rng(cfg.seed)
     seeds = []
@@ -457,20 +485,26 @@ def search_certificate(n: int, config: SearchConfig | None = None) -> SearchOutc
         full = np.zeros((pb_size, pb_size))
         for j, sq in enumerate(builtin.squares):
             full[j] = [float(v) for v in sq.vector()]
-        rem_vec = _coeff_vector(builtin.remainder, basis)
-        roots = [float(rem_vec[slot]) ** 0.5 for slot in remainder_slots]
-        seeds.append(np.concatenate([full[tri], roots]))
+        rem_vec = _coeff_vector(builtin.remainder, system.basis)
+        roots = [float(rem_vec[slot]) ** 0.5 for slot in system.remainder_slots]
+        seeds.append(np.concatenate([full[system.triu], roots]))
     while len(seeds) < cfg.starts:
-        seeds.append(rng.normal(scale=1.0, size=n_sq + n_rem))
+        seeds.append(rng.normal(scale=1.0, size=system.size))
 
     def polish(x0: np.ndarray):
         try:
             sol = least_squares(
-                residual, x0, method="trf", max_nfev=4000, ftol=1e-14, xtol=1e-14
+                system.residual,
+                x0,
+                jac=system.jacobian,
+                method="trf",
+                max_nfev=4000,
+                ftol=1e-14,
+                xtol=1e-14,
             )
         except Exception:
             return None
-        return float(np.max(np.abs(residual(sol.x)))), sol.x
+        return float(np.max(np.abs(system.residual(sol.x)))), sol.x
 
     solved = [polish(x0) for x0 in seeds]
     candidates = sorted(
@@ -484,11 +518,11 @@ def search_certificate(n: int, config: SearchConfig | None = None) -> SearchOutc
         if norm >= _SNAP_TOL:
             break
         # exact completion decides; a failed snap just means keep trying
-        cert = _rationalize(n, sign, factor(x))
+        cert = _rationalize(n, sign, system.factor(x))
         if cert is not None:
             squares = [[float(v) for v in sq.vector()] for sq in cert.squares]
             return SearchOutcome(n, cert, norm, cfg.starts, squares)
-    shaped = [] if best_x is None else factor(best_x).tolist()
+    shaped = [] if best_x is None else system.factor(best_x).tolist()
     return SearchOutcome(n, None, best_norm, cfg.starts, shaped)
 
 
@@ -528,16 +562,56 @@ def certificate_to_json(cert: Certificate) -> str:
     return json.dumps(payload, indent=2)
 
 
-def certificate_from_json(text: str) -> Certificate:
-    payload = json.loads(text)
-    order = int(payload["order"])
-    squares = []
-    for entries in payload["squares"]:
-        coeffs = tuple(
-            (parse_monomial(mono), Fraction(coeff)) for mono, coeff in entries
+def _json_terms(entries, where: str) -> List[Tuple[DerivMonomial, Fraction]]:
+    """[[monomial, coefficient], ...] with string monomials and exact coefficients."""
+    if not isinstance(entries, list):
+        raise ValueError(
+            f"certificate field {where}: expected a list of [monomial, coefficient] pairs"
         )
-        squares.append(SquareForm(order, coeffs))
-    remainder = Combination(
-        {parse_monomial(mono): Fraction(coeff) for mono, coeff in payload["remainder"]}
+    terms = []
+    for j, entry in enumerate(entries):
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 2
+            and isinstance(entry[0], str)
+            and isinstance(entry[1], (str, int, float))
+            and not isinstance(entry[1], bool)
+        ):
+            raise ValueError(
+                f"certificate field {where}[{j}]: expected a [monomial, coefficient] pair "
+                "of a string and a string or number"
+            )
+        try:
+            mono = parse_monomial(entry[0])
+        except ValueError as exc:
+            raise ValueError(f"certificate field {where}[{j}]: {exc}") from None
+        try:
+            coeff = Fraction(entry[1])
+        except (ValueError, ZeroDivisionError, OverflowError):
+            raise ValueError(
+                f"certificate field {where}[{j}]: invalid coefficient {entry[1]!r}"
+            ) from None
+        terms.append((mono, coeff))
+    return terms
+
+
+def certificate_from_json(text: str) -> Certificate:
+    """Parse ``certificate_to_json`` output; a ValueError names the bad field."""
+    payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError("certificate JSON must be an object")
+    for key in ("order", "sign", "squares", "remainder"):
+        if key not in payload:
+            raise ValueError(f"certificate field {key} is missing")
+    for key in ("order", "sign"):
+        if not isinstance(payload[key], int) or isinstance(payload[key], bool):
+            raise ValueError(f"certificate field {key}: expected an integer")
+    order = payload["order"]
+    if not isinstance(payload["squares"], list):
+        raise ValueError("certificate field squares: expected a list")
+    squares = tuple(
+        SquareForm(order, tuple(_json_terms(entries, f"squares[{i}]")))
+        for i, entries in enumerate(payload["squares"])
     )
-    return Certificate(order, tuple(squares), remainder, int(payload["sign"]))
+    remainder = Combination(dict(_json_terms(payload["remainder"], "remainder")))
+    return Certificate(order, squares, remainder, payload["sign"])

@@ -44,7 +44,8 @@ from .oracle import (
     wt_checks,
     wt_to_csv,
 )
-from .reduction import entropy_derivative, verify_ibp_identities
+from .reduction import entropy_derivative, reduce, verify_ibp_identities
+from .terms import d_dt
 
 
 class ConfigError(ValueError):
@@ -258,10 +259,23 @@ def _write_scan_svgs(prefix: Path, result, logx: bool) -> List[Path]:
 # ---------------------------------------------------------------------------
 
 
+def _print_reduction_trace(order: int) -> None:
+    """The rewrites that reduce d/dt C_{order-1} to C_order, one per line, on stderr."""
+    if order == 1:
+        print("C_1 = f1^2/f is the starting form; nothing to reduce", file=sys.stderr)
+        return
+    _, trace = reduce(d_dt(entropy_derivative(order - 1)), trace=True)
+    print(f"reduce d/dt C_{order - 1}: {len(trace.steps)} rewrites", file=sys.stderr)
+    for i, step in enumerate(trace.steps, 1):
+        print(f"{i}: {step.target}  [{step.rule}]  ->  {step.replacement}", file=sys.stderr)
+
+
 def _cmd_derive(args) -> int:
     if args.order < 1:
         print("derive: --order must be >= 1", file=sys.stderr)
         return 1
+    if args.trace:
+        _print_reduction_trace(args.order)
     print(entropy_derivative(args.order))
     return 0
 
@@ -286,6 +300,16 @@ def _cmd_certify(args) -> int:
         if args.starts < 1:
             print("certify: --starts must be >= 1", file=sys.stderr)
             return 1
+        if args.seed < 0:
+            print("certify: --seed must be >= 0", file=sys.stderr)
+            return 1
+        # checked before the search, which can run for minutes
+        if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+            print(
+                f"certify: --out {args.out}: not a file path in an existing directory",
+                file=sys.stderr,
+            )
+            return 1
         cfg = SearchConfig(starts=args.starts, seed=args.seed)
         outcome = search_certificate(args.order, cfg)
         print(
@@ -298,7 +322,11 @@ def _cmd_certify(args) -> int:
         print("certificate found and re-verified exactly")
         text = certificate_to_json(outcome.certificate)
         if args.out:
-            Path(args.out).write_text(text)
+            try:
+                Path(args.out).write_text(text)
+            except OSError as exc:
+                print(f"certify: --out {args.out}: {exc}", file=sys.stderr)
+                return 1
             print(f"wrote {args.out}")
         else:
             print(text)
@@ -315,10 +343,11 @@ def _cmd_certify(args) -> int:
                 return 1
         else:
             cert = builtin_certificate(args.order)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"certify: {exc}", file=sys.stderr)
+        ok, residual = verify_certificate(cert)
+    except (OSError, ValueError) as exc:
+        where = f"--cert {args.cert}: " if args.cert else ""
+        print(f"certify: {where}{exc}", file=sys.stderr)
         return 1
-    ok, residual = verify_certificate(cert)
     if ok:
         print("VERIFIED (exact)")
         return 0
@@ -402,6 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("derive", help="print the canonical integrand of 2 d^n h/dt^n")
     p.add_argument("--order", type=int, required=True)
+    p.add_argument(
+        "--trace", action="store_true", help="print the final reduction's rewrites to stderr"
+    )
     p.set_defaults(func=_cmd_derive)
 
     p = sub.add_parser("verify-identities", help="check the 13 IBP identities exactly")

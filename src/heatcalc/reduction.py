@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .terms import Combination, DerivMonomial, d_dt, make_monomial, monomial, parse_monomial
 
@@ -121,16 +121,18 @@ def rewrite_once(mono: DerivMonomial) -> Combination:
     return Combination(terms)
 
 
-def _select_target(c: Combination) -> Optional[DerivMonomial]:
-    """Deterministic choice of the next monomial to rewrite.
+def _rewrite_priority(mono: DerivMonomial) -> Tuple[int, int, Tuple[Tuple[int, int], ...]]:
+    """Order in which ``reduce`` rewrites: the largest key goes first.
 
     Largest maximal order first, then larger total degree, then the
-    exponent map itself.
+    exponent map itself.  The key is unique per monomial, so the choice
+    does not depend on how the terms are stored.
     """
-    candidates = [m for m, _ in c.items() if not m.is_empty() and not is_canonical(m)]
-    if not candidates:
-        return None
-    return max(candidates, key=lambda m: (m.max_order, m.degree, m.exps))
+    return (mono.max_order, mono.degree, mono.exps)
+
+
+def _needs_rewrite(mono: DerivMonomial) -> bool:
+    return not mono.is_empty() and not is_canonical(mono)
 
 
 def reduce(
@@ -144,30 +146,44 @@ def reduce(
     The result denotes the same integral over y; weights and exact
     coefficients are preserved term by term.  With ``trace=True`` also
     returns the step-by-step audit trail.
+
+    The working terms live in one dict updated in place, and the
+    non-canonical monomials among them, keyed by their priority, in a
+    pending dict, so a rewrite costs the size of its replacement plus one
+    ``max`` over the pending keys, never a sort of every term.
     """
     budget = max_steps_per_term * max(1, len(c))
     log = ReductionTrace() if trace else None
-    current = c
+    current: Dict[DerivMonomial, Fraction] = dict(c.items())
+    pending = {m: _rewrite_priority(m) for m in current if _needs_rewrite(m)}
     steps = 0
-    while True:
-        target = _select_target(current)
-        if target is None:
-            break
+    while pending:
+        target = max(pending, key=pending.__getitem__)
         steps += 1
         if steps > budget:
             raise ReductionDepthError(
                 f"no canonical form after {budget} rewrites; stuck near {target}"
             )
         replacement = rewrite_once(target)
-        coeff = current.coefficient(target)
-        current = current - Combination.term(target, coeff) + replacement.scaled(coeff)
+        coeff = current.pop(target)
+        del pending[target]
+        for mono, r in replacement.items():
+            total = current.get(mono, Fraction(0)) + coeff * r
+            if total:
+                current[mono] = total
+                if mono not in pending and _needs_rewrite(mono):
+                    pending[mono] = _rewrite_priority(mono)
+            else:
+                del current[mono]
+                pending.pop(mono, None)
         if log is not None:
             rule = "total-derivative" if target.degree == 1 else f"ibp(top=f{target.max_order})"
             log.steps.append(ReductionStep(target, rule, replacement))
+    result = Combination(current)
     if log is not None:
-        log.final = current
-        return current, log
-    return current
+        log.final = result
+        return result, log
+    return result
 
 
 _ENTROPY_CACHE: Dict[int, Combination] = {1: Combination.term(make_monomial([1, 1]))}

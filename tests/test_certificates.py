@@ -1,5 +1,6 @@
 """Certificate tests: partition basis, square expansion, exact verification, search."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from heatcalc.certificates import (
     Certificate,
+    GramSystem,
     SearchConfig,
     SquareForm,
     builtin_certificate,
@@ -337,6 +339,58 @@ class TestGramTensor:
         model[even] += roots**2
         target = _coeff_vector(entropy_derivative(n).scaled(cert.sign), basis)
         assert np.max(np.abs(model - [float(c) for c in target])) < 1e-12
+
+        # the search's residual is the same model in its packed variables
+        system = GramSystem(n)
+        full = np.zeros((len(gram), len(gram)))
+        full[: len(factor)] = factor
+        x = np.concatenate([full[system.triu], roots])
+        assert np.array_equal(system.factor(x), full)
+        assert np.max(np.abs(system.residual(x))) < 1e-12
+
+
+class TestGramJacobian:
+    """The search's exact Jacobian against central differences of its residual."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_central_differences(self, n):
+        system = GramSystem(n)
+        rng = np.random.default_rng(100 + n)
+        step = 1e-5
+        for _ in range(3):
+            x = rng.normal(size=system.size)
+            jac = system.jacobian(x)
+            assert jac.shape == (len(system.target), system.size)
+            numeric = np.column_stack(
+                [
+                    (system.residual(x + step * e) - system.residual(x - step * e)) / (2 * step)
+                    for e in np.eye(system.size)
+                ]
+            )
+            assert np.max(np.abs(jac - numeric)) <= 1e-6 * np.max(np.abs(jac))
+
+
+class TestCertificateJson:
+    @pytest.mark.parametrize(
+        "mutate,needle",
+        [
+            (lambda d: d.pop("sign"), "field sign is missing"),
+            (lambda d: d.update(order=True), "field order: expected an integer"),
+            (lambda d: d.update(squares="x"), "field squares: expected a list"),
+            (lambda d: d["squares"][0].append(["f3"]), "field squares[0][3]"),
+            (lambda d: d["squares"][0][0].__setitem__(1, "1/0"), "invalid coefficient '1/0'"),
+            (lambda d: d["squares"][0][0].__setitem__(1, float("inf")), "invalid coefficient inf"),
+            (lambda d: d["squares"][0][0].__setitem__(1, None), "field squares[0][0]"),
+            (lambda d: d["remainder"][0].__setitem__(0, "f0^6"), "field remainder[0]"),
+        ],
+    )
+    def test_bad_fields_are_named(self, mutate, needle):
+        import json
+
+        payload = json.loads(certificate_to_json(builtin_certificate(3)))
+        mutate(payload)
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            certificate_from_json(json.dumps(payload))
 
 
 class TestCertifiedSignsHoldNumerically:

@@ -4,7 +4,12 @@ import json
 
 import pytest
 
-from heatcalc.certificates import builtin_certificate, certificate_to_json
+from heatcalc.certificates import (
+    builtin_certificate,
+    certificate_from_json,
+    certificate_to_json,
+    verify_certificate,
+)
 from heatcalc.cli import main, parse_config, ConfigError
 
 
@@ -40,6 +45,25 @@ class TestDerive:
 
     def test_bad_order(self):
         assert main(["derive", "--order", "0"]) == 1
+
+    def test_trace_goes_to_stderr(self, capsys):
+        assert main(["derive", "--order", "3", "--trace"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "f3^2/f^1 + f2^3/f^2 - 3 f1^2 f2^2/f^3 + 6/5 f1^6/f^5\n"
+        lines = captured.err.splitlines()
+        assert lines[0] == "reduce d/dt C_2: 4 rewrites"
+        assert lines[1:] == [
+            "1: f2 f4/f^1  [ibp(top=f4)]  ->  -f3^2/f^1 + f1 f2 f3/f^2",
+            "2: f1^3 f3/f^3  [ibp(top=f3)]  ->  -3 f1^2 f2^2/f^3 + 3 f1^4 f2/f^4",
+            "3: f1 f2 f3/f^2  [ibp(top=f3)]  ->  -1/2 f2^3/f^2 + f1^2 f2^2/f^3",
+            "4: f1^4 f2/f^4  [ibp(top=f2)]  ->  4/5 f1^6/f^5",
+        ]
+
+    def test_trace_of_order1(self, capsys):
+        assert main(["derive", "--order", "1", "--trace"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "f1^2/f^1\n"
+        assert "nothing to reduce" in captured.err
 
 
 class TestVerifyIdentities:
@@ -97,11 +121,51 @@ class TestCertify:
         assert "re-verified exactly" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_order4_search_finds_verified_certificate(self, tmp_path, capsys, seed):
+        out_path = tmp_path / "found.json"
+        argv = ["certify", "--order", "4", "--search", "--starts", "16", "--seed", str(seed)]
+        assert main([*argv, "--out", str(out_path)]) == 0
+        assert "re-verified exactly" in capsys.readouterr().out
+        cert = certificate_from_json(out_path.read_text())
+        assert cert.order == 4
+        ok, _ = verify_certificate(cert)
+        assert ok
+
     @pytest.mark.parametrize("starts", ["0", "-2"])
     def test_search_needs_at_least_one_start(self, starts, capsys):
         code = main(["certify", "--order", "4", "--search", "--starts", starts])
         assert code == 1
         assert "certify: --starts must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "case,needle",
+        [
+            ("wrong-sign", "sign must be 1 for order 3"),
+            ("not-an-object", "certificate JSON must be an object"),
+            ("negative-seed", "--seed must be >= 0"),
+            ("missing-out-dir", "--out"),
+        ],
+    )
+    def test_bad_input_exits_1_without_traceback(self, tmp_path, capsys, case, needle):
+        payload = json.loads(certificate_to_json(builtin_certificate(3)))
+        payload["sign"] = -1
+        files = {"wrong-sign": json.dumps(payload), "not-an-object": "[1]"}
+        argv = {
+            "wrong-sign": ["--order", "3", "--cert", str(tmp_path / "cert.json")],
+            "not-an-object": ["--order", "3", "--cert", str(tmp_path / "cert.json")],
+            "negative-seed": ["--order", "4", "--search", "--seed", "-1"],
+            "missing-out-dir": [
+                "--order", "4", "--search", "--out", str(tmp_path / "missing" / "x.json")
+            ],
+        }[case]
+        if case in files:
+            (tmp_path / "cert.json").write_text(files[case])
+        assert main(["certify", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("certify: ")
+        assert needle in captured.err
+        assert captured.out == ""  # rejected before any search or verdict
 
 
 class TestConfigParsing:

@@ -184,6 +184,32 @@ class TestEntropyDerivative:
         with pytest.raises(ValueError):
             entropy_derivative(0)
 
+    @pytest.mark.parametrize(
+        "n,steps,terms",
+        [
+            (2, 2, 2),
+            (3, 4, 4),
+            (4, 8, 7),
+            (5, 15, 12),
+            (6, 26, 21),
+            (7, 45, 34),
+            (8, 75, 55),
+            (9, 121, 88),
+            (10, 193, 137),
+        ],
+    )
+    def test_pinned_rewrite_counts(self, n, steps, terms):
+        start = d_dt(entropy_derivative(n - 1))
+        final, trace = reduce(start, trace=True)
+        assert len(trace.steps) == steps
+        assert len(final) == terms
+        assert final == entropy_derivative(n)
+        assert trace.replay(start) == final
+        # each rewrite only produces lower maximal orders, so the targets
+        # come out in strictly decreasing (max order, degree, exponents)
+        keys = [(s.target.max_order, s.target.degree, s.target.exps) for s in trace.steps]
+        assert all(a > b for a, b in zip(keys, keys[1:]))
+
     def test_fourth_derivative_line_serialization_golden(self):
         expected = "\n".join(
             [
