@@ -5,6 +5,15 @@ reduction, sum-of-squares sign certificates over the partition basis, and
 a Gaussian-mixture numerical oracle for cross-checking everything.
 """
 
+import os
+
+# Every array product here is far below OpenBLAS's threading threshold, so
+# its worker threads (one per core, in numpy's and in scipy's copy of the
+# library) never share a call; they only spin after start-up, and on a busy
+# machine that spinning takes the core the computation needs.  It must be
+# set before numpy is first imported; an explicit setting is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .terms import (
     Combination,
     DerivMonomial,

@@ -1,9 +1,14 @@
 """CLI behavior: output formats, exit codes, config diagnostics, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import heatcalc
 from heatcalc.certificates import (
     builtin_certificate,
     certificate_from_json,
@@ -276,3 +281,26 @@ class TestWtScanCommand:
         cfg = tmp_path / "wt.json"
         cfg.write_text(json.dumps(payload))
         assert main(["wt-scan", "--config", str(cfg)]) == 1
+
+
+class TestProcess:
+    """What a fresh interpreter that imports heatcalc starts with."""
+
+    @staticmethod
+    def _run(code, **env):
+        child = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        child.update(env, PYTHONPATH=str(Path(heatcalc.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=child, capture_output=True, text=True, check=True
+        )
+        return proc.stdout.split()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+    def test_no_blas_worker_threads(self):
+        # numpy and scipy each bundle an OpenBLAS that starts one worker per core
+        code = "import os, heatcalc.cli, scipy.optimize; print(len(os.listdir('/proc/self/task')))"
+        assert self._run(code) == ["1"]
+
+    def test_explicit_blas_thread_count_is_kept(self):
+        code = "import os, heatcalc; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert self._run(code, OPENBLAS_NUM_THREADS="2") == ["2"]
