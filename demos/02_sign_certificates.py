@@ -3,14 +3,14 @@
 A certificate writes +-C_n as f times a sum of squared linear forms over
 the partition basis plus a manifestly nonnegative remainder, which pins
 the sign of the n-th entropy derivative.  Everything here is verified in
-exact rational arithmetic; the numeric search at the end only returns a
-certificate after exact re-verification.
+exact rational arithmetic.  The search at the end solves one convex Gram
+problem per order and returns either a certificate or a Farkas witness
+that no certificate over the partition basis exists, each checked exactly.
 """
 
 from fractions import Fraction
 
 from heatcalc import (
-    SearchConfig,
     builtin_certificate,
     check_order2_family,
     check_order3_family,
@@ -19,6 +19,7 @@ from heatcalc import (
     search_certificate,
     square_basis,
     verify_certificate,
+    verify_witness,
 )
 
 print("Partition basis (one entry per integer partition of n):")
@@ -51,11 +52,14 @@ for params in ((1, -1, 0), (1, Fraction(-1, 3), 0), (1, Fraction(-1, 4), 0)):
     print(f"  {params}: feasible -> {check_order2_family(*params)}")
 print()
 
-print("Numeric search (multi-start least squares, snapped to rationals,")
-print("then re-verified exactly):")
-outcome = search_certificate(3, SearchConfig(starts=8, seed=1, seed_builtin=False))
-print(f"  order 3 from random starts: residual {outcome.best_residual:.2e}")
-if outcome.certificate is not None:
-    for sq in outcome.certificate.squares:
-        print("  square:", [str(c) for c in sq.vector()])
-    print("  remainder:", outcome.certificate.remainder)
+print("Gram search (barrier phase I, exact rounding, exact checks):")
+outcome = search_certificate(3)
+ok, _ = verify_certificate(outcome.certificate)
+print(f"  order 3 from scratch: Gram margin t* {outcome.margin:.3e}, exact verification -> {ok}")
+for sq in outcome.certificate.squares:
+    print(f"  weight {sq.weight}: square", [str(c) for c in sq.vector()])
+outcome = search_certificate(5)
+print(f"  order 5: Gram margin t* {outcome.margin:.3e}, no certificate")
+print(f"  Farkas witness over {len(outcome.witness)} canonical slots, exact check -> "
+      f"{verify_witness(5, outcome.witness)}")
+print("  (no sum of squares over the partition basis certifies the order-5 sign)")

@@ -38,7 +38,6 @@ from .reduction import (
 )
 from .certificates import (
     Certificate,
-    SearchConfig,
     SearchOutcome,
     SquareForm,
     builtin_certificate,
@@ -57,6 +56,7 @@ from .certificates import (
     search_certificate,
     square_basis,
     verify_certificate,
+    verify_witness,
 )
 from .mixtures import BIMODAL_MIXTURE, GaussianMixture, density_deriv, derivative_ratios
 from .oracle import (
@@ -90,7 +90,6 @@ __all__ = [
     "ReductionTrace",
     "ScanResult",
     "ScanRow",
-    "SearchConfig",
     "SearchOutcome",
     "SquareForm",
     "WtReport",
@@ -130,6 +129,7 @@ __all__ = [
     "time_grid",
     "verify_certificate",
     "verify_ibp_identities",
+    "verify_witness",
     "weight",
     "wt_checks",
     "wt_to_csv",

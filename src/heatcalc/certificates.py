@@ -3,7 +3,7 @@
 The sign of ``2 d^n h / dt^n`` is certified by exhibiting its canonical
 integrand (up to sign) as an integral of
 
-    f * (sum of squared linear forms over the partition basis)
+    f * (sum of weighted squared linear forms over the partition basis)
     + a remainder with manifestly nonnegative terms.
 
 The partition basis at order n has one element per integer partition of n:
@@ -13,16 +13,16 @@ ordinary weight-2n derivative monomials, and verification is exact
 rational arithmetic after IBP reduction.
 
 Built-in certificates are provided for orders 2, 3 and 4 (families with
-free rational parameters at orders 2 and 3), plus a numeric search that
-tries to discover certificates for higher orders and only ever returns
-one after exact re-verification.
+free rational parameters at orders 2 and 3).  ``search_certificate`` solves
+one convex Gram problem and ends in an exactly verified certificate (orders
+2-4) or an exact Farkas witness that none exists (orders 5 and 6).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -70,20 +70,24 @@ def square_basis(n: int) -> List[DerivMonomial]:
 
 @dataclass(frozen=True)
 class SquareForm:
-    """A linear form over the partition basis, denoting f * (form)^2."""
+    """A linear form over the partition basis, denoting weight * f * (form)^2.
+
+    The exact weight >= 0 carries an LDL^T pivot, rarely a rational square.
+    """
 
     order: int
     coeffs: Tuple[Tuple[DerivMonomial, Fraction], ...]
+    weight: Fraction = Fraction(1)
 
     @staticmethod
-    def from_vector(n: int, values: Sequence[CoeffLike]) -> "SquareForm":
+    def from_vector(n: int, values: Sequence[CoeffLike], weight: CoeffLike = 1) -> "SquareForm":
         basis = square_basis(n)
         if len(values) != len(basis):
             raise ValueError(f"expected {len(basis)} coefficients for order {n}")
         pairs = tuple(
             (b, Fraction(v)) for b, v in zip(basis, values) if Fraction(v)
         )
-        return SquareForm(n, pairs)
+        return SquareForm(n, pairs, Fraction(weight))
 
     def vector(self) -> List[Fraction]:
         lookup = dict(self.coeffs)
@@ -106,7 +110,7 @@ def _merged(a: DerivMonomial, b: DerivMonomial) -> DerivMonomial:
 
 
 def expand_square(square: SquareForm) -> Combination:
-    """Expand f * (sum c_i B_i)^2 into canonical weight-2n monomials.
+    """Expand weight * f * (sum c_i B_i)^2 into canonical weight-2n monomials.
 
     The product of two partition-basis ratios times f is the derivative
     monomial of the merged partition, so the expansion is a quadratic form
@@ -116,7 +120,7 @@ def expand_square(square: SquareForm) -> Combination:
     pairs = list(square.coeffs)
     for (mono_a, ca), (mono_b, cb) in itertools.product(pairs, pairs):
         key = _merged(mono_a, mono_b)
-        raw[key] = raw.get(key, Fraction(0)) + ca * cb
+        raw[key] = raw.get(key, Fraction(0)) + square.weight * ca * cb
     return reduce(Combination(raw))
 
 
@@ -138,9 +142,11 @@ class Certificate:
     def validate(self) -> None:
         if self.sign != (-1) ** (self.order + 1):
             raise ValueError(f"sign must be {(-1) ** (self.order + 1)} for order {self.order}")
-        for sq in self.squares:
+        for i, sq in enumerate(self.squares):
             if sq.order != self.order:
                 raise ValueError("square order mismatch")
+            if sq.weight < 0:
+                raise ValueError(f"square {i} has negative weight {sq.weight}")
         for mono, coeff in self.remainder.items():
             if coeff < 0:
                 raise ValueError(f"remainder coefficient of {mono} is negative")
@@ -355,193 +361,174 @@ def _coeff_vector(c: Combination, basis: Sequence[DerivMonomial]) -> List[Fracti
     return out
 
 
-# A candidate is snapped only when its max residual is below _SNAP_TOL; each
-# coefficient then becomes the simplest rational within _SNAP_TOL of it.
-_SNAP_TOL = 1e-6
-_MAX_DENOMINATOR = 10**6
-
-
-@dataclass
-class SearchConfig:
-    """Knobs for the numeric certificate search."""
-
-    starts: int = 64
-    seed: int = 0
-    seed_builtin: bool = True
-
-
 @dataclass
 class SearchOutcome:
-    """Search report; ``certificate`` is set only after exact verification."""
+    """Search report; ``certificate`` and ``witness`` are set only after exact checks.
+
+    ``best_residual`` is max |A(Q) - sign C_n| at the final float Q; ``margin`` is its
+    t, the phase-I optimum t* to within ``_GAP``.
+    """
 
     order: int
     certificate: Optional[Certificate]
     best_residual: float
-    starts: int
-    best_squares: List[List[float]] = field(default_factory=list)
+    margin: float
+    witness: Optional[Tuple[Fraction, ...]] = None
 
 
-def _gram_tensor(n: int, basis: Sequence[DerivMonomial]) -> np.ndarray:
-    """The map A from Gram matrices to canonical coordinates, shape (p, p, K).
+def _gram_problem(n: int):
+    """The canonical basis, the exact map A and the target sign * C_n at order n.
 
-    ``P[a, b]`` is reduce(f B_a B_b) over ``basis`` for partition-basis
-    elements B_a, B_b, so the squares f (F[j] . B)^2 sum to
-    ``tensordot(F.T @ F, P, axes=2)``.  P is symmetric in its first two axes.
+    A's entry [a][b] is reduce(f B_a B_b) over the basis for partition-basis
+    elements B_a, B_b, so A(Q) = sum_ab Q[a][b] [a][b]; as a float (p, p, K)
+    array P that is ``tensordot(Q, P, axes=2)``.
     """
+    basis = canonical_basis(2 * n)
     pb = square_basis(n)
-    tensor = np.zeros((len(pb), len(pb), len(basis)))
+    gram: List[List[List[Fraction]]] = [[[] for _ in pb] for _ in pb]
     for i in range(len(pb)):
         for j in range(i, len(pb)):
             reduced = reduce(Combination.term(_merged(pb[i], pb[j])))
-            tensor[i, j] = tensor[j, i] = [float(c) for c in _coeff_vector(reduced, basis)]
-    return tensor
+            gram[i][j] = gram[j][i] = _coeff_vector(reduced, basis)
+    target = _coeff_vector(entropy_derivative(n).scaled((-1) ** (n + 1)), basis)
+    return basis, gram, target
 
 
-def _simplest_fraction(x: float) -> Fraction:
-    """Smallest-denominator rational within _SNAP_TOL of x (continued fractions)."""
-    best = Fraction(x).limit_denominator(_MAX_DENOMINATOR)
-    d = 1
-    while d <= _MAX_DENOMINATOR:
-        cand = Fraction(x).limit_denominator(d)
-        if abs(float(cand) - x) <= _SNAP_TOL:
-            return cand
-        d *= 10
-    return best
+# Phase I runs the barrier weight mu from _MU_START down by _MU_SHRINK per
+# centring until the duality gap p * mu is below _GAP; a centring takes at
+# most _NEWTON_CAP damped Newton steps and ends at Newton decrement
+# _CENTRED.  Float Gram matrices and dual points are rounded to multiples
+# of 1/_DENOMINATOR for the exact checks.
+_MU_START = 1.0
+_MU_SHRINK = 0.2
+_GAP = 1e-10
+_NEWTON_CAP = 100
+_CENTRED = 1e-7
+_DENOMINATOR = 10**6
 
 
-class GramSystem:
-    """The search's residual and its exact Jacobian at order n.
+def _central_path(gram: np.ndarray, target: np.ndarray):
+    """Phase I: maximise t subject to Q - tI >= 0 and A(Q) = target (A of full row rank).
 
-    The unknowns x are the upper triangle of a factor F (row-major, row j
-    holds square j's coefficients over the partition basis) followed by the
-    remainder roots u, one per even-exponent canonical slot.  The residual
-    is ``tensordot(F^T F, P) + E u^2 - sign C_n`` with P the Gram tensor and
-    E the remainder slots, so its Jacobian is exact: with respect to F[a, b]
-    it is ``2 sum_j F[a, j] P[b, j, :]`` (P is symmetric in its first two
-    axes), and with respect to u_s it is ``2 u_s`` at slot s.
+    For each barrier weight mu, damped Newton steps minimise -t/mu - log det(Q - tI)
+    over Q = Q0 + sum_i z_i N_i and t, and (mu, t, Q) is yielded.  At the centre
+    Y = mu (Q - tI)^-1 = A*(y) is dual feasible, and y . target = t + p mu >= t*.
     """
-
-    def __init__(self, n: int):
-        self.basis = tuple(canonical_basis(2 * n))
-        self.gram = _gram_tensor(n, self.basis)
-        target = _coeff_vector(entropy_derivative(n).scaled((-1) ** (n + 1)), self.basis)
-        self.target = np.array([float(c) for c in target])
-        self.remainder_slots = [
-            i for i, m in enumerate(self.basis) if not any(k % 2 for _, k in m.exps)
-        ]
-        p = self.gram.shape[0]
-        self.triu = np.triu_indices(p)
-        self.n_factor = len(self.triu[0])
-        self.size = self.n_factor + len(self.remainder_slots)
-
-    def factor(self, x: np.ndarray) -> np.ndarray:
-        p = self.gram.shape[0]
-        full = np.zeros((p, p))
-        full[self.triu] = x[: self.n_factor]
-        return full
-
-    def residual(self, x: np.ndarray) -> np.ndarray:
-        full = self.factor(x)
-        acc = np.tensordot(full.T @ full, self.gram, axes=2)
-        acc[self.remainder_slots] += x[self.n_factor :] ** 2
-        return acc - self.target
-
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        p, _, k = self.gram.shape
-        n_sq = self.n_factor
-        # d_factor[a, b, :] = 2 sum_j F[a, j] P[j, b, :], one matrix product
-        d_factor = 2.0 * (self.factor(x) @ self.gram.reshape(p, p * k)).reshape(p, p, k)
-        jac = np.zeros((k, len(x)))
-        jac[:, :n_sq] = d_factor[self.triu].T
-        jac[self.remainder_slots, np.arange(n_sq, len(x))] = 2.0 * x[n_sq:]
-        return jac
+    p, _, k = gram.shape
+    rows, cols = np.triu_indices(p)
+    units = np.zeros((len(rows), p, p))  # a basis of the symmetric matrices
+    units[np.arange(len(rows)), rows, cols] = units[np.arange(len(rows)), cols, rows] = 1.0
+    amat = np.tensordot(units, gram, axes=2).T
+    base = np.tensordot(np.linalg.lstsq(amat, target, rcond=None)[0], units, axes=1)
+    null = np.tensordot(np.linalg.svd(amat)[2][k:], units, axes=1)
+    dirs = np.concatenate([null, -np.eye(p)[None]])  # the last one moves t
+    x = np.zeros(len(dirs))
+    x[-1] = np.linalg.eigvalsh(base)[0] - 1.0
+    mu = _MU_START
+    while p * mu > _GAP:
+        for _ in range(_NEWTON_CAP):
+            inv = np.linalg.inv(np.linalg.cholesky(base + np.tensordot(x, dirs, axes=1)))
+            scaled = (inv @ dirs @ inv.T).reshape(len(dirs), -1)
+            grad = -scaled[:, :: p + 1].sum(axis=1)  # -trace((Q - tI)^-1 dir_i)
+            grad[-1] -= 1.0 / mu
+            step = -np.linalg.solve(scaled @ scaled.T, grad)
+            decrement = float(np.sqrt(-grad @ step))
+            x += step / (1.0 + decrement) if decrement > 0.25 else step
+            if decrement < _CENTRED:
+                break
+        yield mu, float(x[-1]), base + np.tensordot(x[:-1], null, axes=1)
+        mu *= _MU_SHRINK
 
 
-def search_certificate(n: int, config: SearchConfig | None = None) -> SearchOutcome:
-    """Multi-start least-squares search for an order-n certificate.
+def _rounded(value: float) -> Fraction:
+    return Fraction(round(float(value) * _DENOMINATOR), _DENOMINATOR)
 
-    The unknowns are an upper-triangular factor F (row j is square j's
-    coefficient vector, using basis positions j onward) and remainder roots
-    u, so the Gram matrix Q = F^T F is PSD and the remainder u^2 is
-    nonnegative by construction; ``GramSystem`` gives the residual
-    A(Q) + E u^2 - sign C_n and its exact Jacobian.  The best numeric
-    candidates are snapped to small rationals, the remainder is then
-    re-derived exactly, and only a certificate that passes
-    ``verify_certificate`` is returned.
+
+def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def _ldl(matrix: Sequence[Sequence[Fraction]]):
+    """Exact LDL^T of a symmetric rational matrix; None unless it is PSD.
+
+    Returns (columns, pivots), matrix = sum_k pivots[k] columns[k] columns[k]^T,
+    column k unit at k and zero above; a zero pivot needs a zero column.
     """
-    from scipy.optimize import least_squares
-
-    cfg = config or SearchConfig()
-    if cfg.starts < 1:
-        raise ValueError(f"starts must be >= 1, got {cfg.starts}")
-    sign = (-1) ** (n + 1)
-    system = GramSystem(n)
-    pb_size = system.gram.shape[0]
-
-    rng = np.random.default_rng(cfg.seed)
-    seeds = []
-    if cfg.seed_builtin and 2 <= n <= 4:
-        builtin = builtin_certificate(n)
-        full = np.zeros((pb_size, pb_size))
-        for j, sq in enumerate(builtin.squares):
-            full[j] = [float(v) for v in sq.vector()]
-        rem_vec = _coeff_vector(builtin.remainder, system.basis)
-        roots = [float(rem_vec[slot]) ** 0.5 for slot in system.remainder_slots]
-        seeds.append(np.concatenate([full[system.triu], roots]))
-    while len(seeds) < cfg.starts:
-        seeds.append(rng.normal(scale=1.0, size=system.size))
-
-    def polish(x0: np.ndarray):
-        try:
-            sol = least_squares(
-                system.residual,
-                x0,
-                jac=system.jacobian,
-                method="trf",
-                max_nfev=4000,
-                ftol=1e-14,
-                xtol=1e-14,
-            )
-        except Exception:
+    a = [list(row) for row in matrix]
+    p = len(a)
+    columns, pivots = [], []
+    for k in range(p):
+        d = a[k][k]
+        if d < 0 or (d == 0 and any(a[i][k] for i in range(k + 1, p))):
             return None
-        return float(np.max(np.abs(system.residual(sol.x)))), sol.x
-
-    solved = [polish(x0) for x0 in seeds]
-    candidates = sorted(
-        ((norm, i, x) for i, item in enumerate(solved) if item for norm, x in [item]),
-        key=lambda c: (c[0], c[1]),
-    )
-
-    best_norm = candidates[0][0] if candidates else np.inf
-    best_x = candidates[0][2] if candidates else None
-    for norm, _, x in candidates:
-        if norm >= _SNAP_TOL:
-            break
-        # exact completion decides; a failed snap just means keep trying
-        cert = _rationalize(n, sign, system.factor(x))
-        if cert is not None:
-            squares = [[float(v) for v in sq.vector()] for sq in cert.squares]
-            return SearchOutcome(n, cert, norm, cfg.starts, squares)
-    shaped = [] if best_x is None else system.factor(best_x).tolist()
-    return SearchOutcome(n, None, best_norm, cfg.starts, shaped)
+        col = [Fraction(0)] * k + [Fraction(1)] + [row[k] / d if d else 0 for row in a[k + 1 :]]
+        for i in range(k + 1, p):
+            for j in range(k + 1, p):
+                a[i][j] -= col[i] * a[k][j]
+        columns.append(col)
+        pivots.append(d)
+    return columns, pivots
 
 
-def _rationalize(n: int, sign: int, full: np.ndarray) -> Optional[Certificate]:
-    """Snap the factor's rows to rationals and complete the remainder exactly."""
-    vectors = [[_simplest_fraction(float(v)) for v in row] for row in full]
-    squares = tuple(
-        SquareForm.from_vector(n, vec) for vec in vectors if any(vec)
-    )
-    total = Combination.zero()
-    for sq in squares:
-        total = total + expand_square(sq)
-    remainder = entropy_derivative(n).scaled(sign) - total
-    for mono, coeff in remainder.items():
-        if coeff < 0 or any(k % 2 for _, k in mono.exps):
-            return None
-    cert = Certificate(n, squares, remainder, sign)
-    ok, _ = verify_certificate(cert)
-    return cert if ok else None
+def _exact_certificate(n: int, exact, target, gram_matrix: np.ndarray) -> Optional[Certificate]:
+    """Round Q, project it exactly onto A(Q) = target, and read squares off its LDL^T."""
+    p = len(exact)
+    flat = [entry for row in exact for entry in row]  # A* of each coordinate, row-major
+    amat = list(zip(*flat))
+    q = [_rounded(v) for v in gram_matrix.ravel()]
+    # the nearest point of the affine space is Q - A*(w), with A A*(w) = A(Q) - target
+    w = [_dot(row, q) - c for row, c in zip(amat, target)]
+    columns, pivots = _ldl([[_dot(r, u) for u in amat] for r in amat])  # A A* is definite
+    for i, col in enumerate(columns):
+        w[i + 1 :] = [wj - cj * w[i] for wj, cj in zip(w[i + 1 :], col[i + 1 :])]
+    for i in reversed(range(len(w))):
+        w[i] = w[i] / pivots[i] - _dot(columns[i][i + 1 :], w[i + 1 :])
+    projected = [qi - _dot(w, entry) for qi, entry in zip(q, flat)]
+    factored = _ldl([projected[a * p : (a + 1) * p] for a in range(p)])
+    if factored is None:
+        return None
+    squares = tuple(SquareForm.from_vector(n, col, d) for col, d in zip(*factored) if d)
+    cert = Certificate(n, squares, Combination.zero(), (-1) ** (n + 1))
+    return cert if verify_certificate(cert)[0] else None
+
+
+def verify_witness(n: int, witness: Sequence[CoeffLike]) -> bool:
+    """Exact Farkas check of y over ``canonical_basis(2n)``: A*(y) >= 0, y . sign C_n < 0.
+
+    It proves that no certificate exists at order n, because any Q >= 0 with
+    A(Q) = sign C_n has y . sign C_n = <A*(y), Q> >= 0.
+    """
+    basis, exact, target = _gram_problem(n)
+    if len(witness) != len(basis):
+        raise ValueError(f"expected {len(basis)} witness coordinates for order {n}")
+    y = [Fraction(v) for v in witness]
+    return _dot(y, target) < 0 and _ldl([[_dot(y, e) for e in row] for row in exact]) is not None
+
+
+def search_certificate(n: int) -> SearchOutcome:
+    """Decide the order-n Gram problem: an exact certificate or an exact Farkas witness.
+
+    A certificate is a Gram matrix Q >= 0 with A(Q) = sign C_n; the remainder
+    needs no variable, since A maps the diagonal entry of an even-exponent
+    slot's half partition to that slot alone.  If phase I ends with t > 0, Q
+    is rounded, projected exactly onto the affine space (Peyrl & Parrilo) and
+    split by exact LDL^T into weighted squares for ``verify_certificate``.
+    From the first centred iterate with t + p mu < 0, the dual point y with
+    A*(y) = mu (Q - tI)^-1 is rounded until one passes ``verify_witness``.
+    """
+    _, exact, target = _gram_problem(n)
+    gram, goal = np.array(exact, dtype=float), np.array(target, dtype=float)
+    p = len(gram)
+    witness = None
+    for mu, t, q in _central_path(gram, goal):
+        if witness is None and t + p * mu < 0:
+            dual = mu * np.linalg.inv(q - t * np.eye(p))
+            y = np.linalg.lstsq(gram.reshape(p * p, -1), dual.ravel(), rcond=None)[0]
+            candidate = tuple(_rounded(v) for v in y)
+            witness = candidate if verify_witness(n, candidate) else None
+    cert = _exact_certificate(n, exact, target, q) if t > 0 else None
+    residual = float(np.max(np.abs(np.tensordot(q, gram, axes=2) - goal)))
+    return SearchOutcome(n, cert, residual, t, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +537,7 @@ def _rationalize(n: int, sign: int, full: np.ndarray) -> Optional[Certificate]:
 
 
 def certificate_to_json(cert: Certificate) -> str:
+    """JSON text; the ``weights`` list is written only when some weight is not 1."""
     payload = {
         "order": cert.order,
         "sign": cert.sign,
@@ -557,9 +545,21 @@ def certificate_to_json(cert: Certificate) -> str:
             [[mono.numerator_str(), str(coeff)] for mono, coeff in sq.coeffs]
             for sq in cert.squares
         ],
-        "remainder": [[str(mono), str(coeff)] for mono, coeff in cert.remainder.items()],
     }
+    if any(sq.weight != 1 for sq in cert.squares):
+        payload["weights"] = [str(sq.weight) for sq in cert.squares]
+    payload["remainder"] = [[str(mono), str(coeff)] for mono, coeff in cert.remainder.items()]
     return json.dumps(payload, indent=2)
+
+
+def _json_number(value, where: str, what: str) -> Fraction:
+    """An exact JSON string or number; booleans are not numbers."""
+    if not isinstance(value, (str, int, float)) or isinstance(value, bool):
+        raise ValueError(f"certificate field {where}: expected a string or number")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"certificate field {where}: invalid {what} {value!r}") from None
 
 
 def _json_terms(entries, where: str) -> List[Tuple[DerivMonomial, Fraction]]:
@@ -574,24 +574,15 @@ def _json_terms(entries, where: str) -> List[Tuple[DerivMonomial, Fraction]]:
             isinstance(entry, list)
             and len(entry) == 2
             and isinstance(entry[0], str)
-            and isinstance(entry[1], (str, int, float))
-            and not isinstance(entry[1], bool)
         ):
             raise ValueError(
-                f"certificate field {where}[{j}]: expected a [monomial, coefficient] pair "
-                "of a string and a string or number"
+                f"certificate field {where}[{j}]: expected a [monomial, coefficient] pair"
             )
         try:
             mono = parse_monomial(entry[0])
         except ValueError as exc:
             raise ValueError(f"certificate field {where}[{j}]: {exc}") from None
-        try:
-            coeff = Fraction(entry[1])
-        except (ValueError, ZeroDivisionError, OverflowError):
-            raise ValueError(
-                f"certificate field {where}[{j}]: invalid coefficient {entry[1]!r}"
-            ) from None
-        terms.append((mono, coeff))
+        terms.append((mono, _json_number(entry[1], f"{where}[{j}]", "coefficient")))
     return terms
 
 
@@ -609,9 +600,15 @@ def certificate_from_json(text: str) -> Certificate:
     order = payload["order"]
     if not isinstance(payload["squares"], list):
         raise ValueError("certificate field squares: expected a list")
-    squares = tuple(
-        SquareForm(order, tuple(_json_terms(entries, f"squares[{i}]")))
-        for i, entries in enumerate(payload["squares"])
-    )
+    count = len(payload["squares"])
+    weights = payload.get("weights", [1] * count)
+    if not isinstance(weights, list) or len(weights) != count:
+        raise ValueError(f"certificate field weights: expected a list of {count} weights")
+    squares = []
+    for i, (entries, value) in enumerate(zip(payload["squares"], weights)):
+        weight = _json_number(value, f"weights[{i}]", "weight")
+        if weight < 0:
+            raise ValueError(f"certificate field weights[{i}]: weight {value!r} is negative")
+        squares.append(SquareForm(order, tuple(_json_terms(entries, f"squares[{i}]")), weight))
     remainder = Combination(dict(_json_terms(payload["remainder"], "remainder")))
-    return Certificate(order, squares, remainder, payload["sign"])
+    return Certificate(order, tuple(squares), remainder, payload["sign"])

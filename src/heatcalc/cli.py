@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .certificates import (
-    SearchConfig,
+    Certificate,
     builtin_certificate,
     certificate_from_json,
     certificate_to_json,
@@ -292,7 +292,24 @@ def _cmd_verify_identities(args) -> int:
     return 0 if ok else 2
 
 
+def _write_certificate(cert: Certificate, out: str) -> int:
+    """Write the certificate JSON to --out; the path was checked before any work."""
+    try:
+        Path(out).write_text(certificate_to_json(cert))
+    except OSError as exc:
+        print(f"certify: --out {out}: {exc}", file=sys.stderr)
+        return 1
+    print(f"wrote {out}")
+    return 0
+
+
 def _cmd_certify(args) -> int:
+    if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+        print(
+            f"certify: --out {args.out}: not a file path in an existing directory",
+            file=sys.stderr,
+        )
+        return 1
     if args.search:
         if args.order < 2:
             print("certify: --search needs --order >= 2", file=sys.stderr)
@@ -303,33 +320,19 @@ def _cmd_certify(args) -> int:
         if args.seed < 0:
             print("certify: --seed must be >= 0", file=sys.stderr)
             return 1
-        # checked before the search, which can run for minutes
-        if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
-            print(
-                f"certify: --out {args.out}: not a file path in an existing directory",
-                file=sys.stderr,
-            )
-            return 1
-        cfg = SearchConfig(starts=args.starts, seed=args.seed)
-        outcome = search_certificate(args.order, cfg)
+        outcome = search_certificate(args.order)
+        verdict = "; Farkas witness verified exactly" if outcome.witness is not None else ""
         print(
-            f"search order {args.order}: best residual {outcome.best_residual:.3e} "
-            f"over {outcome.starts} starts"
+            f"search order {args.order}: best residual {outcome.best_residual:.3e}, "
+            f"Gram margin t* {outcome.margin:.3e}{verdict}"
         )
         if outcome.certificate is None:
             print("no exactly-verified certificate found (reported, not asserted)")
             return 0
         print("certificate found and re-verified exactly")
-        text = certificate_to_json(outcome.certificate)
         if args.out:
-            try:
-                Path(args.out).write_text(text)
-            except OSError as exc:
-                print(f"certify: --out {args.out}: {exc}", file=sys.stderr)
-                return 1
-            print(f"wrote {args.out}")
-        else:
-            print(text)
+            return _write_certificate(outcome.certificate, args.out)
+        print(certificate_to_json(outcome.certificate))
         return 0
 
     try:
@@ -348,11 +351,11 @@ def _cmd_certify(args) -> int:
         where = f"--cert {args.cert}: " if args.cert else ""
         print(f"certify: {where}{exc}", file=sys.stderr)
         return 1
-    if ok:
-        print("VERIFIED (exact)")
-        return 0
-    print(f"FAILED, residual: {residual}")
-    return 2
+    if not ok:
+        print(f"FAILED, residual: {residual}")
+        return 2
+    print("VERIFIED (exact)")
+    return _write_certificate(cert, args.out) if args.out else 0
 
 
 def _cmd_scan(args) -> int:
@@ -442,10 +445,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="verify or search sign certificates")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--cert", help="certificate JSON file (default: built-in)")
-    p.add_argument("--search", action="store_true", help="numeric search + exact re-verification")
-    p.add_argument("--starts", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="write found/loaded certificate JSON here")
+    p.add_argument("--search", action="store_true", help="exact certificate or Farkas witness")
+    p.add_argument("--starts", type=int, default=64, help="no longer affects the search")
+    p.add_argument("--seed", type=int, default=0, help="no longer affects the search")
+    p.add_argument("--out", help="write the verified or found certificate JSON here")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("scan", help="conjecture scan over a t-grid")

@@ -498,6 +498,10 @@ class WtRow:
     hW_dd_err: float = math.nan
     JW_dd: float = math.nan
 
+    @property
+    def txz_ok(self) -> bool:  # the interpolation inequality, within 3 errors
+        return self.txz_margin >= -3.0 * self.txz_err
+
 
 @dataclass
 class WtReport:
@@ -511,7 +515,7 @@ class WtReport:
         )
 
     def txz_ok(self) -> bool:
-        return all(r.txz_margin >= -3.0 * r.txz_err for r in self.rows)
+        return all(r.txz_ok for r in self.rows)
 
     def jw_dd_has_both_signs(self) -> bool:
         dd = np.array([r.JW_dd for r in self.rows])
@@ -572,7 +576,6 @@ WT_CSV_HEADER = "t,s,hW,JW,hW_dd,JW_dd,txz_margin,txz_ok"
 def wt_to_csv(report: WtReport) -> str:
     lines = [WT_CSV_HEADER]
     for r in report.rows:
-        ok = int(r.txz_margin >= -3.0 * r.txz_err)
         lines.append(
             ",".join(
                 [
@@ -583,7 +586,7 @@ def wt_to_csv(report: WtReport) -> str:
                     _fmt(r.hW_dd),
                     _fmt(r.JW_dd),
                     _fmt(r.txz_margin),
-                    str(ok),
+                    str(int(r.txz_ok)),
                 ]
             )
         )

@@ -196,9 +196,6 @@ class Combination:
     def weights(self) -> Tuple[int, ...]:
         return tuple(sorted({m.weight for m in self._terms}))
 
-    def is_weight_homogeneous(self) -> bool:
-        return len(self.weights()) <= 1
-
     def max_order(self) -> int:
         return max((m.max_order for m in self._terms), default=0)
 

@@ -1,5 +1,6 @@
 """Certificate tests: partition basis, square expansion, exact verification, search."""
 
+import json
 import re
 from fractions import Fraction
 
@@ -10,8 +11,6 @@ from hypothesis import strategies as st
 
 from heatcalc.certificates import (
     Certificate,
-    GramSystem,
-    SearchConfig,
     SquareForm,
     builtin_certificate,
     canonical_basis,
@@ -29,8 +28,9 @@ from heatcalc.certificates import (
     search_certificate,
     square_basis,
     verify_certificate,
+    verify_witness,
 )
-from heatcalc.certificates import _coeff_vector, _gram_tensor
+from heatcalc.certificates import _coeff_vector, _gram_problem
 from heatcalc.reduction import entropy_derivative, reduce
 from heatcalc.terms import Combination, make_monomial, parse_monomial
 
@@ -120,6 +120,12 @@ class TestExpandSquare:
         )
         assert got == expected
 
+    def test_weight_scales_the_expansion(self):
+        vec = [1, Fraction(-1, 2), Fraction(2, 7)]
+        weighted = SquareForm.from_vector(3, vec, weight=Fraction(5, 3))
+        plain = SquareForm.from_vector(3, vec)
+        assert expand_square(weighted) == expand_square(plain).scaled(Fraction(5, 3))
+
     def test_even_in_coefficients(self):
         sq = SquareForm.from_vector(3, [1, Fraction(-1, 2), Fraction(2, 7)])
         neg = SquareForm.from_vector(3, [-1, Fraction(1, 2), Fraction(-2, 7)])
@@ -165,6 +171,12 @@ class TestVerifyCertificate:
         bad_remainder = Combination({parse_monomial("f2^3/f^2"): 1})
         with pytest.raises(ValueError):
             verify_certificate(Certificate(3, base.squares, bad_remainder, 1))
+
+    def test_negative_weight_rejected(self):
+        base = order3_certificate()
+        square = SquareForm.from_vector(3, base.squares[0].vector(), weight=-1)
+        with pytest.raises(ValueError, match="square 0 has negative weight -1"):
+            verify_certificate(Certificate(3, (square,), base.remainder, 1))
 
     def test_negative_remainder_rejected(self):
         base = order3_certificate()
@@ -269,105 +281,91 @@ def test_square_merge_identity(triple, scale, coeffs):
 
 
 class TestSearch:
-    def test_rediscovers_order3_with_builtin_seed(self):
-        out = search_certificate(3, SearchConfig(starts=4, seed=0))
-        assert out.certificate is not None
-        ok, _ = verify_certificate(out.certificate)
-        assert ok
+    """One deterministic Gram problem: an exact certificate or an exact witness."""
 
-    def test_order2_from_random_starts(self):
-        out = search_certificate(
-            2, SearchConfig(starts=24, seed=5, seed_builtin=False)
-        )
-        assert out.certificate is not None
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_found_from_scratch(self, n):
+        out = search_certificate(n)
+        assert out.certificate is not None and out.witness is None
+        assert out.margin > 0
         ok, _ = verify_certificate(out.certificate)
         assert ok
-        # any exact order-2 certificate lies in the feasible family:
-        # head coefficient bounded by 1, remainder nonnegative
-        head = out.certificate.squares[0].vector()[0]
-        assert head * head <= 1
-
-    def test_order3_from_random_starts(self):
-        out = search_certificate(
-            3, SearchConfig(starts=24, seed=5, seed_builtin=False)
-        )
-        assert out.certificate is not None
-        ok, _ = verify_certificate(out.certificate)
-        assert ok
+        assert all(sq.weight > 0 for sq in out.certificate.squares)
 
     def test_search_reports_without_asserting(self):
-        out = search_certificate(4, SearchConfig(starts=1, seed=0))
+        out = search_certificate(4)
         assert out.best_residual < 1e-9
-        assert out.starts == 1
 
-    def test_order5_search_reports_residual_and_candidate(self):
-        # no exact order-5 certificate is known; the search must report its
-        # best residual and candidate without claiming success
-        out = search_certificate(5, SearchConfig(starts=1, seed=3))
-        assert out.best_residual == out.best_residual  # finite, not nan
-        assert out.best_residual >= 0
-        if out.certificate is not None:
-            ok, _ = verify_certificate(out.certificate)
-            assert ok  # only an exactly-verified certificate may be returned
-        else:
-            assert out.best_squares  # the candidate is still reported
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_higher_orders_end_in_an_exact_witness(self, n):
+        out = search_certificate(n)
+        assert out.certificate is None
+        assert out.margin < 0
+        assert len(out.witness) == len(canonical_basis(2 * n))
+        assert verify_witness(n, out.witness)
 
+    def test_witness_check_is_sharp(self):
+        # move the coordinate that most lowers the smallest eigenvalue of
+        # A*(y) by one unit of the rounding denominator: the check must fail
+        n = 6
+        witness = search_certificate(n).witness
+        gram = np.array(_gram_problem(n)[1], dtype=float)
+        dual = np.tensordot(gram, np.array(witness, dtype=float), axes=1)
+        v = np.linalg.eigh(dual)[1][:, 0]
+        pull = np.einsum("a,abk,b->k", v, gram, v)
+        k = int(np.argmax(np.abs(pull)))
+        moved = list(witness)
+        moved[k] -= Fraction(int(np.sign(pull[k])), 10**6)
+        assert not verify_witness(n, moved)
 
-    @pytest.mark.parametrize("starts", [0, -2])
-    def test_needs_at_least_one_start(self, starts):
-        with pytest.raises(ValueError, match="starts must be >= 1"):
-            search_certificate(3, SearchConfig(starts=starts))
+    def test_witness_must_have_every_coordinate(self):
+        with pytest.raises(ValueError, match="expected 12 witness coordinates"):
+            verify_witness(5, [0] * 11)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_two_calls_agree(self, n):
+        assert search_certificate(n) == search_certificate(n)
 
 
 class TestGramTensor:
-    """The search's float model A(F^T F) + E u^2 against the exact expansion."""
+    """The map A of the Gram formulation against the exact expansion."""
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_builtin_certificates_through_the_gram_map(self, n):
         cert = builtin_certificate(n)
         basis = canonical_basis(2 * n)
-        gram = _gram_tensor(n, basis)
-        assert np.array_equal(gram, gram.transpose(1, 0, 2))
+        _, exact, _ = _gram_problem(n)
+        assert all(exact[a][b] == exact[b][a] for a in range(len(exact)) for b in range(a))
 
-        factor = np.array([[float(v) for v in sq.vector()] for sq in cert.squares])
-        remainder = [float(c) for c in _coeff_vector(cert.remainder, basis)]
-        even = [i for i, m in enumerate(basis) if not any(k % 2 for _, k in m.exps)]
-        assert all(remainder[i] == 0 for i in range(len(basis)) if i not in even)
-        roots = np.sqrt([remainder[i] for i in even])
+        # the squares and the remainder as one Gram matrix: a remainder slot
+        # is the diagonal entry of its half partition
+        pb = square_basis(n)
+        q = [[Fraction(0)] * len(pb) for _ in pb]
+        for sq in cert.squares:
+            vec = sq.vector()
+            for a in range(len(pb)):
+                for b in range(len(pb)):
+                    q[a][b] += sq.weight * vec[a] * vec[b]
+        for mono, coeff in cert.remainder.items():
+            half = pb.index(make_monomial([m for m, k in mono.exps for _ in range(k // 2)]))
+            q[half][half] += coeff
+        image = [
+            sum(q[a][b] * exact[a][b][s] for a in range(len(pb)) for b in range(len(pb)))
+            for s in range(len(basis))
+        ]
+        assert image == _coeff_vector(entropy_derivative(n).scaled(cert.sign), basis)
 
-        model = np.tensordot(factor.T @ factor, gram, axes=2)
-        model[even] += roots**2
-        target = _coeff_vector(entropy_derivative(n).scaled(cert.sign), basis)
-        assert np.max(np.abs(model - [float(c) for c in target])) < 1e-12
-
-        # the search's residual is the same model in its packed variables
-        system = GramSystem(n)
-        full = np.zeros((len(gram), len(gram)))
-        full[: len(factor)] = factor
-        x = np.concatenate([full[system.triu], roots])
-        assert np.array_equal(system.factor(x), full)
-        assert np.max(np.abs(system.residual(x))) < 1e-12
-
-
-class TestGramJacobian:
-    """The search's exact Jacobian against central differences of its residual."""
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_matches_central_differences(self, n):
-        system = GramSystem(n)
-        rng = np.random.default_rng(100 + n)
-        step = 1e-5
-        for _ in range(3):
-            x = rng.normal(size=system.size)
-            jac = system.jacobian(x)
-            assert jac.shape == (len(system.target), system.size)
-            numeric = np.column_stack(
-                [
-                    (system.residual(x + step * e) - system.residual(x - step * e)) / (2 * step)
-                    for e in np.eye(system.size)
-                ]
-            )
-            assert np.max(np.abs(jac - numeric)) <= 1e-6 * np.max(np.abs(jac))
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_even_slots_are_gram_diagonals(self, n):
+        basis = canonical_basis(2 * n)
+        _, exact, _ = _gram_problem(n)
+        pb = square_basis(n)
+        even = [s for s, m in enumerate(basis) if not any(k % 2 for _, k in m.exps)]
+        assert even
+        for s in even:
+            half = make_monomial([m for m, k in basis[s].exps for _ in range(k // 2)])
+            unit = [Fraction(int(i == s)) for i in range(len(basis))]
+            assert exact[pb.index(half)][pb.index(half)] == unit
 
 
 class TestCertificateJson:
@@ -382,11 +380,13 @@ class TestCertificateJson:
             (lambda d: d["squares"][0][0].__setitem__(1, float("inf")), "invalid coefficient inf"),
             (lambda d: d["squares"][0][0].__setitem__(1, None), "field squares[0][0]"),
             (lambda d: d["remainder"][0].__setitem__(0, "f0^6"), "field remainder[0]"),
+            (lambda d: d.update(weights=["-1/2"]), "field weights[0]: weight '-1/2' is negative"),
+            (lambda d: d.update(weights=[1, 1]), "field weights: expected a list of 1 weights"),
+            (lambda d: d.update(weights=["x"]), "field weights[0]: invalid weight 'x'"),
+            (lambda d: d.update(weights=[True]), "field weights[0]: expected a string or number"),
         ],
     )
     def test_bad_fields_are_named(self, mutate, needle):
-        import json
-
         payload = json.loads(certificate_to_json(builtin_certificate(3)))
         mutate(payload)
         with pytest.raises(ValueError, match=re.escape(needle)):
@@ -422,5 +422,15 @@ class TestJsonRoundTrip:
         assert again.sign == cert.sign
         assert again.remainder == cert.remainder
         assert [s.coeffs for s in again.squares] == [s.coeffs for s in cert.squares]
+        ok, _ = verify_certificate(again)
+        assert ok
+        assert "weights" not in json.loads(certificate_to_json(cert))
+
+    def test_weights_round_trip(self):
+        cert = search_certificate(3).certificate
+        text = certificate_to_json(cert)
+        assert json.loads(text)["weights"] == [str(sq.weight) for sq in cert.squares]
+        again = certificate_from_json(text)
+        assert again.squares == cert.squares
         ok, _ = verify_certificate(again)
         assert ok

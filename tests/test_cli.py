@@ -137,6 +137,36 @@ class TestCertify:
         ok, _ = verify_certificate(cert)
         assert ok
 
+    @pytest.mark.parametrize("source", ["builtin", "file"])
+    def test_out_without_search_writes_the_verified_certificate(self, tmp_path, capsys, source):
+        cert = builtin_certificate(4)
+        argv = ["certify", "--order", "4", "--out", str(tmp_path / "out.json")]
+        if source == "file":
+            (tmp_path / "in.json").write_text(certificate_to_json(cert))
+            argv += ["--cert", str(tmp_path / "in.json")]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "VERIFIED (exact)",
+            f"wrote {tmp_path / 'out.json'}",
+        ]
+        assert (tmp_path / "out.json").read_text() == certificate_to_json(cert)
+
+    def test_out_without_search_checks_its_path_first(self, tmp_path, capsys):
+        argv = ["certify", "--order", "4", "--out", str(tmp_path / "missing" / "x.json")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("certify: --out ")
+        assert captured.out == ""
+
+    def test_order5_search_ends_in_a_verified_witness(self, capsys):
+        argv = ["certify", "--order", "5", "--search", "--starts", "1", "--seed", "0"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("search order 5: best residual")
+        assert lines[0].endswith("Farkas witness verified exactly")
+        assert lines[1] == "no exactly-verified certificate found (reported, not asserted)"
+
     @pytest.mark.parametrize("starts", ["0", "-2"])
     def test_search_needs_at_least_one_start(self, starts, capsys):
         code = main(["certify", "--order", "4", "--search", "--starts", starts])
@@ -300,6 +330,16 @@ class TestProcess:
         # numpy and scipy each bundle an OpenBLAS that starts one worker per core
         code = "import os, heatcalc.cli, scipy.optimize; print(len(os.listdir('/proc/self/task')))"
         assert self._run(code) == ["1"]
+
+    def test_search_imports_no_scipy(self):
+        # all of scipy.optimize cost 0.47 s and 47 MB per search to import
+        code = (
+            "import contextlib, io, sys, heatcalc.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = heatcalc.cli.main(['certify', '--order', '4', '--search'])\n"
+            "print(code, any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        )
+        assert self._run(code) == ["0", "False"]
 
     def test_explicit_blas_thread_count_is_kept(self):
         code = "import os, heatcalc; print(os.environ['OPENBLAS_NUM_THREADS'])"
