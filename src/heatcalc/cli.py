@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -472,9 +473,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that left early shows up here, not in the interpreter's
+        # final flush
+        sys.stdout.flush()
+        return code
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the final
+        # flush at exit does not fail again (the Python docs' recipe)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -79,8 +79,8 @@ class GaussianMixture:
 BIMODAL_MIXTURE = GaussianMixture(((0.5, 0.0, 0.1), (0.5, 10.0, 0.1)))
 
 
-# The kernel works on blocks of nodes with at most this many (component,
-# node) pairs, so each per-component temporary stays at 64 KiB or less.
+# The kernel works on blocks of nodes with at most this many (t, component,
+# node) triples, so each temporary stays at 64 KiB or less.
 # Larger temporaries are mapped from and returned to the OS on every call:
 # whole refinement levels of a 16-component mixture cost a wt-scan 20k-31k
 # page faults instead of 5k, and the count moved with the size of the
@@ -90,58 +90,66 @@ _BLOCK_PAIRS = 8192
 
 
 def log_density_and_ratios(
-    mix: GaussianMixture, t: float, y: np.ndarray, max_m: int
+    mix: GaussianMixture, t, y: np.ndarray, max_m: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """log f(y, t) and the rows m = 0..max_m of f_m(y, t) / f(y, t).
 
     Both come from one per-component log-pdf log(w_i phi_i(y)).  Row 0 is
     all ones; row m is the posterior-weighted average of the per-component
     ratio (-1)^m He_m(z_i) / s_i^(m/2), so no explicit density quotient
-    appears.
+    appears.  ``t`` may be a 1-D array of flow times: both outputs then
+    gain a leading axis with one entry per t, each equal to the bit to
+    what that t alone gives.
     """
-    if t < 0:
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise ValueError("t must be a number or a 1-D array")
+    if np.any(ts < 0):
         raise ValueError("t must be >= 0")
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    s = mix.variances + t
+    # (t, component, node) blocks: every per-t quantity carries the t axis first
+    s = mix.variances + ts.reshape(-1, 1)
     comps = (
         mix.means[:, None],
-        np.sqrt(s)[:, None],
-        np.log(mix.weights)[:, None] - 0.5 * (_LOG_2PI + np.log(s))[:, None],
-        [((-1.0) ** m / s ** (m / 2.0))[:, None] for m in range(1, max_m + 1)],
+        np.sqrt(s)[:, :, None],
+        (np.log(mix.weights) - 0.5 * (_LOG_2PI + np.log(s)))[:, :, None],
+        [((-1.0) ** m / s ** (m / 2.0))[:, :, None] for m in range(1, max_m + 1)],
     )
-    lf = np.empty(y.size)
-    out = np.empty((max_m + 1, y.size))
-    out[0] = 1.0
+    lf = np.empty((len(s), y.size))
+    out = np.empty((len(s), max_m + 1, y.size))
+    out[:, 0] = 1.0
     # equal blocks, never a single node: a one-node block would sum its
     # components in another order
-    blocks = -(-y.size // max(64, _BLOCK_PAIRS // len(s)))
+    blocks = -(-y.size // max(64, _BLOCK_PAIRS // s.size))
     edges = [y.size * i // blocks for i in range(blocks + 1)]
     for lo, hi in zip(edges[:-1], edges[1:]):
-        lf[lo:hi] = _block(comps, y[lo:hi], out[1:, lo:hi])
+        lf[:, lo:hi] = _block(comps, y[lo:hi], out[:, 1:, lo:hi])
+    if ts.ndim == 0:
+        return lf[0], out[0]
     return lf, out
 
 
 def _block(comps, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """log f on one block of nodes; writes the ratio rows m >= 1 into ``rows``."""
+    """log f on one block of nodes, one row per t; writes the ratio rows m >= 1 into ``rows``."""
     means, scales, log_norm, ratio_scales = comps
     z = (y[None, :] - means) / scales
     lp = log_norm - 0.5 * z * z
-    top = np.max(lp, axis=0)
-    post = np.exp(lp - top)
-    total = np.sum(post, axis=0)
+    top = np.max(lp, axis=1)
+    post = np.exp(lp - top[:, None])
+    total = np.sum(post, axis=1)
     if ratio_scales:
-        post /= total
+        post /= total[:, None]
         # He_m(z) by its three-term recurrence, two rows at a time
         he_prev, he = np.ones_like(z), z
         for m, scale in enumerate(ratio_scales, start=1):
             if m > 1:
                 he_prev, he = he, z * he - (m - 1) * he_prev
-            rows[m - 1] = np.sum(post * scale * he, axis=0)
+            rows[:, m - 1] = np.sum(post * scale * he, axis=1)
     return top + np.log(total)
 
 
-def log_density(mix: GaussianMixture, t: float, y: np.ndarray) -> np.ndarray:
-    """log f(y, t) for the mixture flowed to time t >= 0."""
+def log_density(mix: GaussianMixture, t, y: np.ndarray) -> np.ndarray:
+    """log f(y, t) for the mixture flowed to time t >= 0; one row per t for a 1-D array of t."""
     return log_density_and_ratios(mix, t, y, 0)[0]
 
 

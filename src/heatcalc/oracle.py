@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +42,9 @@ class FdAccuracyWarning(UserWarning):
 # ---------------------------------------------------------------------------
 
 
-def _entropy_integrand(mix: GaussianMixture, t: float) -> Callable[[np.ndarray], np.ndarray]:
+def _entropy_integrand(mix: GaussianMixture, t) -> Callable[[np.ndarray], np.ndarray]:
+    """-f log f at flow time t; one row per t for a 1-D array of times."""
+
     def fn(y: np.ndarray) -> np.ndarray:
         lf = log_density(mix, t, y)
         return -np.exp(lf) * lf
@@ -50,33 +52,58 @@ def _entropy_integrand(mix: GaussianMixture, t: float) -> Callable[[np.ndarray],
     return fn
 
 
-def _combination_integrand(
-    comb: Combination, mix: GaussianMixture, t: float
+def _flow_integrand(
+    mix: GaussianMixture, t: float, quantities: Sequence[Tuple[str, Optional[Combination]]]
 ) -> Callable[[np.ndarray], np.ndarray]:
-    items = [
-        (mono.exps, float(coeff)) for mono, coeff in comb.items()
+    """One row per named quantity at flow time t, all from one kernel call.
+
+    A quantity without a combination is the entropy integrand -f log f;
+    the others are their combination evaluated on the flowed density.
+    Each row is computed exactly as it would be on its own, so sharing
+    the kernel call changes no bit.
+    """
+    combs = [
+        None if comb is None else [(mono.exps, float(coeff)) for mono, coeff in comb.items()]
+        for _, comb in quantities
     ]
-    max_m = max((mono.max_order for mono, _ in comb.items()), default=0)
+    max_m = max((m for items in combs if items for exps, _ in items for m, _ in exps), default=0)
 
     def fn(y: np.ndarray) -> np.ndarray:
         lf, ratios = log_density_and_ratios(mix, t, y, max_m)
         f = np.exp(lf)
-        acc = np.zeros_like(y, dtype=float)
-        for exps, coeff in items:
-            term = np.full_like(acc, coeff)
-            for m, k in exps:
-                term = term * ratios[m] ** k
-            acc += term
-        return f * acc
+        out = np.empty((len(combs), y.size))
+        for row, items in zip(out, combs):
+            if items is None:
+                row[:] = -f * lf
+                continue
+            acc = np.zeros_like(y, dtype=float)
+            for exps, coeff in items:
+                term = np.full_like(acc, coeff)
+                for m, k in exps:
+                    term = term * ratios[m] ** k
+                acc += term
+            row[:] = f * acc
+        return out
 
+    fn.labels = tuple(f"{name} at t={float(t)!r}" for name, _ in quantities)
     return fn
+
+
+def _flow_results(
+    mix: GaussianMixture,
+    t: float,
+    quantities: Sequence[Tuple[str, Optional[Combination]]],
+    tol: float,
+) -> List[QuadResult]:
+    """Each quantity's integral at flow time t > 0, from one shared bisection tree."""
+    a, b = mix.support_interval(t)
+    return adaptive_quad(_flow_integrand(mix, t, quantities), a, b, tol)
 
 
 def entropy_result(mix: GaussianMixture, t: float, tol: float = DEFAULT_TOL) -> QuadResult:
     if t <= 0:
         raise ValueError("entropy along the flow needs t > 0")
-    a, b = mix.support_interval(t)
-    return adaptive_quad(_entropy_integrand(mix, t), a, b, tol)
+    return _flow_results(mix, t, [("h", None)], tol)[0]
 
 
 def entropy(mix: GaussianMixture, t: float, tol: float = DEFAULT_TOL) -> float:
@@ -88,7 +115,9 @@ def fisher_result(
     mix: GaussianMixture, t: float, tol: float = DEFAULT_TOL
 ) -> QuadResult:
     """J(t) as the integral of C_1 = f1^2/f."""
-    return functional_result(entropy_derivative(1), mix, t, tol)
+    if t <= 0:
+        raise ValueError("functionals along the flow need t > 0")
+    return _flow_results(mix, t, [("C_1", entropy_derivative(1))], tol)[0]
 
 
 def fisher(mix: GaussianMixture, t: float, tol: float = DEFAULT_TOL) -> float:
@@ -103,8 +132,7 @@ def functional_result(
         raise ValueError("functionals along the flow need t > 0")
     if comb.is_zero():
         return QuadResult(0.0, 0.0)
-    a, b = mix.support_interval(t)
-    return adaptive_quad(_combination_integrand(comb, mix, t), a, b, tol)
+    return _flow_results(mix, t, [("functional", comb)], tol)[0]
 
 
 def functional(
@@ -177,40 +205,67 @@ def fd_entropy_deriv_result(
     cancels in the differences.  The error estimate combines the
     Richardson correction with a roundoff/quadrature floor.
     """
-    if n < 1:
-        raise ValueError("derivative order must be >= 1")
-    h = default_fd_step(mix, t, n) if step is None else float(step)
-    reach = _stencil_reach(n)
-    if h <= 0 or t - reach * h <= 0:
-        raise ValueError(f"step {h} reaches t <= 0 for order {n} at t = {t}")
+    return fd_entropy_derivs(mix, t, [n], step, tol)[n]
 
-    stencil = _central_stencil(n)
-    offsets = sorted(
-        {2 * off for off, _ in stencil} | {off for off, _ in stencil}
-    )
-    half = h / 2.0
-    t_values = [t + off * half for off in offsets]
 
-    a, b = mix.support_interval(max(t_values))
-    probe_t = (min(t_values), t, max(t_values))
-    mesh = build_mesh([_entropy_integrand(mix, tv) for tv in probe_t], a, b, tol)
-    # the probes' entropies come with the mesh; the rest of the stencil is
-    # integrated on it (t itself is a stencil point at even orders only)
-    probed = dict(zip(probe_t, mesh.totals))
-    h_at = {
-        off: probed[tv] if tv in probed else mesh.integrate(_entropy_integrand(mix, tv))
-        for off, tv in zip(offsets, t_values)
-    }
+def fd_entropy_derivs(
+    mix: GaussianMixture,
+    t: float,
+    orders: Sequence[int],
+    step: Optional[float] = None,
+    tol: float = DEFAULT_TOL,
+) -> Dict[int, Tuple[float, float]]:
+    """``fd_entropy_deriv_result`` of several orders, sharing their evaluations.
 
-    coarse = sum(c * h_at[2 * off] for off, c in stencil) / h**n
-    fine = sum(c * h_at[off] for off, c in stencil) / half**n
-    value = (4.0 * fine - coarse) / 3.0
+    An order's mesh depends only on its step and its stencil's reach: it
+    is refined for the entropies at the probe times t - reach * step, t
+    and t + reach * step.  Orders that share both share one mesh, built
+    once.  The probes' entropies come from one multi-t kernel call per
+    refinement level, all other stencil points of the group from one more
+    call, and each order's result is bit for bit what it gives alone.
+    """
+    groups: Dict[Tuple[float, int], List[int]] = {}
+    for n in orders:
+        if n < 1:
+            raise ValueError("derivative order must be >= 1")
+        h = default_fd_step(mix, t, n) if step is None else float(step)
+        reach = _stencil_reach(n)
+        if h <= 0 or t - reach * h <= 0:
+            raise ValueError(f"step {h} reaches t <= 0 for order {n} at t = {t}")
+        groups.setdefault((h, reach), []).append(n)
+    results = {}
+    for (h, _), ns in groups.items():
+        half = h / 2.0
+        stencils = {n: _central_stencil(n) for n in ns}
+        t_of = {}  # per order: stencil offset (in units of h/2) -> time
+        for n, stencil in stencils.items():
+            offsets = sorted({2 * off for off, _ in stencil} | {off for off, _ in stencil})
+            t_of[n] = {off: t + off * half for off in offsets}
+        t_values = [tv for tvs in t_of.values() for tv in tvs.values()]
+        a, b = mix.support_interval(max(t_values))
+        probe_t = (min(t_values), t, max(t_values))
+        probes = _entropy_integrand(mix, np.array(probe_t))
+        probes.labels = (f"fd probes at t={float(t)!r}",) * len(probe_t)
+        mesh = build_mesh([probes], a, b, tol)
+        # the probes' entropies come with the mesh; the rest of the stencil
+        # is integrated on it in one call (t itself is a stencil point at
+        # even orders only)
+        entropies = dict(zip(probe_t, mesh.totals))
+        rest = sorted(set(t_values) - set(probe_t))
+        if rest:
+            entropies.update(zip(rest, mesh.integrate(_entropy_integrand(mix, np.array(rest)))))
+        for n, stencil in stencils.items():
+            h_at = {off: entropies[tv] for off, tv in t_of[n].items()}
+            coarse = sum(c * h_at[2 * off] for off, c in stencil) / h**n
+            fine = sum(c * h_at[off] for off, c in stencil) / half**n
+            value = (4.0 * fine - coarse) / 3.0
 
-    coeff_l1 = sum(abs(c) for _, c in stencil)
-    eval_noise = tol + 1e-15 * max(abs(v) for v in h_at.values())
-    roundoff = coeff_l1 * eval_noise * (1.0 / h**n + 4.0 / half**n) / 3.0
-    error = abs(fine - coarse) / 3.0 + roundoff
-    return value, error
+            coeff_l1 = sum(abs(c) for _, c in stencil)
+            eval_noise = tol + 1e-15 * max(abs(v) for v in h_at.values())
+            roundoff = coeff_l1 * eval_noise * (1.0 / h**n + 4.0 / half**n) / 3.0
+            error = abs(fine - coarse) / 3.0 + roundoff
+            results[n] = (value, error)
+    return results
 
 
 def fd_entropy_deriv(
@@ -275,6 +330,19 @@ def second_difference(
     return out, out_err
 
 
+def _has_both_signs(values: Iterable[Tuple[float, float]]) -> bool:
+    """Among finite (value, error) pairs, one above 3 errors and one below -3 errors."""
+    pos = neg = False
+    for value, error in values:
+        if not math.isfinite(value):
+            continue
+        if value > 3.0 * error:
+            pos = True
+        elif value < -3.0 * error:
+            neg = True
+    return pos and neg
+
+
 def _sign_status(value: float, error: float, wanted: int) -> str:
     if abs(value) <= 3.0 * error:
         return "inconclusive"
@@ -332,15 +400,7 @@ class ScanResult:
 
     def invJ_dd_has_both_signs(self) -> bool:
         """Both curvature signs present, each clearing its noise estimate."""
-        pos = neg = False
-        for r in self.rows:
-            if not math.isfinite(r.invJ_dd):
-                continue
-            if r.invJ_dd > 3.0 * r.invJ_dd_err:
-                pos = True
-            elif r.invJ_dd < -3.0 * r.invJ_dd_err:
-                neg = True
-        return pos and neg
+        return _has_both_signs((r.invJ_dd, r.invJ_dd_err) for r in self.rows)
 
     def logJ_convexity_violations(self, tol: float = 0.0) -> int:
         count = 0
@@ -356,18 +416,17 @@ _SYM_ORDERS = 4
 def _scan_row_core(
     mix: GaussianMixture, t: float, max_order: int, tol: float
 ) -> ScanRow:
-    h_res = entropy_result(mix, t, tol)
-    d_fd = tuple(
-        fd_entropy_deriv_result(mix, t, n, tol=tol) for n in range(1, max_order + 1)
-    )
-    sym = [
-        functional_result(entropy_derivative(n), mix, t, tol)
-        for n in range(1, min(_SYM_ORDERS, max_order) + 1)
+    sym_orders = min(_SYM_ORDERS, max_order)
+    # h and C_1 (which integrates to J) always; C_2..C_4 as the orders ask
+    quantities = [("h", None)] + [
+        (f"C_{n}", entropy_derivative(n)) for n in range(1, max(sym_orders, 1) + 1)
     ]
-    # C_1 integrates to J, so the first symbolic order is the Fisher information
-    j_res = sym[0] if sym else fisher_result(mix, t, tol)
-    d_sym = tuple(0.5 * r.value for r in sym)
-    jprime = 2.0 * (d_sym[1] if len(d_sym) >= 2 else fd_entropy_deriv_result(mix, t, 2, tol=tol)[0])
+    h_res, *sym = _flow_results(mix, t, quantities, tol)
+    # J' needs order 2, from the fd route when the symbolic one stops at 1
+    fd = fd_entropy_derivs(mix, t, range(1, max(max_order, 2) + 1), tol=tol)
+    j_res = sym[0]
+    d_sym = tuple(0.5 * r.value for r in sym[:sym_orders])
+    jprime = 2.0 * (d_sym[1] if len(d_sym) >= 2 else fd[2][0])
     costa_margin = -jprime - j_res.value * j_res.value
     costa_err = 2.0 * tol + 2.0 * j_res.value * j_res.error + 1e-12 * abs(jprime)
     return ScanRow(
@@ -376,7 +435,7 @@ def _scan_row_core(
         h_err=h_res.error,
         J=j_res.value,
         J_err=j_res.error,
-        d_fd=d_fd,
+        d_fd=tuple(fd[n] for n in range(1, max_order + 1)),
         d_sym=d_sym,
         costa_margin=costa_margin,
         costa_margin_err=costa_err,
@@ -492,11 +551,13 @@ class WtRow:
     hW: float
     hW_err: float
     JW: float
+    JW_err: float  # J(Y_s)'s quadrature error / t
     txz_margin: float  # -J'(Y_s) + t^2 - 2 t J(Y_s)
     txz_err: float
     hW_dd: float = math.nan
     hW_dd_err: float = math.nan
     JW_dd: float = math.nan
+    JW_dd_err: float = math.nan
 
     @property
     def txz_ok(self) -> bool:  # the interpolation inequality, within 3 errors
@@ -518,9 +579,8 @@ class WtReport:
         return all(r.txz_ok for r in self.rows)
 
     def jw_dd_has_both_signs(self) -> bool:
-        dd = np.array([r.JW_dd for r in self.rows])
-        finite = dd[np.isfinite(dd)]
-        return bool(np.any(finite > 0) and np.any(finite < 0))
+        """Both curvature signs present, each clearing its noise estimate."""
+        return _has_both_signs((r.JW_dd, r.JW_dd_err) for r in self.rows)
 
 
 def wt_checks(
@@ -538,13 +598,12 @@ def wt_checks(
     if any(not 0 < t < 1 for t in ts) or sorted(ts) != ts:
         raise ValueError("grid must lie strictly inside (0, 1) and increase")
 
-    c2 = entropy_derivative(2)
+    quantities = [("h", None), ("C_1", entropy_derivative(1)), ("C_2", entropy_derivative(2))]
 
     def row_core(t: float) -> WtRow:
         s = 1.0 / t - 1.0
-        h_res = entropy_result(mix, s, tol)
-        j_res = fisher_result(mix, s, tol)
-        jprime = functional_result(c2, mix, s, tol).value
+        h_res, j_res, c2_res = _flow_results(mix, s, quantities, tol)
+        jprime = c2_res.value
         margin = -jprime + t * t - 2.0 * t * j_res.value
         margin_err = 2.0 * tol + 2.0 * t * j_res.error
         return WtRow(
@@ -553,6 +612,7 @@ def wt_checks(
             hW=h_res.value + 0.5 * math.log(t),
             hW_err=h_res.error,
             JW=j_res.value / t,
+            JW_err=j_res.error / t,
             txz_margin=margin,
             txz_err=margin_err,
         )
@@ -562,11 +622,12 @@ def wt_checks(
     hw_dd, hw_err = second_difference(
         ts, [r.hW for r in rows], [r.hW_err for r in rows]
     )
-    jw_dd, _ = second_difference(ts, [r.JW for r in rows])
+    jw_dd, jw_err = second_difference(ts, [r.JW for r in rows], [r.JW_err for r in rows])
     for i, row in enumerate(rows):
         row.hW_dd = float(hw_dd[i])
         row.hW_dd_err = float(hw_err[i])
         row.JW_dd = float(jw_dd[i])
+        row.JW_dd_err = float(jw_err[i])
     return WtReport(mix, rows)
 
 

@@ -5,6 +5,12 @@ panels with adaptive bisection converge fast.  Meshes are first-class:
 callers that difference an integral in a parameter evaluate every shifted
 integrand on one shared mesh, so quadrature error varies smoothly with
 the parameter and cancels in the differences.
+
+An integrand maps an array of N abscissae to N values, or to a (k, N)
+array: k rows that share their evaluation, such as several quantities at
+one flow time or one quantity at several times.  An integrand may carry a
+``labels`` attribute, one name per row, that non-convergence warnings
+quote.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -23,6 +29,11 @@ class QuadratureNonConvergence(UserWarning):
     """Adaptive refinement hit its depth or panel limit before the tolerance."""
 
 
+# the defaults of build_mesh, and what adaptive_quad uses
+_REL_FLOOR = 5e-15
+_MAX_PANELS = 16384
+
+
 @lru_cache(maxsize=None)
 def _gl_rule(order: int) -> Tuple[np.ndarray, np.ndarray]:
     nodes, weights = np.polynomial.legendre.leggauss(order)
@@ -30,15 +41,23 @@ def _gl_rule(order: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _panel_values(
-    fn: Integrand, panels: Sequence[Tuple[float, float]], order: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Each panel's half-width and ``fn`` at its nodes, from one call of ``fn``."""
+    fns: Sequence[Integrand], panels: Sequence[Tuple[float, float]], order: int
+) -> Tuple[np.ndarray, np.ndarray, bool]:
+    """Each panel's half-width and every integrand row at its nodes.
+
+    Each integrand is called once; the rows of all integrands are stacked
+    into a (rows, panels, order) array.  The flag says whether some
+    integrand returned rows rather than a single array of values.
+    """
     nodes, _ = _gl_rule(order)
     bounds = np.array(panels, dtype=float)
     mids = 0.5 * (bounds[:, 0] + bounds[:, 1])
     radii = 0.5 * (bounds[:, 1] - bounds[:, 0])
-    vals = fn((mids[:, None] + radii[:, None] * nodes).ravel()).reshape(len(bounds), order)
-    return radii, vals
+    y = (mids[:, None] + radii[:, None] * nodes).ravel()
+    outs = [np.asarray(fn(y), dtype=float) for fn in fns]
+    vals = [out.reshape(-1, len(bounds), order) for out in outs]
+    stacked = any(out.ndim > 1 for out in outs)
+    return radii, vals[0] if len(vals) == 1 else np.concatenate(vals), stacked
 
 
 def _panel_sums(radii: np.ndarray, vals: np.ndarray, order: int) -> List[float]:
@@ -48,8 +67,8 @@ def _panel_sums(radii: np.ndarray, vals: np.ndarray, order: int) -> List[float]:
     on which panels share the call; a matrix product reorders the sums and
     changes the last bits, which finite differences in t amplify.
     """
-    _, weights = _gl_rule(order)
-    return [float(r * np.dot(weights, row)) for r, row in zip(radii, vals)]
+    dot = _gl_rule(order)[1].dot
+    return [r * float(dot(row)) for r, row in zip(radii.tolist(), vals)]
 
 
 def _plain_sum(values: Sequence[float]) -> float:
@@ -61,25 +80,156 @@ def _plain_sum(values: Sequence[float]) -> float:
     return total
 
 
+@dataclass
+class _Tree:
+    """The panels that one group of integrand rows accepts by its own test.
+
+    ``open`` indexes the panels of the current level that the group still
+    refines, and ``wholes`` holds each row's whole-panel value on them.
+    ``accepted`` holds (lo, hi, per row (whole-panel value, half-panel
+    sum)).
+    """
+
+    rows: List[int]
+    open: List[int]
+    wholes: List[List[float]]
+    accepted: List[Tuple[float, float, Tuple[Tuple[float, float], ...]]] = field(
+        default_factory=list
+    )
+    exhausted: bool = False
+
+
+def _bisect(
+    fns: Sequence[Integrand],
+    joint: bool,
+    a: float,
+    b: float,
+    tol: float,
+    order: int,
+    initial_panels: int,
+    max_depth: int,
+    rel_floor: float,
+    max_panels: int,
+) -> Tuple[List[_Tree], bool]:
+    """One bisection tree on which each row accepts its own panels, or all rows jointly.
+
+    A group of rows accepts a panel when, for each of its rows, the
+    whole-panel rule and the two half-panel rules agree within the panel's
+    share of ``tol`` or within ``rel_floor`` of the panel's own magnitude --
+    large integrals stop refining at machine precision instead of chasing
+    an absolute target below roundoff.  Every abscissa is evaluated once: a
+    child panel's whole-panel value is its parent's half-panel value.
+
+    Bisection runs level by level: the halves of every panel that some
+    group still refines go to one call per integrand.  A group's decisions
+    rest on its own rows only, so it accepts exactly the panels it would
+    accept refined alone.  A level whose splits would take a group past
+    ``max_panels`` accepts its open panels unconverged instead, so no group
+    has more than ``max(max_panels, initial_panels)`` panels.  Returns the
+    groups' trees and whether the integrands returned rows.
+    """
+    width = b - a
+    edges = [a + width * i / initial_panels for i in range(initial_panels + 1)]
+    level = list(zip(edges[:-1], edges[1:]))
+    radii, vals, stacked = _panel_values(fns, level, order)
+    first = [_panel_sums(radii, row, order) for row in vals]
+    rows = len(vals)
+    groups = [range(rows)] if joint else [[r] for r in range(rows)]
+    trees = [_Tree(list(g), list(range(len(level))), [first[r] for r in g]) for g in groups]
+    depth = 0
+    while level:
+        halves = []
+        for lo, hi in level:
+            mid = 0.5 * (lo + hi)
+            halves += [(lo, mid), (mid, hi)]
+        radii, vals, _ = _panel_values(fns, halves, order)
+        for tree in trees:
+            if not tree.open:
+                continue
+            picks = [2 * i + k for i in tree.open for k in (0, 1)]
+            own = picks if len(picks) < len(halves) else slice(None)
+            own_radii = radii[own]
+            # the L1 magnitude sets the roundoff floor: when the integrand
+            # cancels within a panel, refinement below eps * magnitude
+            # only chases noise
+            split = []
+            for r in tree.rows:
+                row = vals[r][own]
+                split.append(
+                    (_panel_sums(own_radii, row, order), _panel_sums(own_radii, np.abs(row), order))
+                )
+            keep, refine = [], []
+            for j, i in enumerate(tree.open):
+                lo, hi = level[i]
+                local_tol = tol * (hi - lo) / width
+                ok = True
+                for w, (sums, mags) in zip(tree.wholes, split):
+                    halves_sum = sums[2 * j] + sums[2 * j + 1]
+                    magnitude = mags[2 * j] + mags[2 * j + 1]
+                    floor = rel_floor * max(abs(w[j]), abs(halves_sum), magnitude)
+                    if abs(w[j] - halves_sum) > max(local_tol, floor, 1e-300):
+                        ok = False
+                if ok or depth >= max_depth:
+                    tree.exhausted = tree.exhausted or not ok
+                    keep.append(j)
+                else:
+                    refine.append(j)
+            if len(tree.accepted) + len(keep) + 2 * len(refine) > max_panels:
+                tree.exhausted = tree.exhausted or bool(refine)
+                keep += refine
+                refine = []
+            for j in keep:
+                records = tuple(
+                    (w[j], sums[2 * j] + sums[2 * j + 1])
+                    for w, (sums, _) in zip(tree.wholes, split)
+                )
+                tree.accepted.append((*level[tree.open[j]], records))
+            tree.wholes = [[sums[2 * j + k] for j in refine for k in (0, 1)] for sums, _ in split]
+            tree.open = [tree.open[j] for j in refine]
+        # the next level holds the halves of every panel some group refines
+        refined = sorted({i for tree in trees for i in tree.open})
+        position = {i: p for p, i in enumerate(refined)}
+        level = [halves[2 * i + k] for i in refined for k in (0, 1)]
+        for tree in trees:
+            tree.open = [2 * position[i] + k for i in tree.open for k in (0, 1)]
+        depth += 1
+    labels = [label for fn in fns for label in getattr(fn, "labels", ())]
+    for tree in trees:
+        tree.accepted.sort(key=lambda p: p[:2])
+        if tree.exhausted:
+            named = len(labels) == rows
+            names = ", ".join(dict.fromkeys(labels[r] for r in tree.rows)) if named else ""
+            # the quantity, interval and panel count make each event's text
+            # distinct, so the default warning filter shows every one, not
+            # one per call site
+            warnings.warn(
+                f"mesh refinement{' for ' + names if names else ''} on [{a:.17g}, {b:.17g}] "
+                f"hit its depth or panel limit at {len(tree.accepted)} panels; "
+                f"result may miss tol {tol:.3g}",
+                QuadratureNonConvergence,
+                stacklevel=3,
+            )
+    return trees, stacked
+
+
 @dataclass(frozen=True)
 class Mesh:
     """A fixed list of panels; integration on a mesh is non-adaptive.
 
     A mesh from ``build_mesh`` also keeps what bisection computed, so no
-    panel is evaluated again: ``estimates`` holds, per panel, the first
-    integrand's half-panel sum and its whole-panel value minus that sum
-    (``adaptive_quad`` sums these), and ``totals`` holds each integrand's
-    sum of whole-panel values, equal to ``integrate`` of that integrand.
+    panel is evaluated again: ``totals`` holds each integrand row's sum of
+    whole-panel values, equal to ``integrate`` of that row.
     """
 
     panels: Tuple[Tuple[float, float], ...]
     order: int = 24
-    estimates: Tuple[Tuple[float, float], ...] = field(default=(), compare=False, repr=False)
     totals: Tuple[float, ...] = field(default=(), compare=False, repr=False)
 
-    def integrate(self, fn: Integrand) -> float:
-        radii, vals = _panel_values(fn, self.panels, self.order)
-        return _plain_sum(_panel_sums(radii, vals, self.order))
+    def integrate(self, fn: Integrand) -> Union[float, Tuple[float, ...]]:
+        """The integral of ``fn`` on the mesh; a tuple, one per row, for an integrand of rows."""
+        radii, vals, stacked = _panel_values([fn], self.panels, self.order)
+        totals = tuple(_plain_sum(_panel_sums(radii, row, self.order)) for row in vals)
+        return totals if stacked else totals[0]
 
 
 def build_mesh(
@@ -90,89 +240,19 @@ def build_mesh(
     order: int = 24,
     initial_panels: int = 8,
     max_depth: int = 24,
-    rel_floor: float = 5e-15,
-    max_panels: int = 16384,
+    rel_floor: float = _REL_FLOOR,
+    max_panels: int = _MAX_PANELS,
 ) -> Mesh:
-    """Bisect panels until every integrand is locally converged.
+    """Bisect panels until every row of every integrand is locally converged.
 
-    A panel is accepted when, for each integrand, the whole-panel rule and
-    the two half-panel rules agree within the panel's share of ``tol`` or
-    within ``rel_floor`` of the panel's own magnitude -- large integrals
-    stop refining at machine precision instead of chasing an absolute
-    target below roundoff.  Every abscissa is evaluated once: a child
-    panel's whole-panel value is its parent's half-panel value.
-
-    Bisection runs level by level: the halves of every panel open at one
-    depth go to one call per integrand.  A level whose splits would take
-    the mesh past ``max_panels`` accepts its open panels unconverged
-    instead, so the mesh never has more than ``max(max_panels,
-    initial_panels)`` panels.
+    The test is joint: a panel is accepted only when every row accepts it,
+    so all rows share one mesh (see ``_bisect`` for the test).
     """
-    width = b - a
-    edges = [a + width * i / initial_panels for i in range(initial_panels + 1)]
-    level = list(zip(edges[:-1], edges[1:]))
-    # each integrand's whole-panel value on every panel of the level
-    wholes = [_panel_sums(*_panel_values(fn, level, order), order) for fn in integrands]
-    # (lo, hi, half-panel sum and whole minus halves of the first integrand,
-    # whole-panel value of each integrand)
-    accepted: List[Tuple[float, float, float, float, Tuple[float, ...]]] = []
-    exhausted = False
-    depth = 0
-    while level:
-        halves = []
-        for lo, hi in level:
-            mid = 0.5 * (lo + hi)
-            halves += [(lo, mid), (mid, hi)]
-        split = []
-        for fn in integrands:
-            radii, vals = _panel_values(fn, halves, order)
-            # the L1 magnitude sets the roundoff floor: when the integrand
-            # cancels within a panel, refinement below eps * magnitude
-            # only chases noise
-            split.append((_panel_sums(radii, vals, order), _panel_sums(radii, np.abs(vals), order)))
-        keep, refine = [], []
-        for i, (lo, hi) in enumerate(level):
-            local_tol = tol * (hi - lo) / width
-            ok = True
-            for w, (vals, mags) in zip(wholes, split):
-                halves_sum = vals[2 * i] + vals[2 * i + 1]
-                floor = rel_floor * max(abs(w[i]), abs(halves_sum), mags[2 * i] + mags[2 * i + 1])
-                if abs(w[i] - halves_sum) > max(local_tol, floor, 1e-300):
-                    ok = False
-            if ok or depth >= max_depth:
-                exhausted = exhausted or not ok
-                keep.append(i)
-            else:
-                refine.append(i)
-        if len(accepted) + len(keep) + 2 * len(refine) > max_panels:
-            exhausted = exhausted or bool(refine)
-            keep += refine
-            refine = []
-        first = split[0][0]
-        for i in keep:
-            halves_sum = first[2 * i] + first[2 * i + 1]
-            accepted.append(
-                (*level[i], halves_sum, wholes[0][i] - halves_sum, tuple(w[i] for w in wholes))
-            )
-        level = [halves[2 * i + k] for i in refine for k in (0, 1)]
-        wholes = [[vals[2 * i + k] for i in refine for k in (0, 1)] for vals, _ in split]
-        depth += 1
-    if exhausted:
-        # the interval and panel count make each event's text distinct, so
-        # the default warning filter shows every one, not one per call site
-        warnings.warn(
-            f"mesh refinement on [{a:.17g}, {b:.17g}] hit its depth or panel "
-            f"limit at {len(accepted)} panels; result may miss tol {tol:.3g}",
-            QuadratureNonConvergence,
-            stacklevel=2,
-        )
-    accepted.sort(key=lambda p: p[:2])
-    return Mesh(
-        tuple(p[:2] for p in accepted),
-        order,
-        tuple(p[2:4] for p in accepted),
-        tuple(_plain_sum(values) for values in zip(*(p[4] for p in accepted))),
+    (tree,), _ = _bisect(
+        integrands, True, a, b, tol, order, initial_panels, max_depth, rel_floor, max_panels
     )
+    wholes = zip(*((w for w, _ in records) for _, _, records in tree.accepted))
+    return Mesh(tuple(p[:2] for p in tree.accepted), order, tuple(map(_plain_sum, wholes)))
 
 
 @dataclass(frozen=True)
@@ -189,17 +269,25 @@ def adaptive_quad(
     order: int = 24,
     initial_panels: int = 8,
     max_depth: int = 24,
-) -> QuadResult:
+) -> Union[QuadResult, List[QuadResult]]:
     """Integrate ``fn`` on [a, b] with an error estimate.
 
     The estimate is the half-panel refinement discrepancy summed over the
-    accepted mesh (a conservative proxy for the true error of smooth
-    integrands).
+    accepted panels (a conservative proxy for the true error of smooth
+    integrands).  For an integrand of rows the result is a list with one
+    ``QuadResult`` per row: all rows share one bisection tree, but each
+    row accepts its panels by its own test, so each result, and each
+    non-convergence warning, is exactly that of the row integrated alone.
     """
-    mesh = build_mesh([fn], a, b, tol, order, initial_panels, max_depth)
-    total = 0.0
-    err = 0.0
-    for halves, diff in mesh.estimates:
-        total += halves
-        err += abs(diff)
-    return QuadResult(total, max(err, 1e-16 * abs(total)))
+    trees, stacked = _bisect(
+        [fn], False, a, b, tol, order, initial_panels, max_depth, _REL_FLOOR, _MAX_PANELS
+    )
+    results = []
+    for tree in trees:
+        total = 0.0
+        err = 0.0
+        for _, _, ((whole, halves),) in tree.accepted:
+            total += halves
+            err += abs(whole - halves)
+        results.append(QuadResult(total, max(err, 1e-16 * abs(total))))
+    return results if stacked else results[0]

@@ -344,3 +344,22 @@ class TestProcess:
     def test_explicit_blas_thread_count_is_kept(self):
         code = "import os, heatcalc; print(os.environ['OPENBLAS_NUM_THREADS'])"
         assert self._run(code, OPENBLAS_NUM_THREADS="2") == ["2"]
+
+    @pytest.mark.parametrize(
+        "args", [["derive", "--order", "10"], ["certify", "--order", "4", "--search"]]
+    )
+    def test_closed_reader_ends_without_traceback(self, args):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "heatcalc.cli", *args],
+                env=dict(os.environ, PYTHONPATH=str(Path(heatcalc.__file__).resolve().parents[1])),
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""

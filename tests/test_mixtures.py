@@ -123,6 +123,36 @@ class TestRatios:
         assert np.array_equal(blocked[0], whole[0])
         assert np.array_equal(blocked[1], whole[1])
 
+    @pytest.mark.parametrize("components", [2, 16])
+    @pytest.mark.parametrize("nodes", [192, 4097, 20000])
+    def test_many_times_equal_one_time_each(self, components, nodes):
+        # three times cut the nodes into other blocks than one time does
+        rng = np.random.default_rng(components)
+        mix = GaussianMixture.create(
+            zip(
+                rng.dirichlet(np.ones(components)),
+                rng.uniform(-20, 20, components),
+                rng.uniform(0.01, 1, components),
+            )
+        )
+        y = np.linspace(-30.0, 30.0, nodes)
+        ts = np.array([0.05, 0.3, 2.0])
+        lf, ratios = log_density_and_ratios(mix, ts, y, 4)
+        assert lf.shape == (3, nodes) and ratios.shape == (3, 5, nodes)
+        many = log_density(mix, ts, y)
+        for i, t in enumerate(ts):
+            one_lf, one_ratios = log_density_and_ratios(mix, float(t), y, 4)
+            assert np.array_equal(lf[i], one_lf)
+            assert np.array_equal(ratios[i], one_ratios)
+            assert np.array_equal(many[i], log_density(mix, float(t), y))
+
+    def test_times_must_be_a_vector_of_nonnegatives(self):
+        y = np.linspace(-1.0, 1.0, 5)
+        with pytest.raises(ValueError, match="1-D"):
+            log_density(BIMODAL_MIXTURE, [[0.5]], y)
+        with pytest.raises(ValueError, match=">= 0"):
+            log_density(BIMODAL_MIXTURE, [0.5, -0.1], y)
+
     def test_log_density_normalization(self):
         # crude Riemann check that log_density integrates to one
         y = np.linspace(-10, 20, 20001)

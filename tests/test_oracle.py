@@ -1,6 +1,7 @@
 """Oracle tests: quadrature closed forms, finite differences, scans, W_t checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from heatcalc.oracle import (
     entropy,
     fd_entropy_deriv,
     fd_entropy_deriv_result,
+    fd_entropy_derivs,
     fisher,
     functional,
     scan_conjectures,
@@ -23,6 +25,7 @@ from heatcalc.oracle import (
     wt_checks,
     wt_to_csv,
 )
+from heatcalc.quadrature import QuadratureNonConvergence, adaptive_quad, build_mesh
 from heatcalc.reduction import entropy_derivative
 from heatcalc.terms import Combination, d_dy, make_monomial
 
@@ -33,6 +36,16 @@ def gaussian_entropy(s: float) -> float:
 
 def gaussian_dnh(n: int, s: float) -> float:
     return (-1) ** (n + 1) * math.factorial(n - 1) / 2.0 * s**-n
+
+
+def wide_mixture() -> GaussianMixture:
+    """The benchmark's 16-component draw: Dirichlet(1) weights, U[-20, 20]
+    means, log-uniform variances on [1e-2, 1]."""
+    rng = np.random.default_rng(0)
+    weights = rng.dirichlet(np.ones(16))
+    means = rng.uniform(-20.0, 20.0, 16)
+    variances = np.exp(rng.uniform(math.log(1e-2), 0.0, 16))
+    return GaussianMixture.create(zip(weights, means, variances))
 
 
 class TestClosedForms:
@@ -152,11 +165,11 @@ class TestKernelCalls:
     or a return to one call per panel fails here without any timing."""
 
     def test_scan_row_on_a_gaussian(self, monkeypatch):
-        sizes = []
+        calls = []
 
         def counting(kernel):
             def wrapper(mix, t, y, *args):
-                sizes.append(y.size)
+                calls.append((np.size(t), y.size))
                 return kernel(mix, t, y, *args)
 
             return wrapper
@@ -166,15 +179,89 @@ class TestKernelCalls:
             oracle, "log_density_and_ratios", counting(oracle.log_density_and_ratios)
         )
         oracle._scan_row_core(GaussianMixture.single(), 1.0, 4, DEFAULT_TOL)
-        # every mesh of this row accepts its 8 initial panels, so each of its
-        # integrands makes two calls: 8 panels, then their 16 halves.  The
-        # meshes carry 17 integrands: h, C_1..C_4 and 3 probes per fd order.
-        # The fd stencils of orders 1-4 have 4, 5, 6 and 7 points; the
-        # probes' entropies are reused, so 2, 2, 4 and 4 points are
-        # integrated on the probe mesh, one call of 8 panels each.
+        # every tree and mesh of this row accepts its 8 initial panels, so
+        # each makes two calls: 8 panels, then their 16 halves.  h and
+        # C_1..C_4 share one tree and one call per level.  The fd orders
+        # 1-2 and 3-4 share a step and a reach, so each pair shares one
+        # probe mesh, with its 3 probe times in one call per level, and
+        # one call for its other stencil times: 2 for orders 1-2 and 4
+        # for orders 3-4, whose stencils have 4-5 and 6-7 points.
         panels = 8 * 24
-        assert len(sizes) == 17 * 2 + 12
-        assert sum(sizes) == 17 * 3 * panels + 12 * panels
+        tree = [(1, panels), (1, 2 * panels)]
+        probes = [(3, panels), (3, 2 * panels)]
+        assert calls == tree + probes + [(2, panels)] + probes + [(4, panels)]
+
+
+class TestSharedEvaluation:
+    """Sharing kernel calls between the quantities of a row changes no bit."""
+
+    ROW = [("h", None)] + [(f"C_{n}", entropy_derivative(n)) for n in range(1, 5)]
+
+    @staticmethod
+    def _alone(mix, t, quantity):
+        """One quantity as a plain integrand of one array of values."""
+        rows = oracle._flow_integrand(mix, t, [quantity])
+
+        def fn(y):
+            return rows(y)[0]
+
+        fn.labels = rows.labels
+        return fn
+
+    @pytest.mark.parametrize("case", ["bimodal", "wide"])
+    def test_row_tree_equals_separate_quadratures(self, case):
+        # at t = 0.1 the wide mixture's C_4 hits the depth limit
+        mix, t = (BIMODAL_MIXTURE, 1.0) if case == "bimodal" else (wide_mixture(), 0.1)
+        with warnings.catch_warnings(record=True) as shared_events:
+            warnings.simplefilter("always")
+            shared = oracle._flow_results(mix, t, self.ROW, DEFAULT_TOL)
+        with warnings.catch_warnings(record=True) as alone_events:
+            warnings.simplefilter("always")
+            a, b = mix.support_interval(t)
+            alone = [adaptive_quad(self._alone(mix, t, q), a, b) for q in self.ROW]
+        assert [(r.value, r.error) for r in shared] == [(r.value, r.error) for r in alone]
+        messages = [
+            [str(w.message) for w in events if w.category is QuadratureNonConvergence]
+            for events in (shared_events, alone_events)
+        ]
+        assert messages[0] == messages[1]
+        assert len(messages[0]) == (1 if case == "wide" else 0)
+        assert entropy(mix, t) == shared[0].value
+        assert functional(entropy_derivative(3), mix, t) == shared[3].value
+
+    @pytest.mark.parametrize("t", [0.05, 0.7, 12.0])
+    def test_fd_orders_together_equal_each_alone(self, t):
+        together = fd_entropy_derivs(BIMODAL_MIXTURE, t, range(1, 7))
+        assert together == {n: fd_entropy_deriv_result(BIMODAL_MIXTURE, t, n) for n in range(1, 7)}
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_fd_equals_one_entropy_at_a_time(self, n):
+        # the stencil's entropies each on their own, as separate integrands
+        # on the probe mesh: the multi-t kernel and the batched
+        # integration must give the same bits
+        mix, t, tol = wide_mixture(), 0.8, DEFAULT_TOL
+        h = oracle.default_fd_step(mix, t, n)
+        half = h / 2.0
+        stencil = oracle._central_stencil(n)
+        offsets = sorted({2 * off for off, _ in stencil} | {off for off, _ in stencil})
+        t_values = [t + off * half for off in offsets]
+        a, b = mix.support_interval(max(t_values))
+        probe_t = (min(t_values), t, max(t_values))
+        mesh = build_mesh([oracle._entropy_integrand(mix, tv) for tv in probe_t], a, b, tol)
+        probed = dict(zip(probe_t, mesh.totals))
+        h_at = {
+            off: probed[tv] if tv in probed else mesh.integrate(oracle._entropy_integrand(mix, tv))
+            for off, tv in zip(offsets, t_values)
+        }
+        coarse = sum(c * h_at[2 * off] for off, c in stencil) / h**n
+        fine = sum(c * h_at[off] for off, c in stencil) / half**n
+        assert fd_entropy_deriv_result(mix, t, n)[0] == (4.0 * fine - coarse) / 3.0
+
+    def test_fd_orders_validate_each_order(self):
+        with pytest.raises(ValueError, match="order 3"):
+            fd_entropy_derivs(BIMODAL_MIXTURE, 0.5, [1, 3], step=0.3)
+        with pytest.raises(ValueError, match=">= 1"):
+            fd_entropy_derivs(BIMODAL_MIXTURE, 0.5, [1, 0])
 
 
 class TestSecondDifference:
@@ -275,6 +362,18 @@ class TestWt:
         assert rep.concavity_ok()
         assert rep.txz_ok()
         assert rep.jw_dd_has_both_signs()
+
+    def test_jw_curvature_signs_must_clear_their_noise(self):
+        rep = wt_checks(BIMODAL_MIXTURE, list(np.linspace(0.05, 0.95, 25)))
+        inner = rep.rows[1:-1]
+        assert math.isnan(rep.rows[0].JW_dd_err) and math.isnan(rep.rows[-1].JW_dd_err)
+        assert all(r.JW_dd_err == pytest.approx(0.0, abs=1e-6) and r.JW_dd_err > 0 for r in inner)
+        assert rep.jw_dd_has_both_signs()
+        # a negative curvature inside its own noise bar no longer counts
+        for r in inner:
+            if r.JW_dd < 0:
+                r.JW_dd_err = -r.JW_dd
+        assert not rep.jw_dd_has_both_signs()
 
     def test_grid_validation(self):
         g = GaussianMixture.single(0, 1)

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from heatcalc import quadrature
+from heatcalc.oracle import scan_conjectures, time_grid
 from heatcalc.quadrature import QuadratureNonConvergence, adaptive_quad, build_mesh
+from test_oracle import wide_mixture
 
 
 class Recorder:
@@ -27,6 +29,30 @@ class Recorder:
 
     def nodes(self):
         return np.concatenate(self.calls)
+
+
+class Rows:
+    """Several ``Recorder`` densities as the rows of one integrand."""
+
+    def __init__(self, *variances):
+        self.singles = [Recorder(var) for var in variances]
+        self.labels = tuple(f"var {var}" for var in variances)
+        for single, label in zip(self.singles, self.labels):
+            single.labels = (label,)
+        self.calls = 0
+
+    def __call__(self, y):
+        self.calls += 1
+        return np.array([single(y) for single in self.singles])
+
+
+def _nonconverged(action):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = action()
+    return result, [
+        str(w.message) for w in caught if issubclass(w.category, QuadratureNonConvergence)
+    ]
 
 
 def test_build_mesh_evaluates_each_abscissa_once():
@@ -51,12 +77,13 @@ def test_adaptive_quad_makes_no_call_after_the_mesh(monkeypatch):
     fn = Recorder(0.01)
     built = []
 
-    def recording_build_mesh(*args, **kwargs):
-        mesh = build_mesh(*args, **kwargs)
+    def recording_bisect(*args, **kwargs):
+        trees = bisect(*args, **kwargs)
         built.append(len(fn.calls))
-        return mesh
+        return trees
 
-    monkeypatch.setattr(quadrature, "build_mesh", recording_build_mesh)
+    bisect = quadrature._bisect
+    monkeypatch.setattr(quadrature, "_bisect", recording_bisect)
     result = adaptive_quad(fn, -12.0, 12.0)
     assert built == [len(fn.calls)]
     assert result.value == pytest.approx(1.0, abs=1e-12)
@@ -105,3 +132,43 @@ def test_every_nonconverged_mesh_warns():
     assert len(messages) == 2
     assert "[-12, 12]" in messages[0] and "[-10, 10]" in messages[1]
     assert "8 panels" in messages[0] and "depth or panel limit" in messages[0]
+    # the labels the oracle attaches name the quantity and the flow time:
+    # the 16-component wide_mixture scan has 3 non-converged C_4 meshes
+    ts = time_grid(0.1, 100.0, 12, "log")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        scan_conjectures(wide_mixture(), ts, 4)
+    messages = [
+        str(w.message) for w in caught if issubclass(w.category, QuadratureNonConvergence)
+    ]
+    assert len(messages) == 3
+    for t, message in zip(ts[:3], messages):
+        assert message.startswith(f"mesh refinement for C_4 at t={float(t)!r} on [")
+
+
+@pytest.mark.parametrize("max_depth", [24, 3])
+def test_rows_accept_their_panels_by_their_own_test(max_depth):
+    # at depth 3 the two narrow rows stop unconverged, at different panels
+    rows = Rows(0.02, 3e-4, 1e-5)
+    shared, shared_events = _nonconverged(
+        lambda: adaptive_quad(rows, -12.0, 12.0, max_depth=max_depth)
+    )
+    shared_calls = rows.calls
+    alone, alone_events = _nonconverged(
+        lambda: [adaptive_quad(fn, -12.0, 12.0, max_depth=max_depth) for fn in rows.singles]
+    )
+    assert [(r.value, r.error) for r in shared] == [(r.value, r.error) for r in alone]
+    assert shared_events == alone_events
+    assert len(shared_events) == (2 if max_depth == 3 else 0)
+    # one call per level of the deepest row's tree
+    alone_calls = [len(fn.calls) - shared_calls for fn in rows.singles]
+    assert shared_calls == max(alone_calls) > min(alone_calls)
+
+
+def test_build_mesh_rows_share_the_joint_test():
+    rows = Rows(0.01, 0.003)
+    mesh = build_mesh([rows], -12.0, 12.0)
+    alone = build_mesh(rows.singles[:], -12.0, 12.0)
+    assert mesh.panels == alone.panels
+    assert mesh.totals == alone.totals
+    assert mesh.integrate(rows) == tuple(mesh.integrate(fn) for fn in rows.singles)
