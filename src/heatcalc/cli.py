@@ -359,18 +359,40 @@ def _cmd_certify(args) -> int:
     return _write_certificate(cert, args.out) if args.out else 0
 
 
+def _output_prefix(command: str, out: Optional[str], default: str) -> Optional[Path]:
+    """The output prefix, its directory made; None, after a message, if it cannot take the files.
+
+    Checked before any work, so a bad path fails at once and not after a
+    whole scan.
+    """
+    prefix = Path(out or default)
+    csv_path = prefix.with_name(prefix.name + ".csv")
+    try:
+        csv_path.parent.mkdir(parents=True, exist_ok=True)
+        if csv_path.is_dir():
+            raise IsADirectoryError(f"{csv_path} is a directory")
+        if not os.access(csv_path.parent, os.W_OK):
+            raise PermissionError(f"{csv_path.parent} is not writable")
+    except OSError as exc:
+        where = f"--out {out}" if out else f"output {default}"
+        print(f"{command}: {where}: {exc}", file=sys.stderr)
+        return None
+    return prefix
+
+
 def _cmd_scan(args) -> int:
     try:
         config = load_config(args.config)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 1
+    prefix = _output_prefix("scan", args.out, config.output or "scan")
+    if prefix is None:
+        return 1
     result = scan_conjectures(
         config.mixture, config.grid(), config.max_order, config.quad_tol
     )
-    prefix = Path(args.out or config.output or "scan")
     csv_path = prefix.with_name(prefix.name + ".csv")
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
     csv_path.write_text(scan_to_csv(result))
     print(f"wrote {csv_path}")
     if args.svg:
@@ -398,10 +420,11 @@ def _cmd_wt_scan(args) -> int:
     if grid[-1] >= 1.0:
         print("config error at t_grid.stop: wt-scan needs the grid inside (0, 1)", file=sys.stderr)
         return 1
+    prefix = _output_prefix("wt-scan", args.out, config.output or "wt_scan")
+    if prefix is None:
+        return 1
     report = wt_checks(config.mixture, grid, config.quad_tol)
-    prefix = Path(args.out or config.output or "wt_scan")
     csv_path = prefix.with_name(prefix.name + ".csv")
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
     csv_path.write_text(wt_to_csv(report))
     print(f"wrote {csv_path}")
     if args.svg:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Tuple
 
 import numpy as np
@@ -56,22 +57,32 @@ class GaussianMixture:
     def single(mu: float = 0.0, var: float = 1.0) -> "GaussianMixture":
         return GaussianMixture(((1.0, float(mu), float(var)),))
 
-    @property
+    # each array is built once per mixture (the kernel reads them on every
+    # call) and is read-only, since every caller shares it
+
+    @cached_property
     def weights(self) -> np.ndarray:
-        return np.array([w for w, _, _ in self.components])
+        return _frozen([w for w, _, _ in self.components])
 
-    @property
+    @cached_property
     def means(self) -> np.ndarray:
-        return np.array([mu for _, mu, _ in self.components])
+        return _frozen([mu for _, mu, _ in self.components])
 
-    @property
+    @cached_property
     def variances(self) -> np.ndarray:
-        return np.array([v for _, _, v in self.components])
+        return _frozen([v for _, _, v in self.components])
 
     def support_interval(self, t: float, sigmas: float = 12.0) -> Tuple[float, float]:
         """Integration window: means padded by ``sigmas`` flow standard deviations."""
-        spread = sigmas * math.sqrt(float(np.max(self.variances)) + t)
-        return float(np.min(self.means)) - spread, float(np.max(self.means)) + spread
+        means = [mu for _, mu, _ in self.components]
+        spread = sigmas * math.sqrt(max(v for _, _, v in self.components) + t)
+        return min(means) - spread, max(means) + spread
+
+
+def _frozen(values) -> np.ndarray:
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
 
 
 # The bimodal example used throughout the numeric experiments: two sharp
@@ -79,8 +90,9 @@ class GaussianMixture:
 BIMODAL_MIXTURE = GaussianMixture(((0.5, 0.0, 0.1), (0.5, 10.0, 0.1)))
 
 
-# The kernel works on blocks of nodes with at most this many (t, component,
-# node) triples, so each temporary stays at 64 KiB or less.
+# The kernel works on blocks of nodes with at most this many values per
+# (component, time) and per ratio row of a time, so each temporary stays
+# at 64 KiB or less.
 # Larger temporaries are mapped from and returned to the OS on every call:
 # whole refinement levels of a 16-component mixture cost a wt-scan 20k-31k
 # page faults instead of 5k, and the count moved with the size of the
@@ -90,67 +102,123 @@ _BLOCK_PAIRS = 8192
 
 
 def log_density_and_ratios(
-    mix: GaussianMixture, t, y: np.ndarray, max_m: int
+    mix: GaussianMixture, t, y: np.ndarray, max_m: int, jobs=None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """log f(y, t) and the rows m = 0..max_m of f_m(y, t) / f(y, t).
 
     Both come from one per-component log-pdf log(w_i phi_i(y)).  Row 0 is
     all ones; row m is the posterior-weighted average of the per-component
     ratio (-1)^m He_m(z_i) / s_i^(m/2), so no explicit density quotient
-    appears.  ``t`` may be a 1-D array of flow times: both outputs then
-    gain a leading axis with one entry per t, each equal to the bit to
-    what that t alone gives.
+    appears.
+
+    ``t`` may be a 1-D array of flow times: both outputs then gain a
+    leading axis with one entry per t.  With ``jobs``, node i is flowed to
+    ``t[jobs[i]]`` instead (see ``map_flow``).  Either way each value is,
+    to the bit, what its time alone gives.
     """
+    out = _flow(mix, t, y, max_m, jobs, _with_ratios)
+    if jobs is None and np.ndim(t) == 1:
+        return out[0], np.ascontiguousarray(out[1:].swapaxes(0, 1))
+    return out[0], out[1:]
+
+
+def log_density(mix: GaussianMixture, t, y: np.ndarray, jobs=None) -> np.ndarray:
+    """log f(y, t) at flow time t >= 0; see ``log_density_and_ratios`` for arrays of t."""
+    return _flow(mix, t, y, 0, jobs, _log_only)[0]
+
+
+def _with_ratios(lf: np.ndarray, ratios: np.ndarray) -> np.ndarray:
+    return np.concatenate([lf[None], ratios])
+
+
+def _log_only(lf: np.ndarray, ratios: np.ndarray) -> np.ndarray:
+    return lf[None]
+
+
+def _flow(mix: GaussianMixture, t, y, max_m: int, jobs, fn) -> np.ndarray:
+    """``map_flow`` for one time, a time per node, or every node at each of several times."""
     ts = np.asarray(t, dtype=float)
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if jobs is not None:
+        return map_flow(mix, ts, y, jobs, max_m, fn)
     if ts.ndim > 1:
         raise ValueError("t must be a number or a 1-D array")
+    if ts.ndim == 1 and y.size == 1:
+        # a one-node block sums its components in another order (see
+        # map_flow), so each time keeps a call of its own
+        return np.stack([_flow(mix, tv, y, max_m, None, fn) for tv in ts], 1)
+    # every node at each time: one job whose row holds all the times
+    times = ts.reshape(1, -1) if ts.ndim else ts.reshape(1)
+    return map_flow(mix, times, y, np.zeros(y.size, np.intp), max_m, fn)
+
+
+def map_flow(
+    mix: GaussianMixture, t, y: np.ndarray, jobs, max_m: int, fn
+) -> np.ndarray:
+    """``fn(lf, ratios)`` on the nodes y, node i flowed to time ``t[jobs[i]]``.
+
+    ``t`` holds one time per job, or a row of k times per job; with rows
+    each node is flowed to every time of its row, and both arguments of
+    ``fn`` carry a k axis before the node axis.  ``fn`` gets a block of
+    nodes' log f and ratio rows 0..max_m, as ``log_density_and_ratios``
+    gives them, and returns an array whose last axis is the block's nodes;
+    the result joins the blocks along that axis.  No block's ratio rows
+    outlive it, so a caller that needs a few rows of values never holds
+    max_m + 1 rows for every node.
+
+    The per-time factors are computed once per (component, time) and
+    gathered per node.  Components are summed in order, a row at a time,
+    over blocks of two nodes or more: numpy sums a one-node block's
+    components pairwise instead.
+    """
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim not in (1, 2):
+        raise ValueError("t must be a 1-D array, or 2-D with a row of times per job")
     if np.any(ts < 0):
         raise ValueError("t must be >= 0")
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    # (t, component, node) blocks: every per-t quantity carries the t axis first
-    s = mix.variances + ts.reshape(-1, 1)
+    jobs = np.asarray(jobs, dtype=np.intp)
+    s = mix.variances[:, None, None] + ts.reshape(len(ts), -1).T  # (component, k, job)
     comps = (
-        mix.means[:, None],
-        np.sqrt(s)[:, :, None],
-        (np.log(mix.weights) - 0.5 * (_LOG_2PI + np.log(s)))[:, :, None],
-        [((-1.0) ** m / s ** (m / 2.0))[:, :, None] for m in range(1, max_m + 1)],
+        mix.means[:, None, None],
+        np.sqrt(s),
+        np.log(mix.weights)[:, None, None] - 0.5 * (_LOG_2PI + np.log(s)),
+        [(-1.0) ** m / s ** (m / 2.0) for m in range(1, max_m + 1)],
     )
-    lf = np.empty((len(s), y.size))
-    out = np.empty((len(s), max_m + 1, y.size))
-    out[:, 0] = 1.0
-    # equal blocks, never a single node: a one-node block would sum its
-    # components in another order
-    blocks = -(-y.size // max(64, _BLOCK_PAIRS // s.size))
+    # equal blocks, never a single node unless there is only one; a node
+    # has a value per (component, time) and per (ratio row, time)
+    per_node = s.shape[1] * (s.shape[0] + max_m + 1)
+    blocks = max(1, -(-y.size // max(64, _BLOCK_PAIRS // per_node)))
     edges = [y.size * i // blocks for i in range(blocks + 1)]
+    out = None
     for lo, hi in zip(edges[:-1], edges[1:]):
-        lf[:, lo:hi] = _block(comps, y[lo:hi], out[:, 1:, lo:hi])
-    if ts.ndim == 0:
-        return lf[0], out[0]
-    return lf, out
+        ratios = np.empty((max_m + 1, s.shape[1], hi - lo))
+        ratios[0] = 1.0
+        lf = _block(comps, y[lo:hi], jobs[lo:hi], ratios[1:])
+        vals = fn(lf, ratios) if ts.ndim == 2 else fn(lf[0], ratios[:, 0])
+        if out is None:
+            out = np.empty(vals.shape[:-1] + (y.size,))
+        out[..., lo:hi] = vals
+    return out
 
 
-def _block(comps, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """log f on one block of nodes, one row per t; writes the ratio rows m >= 1 into ``rows``."""
+def _block(comps, y: np.ndarray, jobs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """log f on a block of nodes, a row per time of a job; writes ratio rows m >= 1 to ``rows``."""
     means, scales, log_norm, ratio_scales = comps
-    z = (y[None, :] - means) / scales
-    lp = log_norm - 0.5 * z * z
-    top = np.max(lp, axis=1)
-    post = np.exp(lp - top[:, None])
-    total = np.sum(post, axis=1)
+    z = (y - means) / scales[:, :, jobs]
+    lp = log_norm[:, :, jobs] - 0.5 * z * z
+    top = np.max(lp, axis=0)
+    post = np.exp(lp - top)
+    total = np.sum(post, axis=0)
     if ratio_scales:
-        post /= total[:, None]
+        post /= total
         # He_m(z) by its three-term recurrence, two rows at a time
         he_prev, he = np.ones_like(z), z
         for m, scale in enumerate(ratio_scales, start=1):
             if m > 1:
                 he_prev, he = he, z * he - (m - 1) * he_prev
-            rows[:, m - 1] = np.sum(post * scale * he, axis=1)
+            rows[m - 1] = np.sum(post * scale[:, :, jobs] * he, axis=0)
     return top + np.log(total)
-
-
-def log_density(mix: GaussianMixture, t, y: np.ndarray) -> np.ndarray:
-    """log f(y, t) for the mixture flowed to time t >= 0; one row per t for a 1-D array of t."""
-    return log_density_and_ratios(mix, t, y, 0)[0]
 
 
 def derivative_ratios(

@@ -21,12 +21,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .mixtures import GaussianMixture, log_density, log_density_and_ratios
-from .quadrature import QuadResult, adaptive_quad, build_mesh
+from .mixtures import GaussianMixture, log_density, map_flow
+from .quadrature import Forest, Mesh, QuadResult, integrate, refine
 from .reduction import entropy_derivative
 from .terms import Combination
 
@@ -52,14 +53,16 @@ def _entropy_integrand(mix: GaussianMixture, t) -> Callable[[np.ndarray], np.nda
     return fn
 
 
-def _flow_integrand(
-    mix: GaussianMixture, t: float, quantities: Sequence[Tuple[str, Optional[Combination]]]
-) -> Callable[[np.ndarray], np.ndarray]:
-    """One row per named quantity at flow time t, all from one kernel call.
+def _flow_rows(
+    mix: GaussianMixture,
+    ts: Sequence[float],
+    quantities: Sequence[Tuple[str, Optional[Combination]]],
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """One row per named quantity, node i at flow time ``ts[jobs[i]]``, from one kernel call.
 
     A quantity without a combination is the entropy integrand -f log f;
     the others are their combination evaluated on the flowed density.
-    Each row is computed exactly as it would be on its own, so sharing
+    Each value is computed exactly as it would be on its own, so sharing
     the kernel call changes no bit.
     """
     combs = [
@@ -67,26 +70,61 @@ def _flow_integrand(
         for _, comb in quantities
     ]
     max_m = max((m for items in combs if items for exps, _ in items for m, _ in exps), default=0)
+    times = np.array(ts, dtype=float)
 
-    def fn(y: np.ndarray) -> np.ndarray:
-        lf, ratios = log_density_and_ratios(mix, t, y, max_m)
+    def rows(lf: np.ndarray, ratios: np.ndarray) -> np.ndarray:
         f = np.exp(lf)
-        out = np.empty((len(combs), y.size))
+        powers = {}  # each power of a ratio once per block
+        out = np.empty((len(combs), lf.size))
         for row, items in zip(out, combs):
             if items is None:
                 row[:] = -f * lf
                 continue
-            acc = np.zeros_like(y, dtype=float)
+            acc = np.zeros_like(lf)
             for exps, coeff in items:
                 term = np.full_like(acc, coeff)
                 for m, k in exps:
-                    term = term * ratios[m] ** k
+                    if (m, k) not in powers:
+                        powers[m, k] = ratios[m] ** k
+                    term *= powers[m, k]
                 acc += term
             row[:] = f * acc
         return out
 
-    fn.labels = tuple(f"{name} at t={float(t)!r}" for name, _ in quantities)
+    def fn(y: np.ndarray, jobs: np.ndarray) -> np.ndarray:
+        return map_flow(mix, times, y, jobs, max_m, rows)
+
     return fn
+
+
+def _flow_labels(t: float, quantities) -> Tuple[str, ...]:
+    return tuple(f"{name} at t={float(t)!r}" for name, _ in quantities)
+
+
+def _flow_integrand(
+    mix: GaussianMixture, t: float, quantities: Sequence[Tuple[str, Optional[Combination]]]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """``_flow_rows`` at the one flow time t, as a plain integrand of rows."""
+    rows = _flow_rows(mix, [t], quantities)
+
+    def fn(y: np.ndarray) -> np.ndarray:
+        return rows(y, np.zeros(y.size, dtype=np.intp))
+
+    fn.labels = _flow_labels(t, quantities)
+    return fn
+
+
+def _flow_forest(
+    mix: GaussianMixture,
+    ts: Sequence[float],
+    quantities: Sequence[Tuple[str, Optional[Combination]]],
+) -> Forest:
+    """One bisection tree per flow time t > 0, on which each quantity accepts its own panels."""
+    return Forest(
+        _flow_rows(mix, ts, quantities),
+        [mix.support_interval(t) for t in ts],
+        labels=[_flow_labels(t, quantities) for t in ts],
+    )
 
 
 def _flow_results(
@@ -96,8 +134,8 @@ def _flow_results(
     tol: float,
 ) -> List[QuadResult]:
     """Each quantity's integral at flow time t > 0, from one shared bisection tree."""
-    a, b = mix.support_interval(t)
-    return adaptive_quad(_flow_integrand(mix, t, quantities), a, b, tol)
+    ((results,),) = refine([_flow_forest(mix, [t], quantities)], tol)
+    return results
 
 
 def entropy_result(mix: GaussianMixture, t: float, tol: float = DEFAULT_TOL) -> QuadResult:
@@ -151,7 +189,8 @@ def functional(
 # ---------------------------------------------------------------------------
 
 
-def _central_stencil(n: int) -> List[Tuple[int, float]]:
+@lru_cache(maxsize=None)
+def _central_stencil(n: int) -> Tuple[Tuple[int, float], ...]:
     """Centered stencil (offset, coefficient) with f^(n) ~ sum c f(t+k h) / h^n.
 
     Even orders use the plain binomial stencil; odd orders convolve the
@@ -171,7 +210,14 @@ def _central_stencil(n: int) -> List[Tuple[int, float]]:
             odd[off + 1] = odd.get(off + 1, 0.0) + 0.5 * c
             odd[off - 1] = odd.get(off - 1, 0.0) - 0.5 * c
         coeffs = odd
-    return sorted((off, c) for off, c in coeffs.items() if c)
+    return tuple(sorted((off, c) for off, c in coeffs.items() if c))
+
+
+@lru_cache(maxsize=None)
+def _stencil_offsets(n: int) -> Tuple[int, ...]:
+    """The stencil's points at steps h and h/2, in units of h/2."""
+    stencil = _central_stencil(n)
+    return tuple(sorted({2 * off for off, _ in stencil} | {off for off, _ in stencil}))
 
 
 def _stencil_reach(n: int) -> int:
@@ -185,7 +231,7 @@ def default_fd_step(mix: GaussianMixture, t: float, n: int) -> float:
     the step follows t + min variance; a pure-t step would be far too
     small when the mixture is much wider than t.
     """
-    scale = t + float(np.min(mix.variances))
+    scale = t + min(v for _, _, v in mix.components)
     step = max(1e-3, 0.02 * scale)
     reach = _stencil_reach(n)
     return min(step, 0.9 * t / reach)
@@ -224,7 +270,32 @@ def fd_entropy_derivs(
     refinement level, all other stencil points of the group from one more
     call, and each order's result is bit for bit what it gives alone.
     """
-    groups: Dict[Tuple[float, int], List[int]] = {}
+    plans = [_fd_plan(mix, t, orders, step)]
+    return _fd_finish(mix, plans, refine(_fd_forests(mix, plans), tol), tol)[0]
+
+
+@dataclass(frozen=True)
+class _FdGroup:
+    """The orders of one flow time that share a step and a reach, and so one probe mesh."""
+
+    t: float
+    h: float
+    orders: Tuple[int, ...]
+    probes: Tuple[float, float, float]
+    rest: Tuple[float, ...]  # the other stencil times
+    span: Tuple[float, float]
+
+
+def _stencil_times(t: float, h: float, n: int) -> Dict[int, float]:
+    """Order n's stencil times, keyed by their offset from t in units of h/2."""
+    return {off: t + off * (h / 2.0) for off in _stencil_offsets(n)}
+
+
+def _fd_plan(
+    mix: GaussianMixture, t: float, orders: Sequence[int], step: Optional[float]
+) -> List[_FdGroup]:
+    """The fd groups of flow time t, in the order their orders first appear."""
+    keys: Dict[Tuple[float, int], List[int]] = {}
     for n in orders:
         if n < 1:
             raise ValueError("derivative order must be >= 1")
@@ -232,39 +303,100 @@ def fd_entropy_derivs(
         reach = _stencil_reach(n)
         if h <= 0 or t - reach * h <= 0:
             raise ValueError(f"step {h} reaches t <= 0 for order {n} at t = {t}")
-        groups.setdefault((h, reach), []).append(n)
-    results = {}
-    for (h, _), ns in groups.items():
-        half = h / 2.0
-        stencils = {n: _central_stencil(n) for n in ns}
-        t_of = {}  # per order: stencil offset (in units of h/2) -> time
-        for n, stencil in stencils.items():
-            offsets = sorted({2 * off for off, _ in stencil} | {off for off, _ in stencil})
-            t_of[n] = {off: t + off * half for off in offsets}
-        t_values = [tv for tvs in t_of.values() for tv in tvs.values()]
-        a, b = mix.support_interval(max(t_values))
-        probe_t = (min(t_values), t, max(t_values))
-        probes = _entropy_integrand(mix, np.array(probe_t))
-        probes.labels = (f"fd probes at t={float(t)!r}",) * len(probe_t)
-        mesh = build_mesh([probes], a, b, tol)
-        # the probes' entropies come with the mesh; the rest of the stencil
-        # is integrated on it in one call (t itself is a stencil point at
-        # even orders only)
-        entropies = dict(zip(probe_t, mesh.totals))
-        rest = sorted(set(t_values) - set(probe_t))
-        if rest:
-            entropies.update(zip(rest, mesh.integrate(_entropy_integrand(mix, np.array(rest)))))
-        for n, stencil in stencils.items():
-            h_at = {off: entropies[tv] for off, tv in t_of[n].items()}
-            coarse = sum(c * h_at[2 * off] for off, c in stencil) / h**n
-            fine = sum(c * h_at[off] for off, c in stencil) / half**n
-            value = (4.0 * fine - coarse) / 3.0
+        keys.setdefault((h, reach), []).append(n)
+    groups = []
+    for (h, _), ns in keys.items():
+        t_values = [tv for n in ns for tv in _stencil_times(t, h, n).values()]
+        probes = (min(t_values), t, max(t_values))
+        # t itself is a stencil point at even orders only
+        rest = tuple(sorted(set(t_values) - set(probes)))
+        span = mix.support_interval(max(t_values))
+        groups.append(_FdGroup(t, h, tuple(ns), probes, rest, span))
+    return groups
 
-            coeff_l1 = sum(abs(c) for _, c in stencil)
-            eval_noise = tol + 1e-15 * max(abs(v) for v in h_at.values())
-            roundoff = coeff_l1 * eval_noise * (1.0 / h**n + 4.0 / half**n) / 3.0
-            error = abs(fine - coarse) / 3.0 + roundoff
-            results[n] = (value, error)
+
+def _entropy_rows(
+    mix: GaussianMixture, times: Sequence[Sequence[float]]
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """-f log f with row r of job j at flow time ``times[j][r]``, from one kernel call."""
+    times = np.array(times, dtype=float)
+
+    def fn(y: np.ndarray, jobs: np.ndarray) -> np.ndarray:
+        lf = log_density(mix, times, y, jobs)
+        # -exp(lf) * lf, in place, a row at a time: one row of temporary
+        # instead of a copy of all rows
+        f = np.empty(y.size)
+        for row in lf.reshape(-1, y.size):
+            np.negative(np.exp(row, out=f), out=f)
+            row *= f
+        return lf
+
+    return fn
+
+
+def _fd_forests(mix: GaussianMixture, plans: Sequence[List[_FdGroup]]) -> List[Forest]:
+    """Per fd group, the probe meshes of every flow time.
+
+    Each mesh is refined jointly for its three probe entropies.  Every
+    flow time has the same groups, one per stencil reach.
+    """
+    return [
+        Forest(
+            _entropy_rows(mix, [g.probes for g in groups]),
+            [g.span for g in groups],
+            joint=True,
+            labels=[(f"fd probes at t={float(g.t)!r}",) * 3 for g in groups],
+        )
+        for groups in zip(*plans)
+    ]
+
+
+def _fd_finish(
+    mix: GaussianMixture,
+    plans: Sequence[List[_FdGroup]],
+    meshes: Sequence[Sequence[Mesh]],
+    tol: float,
+) -> List[Dict[int, Tuple[float, float]]]:
+    """Each flow time's fd results from its groups' probe meshes (one list per group).
+
+    The probes' entropies come with the meshes; the other stencil times of
+    all flow times are integrated on their meshes in one call per group.
+    """
+    entropies = [
+        [dict(zip(g.probes, mesh.totals)) for g, mesh in zip(groups, by_group)]
+        for groups, by_group in zip(plans, zip(*meshes))
+    ]
+    for k, by_time in enumerate(meshes):
+        # one call per group: all its flow times have the same number of
+        # other stencil times, unless a step below the float spacing near
+        # t merges some of them
+        counts: Dict[int, List[int]] = {}
+        for i, groups in enumerate(plans):
+            counts.setdefault(len(groups[k].rest), []).append(i)
+        for count, which in counts.items():
+            if count:
+                rest = [plans[i][k].rest for i in which]
+                totals = integrate([by_time[i] for i in which], _entropy_rows(mix, rest))
+                for i, tvs, values in zip(which, rest, totals):
+                    entropies[i][k].update(zip(tvs, values))
+    results = []
+    for groups, found in zip(plans, entropies):
+        out = {}
+        for g, h_of in zip(groups, found):
+            h, half = g.h, g.h / 2.0
+            for n in g.orders:
+                stencil = _central_stencil(n)
+                h_at = {off: h_of[tv] for off, tv in _stencil_times(g.t, h, n).items()}
+                coarse = sum(c * h_at[2 * off] for off, c in stencil) / h**n
+                fine = sum(c * h_at[off] for off, c in stencil) / half**n
+                value = (4.0 * fine - coarse) / 3.0
+
+                coeff_l1 = sum(abs(c) for _, c in stencil)
+                eval_noise = tol + 1e-15 * max(abs(v) for v in h_at.values())
+                roundoff = coeff_l1 * eval_noise * (1.0 / h**n + 4.0 / half**n) / 3.0
+                error = abs(fine - coarse) / 3.0 + roundoff
+                out[n] = (value, error)
+        results.append(out)
     return results
 
 
@@ -413,33 +545,64 @@ class ScanResult:
 _SYM_ORDERS = 4
 
 
-def _scan_row_core(
-    mix: GaussianMixture, t: float, max_order: int, tol: float
-) -> ScanRow:
+# Flow times refined as one forest.  A forest holds every tree of its
+# times until they all end, so a long grid is refined this many times at a
+# time and its memory stays that of one forest.
+_FOREST_TIMES = 40
+
+
+def _batches(ts: Sequence[float]) -> List[Sequence[float]]:
+    return [ts[i : i + _FOREST_TIMES] for i in range(0, len(ts), _FOREST_TIMES)]
+
+
+def _scan_rows(
+    mix: GaussianMixture, ts: Sequence[float], max_order: int, tol: float
+) -> List[ScanRow]:
+    """The scan's rows before the grid-level verdicts, from bisection forests.
+
+    Each flow time has one tree for h and C_1..C_4, on which each quantity
+    accepts its own panels, and one probe mesh per fd group.  A batch of
+    ``_FOREST_TIMES`` flow times is one forest: every level of all its
+    trees is refined together, and the other fd stencil times are then
+    integrated on the probe meshes in one call per group.
+    """
     sym_orders = min(_SYM_ORDERS, max_order)
     # h and C_1 (which integrates to J) always; C_2..C_4 as the orders ask
     quantities = [("h", None)] + [
         (f"C_{n}", entropy_derivative(n)) for n in range(1, max(sym_orders, 1) + 1)
     ]
-    h_res, *sym = _flow_results(mix, t, quantities, tol)
     # J' needs order 2, from the fd route when the symbolic one stops at 1
-    fd = fd_entropy_derivs(mix, t, range(1, max(max_order, 2) + 1), tol=tol)
-    j_res = sym[0]
-    d_sym = tuple(0.5 * r.value for r in sym[:sym_orders])
-    jprime = 2.0 * (d_sym[1] if len(d_sym) >= 2 else fd[2][0])
-    costa_margin = -jprime - j_res.value * j_res.value
-    costa_err = 2.0 * tol + 2.0 * j_res.value * j_res.error + 1e-12 * abs(jprime)
-    return ScanRow(
-        t=t,
-        h=h_res.value,
-        h_err=h_res.error,
-        J=j_res.value,
-        J_err=j_res.error,
-        d_fd=tuple(fd[n] for n in range(1, max_order + 1)),
-        d_sym=d_sym,
-        costa_margin=costa_margin,
-        costa_margin_err=costa_err,
-    )
+    fd_orders = range(1, max(max_order, 2) + 1)
+    rows = []
+    for batch in _batches(ts):
+        plans = [_fd_plan(mix, t, fd_orders, None) for t in batch]
+        forests = [_flow_forest(mix, batch, quantities), *_fd_forests(mix, plans)]
+        flows, *meshes = refine(forests, tol)
+        for t, (h_res, *sym), fd in zip(batch, flows, _fd_finish(mix, plans, meshes, tol)):
+            j_res = sym[0]
+            d_sym = tuple(0.5 * r.value for r in sym[:sym_orders])
+            jprime = 2.0 * (d_sym[1] if len(d_sym) >= 2 else fd[2][0])
+            costa_margin = -jprime - j_res.value * j_res.value
+            costa_err = 2.0 * tol + 2.0 * j_res.value * j_res.error + 1e-12 * abs(jprime)
+            rows.append(
+                ScanRow(
+                    t=t,
+                    h=h_res.value,
+                    h_err=h_res.error,
+                    J=j_res.value,
+                    J_err=j_res.error,
+                    d_fd=tuple(fd[n] for n in range(1, max_order + 1)),
+                    d_sym=d_sym,
+                    costa_margin=costa_margin,
+                    costa_margin_err=costa_err,
+                )
+            )
+    return rows
+
+
+def _scan_row_core(mix: GaussianMixture, t: float, max_order: int, tol: float) -> ScanRow:
+    """The scan row of one flow time, before the grid-level verdicts."""
+    return _scan_rows(mix, [t], max_order, tol)[0]
 
 
 def scan_conjectures(
@@ -459,7 +622,7 @@ def scan_conjectures(
     ts = [float(t) for t in t_grid]
     if any(t <= 0 for t in ts) or sorted(ts) != ts:
         raise ValueError("grid must be positive and strictly increasing")
-    rows = [_scan_row_core(mix, t, max_order, tol) for t in ts]
+    rows = _scan_rows(mix, ts, max_order, tol)
 
     h_vals = [r.h for r in rows]
     h_errs = [r.h_err for r in rows]
@@ -599,25 +762,29 @@ def wt_checks(
         raise ValueError("grid must lie strictly inside (0, 1) and increase")
 
     quantities = [("h", None), ("C_1", entropy_derivative(1)), ("C_2", entropy_derivative(2))]
-
-    def row_core(t: float) -> WtRow:
-        s = 1.0 / t - 1.0
-        h_res, j_res, c2_res = _flow_results(mix, s, quantities, tol)
+    flow_times = [1.0 / t - 1.0 for t in ts]
+    flows = [
+        result
+        for batch in _batches(flow_times)
+        for result in refine([_flow_forest(mix, batch, quantities)], tol)[0]
+    ]
+    rows = []
+    for t, s, (h_res, j_res, c2_res) in zip(ts, flow_times, flows):
         jprime = c2_res.value
         margin = -jprime + t * t - 2.0 * t * j_res.value
         margin_err = 2.0 * tol + 2.0 * t * j_res.error
-        return WtRow(
-            t=t,
-            s=s,
-            hW=h_res.value + 0.5 * math.log(t),
-            hW_err=h_res.error,
-            JW=j_res.value / t,
-            JW_err=j_res.error / t,
-            txz_margin=margin,
-            txz_err=margin_err,
+        rows.append(
+            WtRow(
+                t=t,
+                s=s,
+                hW=h_res.value + 0.5 * math.log(t),
+                hW_err=h_res.error,
+                JW=j_res.value / t,
+                JW_err=j_res.error / t,
+                txz_margin=margin,
+                txz_err=margin_err,
+            )
         )
-
-    rows = [row_core(t) for t in ts]
 
     hw_dd, hw_err = second_difference(
         ts, [r.hW for r in rows], [r.hW_err for r in rows]

@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Legendre quadrature on panel meshes.
+"""Adaptive Gauss-Legendre quadrature on panel meshes, refined as forests.
 
 All integrands here decay like Gaussians, so fixed-order Gauss-Legendre
 panels with adaptive bisection converge fast.  Meshes are first-class:
@@ -11,6 +11,21 @@ array: k rows that share their evaluation, such as several quantities at
 one flow time or one quantity at several times.  An integrand may carry a
 ``labels`` attribute, one name per row, that non-convergence warnings
 quote.
+
+Bisection runs on forests: a ``Forest`` is one integrand over many
+intervals, one job per interval, such as one flow time per job of a
+scan.  ``refine`` bisects every tree of every job together, one level at
+a time, so a level costs one integrand call for the whole forest, not one
+per job.  A level is evaluated in chunks of at most ``_CHUNK_NODES``
+abscissae, so the memory of a call does not grow with the forest.
+``adaptive_quad`` and ``build_mesh`` are forests of one job, and
+``integrate`` sums integrands on many meshes in one call per chunk.
+
+No bit depends on which panels or jobs share a call: every value is
+computed per abscissa; each panel's rule sum is one ``ddot`` of its own
+contiguous row of values, batched by ``np.matmul`` (whose vector-vector
+case is that same ``ddot``); the accept tests compare those sums
+elementwise; and every total adds its panels strictly left to right.
 """
 
 from __future__ import annotations
@@ -23,6 +38,8 @@ from typing import Callable, List, Sequence, Tuple, Union
 import numpy as np
 
 Integrand = Callable[[np.ndarray], np.ndarray]
+# maps abscissae and the job index of each to a (rows, N) array
+JobIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 class QuadratureNonConvergence(UserWarning):
@@ -32,6 +49,9 @@ class QuadratureNonConvergence(UserWarning):
 # the defaults of build_mesh, and what adaptive_quad uses
 _REL_FLOOR = 5e-15
 _MAX_PANELS = 16384
+# abscissae per integrand call; a level of a forest takes as many calls as
+# it has chunks, and a call's temporaries stay at a few MiB
+_CHUNK_NODES = 16384
 
 
 @lru_cache(maxsize=None)
@@ -40,35 +60,62 @@ def _gl_rule(order: int) -> Tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _panel_values(
-    fns: Sequence[Integrand], panels: Sequence[Tuple[float, float]], order: int
-) -> Tuple[np.ndarray, np.ndarray, bool]:
-    """Each panel's half-width and every integrand row at its nodes.
+def _rule_sums(radii: np.ndarray, vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Each panel's rule sum from a (rows, panels, order) array of node values.
 
-    Each integrand is called once; the rows of all integrands are stacked
-    into a (rows, panels, order) array.  The flag says whether some
-    integrand returned rows rather than a single array of values.
+    The vector-vector case of ``np.matmul`` calls one ``ddot`` per panel
+    and row, as ``np.dot`` does, so each sum has the bits of its own
+    ``np.dot`` whatever else shares the call.  The rows must be contiguous:
+    a strided ``ddot`` sums in another order.
     """
-    nodes, _ = _gl_rule(order)
-    bounds = np.array(panels, dtype=float)
-    mids = 0.5 * (bounds[:, 0] + bounds[:, 1])
-    radii = 0.5 * (bounds[:, 1] - bounds[:, 0])
-    y = (mids[:, None] + radii[:, None] * nodes).ravel()
-    outs = [np.asarray(fn(y), dtype=float) for fn in fns]
-    vals = [out.reshape(-1, len(bounds), order) for out in outs]
-    stacked = any(out.ndim > 1 for out in outs)
-    return radii, vals[0] if len(vals) == 1 else np.concatenate(vals), stacked
+    vals = np.ascontiguousarray(vals)
+    return radii * np.matmul(vals[..., None, :], weights[:, None])[..., 0, 0]
 
 
-def _panel_sums(radii: np.ndarray, vals: np.ndarray, order: int) -> List[float]:
-    """Each panel's rule sum from its row of node values.
+def _evaluate(
+    fn: JobIntegrand,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    jobs: np.ndarray,
+    order: int,
+    magnitudes: bool = True,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every row's rule sum on each panel and, if asked, the rule sum of its magnitude."""
+    nodes, weights = _gl_rule(order)
+    mids = 0.5 * (lo + hi)
+    radii = 0.5 * (hi - lo)
+    step = max(1, _CHUNK_NODES // order)
+    sums, mags = [], []
+    for start in range(0, lo.size, step):
+        part = slice(start, start + step)
+        y = (mids[part, None] + radii[part, None] * nodes).ravel()
+        vals = np.asarray(fn(y, np.repeat(jobs[part], order)), dtype=float)
+        vals = vals.reshape(-1, y.size // order, order)
+        sums.append(_rule_sums(radii[part], vals, weights))
+        if magnitudes:
+            mags.append(_rule_sums(radii[part], np.abs(vals, out=vals), weights))
+        del vals  # before the next chunk's values exist
+    return np.concatenate(sums, axis=1), np.concatenate(mags, axis=1) if magnitudes else None
 
-    Each panel is summed by its own ``np.dot`` so its value does not depend
-    on which panels share the call; a matrix product reorders the sums and
-    changes the last bits, which finite differences in t amplify.
+
+def _sequential_sums(values: np.ndarray, segments: np.ndarray, count: int) -> np.ndarray:
+    """Each segment's sum, adding its values from 0.0 in the order given.
+
+    The same bits as ``_plain_sum`` of each segment (so ``np.add.reduceat``,
+    which sums pairwise, would not do): the k-th values of all segments
+    are added in one step.
     """
-    dot = _gl_rule(order)[1].dot
-    return [r * float(dot(row)) for r, row in zip(radii.tolist(), vals)]
+    totals = np.zeros(count)
+    order = np.argsort(segments, kind="stable")
+    starts = np.searchsorted(segments[order], np.arange(count))
+    position = np.empty(values.size, dtype=np.intp)
+    position[order] = np.arange(values.size) - starts[segments[order]]
+    by_position = order[np.argsort(position[order], kind="stable")]
+    edges = np.searchsorted(position[by_position], np.arange(position.max(initial=-1) + 2))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        take = by_position[lo:hi]
+        totals[segments[take]] += values[take]
+    return totals
 
 
 def _plain_sum(values: Sequence[float]) -> float:
@@ -80,145 +127,159 @@ def _plain_sum(values: Sequence[float]) -> float:
     return total
 
 
-@dataclass
-class _Tree:
-    """The panels that one group of integrand rows accepts by its own test.
+@dataclass(frozen=True)
+class Forest:
+    """One integrand's bisection trees over many intervals, one job per interval.
 
-    ``open`` indexes the panels of the current level that the group still
-    refines, and ``wholes`` holds each row's whole-panel value on them.
-    ``accepted`` holds (lo, hi, per row (whole-panel value, half-panel
-    sum)).
+    ``fn(y, jobs)`` gets abscissae and the job index of each and returns a
+    new (rows, len(y)) array, which bisection may overwrite; every job has
+    the same rows.  With ``joint`` a
+    job's rows accept a panel together and share one mesh, and ``refine``
+    returns a ``Mesh`` per job; otherwise each row accepts its panels by
+    its own test, as if integrated alone, and ``refine`` returns a list of
+    ``QuadResult``, one per row, per job.  ``labels`` holds, per job, one
+    name per row for the non-convergence warnings.
     """
 
-    rows: List[int]
-    open: List[int]
-    wholes: List[List[float]]
-    accepted: List[Tuple[float, float, Tuple[Tuple[float, float], ...]]] = field(
-        default_factory=list
-    )
-    exhausted: bool = False
+    fn: JobIntegrand
+    spans: Sequence[Tuple[float, float]]
+    joint: bool = False
+    labels: Sequence[Sequence[str]] = ()
+
+
+@dataclass
+class _Bisected:
+    """The accepted panels of a forest, one entry per (row, panel).
+
+    ``counts`` and ``exhausted`` hold, per tree (a row, or all rows of a
+    joint job) and job, the accepted panels and whether refinement stopped
+    before the tolerance.
+    """
+
+    rows: int
+    job: np.ndarray
+    row: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    whole: np.ndarray
+    halves: np.ndarray
+    counts: np.ndarray
+    exhausted: np.ndarray
+
+
+def _per_tree(mask: np.ndarray, jobs: np.ndarray, count: int) -> np.ndarray:
+    """The number of set entries of a (trees, panels) mask per tree and job."""
+    trees = np.arange(mask.shape[0])[:, None] * count + jobs
+    return np.bincount(trees[mask], minlength=mask.shape[0] * count).reshape(-1, count)
 
 
 def _bisect(
-    fns: Sequence[Integrand],
-    joint: bool,
-    a: float,
-    b: float,
+    forest: Forest,
     tol: float,
     order: int,
     initial_panels: int,
     max_depth: int,
     rel_floor: float,
     max_panels: int,
-) -> Tuple[List[_Tree], bool]:
-    """One bisection tree on which each row accepts its own panels, or all rows jointly.
+) -> _Bisected:
+    """Bisect every tree of every job of the forest, one level at a time.
 
-    A group of rows accepts a panel when, for each of its rows, the
-    whole-panel rule and the two half-panel rules agree within the panel's
-    share of ``tol`` or within ``rel_floor`` of the panel's own magnitude --
-    large integrals stop refining at machine precision instead of chasing
-    an absolute target below roundoff.  Every abscissa is evaluated once: a
+    A tree accepts a panel when, for each of its rows, the whole-panel
+    rule and the two half-panel rules agree within the panel's share of
+    ``tol`` or within ``rel_floor`` of the panel's own magnitude -- large
+    integrals stop refining at machine precision instead of chasing an
+    absolute target below roundoff.  Every abscissa is evaluated once: a
     child panel's whole-panel value is its parent's half-panel value.
 
-    Bisection runs level by level: the halves of every panel that some
-    group still refines go to one call per integrand.  A group's decisions
-    rest on its own rows only, so it accepts exactly the panels it would
-    accept refined alone.  A level whose splits would take a group past
-    ``max_panels`` accepts its open panels unconverged instead, so no group
-    has more than ``max(max_panels, initial_panels)`` panels.  Returns the
-    groups' trees and whether the integrands returned rows.
+    Each level evaluates the halves of every panel that some tree still
+    refines.  A tree's decisions rest on its own rows and job only, so it
+    accepts exactly the panels it would accept refined alone.  A level
+    whose splits would take a tree past ``max_panels`` accepts its open
+    panels unconverged instead, so no tree has more than
+    ``max(max_panels, initial_panels)`` panels.
     """
-    width = b - a
-    edges = [a + width * i / initial_panels for i in range(initial_panels + 1)]
-    level = list(zip(edges[:-1], edges[1:]))
-    radii, vals, stacked = _panel_values(fns, level, order)
-    first = [_panel_sums(radii, row, order) for row in vals]
-    rows = len(vals)
-    groups = [range(rows)] if joint else [[r] for r in range(rows)]
-    trees = [_Tree(list(g), list(range(len(level))), [first[r] for r in g]) for g in groups]
+    spans = np.array(forest.spans, dtype=float).reshape(-1, 2)
+    count = len(spans)
+    a, width = spans[:, 0], spans[:, 1] - spans[:, 0]
+    edges = a[:, None] + width[:, None] * np.arange(initial_panels + 1) / initial_panels
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    job = np.repeat(np.arange(count), initial_panels)
+    wholes, _ = _evaluate(forest.fn, lo, hi, job, order, magnitudes=False)
+    rows = len(wholes)
+    trees = 1 if forest.joint else rows
+    open_ = np.ones((trees, lo.size), dtype=bool)
+    counts = np.zeros((trees, count), dtype=np.intp)
+    exhausted = np.zeros((trees, count), dtype=bool)
+    accepted = []
     depth = 0
-    while level:
-        halves = []
-        for lo, hi in level:
-            mid = 0.5 * (lo + hi)
-            halves += [(lo, mid), (mid, hi)]
-        radii, vals, _ = _panel_values(fns, halves, order)
-        for tree in trees:
-            if not tree.open:
-                continue
-            picks = [2 * i + k for i in tree.open for k in (0, 1)]
-            own = picks if len(picks) < len(halves) else slice(None)
-            own_radii = radii[own]
-            # the L1 magnitude sets the roundoff floor: when the integrand
-            # cancels within a panel, refinement below eps * magnitude
-            # only chases noise
-            split = []
-            for r in tree.rows:
-                row = vals[r][own]
-                split.append(
-                    (_panel_sums(own_radii, row, order), _panel_sums(own_radii, np.abs(row), order))
-                )
-            keep, refine = [], []
-            for j, i in enumerate(tree.open):
-                lo, hi = level[i]
-                local_tol = tol * (hi - lo) / width
-                ok = True
-                for w, (sums, mags) in zip(tree.wholes, split):
-                    halves_sum = sums[2 * j] + sums[2 * j + 1]
-                    magnitude = mags[2 * j] + mags[2 * j + 1]
-                    floor = rel_floor * max(abs(w[j]), abs(halves_sum), magnitude)
-                    if abs(w[j] - halves_sum) > max(local_tol, floor, 1e-300):
-                        ok = False
-                if ok or depth >= max_depth:
-                    tree.exhausted = tree.exhausted or not ok
-                    keep.append(j)
-                else:
-                    refine.append(j)
-            if len(tree.accepted) + len(keep) + 2 * len(refine) > max_panels:
-                tree.exhausted = tree.exhausted or bool(refine)
-                keep += refine
-                refine = []
-            for j in keep:
-                records = tuple(
-                    (w[j], sums[2 * j] + sums[2 * j + 1])
-                    for w, (sums, _) in zip(tree.wholes, split)
-                )
-                tree.accepted.append((*level[tree.open[j]], records))
-            tree.wholes = [[sums[2 * j + k] for j in refine for k in (0, 1)] for sums, _ in split]
-            tree.open = [tree.open[j] for j in refine]
-        # the next level holds the halves of every panel some group refines
-        refined = sorted({i for tree in trees for i in tree.open})
-        position = {i: p for p, i in enumerate(refined)}
-        level = [halves[2 * i + k] for i in refined for k in (0, 1)]
-        for tree in trees:
-            tree.open = [2 * position[i] + k for i in tree.open for k in (0, 1)]
+    while lo.size:
+        mid = 0.5 * (lo + hi)
+        half_lo, half_hi = np.stack([lo, mid], 1).ravel(), np.stack([mid, hi], 1).ravel()
+        sums, mags = _evaluate(forest.fn, half_lo, half_hi, np.repeat(job, 2), order)
+        halves = sums[:, 0::2] + sums[:, 1::2]
+        # the L1 magnitude sets the roundoff floor: when the integrand
+        # cancels within a panel, refinement below eps * magnitude only
+        # chases noise
+        magnitude = mags[:, 0::2] + mags[:, 1::2]
+        floor = rel_floor * np.maximum(np.maximum(np.abs(wholes), np.abs(halves)), magnitude)
+        local_tol = tol * (hi - lo) / width[job]
+        bad = np.abs(wholes - halves) > np.maximum(np.maximum(local_tol, floor), 1e-300)
+        ok = ~bad.any(axis=0, keepdims=True) if forest.joint else ~bad
+        stop = open_ if depth >= max_depth else open_ & ok
+        deeper = open_ & ~stop
+        capped = counts + _per_tree(stop, job, count) + 2 * _per_tree(deeper, job, count)
+        capped = (capped > max_panels)[:, job]
+        stop |= deeper & capped
+        deeper &= ~capped
+        exhausted |= _per_tree(stop & ~ok, job, count) > 0
+        counts += _per_tree(stop, job, count)
+        r, p = np.nonzero(np.broadcast_to(stop, wholes.shape) if forest.joint else stop)
+        accepted.append((job[p], r, lo[p], hi[p], wholes[r, p], halves[r, p]))
+        # the next level holds the halves of every panel some tree refines
+        split = np.flatnonzero(deeper.any(axis=0))
+        children = np.stack([2 * split, 2 * split + 1], 1).ravel()
+        lo, hi, job = half_lo[children], half_hi[children], job[children // 2]
+        wholes = sums[:, children]
+        open_ = np.repeat(deeper[:, split], 2, axis=1)
         depth += 1
-    labels = [label for fn in fns for label in getattr(fn, "labels", ())]
-    for tree in trees:
-        tree.accepted.sort(key=lambda p: p[:2])
-        if tree.exhausted:
-            named = len(labels) == rows
-            names = ", ".join(dict.fromkeys(labels[r] for r in tree.rows)) if named else ""
-            # the quantity, interval and panel count make each event's text
-            # distinct, so the default warning filter shows every one, not
-            # one per call site
-            warnings.warn(
-                f"mesh refinement{' for ' + names if names else ''} on [{a:.17g}, {b:.17g}] "
-                f"hit its depth or panel limit at {len(tree.accepted)} panels; "
-                f"result may miss tol {tol:.3g}",
-                QuadratureNonConvergence,
-                stacklevel=3,
-            )
-    return trees, stacked
+    fields_ = [np.concatenate(column) for column in zip(*accepted)]
+    # each tree's panels left to right
+    sort = np.lexsort((fields_[2], fields_[1], fields_[0]))
+    return _Bisected(rows, *(column[sort] for column in fields_), counts, exhausted)
+
+
+def _warn_exhausted(forests, bisected, tol, stacklevel) -> None:
+    """One warning per tree that stopped short, job by job and, within a job, forest by forest."""
+    for j in range(max(len(f.spans) for f in forests)):
+        for forest, done in zip(forests, bisected):
+            if j >= len(forest.spans):
+                continue
+            labels = forest.labels[j] if len(forest.labels) > j else ()
+            named = len(labels) == done.rows
+            a, b = forest.spans[j]
+            for tree in np.flatnonzero(done.exhausted[:, j]):
+                rows = range(done.rows) if forest.joint else [tree]
+                names = ", ".join(dict.fromkeys(labels[r] for r in rows)) if named else ""
+                # the quantity, interval and panel count make each event's
+                # text distinct, so the default warning filter shows every
+                # one, not one per call site
+                warnings.warn(
+                    f"mesh refinement{' for ' + names if names else ''} on "
+                    f"[{a:.17g}, {b:.17g}] hit its depth or panel limit at "
+                    f"{done.counts[tree, j]} panels; result may miss tol {tol:.3g}",
+                    QuadratureNonConvergence,
+                    stacklevel=stacklevel,
+                )
 
 
 @dataclass(frozen=True)
 class Mesh:
     """A fixed list of panels; integration on a mesh is non-adaptive.
 
-    A mesh from ``build_mesh`` also keeps what bisection computed, so no
-    panel is evaluated again: ``totals`` holds each integrand row's sum of
-    whole-panel values, equal to ``integrate`` of that row.
+    A mesh from ``build_mesh`` or a joint ``Forest`` also keeps what
+    bisection computed, so no panel is evaluated again: ``totals`` holds
+    each integrand row's sum of whole-panel values, equal to ``integrate``
+    of that row.
     """
 
     panels: Tuple[Tuple[float, float], ...]
@@ -227,9 +288,110 @@ class Mesh:
 
     def integrate(self, fn: Integrand) -> Union[float, Tuple[float, ...]]:
         """The integral of ``fn`` on the mesh; a tuple, one per row, for an integrand of rows."""
-        radii, vals, stacked = _panel_values([fn], self.panels, self.order)
-        totals = tuple(_plain_sum(_panel_sums(radii, row, self.order)) for row in vals)
-        return totals if stacked else totals[0]
+        rows, ndims = _job_rows([fn])
+        (totals,) = integrate([self], rows)
+        return totals if max(ndims) > 1 else totals[0]
+
+
+def integrate(meshes: Sequence[Mesh], fn: JobIntegrand) -> List[Tuple[float, ...]]:
+    """Each row's integral on each mesh, as ``Mesh.integrate`` gives it.
+
+    ``fn(y, jobs)`` gets the abscissae of all meshes, with the index of the
+    mesh each belongs to, in one call per chunk; the meshes must share
+    their rule order.
+    """
+    if not meshes:
+        return []
+    order = meshes[0].order
+    if any(mesh.order != order for mesh in meshes):
+        raise ValueError("meshes must share their rule order")
+    bounds = np.array([p for mesh in meshes for p in mesh.panels], dtype=float).reshape(-1, 2)
+    jobs = np.repeat(np.arange(len(meshes)), [len(mesh.panels) for mesh in meshes])
+    sums, _ = _evaluate(fn, bounds[:, 0], bounds[:, 1], jobs, order, magnitudes=False)
+    rows = len(sums)
+    segments = (jobs * rows + np.arange(rows)[:, None]).ravel()
+    totals = _sequential_sums(sums.ravel(), segments, len(meshes) * rows)
+    return [tuple(part) for part in totals.reshape(len(meshes), rows).tolist()]
+
+
+@dataclass(frozen=True)
+class QuadResult:
+    value: float
+    error: float
+    # False when refinement hit its depth or panel limit before the tolerance
+    converged: bool = True
+
+
+def refine(
+    forests: Sequence[Forest],
+    tol: float = 1e-11,
+    order: int = 24,
+    initial_panels: int = 8,
+    max_depth: int = 24,
+    rel_floor: float = _REL_FLOOR,
+    max_panels: int = _MAX_PANELS,
+    stacklevel: int = 2,
+) -> List[List[Union[Mesh, List[QuadResult]]]]:
+    """Bisect every forest; per forest, one result per job (see ``Forest``).
+
+    A row's ``QuadResult`` sums its half-panel values over its accepted
+    panels; the error estimate is the half-panel refinement discrepancy
+    summed over them (a conservative proxy for the true error of smooth
+    integrands).  Every tree that stops short of ``tol`` warns
+    ``QuadratureNonConvergence``, in the order in which refining each job
+    alone, forest by forest, would warn.
+    """
+    bisected = [
+        _bisect(f, tol, order, initial_panels, max_depth, rel_floor, max_panels) for f in forests
+    ]
+    _warn_exhausted(forests, bisected, tol, stacklevel + 1)
+    return [_results(f, b, order) for f, b in zip(forests, bisected)]
+
+
+def _results(forest: Forest, trees: _Bisected, order: int) -> List[Union[Mesh, List[QuadResult]]]:
+    jobs = len(forest.spans)
+    segments = trees.job * trees.rows + trees.row
+    if forest.joint:
+        totals = _sequential_sums(trees.whole, segments, jobs * trees.rows)
+        totals = totals.reshape(jobs, trees.rows).tolist()
+        first = trees.row == 0
+        ends = np.cumsum(trees.counts[0]).tolist()
+        panels = list(zip(trees.lo[first].tolist(), trees.hi[first].tolist()))
+        return [
+            Mesh(tuple(panels[end - n : end]), order, tuple(total))
+            for n, end, total in zip(trees.counts[0].tolist(), ends, totals)
+        ]
+    values = _sequential_sums(trees.halves, segments, jobs * trees.rows)
+    errors = _sequential_sums(np.abs(trees.whole - trees.halves), segments, jobs * trees.rows)
+    results = [
+        QuadResult(total, max(err, 1e-16 * abs(total)), not short)
+        for total, err, short in zip(
+            values.tolist(), errors.tolist(), trees.exhausted.T.ravel().tolist()
+        )
+    ]
+    return [results[j * trees.rows : (j + 1) * trees.rows] for j in range(jobs)]
+
+
+def _job_rows(fns: Sequence[Integrand]) -> Tuple[JobIntegrand, List[int]]:
+    """A one-job integrand whose rows are those of the plain integrands ``fns``.
+
+    The list fills with the number of dimensions of each value they return.
+    """
+    ndims = []
+
+    def rows(y, jobs):
+        outs = [np.asarray(fn(y), dtype=float) for fn in fns]
+        ndims.extend(out.ndim for out in outs)
+        return np.concatenate([out.reshape(-1, y.size) for out in outs])
+
+    return rows, ndims
+
+
+def _one_job(fns: Sequence[Integrand], a: float, b: float, joint: bool) -> Tuple[Forest, list]:
+    """A forest of one job whose rows are those of the plain integrands ``fns``."""
+    rows, ndims = _job_rows(fns)
+    labels = (tuple(label for fn in fns for label in getattr(fn, "labels", ())),)
+    return Forest(rows, [(a, b)], joint, labels), ndims
 
 
 def build_mesh(
@@ -248,17 +410,11 @@ def build_mesh(
     The test is joint: a panel is accepted only when every row accepts it,
     so all rows share one mesh (see ``_bisect`` for the test).
     """
-    (tree,), _ = _bisect(
-        integrands, True, a, b, tol, order, initial_panels, max_depth, rel_floor, max_panels
+    forest, _ = _one_job(integrands, a, b, True)
+    ((mesh,),) = refine(
+        [forest], tol, order, initial_panels, max_depth, rel_floor, max_panels, stacklevel=3
     )
-    wholes = zip(*((w for w, _ in records) for _, _, records in tree.accepted))
-    return Mesh(tuple(p[:2] for p in tree.accepted), order, tuple(map(_plain_sum, wholes)))
-
-
-@dataclass(frozen=True)
-class QuadResult:
-    value: float
-    error: float
+    return mesh
 
 
 def adaptive_quad(
@@ -272,22 +428,13 @@ def adaptive_quad(
 ) -> Union[QuadResult, List[QuadResult]]:
     """Integrate ``fn`` on [a, b] with an error estimate.
 
-    The estimate is the half-panel refinement discrepancy summed over the
-    accepted panels (a conservative proxy for the true error of smooth
-    integrands).  For an integrand of rows the result is a list with one
-    ``QuadResult`` per row: all rows share one bisection tree, but each
-    row accepts its panels by its own test, so each result, and each
-    non-convergence warning, is exactly that of the row integrated alone.
+    For an integrand of rows the result is a list with one ``QuadResult``
+    per row: all rows share one bisection tree, but each row accepts its
+    panels by its own test, so each result, and each non-convergence
+    warning, is exactly that of the row integrated alone.
     """
-    trees, stacked = _bisect(
-        [fn], False, a, b, tol, order, initial_panels, max_depth, _REL_FLOOR, _MAX_PANELS
+    forest, ndims = _one_job([fn], a, b, False)
+    ((results,),) = refine(
+        [forest], tol, order, initial_panels, max_depth, _REL_FLOOR, _MAX_PANELS, stacklevel=3
     )
-    results = []
-    for tree in trees:
-        total = 0.0
-        err = 0.0
-        for _, _, ((whole, halves),) in tree.accepted:
-            total += halves
-            err += abs(whole - halves)
-        results.append(QuadResult(total, max(err, 1e-16 * abs(total))))
-    return results if stacked else results[0]
+    return results if max(ndims) > 1 else results[0]

@@ -15,6 +15,7 @@ from heatcalc.certificates import (
     certificate_to_json,
     verify_certificate,
 )
+from heatcalc import cli
 from heatcalc.cli import main, parse_config, ConfigError
 
 
@@ -311,6 +312,46 @@ class TestWtScanCommand:
         cfg = tmp_path / "wt.json"
         cfg.write_text(json.dumps(payload))
         assert main(["wt-scan", "--config", str(cfg)]) == 1
+
+
+class TestOutputPrefix:
+    """A prefix that cannot take the output fails before any work, without a traceback."""
+
+    CASES = [("scan", SMALL_SCAN, "scan_conjectures"), ("wt-scan", WT_SCAN, "wt_checks")]
+
+    @staticmethod
+    def _no_work(monkeypatch, name):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{name} ran before the output path was checked")
+
+        monkeypatch.setattr(cli, name, fail)
+
+    @pytest.mark.parametrize("command,payload,work", CASES)
+    def test_prefix_under_a_file(self, tmp_path, capsys, monkeypatch, command, payload, work):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        self._no_work(monkeypatch, work)
+        assert main([command, "--config", str(cfg), "--out", "/dev/null/x"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"{command}: --out /dev/null/x: ")
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("command,payload,work", CASES)
+    def test_csv_path_is_a_directory(self, tmp_path, capsys, monkeypatch, command, payload, work):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        (tmp_path / "taken.csv").mkdir()
+        self._no_work(monkeypatch, work)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "taken")]) == 1
+        assert "is a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,payload,work", CASES)
+    def test_missing_directories_are_made(self, tmp_path, command, payload, work):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        prefix = tmp_path / "a" / "b" / "run"
+        assert main([command, "--config", str(cfg), "--out", str(prefix)]) == 0
+        assert (tmp_path / "a" / "b" / "run.csv").is_file()
 
 
 class TestProcess:

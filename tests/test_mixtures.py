@@ -146,6 +146,36 @@ class TestRatios:
             assert np.array_equal(ratios[i], one_ratios)
             assert np.array_equal(many[i], log_density(mix, float(t), y))
 
+    @pytest.mark.parametrize("components", [1, 2, 3, 16])
+    @pytest.mark.parametrize("block_pairs", [8192, 40])
+    def test_a_time_per_node_equals_one_time_per_call(self, monkeypatch, components, block_pairs):
+        # a small block budget cuts the nodes of one job across many blocks
+        monkeypatch.setattr(mixtures, "_BLOCK_PAIRS", block_pairs)
+        rng = np.random.default_rng(components + 20)
+        mix = GaussianMixture.create(
+            zip(
+                rng.dirichlet(np.ones(components)),
+                rng.uniform(-20, 20, components),
+                rng.uniform(0.01, 1, components),
+            )
+        )
+        y = np.linspace(-30.0, 30.0, 4099)
+        ts = np.array([0.05, 0.3, 2.0, 17.0])
+        jobs = np.sort(rng.integers(0, 4, y.size))
+        lf, ratios = log_density_and_ratios(mix, ts, y, 6, jobs)
+        assert lf.shape == (y.size,) and ratios.shape == (7, y.size)
+        # a row of three times per job
+        rows = rng.uniform(0.01, 5.0, (4, 3))
+        many = log_density(mix, rows, y, jobs)
+        assert many.shape == (3, y.size)
+        for j, t in enumerate(ts):
+            mine = jobs == j
+            one_lf, one_ratios = log_density_and_ratios(mix, float(t), y[mine], 6)
+            assert np.array_equal(lf[mine], one_lf)
+            assert np.array_equal(ratios[:, mine], one_ratios)
+            for k in range(3):
+                assert np.array_equal(many[k, mine], log_density(mix, rows[j, k], y[mine]))
+
     def test_times_must_be_a_vector_of_nonnegatives(self):
         y = np.linspace(-1.0, 1.0, 5)
         with pytest.raises(ValueError, match="1-D"):

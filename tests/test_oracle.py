@@ -25,7 +25,7 @@ from heatcalc.oracle import (
     wt_checks,
     wt_to_csv,
 )
-from heatcalc.quadrature import QuadratureNonConvergence, adaptive_quad, build_mesh
+from heatcalc.quadrature import QuadratureNonConvergence, adaptive_quad, build_mesh, refine
 from heatcalc.reduction import entropy_derivative
 from heatcalc.terms import Combination, d_dy, make_monomial
 
@@ -162,34 +162,52 @@ class TestFiniteDifferences:
 
 class TestKernelCalls:
     """Mixture-kernel calls are deterministic, so a second pass over a mesh
-    or a return to one call per panel fails here without any timing."""
+    or a return to one call per panel or per flow time fails here without
+    any timing."""
 
-    def test_scan_row_on_a_gaussian(self, monkeypatch):
+    @staticmethod
+    def _counting(monkeypatch):
         calls = []
 
         def counting(kernel):
             def wrapper(mix, t, y, *args):
-                calls.append((np.size(t), y.size))
+                calls.append((np.shape(t), y.size))
                 return kernel(mix, t, y, *args)
 
             return wrapper
 
         monkeypatch.setattr(oracle, "log_density", counting(oracle.log_density))
-        monkeypatch.setattr(
-            oracle, "log_density_and_ratios", counting(oracle.log_density_and_ratios)
-        )
+        monkeypatch.setattr(oracle, "map_flow", counting(oracle.map_flow))
+        return calls
+
+    def test_scan_row_on_a_gaussian(self, monkeypatch):
+        calls = self._counting(monkeypatch)
         oracle._scan_row_core(GaussianMixture.single(), 1.0, 4, DEFAULT_TOL)
         # every tree and mesh of this row accepts its 8 initial panels, so
-        # each makes two calls: 8 panels, then their 16 halves.  h and
-        # C_1..C_4 share one tree and one call per level.  The fd orders
-        # 1-2 and 3-4 share a step and a reach, so each pair shares one
-        # probe mesh, with its 3 probe times in one call per level, and
-        # one call for its other stencil times: 2 for orders 1-2 and 4
-        # for orders 3-4, whose stencils have 4-5 and 6-7 points.
+        # each forest makes two calls: 8 panels, then their 16 halves.  h
+        # and C_1..C_4 share one tree and one call per level.  The fd
+        # orders 1-2 and 3-4 share a step and a reach, so each pair shares
+        # one probe mesh, with its 3 probe times in one call per level, and
+        # then one call for its other stencil times: 2 for orders 1-2 and
+        # 4 for orders 3-4, whose stencils have 4-5 and 6-7 points.
         panels = 8 * 24
-        tree = [(1, panels), (1, 2 * panels)]
-        probes = [(3, panels), (3, 2 * panels)]
-        assert calls == tree + probes + [(2, panels)] + probes + [(4, panels)]
+        tree = [((1,), panels), ((1,), 2 * panels)]
+        probes = [((1, 3), panels), ((1, 3), 2 * panels)]
+        rest = [((1, 2), panels), ((1, 4), panels)]
+        assert calls == tree + probes + probes + rest
+
+    def test_40_points_make_the_calls_of_3(self, monkeypatch):
+        # a forest takes up to 40 flow times, one job each, and each level
+        # of each forest is one call for all of them
+        calls = self._counting(monkeypatch)
+        layouts = []
+        for points in (3, 40):
+            del calls[:]
+            scan_conjectures(GaussianMixture.single(), time_grid(0.3, 5.0, points), 4)
+            layouts.append([(shape[1:], nodes // points) for shape, nodes in calls])
+            assert [shape[0] for shape, _ in calls] == [points] * len(calls)
+        assert layouts[0] == layouts[1]
+        assert len(layouts[0]) == 8
 
 
 class TestSharedEvaluation:
@@ -228,6 +246,59 @@ class TestSharedEvaluation:
         assert len(messages[0]) == (1 if case == "wide" else 0)
         assert entropy(mix, t) == shared[0].value
         assert functional(entropy_derivative(3), mix, t) == shared[3].value
+
+    @pytest.mark.parametrize("case", ["bimodal", "wide"])
+    def test_scan_forest_equals_one_job_each(self, case):
+        # the scan's forest against the one-job quadratures of one flow
+        # time at a time: every value, error, flag and warning, in order
+        if case == "bimodal":
+            mix, ts = BIMODAL_MIXTURE, [0.05, 0.3, 1.0, 12.0]
+        else:
+            mix, ts = wide_mixture(), list(time_grid(0.1, 100.0, 12, "log")[:4])
+        plans = [oracle._fd_plan(mix, t, range(1, 5), None) for t in ts]
+        forests = [oracle._flow_forest(mix, ts, self.ROW), *oracle._fd_forests(mix, plans)]
+        with warnings.catch_warnings(record=True) as forest_events:
+            warnings.simplefilter("always")
+            flows, *meshes = refine(forests, DEFAULT_TOL)
+        alone = []
+        with warnings.catch_warnings(record=True) as alone_events:
+            warnings.simplefilter("always")
+            for t, groups in zip(ts, plans):
+                a, b = mix.support_interval(t)
+                row = adaptive_quad(oracle._flow_integrand(mix, t, self.ROW), a, b)
+                probed = []
+                for g in groups:
+                    probes = oracle._entropy_integrand(mix, np.array(g.probes))
+                    probes.labels = (f"fd probes at t={float(t)!r}",) * 3
+                    probed.append(build_mesh([probes], *g.span, DEFAULT_TOL))
+                alone.append((row, probed))
+        for j, (row, probed) in enumerate(alone):
+            assert flows[j] == row
+            for by_time, mesh in zip(meshes, probed):
+                assert by_time[j] == mesh and by_time[j].totals == mesh.totals
+        messages = [
+            [str(w.message) for w in events if w.category is QuadratureNonConvergence]
+            for events in (forest_events, alone_events)
+        ]
+        assert messages[0] == messages[1]
+        if case == "wide":
+            # the 16-component scan's three C_4 trees that stop short
+            panels = [m.split(" at ")[-1].split(" panels")[0] for m in messages[0]]
+            assert panels == ["209", "259", "113"]
+            assert [r.converged for r in flows[0]] == [True] * 4 + [False]
+        else:
+            assert messages[0] == []
+        assert oracle._fd_finish(mix, plans, meshes, DEFAULT_TOL) == [
+            fd_entropy_derivs(mix, t, range(1, 5)) for t in ts
+        ]
+
+    def test_converged_flag_follows_the_tree(self):
+        # at t = 0.1 the 16-component draw's C_4 tree hits the depth limit
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            results = oracle._flow_results(wide_mixture(), 0.1, self.ROW, DEFAULT_TOL)
+        assert [r.converged for r in results] == [True, True, True, True, False]
+        assert oracle.entropy_result(BIMODAL_MIXTURE, 1.0).converged
 
     @pytest.mark.parametrize("t", [0.05, 0.7, 12.0])
     def test_fd_orders_together_equal_each_alone(self, t):

@@ -172,3 +172,90 @@ def test_build_mesh_rows_share_the_joint_test():
     assert mesh.panels == alone.panels
     assert mesh.totals == alone.totals
     assert mesh.integrate(rows) == tuple(mesh.integrate(fn) for fn in rows.singles)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def test_batched_panel_sums_have_the_bits_of_per_panel_dot():
+    # 20,000 panels whose values span 1e-30 to 1e5, within and across panels
+    rng = np.random.default_rng(11)
+    _, weights = quadrature._gl_rule(24)
+    vals = rng.standard_normal((4, 5000, 24)) * 10.0 ** rng.uniform(-30, 5, (4, 5000, 1))
+    vals *= 10.0 ** rng.uniform(-2, 2, vals.shape)
+    radii = rng.uniform(1e-3, 3.0, 5000)
+
+    def per_panel(radii, vals):
+        return [[r * float(weights.dot(row)) for r, row in zip(radii, rows)] for rows in vals]
+
+    batched = quadrature._rule_sums(radii, vals, weights)
+    assert np.array_equal(_bits(batched), _bits(per_panel(radii, vals)))
+    # picked or strided panels sum as they do in place
+    picks = np.sort(rng.choice(5000, 700, replace=False))
+    picked = quadrature._rule_sums(radii[picks], vals[:, picks], weights)
+    assert np.array_equal(_bits(picked), _bits(batched[:, picks]))
+    assert np.array_equal(
+        _bits(quadrature._rule_sums(radii[::3], vals[:, ::3], weights)), _bits(batched[:, ::3])
+    )
+
+
+def test_segment_sums_add_left_to_right():
+    rng = np.random.default_rng(2)
+    values = rng.standard_normal(3000) * 10.0 ** rng.uniform(-12, 12, 3000)
+    segments = rng.integers(0, 40, 3000)
+    totals = quadrature._sequential_sums(values, segments, 41)
+    for k in range(41):
+        assert _bits(totals[k]) == _bits(quadrature._plain_sum(values[segments == k].tolist()))
+        cumulative = np.cumsum(np.concatenate([[0.0], values[segments == k]]))[-1]
+        assert _bits(totals[k]) == _bits(cumulative)
+
+
+def _gaussian_rows(variances):
+    """A forest integrand: job j's two rows are Gaussians of variance v_j and v_j / 3."""
+    variances = np.asarray(variances)
+
+    def fn(y, jobs):
+        v = np.stack([variances[jobs], variances[jobs] / 3.0])
+        return np.exp(-0.5 * y * y / v) / np.sqrt(2.0 * math.pi * v)
+
+    return fn
+
+
+def _one(var):
+    def fn(y):
+        return _gaussian_rows([var])(y, np.zeros(y.size, dtype=np.intp))
+
+    fn.labels = (f"var {var}", f"var {var} / 3")
+    return fn
+
+
+@pytest.mark.parametrize("max_depth", [24, 3])
+def test_forest_jobs_equal_one_job_each(max_depth):
+    # at depth 3 the narrow jobs stop unconverged, with different panel counts
+    variances = [0.02, 3e-4, 1.0, 1e-5]
+    spans = [(-12.0, 12.0), (-10.0, 14.0), (-30.0, 30.0), (-12.0, 12.0)]
+    labels = [(f"var {v}", f"var {v} / 3") for v in variances]
+    forests = [
+        quadrature.Forest(_gaussian_rows(variances), spans, False, labels),
+        quadrature.Forest(_gaussian_rows(variances), spans, True, labels),
+    ]
+    together, together_events = _nonconverged(
+        lambda: quadrature.refine(forests, max_depth=max_depth)
+    )
+    alone, alone_events = _nonconverged(
+        lambda: [
+            (
+                adaptive_quad(_one(v), a, b, max_depth=max_depth),
+                build_mesh([_one(v)], a, b, max_depth=max_depth),
+            )
+            for v, (a, b) in zip(variances, spans)
+        ]
+    )
+    # events job by job, and within a job forest by forest
+    assert together_events == alone_events
+    assert len(together_events) == (6 if max_depth == 3 else 0)
+    for j, (results, mesh) in enumerate(alone):
+        assert together[0][j] == results
+        assert together[1][j] == mesh and together[1][j].totals == mesh.totals
+        assert [r.converged for r in results] == [max_depth == 24 or variances[j] > 1e-3] * 2
