@@ -10,6 +10,11 @@ probabilists' Hermite polynomials,
 and ratios are computed as posterior-weighted averages of per-component
 terms with log-sum-exp weights.  That form never divides by a tiny
 density, which matters for monomials like f1^8/f^7 far into the tails.
+
+There is one kernel, ``map_flow``: it flows each node to its job's time,
+or to each time of its job's row, and hands every block of nodes to an
+epilogue.  ``log_density`` and ``log_density_and_ratios`` are that
+kernel at one flow time.
 """
 
 from __future__ import annotations
@@ -102,54 +107,27 @@ _BLOCK_PAIRS = 8192
 
 
 def log_density_and_ratios(
-    mix: GaussianMixture, t, y: np.ndarray, max_m: int, jobs=None
+    mix: GaussianMixture, t: float, y: np.ndarray, max_m: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """log f(y, t) and the rows m = 0..max_m of f_m(y, t) / f(y, t).
+    """log f(y, t) and the rows m = 0..max_m of f_m(y, t) / f(y, t) at one flow time t.
 
     Both come from one per-component log-pdf log(w_i phi_i(y)).  Row 0 is
     all ones; row m is the posterior-weighted average of the per-component
     ratio (-1)^m He_m(z_i) / s_i^(m/2), so no explicit density quotient
-    appears.
-
-    ``t`` may be a 1-D array of flow times: both outputs then gain a
-    leading axis with one entry per t.  With ``jobs``, node i is flowed to
-    ``t[jobs[i]]`` instead (see ``map_flow``).  Either way each value is,
-    to the bit, what its time alone gives.
+    appears.  ``map_flow`` takes many flow times in one call.
     """
-    out = _flow(mix, t, y, max_m, jobs, _with_ratios)
-    if jobs is None and np.ndim(t) == 1:
-        return out[0], np.ascontiguousarray(out[1:].swapaxes(0, 1))
+    if np.ndim(t):
+        raise ValueError("t must be a number; map_flow takes arrays of times")
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    out = map_flow(
+        mix, [t], y, np.zeros(y.size, np.intp), max_m, lambda lf, r: np.concatenate([lf[None], r])
+    )
     return out[0], out[1:]
 
 
-def log_density(mix: GaussianMixture, t, y: np.ndarray, jobs=None) -> np.ndarray:
-    """log f(y, t) at flow time t >= 0; see ``log_density_and_ratios`` for arrays of t."""
-    return _flow(mix, t, y, 0, jobs, _log_only)[0]
-
-
-def _with_ratios(lf: np.ndarray, ratios: np.ndarray) -> np.ndarray:
-    return np.concatenate([lf[None], ratios])
-
-
-def _log_only(lf: np.ndarray, ratios: np.ndarray) -> np.ndarray:
-    return lf[None]
-
-
-def _flow(mix: GaussianMixture, t, y, max_m: int, jobs, fn) -> np.ndarray:
-    """``map_flow`` for one time, a time per node, or every node at each of several times."""
-    ts = np.asarray(t, dtype=float)
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if jobs is not None:
-        return map_flow(mix, ts, y, jobs, max_m, fn)
-    if ts.ndim > 1:
-        raise ValueError("t must be a number or a 1-D array")
-    if ts.ndim == 1 and y.size == 1:
-        # a one-node block sums its components in another order (see
-        # map_flow), so each time keeps a call of its own
-        return np.stack([_flow(mix, tv, y, max_m, None, fn) for tv in ts], 1)
-    # every node at each time: one job whose row holds all the times
-    times = ts.reshape(1, -1) if ts.ndim else ts.reshape(1)
-    return map_flow(mix, times, y, np.zeros(y.size, np.intp), max_m, fn)
+def log_density(mix: GaussianMixture, t: float, y: np.ndarray) -> np.ndarray:
+    """log f(y, t) at one flow time t >= 0."""
+    return log_density_and_ratios(mix, t, y, 0)[0]
 
 
 def map_flow(

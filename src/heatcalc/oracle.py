@@ -14,6 +14,13 @@ power, the interpolation W_t = sqrt(t) X + sqrt(1-t) Z).  Sign verdicts
 are three-sigma style: a check passes or fails only when the value clears
 the estimated numeric error by a factor of three, and is otherwise
 reported as inconclusive rather than asserted.
+
+A scan refines its flow times in batches, each one bisection forest: per
+flow time one tree for h and C_1..C_4, and one probe mesh per fd stencil
+reach, on which the reach's other stencil entropies are then integrated.
+Every density evaluation is one ``mixtures.map_flow`` call with an
+epilogue from ``_flow_rows``, so h and the fd entropies share one
+-f log f.
 """
 
 from __future__ import annotations
@@ -26,12 +33,15 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .mixtures import GaussianMixture, log_density, map_flow
+from .mixtures import GaussianMixture, map_flow
 from .quadrature import Forest, Mesh, QuadResult, integrate, refine
 from .reduction import entropy_derivative
 from .terms import Combination
 
 DEFAULT_TOL = 1e-11
+
+# the entropy integrand -f log f as a quantity of ``_flow_rows``
+_ENTROPY = [("h", None)]
 
 
 class FdAccuracyWarning(UserWarning):
@@ -43,27 +53,18 @@ class FdAccuracyWarning(UserWarning):
 # ---------------------------------------------------------------------------
 
 
-def _entropy_integrand(mix: GaussianMixture, t) -> Callable[[np.ndarray], np.ndarray]:
-    """-f log f at flow time t; one row per t for a 1-D array of times."""
-
-    def fn(y: np.ndarray) -> np.ndarray:
-        lf = log_density(mix, t, y)
-        return -np.exp(lf) * lf
-
-    return fn
-
-
 def _flow_rows(
     mix: GaussianMixture,
-    ts: Sequence[float],
+    ts: Sequence,
     quantities: Sequence[Tuple[str, Optional[Combination]]],
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """One row per named quantity, node i at flow time ``ts[jobs[i]]``, from one kernel call.
 
     A quantity without a combination is the entropy integrand -f log f;
     the others are their combination evaluated on the flowed density.
-    Each value is computed exactly as it would be on its own, so sharing
-    the kernel call changes no bit.
+    With a row of k times per job (``ts[j]`` a sequence) each quantity
+    has k rows, one per time.  Each value is computed exactly as it would
+    be on its own, so sharing the kernel call changes no bit.
     """
     combs = [
         None if comb is None else [(mono.exps, float(coeff)) for mono, coeff in comb.items()]
@@ -75,7 +76,7 @@ def _flow_rows(
     def rows(lf: np.ndarray, ratios: np.ndarray) -> np.ndarray:
         f = np.exp(lf)
         powers = {}  # each power of a ratio once per block
-        out = np.empty((len(combs), lf.size))
+        out = np.empty((len(combs),) + lf.shape)
         for row, items in zip(out, combs):
             if items is None:
                 row[:] = -f * lf
@@ -89,7 +90,7 @@ def _flow_rows(
                     term *= powers[m, k]
                 acc += term
             row[:] = f * acc
-        return out
+        return out.reshape(-1, lf.shape[-1])
 
     def fn(y: np.ndarray, jobs: np.ndarray) -> np.ndarray:
         return map_flow(mix, times, y, jobs, max_m, rows)
@@ -263,141 +264,118 @@ def fd_entropy_derivs(
 ) -> Dict[int, Tuple[float, float]]:
     """``fd_entropy_deriv_result`` of several orders, sharing their evaluations.
 
-    An order's mesh depends only on its step and its stencil's reach: it
+    An order's step and mesh depend only on its stencil's reach: the mesh
     is refined for the entropies at the probe times t - reach * step, t
-    and t + reach * step.  Orders that share both share one mesh, built
-    once.  The probes' entropies come from one multi-t kernel call per
-    refinement level, all other stencil points of the group from one more
+    and t + reach * step.  Orders of one reach share one mesh, built once.
+    The probes' entropies come from one multi-t kernel call per
+    refinement level, all other stencil points of the reach from one more
     call, and each order's result is bit for bit what it gives alone.
     """
-    plans = [_fd_plan(mix, t, orders, step)]
+    plans = _fd_plans(mix, [t], orders, step)
+    if not plans:
+        return {}
     return _fd_finish(mix, plans, refine(_fd_forests(mix, plans), tol), tol)[0]
 
 
 @dataclass(frozen=True)
-class _FdGroup:
-    """The orders of one flow time that share a step and a reach, and so one probe mesh."""
+class _FdPlan:
+    """The fd orders of one stencil reach, over the flow times of a batch.
 
-    t: float
-    h: float
+    Stencil points are offsets from t in units of h/2.  Each flow time
+    has one probe mesh, refined jointly for its entropies at the probe
+    offsets (the first, 0 and the last); the other offsets are integrated
+    on it.  Offsets whose times round to the same float get the same bits.
+    """
+
     orders: Tuple[int, ...]
-    probes: Tuple[float, float, float]
-    rest: Tuple[float, ...]  # the other stencil times
-    span: Tuple[float, float]
+    offsets: Tuple[int, ...]  # the union of the orders' stencil offsets
+    ts: Tuple[float, ...]
+    steps: Tuple[float, ...]  # h, one per flow time
+
+    @property
+    def probes(self) -> Tuple[int, int, int]:
+        return self.offsets[0], 0, self.offsets[-1]
+
+    def times(self, offsets: Sequence[int]) -> List[List[float]]:
+        """Per flow time, the stencil times at these offsets."""
+        return [[t + off * (h / 2.0) for off in offsets] for t, h in zip(self.ts, self.steps)]
 
 
-def _stencil_times(t: float, h: float, n: int) -> Dict[int, float]:
-    """Order n's stencil times, keyed by their offset from t in units of h/2."""
-    return {off: t + off * (h / 2.0) for off in _stencil_offsets(n)}
+def _fd_plans(
+    mix: GaussianMixture, ts: Sequence[float], orders: Sequence[int], step: Optional[float]
+) -> List[_FdPlan]:
+    """One plan per stencil reach, in the order the orders first reach it.
 
-
-def _fd_plan(
-    mix: GaussianMixture, t: float, orders: Sequence[int], step: Optional[float]
-) -> List[_FdGroup]:
-    """The fd groups of flow time t, in the order their orders first appear."""
-    keys: Dict[Tuple[float, int], List[int]] = {}
+    ``default_fd_step`` depends on the order only through its reach, so
+    the orders of one reach share their step at every flow time.
+    """
+    by_reach: Dict[int, List[int]] = {}
     for n in orders:
         if n < 1:
             raise ValueError("derivative order must be >= 1")
-        h = default_fd_step(mix, t, n) if step is None else float(step)
-        reach = _stencil_reach(n)
-        if h <= 0 or t - reach * h <= 0:
-            raise ValueError(f"step {h} reaches t <= 0 for order {n} at t = {t}")
-        keys.setdefault((h, reach), []).append(n)
-    groups = []
-    for (h, _), ns in keys.items():
-        t_values = [tv for n in ns for tv in _stencil_times(t, h, n).values()]
-        probes = (min(t_values), t, max(t_values))
-        # t itself is a stencil point at even orders only
-        rest = tuple(sorted(set(t_values) - set(probes)))
-        span = mix.support_interval(max(t_values))
-        groups.append(_FdGroup(t, h, tuple(ns), probes, rest, span))
-    return groups
+        by_reach.setdefault(_stencil_reach(n), []).append(n)
+    plans = []
+    for reach, ns in by_reach.items():
+        steps = [default_fd_step(mix, t, ns[0]) if step is None else float(step) for t in ts]
+        for t, h in zip(ts, steps):
+            if h <= 0 or t - reach * h <= 0:
+                raise ValueError(f"step {h} reaches t <= 0 for order {ns[0]} at t = {t}")
+        offsets = sorted({off for n in ns for off in _stencil_offsets(n)})
+        plans.append(_FdPlan(tuple(ns), tuple(offsets), tuple(ts), tuple(steps)))
+    return plans
 
 
-def _entropy_rows(
-    mix: GaussianMixture, times: Sequence[Sequence[float]]
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """-f log f with row r of job j at flow time ``times[j][r]``, from one kernel call."""
-    times = np.array(times, dtype=float)
-
-    def fn(y: np.ndarray, jobs: np.ndarray) -> np.ndarray:
-        lf = log_density(mix, times, y, jobs)
-        # -exp(lf) * lf, in place, a row at a time: one row of temporary
-        # instead of a copy of all rows
-        f = np.empty(y.size)
-        for row in lf.reshape(-1, y.size):
-            np.negative(np.exp(row, out=f), out=f)
-            row *= f
-        return lf
-
-    return fn
-
-
-def _fd_forests(mix: GaussianMixture, plans: Sequence[List[_FdGroup]]) -> List[Forest]:
-    """Per fd group, the probe meshes of every flow time.
-
-    Each mesh is refined jointly for its three probe entropies.  Every
-    flow time has the same groups, one per stencil reach.
-    """
-    return [
-        Forest(
-            _entropy_rows(mix, [g.probes for g in groups]),
-            [g.span for g in groups],
-            joint=True,
-            labels=[(f"fd probes at t={float(g.t)!r}",) * 3 for g in groups],
+def _fd_forests(mix: GaussianMixture, plans: Sequence[_FdPlan]) -> List[Forest]:
+    """Per plan, the probe meshes of every flow time."""
+    forests = []
+    for plan in plans:
+        probes = plan.times(plan.probes)
+        forests.append(
+            Forest(
+                _flow_rows(mix, probes, _ENTROPY),
+                [mix.support_interval(times[-1]) for times in probes],
+                joint=True,
+                labels=[(f"fd probes at t={float(t)!r}",) * 3 for t in plan.ts],
+            )
         )
-        for groups in zip(*plans)
-    ]
+    return forests
 
 
 def _fd_finish(
     mix: GaussianMixture,
-    plans: Sequence[List[_FdGroup]],
+    plans: Sequence[_FdPlan],
     meshes: Sequence[Sequence[Mesh]],
     tol: float,
 ) -> List[Dict[int, Tuple[float, float]]]:
-    """Each flow time's fd results from its groups' probe meshes (one list per group).
+    """Each flow time's fd results from the probe meshes of each plan.
 
-    The probes' entropies come with the meshes; the other stencil times of
-    all flow times are integrated on their meshes in one call per group.
+    The probes' entropies come with the meshes; the other offsets of all
+    flow times are integrated on their meshes in one call per plan.
     """
-    entropies = [
-        [dict(zip(g.probes, mesh.totals)) for g, mesh in zip(groups, by_group)]
-        for groups, by_group in zip(plans, zip(*meshes))
-    ]
-    for k, by_time in enumerate(meshes):
-        # one call per group: all its flow times have the same number of
-        # other stencil times, unless a step below the float spacing near
-        # t merges some of them
-        counts: Dict[int, List[int]] = {}
-        for i, groups in enumerate(plans):
-            counts.setdefault(len(groups[k].rest), []).append(i)
-        for count, which in counts.items():
-            if count:
-                rest = [plans[i][k].rest for i in which]
-                totals = integrate([by_time[i] for i in which], _entropy_rows(mix, rest))
-                for i, tvs, values in zip(which, rest, totals):
-                    entropies[i][k].update(zip(tvs, values))
-    results = []
-    for groups, found in zip(plans, entropies):
-        out = {}
-        for g, h_of in zip(groups, found):
-            h, half = g.h, g.h / 2.0
-            for n in g.orders:
-                stencil = _central_stencil(n)
-                h_at = {off: h_of[tv] for off, tv in _stencil_times(g.t, h, n).items()}
-                coarse = sum(c * h_at[2 * off] for off, c in stencil) / h**n
-                fine = sum(c * h_at[off] for off, c in stencil) / half**n
-                value = (4.0 * fine - coarse) / 3.0
-
-                coeff_l1 = sum(abs(c) for _, c in stencil)
-                eval_noise = tol + 1e-15 * max(abs(v) for v in h_at.values())
-                roundoff = coeff_l1 * eval_noise * (1.0 / h**n + 4.0 / half**n) / 3.0
-                error = abs(fine - coarse) / 3.0 + roundoff
-                out[n] = (value, error)
-        results.append(out)
+    results: List[Dict[int, Tuple[float, float]]] = [{} for _ in plans[0].ts]
+    for plan, by_time in zip(plans, meshes):
+        rest = [off for off in plan.offsets if off not in plan.probes]
+        others = integrate(by_time, _flow_rows(mix, plan.times(rest), _ENTROPY))
+        for out, h, mesh, more in zip(results, plan.steps, by_time, others):
+            h_at = {**dict(zip(plan.probes, mesh.totals)), **dict(zip(rest, more))}
+            for n in plan.orders:
+                out[n] = _richardson(n, h, h_at, tol)
     return results
+
+
+def _richardson(n: int, h: float, h_at: Dict[int, float], tol: float) -> Tuple[float, float]:
+    """Order n's (value, error) from the entropies at its stencil offsets, in units of h/2."""
+    stencil = _central_stencil(n)
+    half = h / 2.0
+    coarse = sum(c * h_at[2 * off] for off, c in stencil) / h**n
+    fine = sum(c * h_at[off] for off, c in stencil) / half**n
+    value = (4.0 * fine - coarse) / 3.0
+
+    coeff_l1 = sum(abs(c) for _, c in stencil)
+    eval_noise = tol + 1e-15 * max(abs(h_at[off]) for off in _stencil_offsets(n))
+    roundoff = coeff_l1 * eval_noise * (1.0 / h**n + 4.0 / half**n) / 3.0
+    error = abs(fine - coarse) / 3.0 + roundoff
+    return value, error
 
 
 def fd_entropy_deriv(
@@ -534,12 +512,10 @@ class ScanResult:
         """Both curvature signs present, each clearing its noise estimate."""
         return _has_both_signs((r.invJ_dd, r.invJ_dd_err) for r in self.rows)
 
-    def logJ_convexity_violations(self, tol: float = 0.0) -> int:
-        count = 0
-        for r in self.rows:
-            if math.isfinite(r.logJ_dd) and r.logJ_dd < -(tol + 3.0 * r.logJ_dd_err):
-                count += 1
-        return count
+    def logJ_convexity_violations(self) -> int:
+        return sum(
+            1 for r in self.rows if math.isfinite(r.logJ_dd) and r.logJ_dd < -3.0 * r.logJ_dd_err
+        )
 
 
 _SYM_ORDERS = 4
@@ -561,21 +537,21 @@ def _scan_rows(
     """The scan's rows before the grid-level verdicts, from bisection forests.
 
     Each flow time has one tree for h and C_1..C_4, on which each quantity
-    accepts its own panels, and one probe mesh per fd group.  A batch of
-    ``_FOREST_TIMES`` flow times is one forest: every level of all its
-    trees is refined together, and the other fd stencil times are then
-    integrated on the probe meshes in one call per group.
+    accepts its own panels, and one probe mesh per fd stencil reach.  A
+    batch of ``_FOREST_TIMES`` flow times is one forest: every level of
+    all its trees is refined together, and the other fd stencil times are
+    then integrated on the probe meshes in one call per reach.
     """
     sym_orders = min(_SYM_ORDERS, max_order)
     # h and C_1 (which integrates to J) always; C_2..C_4 as the orders ask
-    quantities = [("h", None)] + [
+    quantities = _ENTROPY + [
         (f"C_{n}", entropy_derivative(n)) for n in range(1, max(sym_orders, 1) + 1)
     ]
     # J' needs order 2, from the fd route when the symbolic one stops at 1
     fd_orders = range(1, max(max_order, 2) + 1)
     rows = []
     for batch in _batches(ts):
-        plans = [_fd_plan(mix, t, fd_orders, None) for t in batch]
+        plans = _fd_plans(mix, batch, fd_orders, None)
         forests = [_flow_forest(mix, batch, quantities), *_fd_forests(mix, plans)]
         flows, *meshes = refine(forests, tol)
         for t, (h_res, *sym), fd in zip(batch, flows, _fd_finish(mix, plans, meshes, tol)):
@@ -614,10 +590,11 @@ def scan_conjectures(
     """Evaluate the sign conjectures on a t-grid.
 
     Asserted per row (never on inconclusive data): the derivative signs
-    alternate starting positive, the entropy power has nonpositive
-    curvature, and -J' >= J^2.  The curvatures of log J and 1/J are
-    recorded; 1/J is expected to show both signs for well-separated
-    mixtures and gets no verdict.
+    alternate starting positive, and -J' >= J^2, which is also the
+    concavity of the entropy power, since (e^{2h})'' = e^{2h} (J^2 + J').
+    The curvatures of log J, 1/J and e^{2h} along the grid are recorded
+    without a verdict; 1/J is expected to show both signs for
+    well-separated mixtures.
     """
     ts = [float(t) for t in t_grid]
     if any(t <= 0 for t in ts) or sorted(ts) != ts:
@@ -667,10 +644,9 @@ def scan_conjectures(
         row.sign_status = tuple(status)
         row.signs_ok = ok
 
-        costa_ok = row.costa_margin >= -3.0 * row.costa_margin_err
-        if math.isfinite(row.e2h_dd):
-            costa_ok = costa_ok and row.e2h_dd <= 3.0 * row.e2h_dd_err
-        row.costa_ok = costa_ok
+        # (e^{2h})'' = e^{2h} (J^2 + J') makes this the entropy-power
+        # concavity too; e2h_dd is its grid cross-check and gets no verdict
+        row.costa_ok = row.costa_margin >= -3.0 * row.costa_margin_err
 
     return ScanResult(mix, max_order, rows)
 
@@ -732,10 +708,9 @@ class WtReport:
     mixture: GaussianMixture
     rows: List[WtRow]
 
-    def concavity_ok(self, tol: float = 1e-8) -> bool:
+    def concavity_ok(self) -> bool:
         return all(
-            not math.isfinite(r.hW_dd) or r.hW_dd <= tol + 3.0 * r.hW_dd_err
-            for r in self.rows
+            not math.isfinite(r.hW_dd) or r.hW_dd <= 1e-8 + 3.0 * r.hW_dd_err for r in self.rows
         )
 
     def txz_ok(self) -> bool:

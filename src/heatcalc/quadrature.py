@@ -46,8 +46,14 @@ class QuadratureNonConvergence(UserWarning):
     """Adaptive refinement hit its depth or panel limit before the tolerance."""
 
 
-# the defaults of build_mesh, and what adaptive_quad uses
+# Gauss-Legendre nodes per panel, and the panels of a tree before bisection
+_ORDER = 24
+_INITIAL_PANELS = 8
+# a panel whose rules agree within this share of its own magnitude is
+# accepted: refining further would only chase roundoff
 _REL_FLOOR = 5e-15
+# a tree's limits by default (adaptive_quad always uses _MAX_PANELS)
+_MAX_DEPTH = 24
 _MAX_PANELS = 16384
 # abscissae per integrand call; a level of a forest takes as many calls as
 # it has chunks, and a call's temporaries stay at a few MiB
@@ -101,20 +107,11 @@ def _evaluate(
 def _sequential_sums(values: np.ndarray, segments: np.ndarray, count: int) -> np.ndarray:
     """Each segment's sum, adding its values from 0.0 in the order given.
 
-    The same bits as ``_plain_sum`` of each segment (so ``np.add.reduceat``,
-    which sums pairwise, would not do): the k-th values of all segments
-    are added in one step.
+    ``np.add.at`` adds unbuffered, one value at a time in index order, so
+    each segment gets the bits of ``_plain_sum``.
     """
     totals = np.zeros(count)
-    order = np.argsort(segments, kind="stable")
-    starts = np.searchsorted(segments[order], np.arange(count))
-    position = np.empty(values.size, dtype=np.intp)
-    position[order] = np.arange(values.size) - starts[segments[order]]
-    by_position = order[np.argsort(position[order], kind="stable")]
-    edges = np.searchsorted(position[by_position], np.arange(position.max(initial=-1) + 2))
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        take = by_position[lo:hi]
-        totals[segments[take]] += values[take]
+    np.add.at(totals, segments, values)
     return totals
 
 
@@ -173,20 +170,12 @@ def _per_tree(mask: np.ndarray, jobs: np.ndarray, count: int) -> np.ndarray:
     return np.bincount(trees[mask], minlength=mask.shape[0] * count).reshape(-1, count)
 
 
-def _bisect(
-    forest: Forest,
-    tol: float,
-    order: int,
-    initial_panels: int,
-    max_depth: int,
-    rel_floor: float,
-    max_panels: int,
-) -> _Bisected:
+def _bisect(forest: Forest, tol: float, max_depth: int, max_panels: int) -> _Bisected:
     """Bisect every tree of every job of the forest, one level at a time.
 
     A tree accepts a panel when, for each of its rows, the whole-panel
     rule and the two half-panel rules agree within the panel's share of
-    ``tol`` or within ``rel_floor`` of the panel's own magnitude -- large
+    ``tol`` or within ``_REL_FLOOR`` of the panel's own magnitude -- large
     integrals stop refining at machine precision instead of chasing an
     absolute target below roundoff.  Every abscissa is evaluated once: a
     child panel's whole-panel value is its parent's half-panel value.
@@ -196,15 +185,15 @@ def _bisect(
     accepts exactly the panels it would accept refined alone.  A level
     whose splits would take a tree past ``max_panels`` accepts its open
     panels unconverged instead, so no tree has more than
-    ``max(max_panels, initial_panels)`` panels.
+    ``max(max_panels, _INITIAL_PANELS)`` panels.
     """
     spans = np.array(forest.spans, dtype=float).reshape(-1, 2)
     count = len(spans)
     a, width = spans[:, 0], spans[:, 1] - spans[:, 0]
-    edges = a[:, None] + width[:, None] * np.arange(initial_panels + 1) / initial_panels
+    edges = a[:, None] + width[:, None] * np.arange(_INITIAL_PANELS + 1) / _INITIAL_PANELS
     lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
-    job = np.repeat(np.arange(count), initial_panels)
-    wholes, _ = _evaluate(forest.fn, lo, hi, job, order, magnitudes=False)
+    job = np.repeat(np.arange(count), _INITIAL_PANELS)
+    wholes, _ = _evaluate(forest.fn, lo, hi, job, _ORDER, magnitudes=False)
     rows = len(wholes)
     trees = 1 if forest.joint else rows
     open_ = np.ones((trees, lo.size), dtype=bool)
@@ -215,13 +204,13 @@ def _bisect(
     while lo.size:
         mid = 0.5 * (lo + hi)
         half_lo, half_hi = np.stack([lo, mid], 1).ravel(), np.stack([mid, hi], 1).ravel()
-        sums, mags = _evaluate(forest.fn, half_lo, half_hi, np.repeat(job, 2), order)
+        sums, mags = _evaluate(forest.fn, half_lo, half_hi, np.repeat(job, 2), _ORDER)
         halves = sums[:, 0::2] + sums[:, 1::2]
         # the L1 magnitude sets the roundoff floor: when the integrand
         # cancels within a panel, refinement below eps * magnitude only
         # chases noise
         magnitude = mags[:, 0::2] + mags[:, 1::2]
-        floor = rel_floor * np.maximum(np.maximum(np.abs(wholes), np.abs(halves)), magnitude)
+        floor = _REL_FLOOR * np.maximum(np.maximum(np.abs(wholes), np.abs(halves)), magnitude)
         local_tol = tol * (hi - lo) / width[job]
         bad = np.abs(wholes - halves) > np.maximum(np.maximum(local_tol, floor), 1e-300)
         ok = ~bad.any(axis=0, keepdims=True) if forest.joint else ~bad
@@ -283,7 +272,7 @@ class Mesh:
     """
 
     panels: Tuple[Tuple[float, float], ...]
-    order: int = 24
+    order: int = _ORDER
     totals: Tuple[float, ...] = field(default=(), compare=False, repr=False)
 
     def integrate(self, fn: Integrand) -> Union[float, Tuple[float, ...]]:
@@ -325,10 +314,7 @@ class QuadResult:
 def refine(
     forests: Sequence[Forest],
     tol: float = 1e-11,
-    order: int = 24,
-    initial_panels: int = 8,
-    max_depth: int = 24,
-    rel_floor: float = _REL_FLOOR,
+    max_depth: int = _MAX_DEPTH,
     max_panels: int = _MAX_PANELS,
     stacklevel: int = 2,
 ) -> List[List[Union[Mesh, List[QuadResult]]]]:
@@ -341,14 +327,12 @@ def refine(
     ``QuadratureNonConvergence``, in the order in which refining each job
     alone, forest by forest, would warn.
     """
-    bisected = [
-        _bisect(f, tol, order, initial_panels, max_depth, rel_floor, max_panels) for f in forests
-    ]
+    bisected = [_bisect(f, tol, max_depth, max_panels) for f in forests]
     _warn_exhausted(forests, bisected, tol, stacklevel + 1)
-    return [_results(f, b, order) for f, b in zip(forests, bisected)]
+    return [_results(f, b) for f, b in zip(forests, bisected)]
 
 
-def _results(forest: Forest, trees: _Bisected, order: int) -> List[Union[Mesh, List[QuadResult]]]:
+def _results(forest: Forest, trees: _Bisected) -> List[Union[Mesh, List[QuadResult]]]:
     jobs = len(forest.spans)
     segments = trees.job * trees.rows + trees.row
     if forest.joint:
@@ -358,7 +342,7 @@ def _results(forest: Forest, trees: _Bisected, order: int) -> List[Union[Mesh, L
         ends = np.cumsum(trees.counts[0]).tolist()
         panels = list(zip(trees.lo[first].tolist(), trees.hi[first].tolist()))
         return [
-            Mesh(tuple(panels[end - n : end]), order, tuple(total))
+            Mesh(tuple(panels[end - n : end]), _ORDER, tuple(total))
             for n, end, total in zip(trees.counts[0].tolist(), ends, totals)
         ]
     values = _sequential_sums(trees.halves, segments, jobs * trees.rows)
@@ -399,10 +383,7 @@ def build_mesh(
     a: float,
     b: float,
     tol: float = 1e-11,
-    order: int = 24,
-    initial_panels: int = 8,
-    max_depth: int = 24,
-    rel_floor: float = _REL_FLOOR,
+    max_depth: int = _MAX_DEPTH,
     max_panels: int = _MAX_PANELS,
 ) -> Mesh:
     """Bisect panels until every row of every integrand is locally converged.
@@ -411,9 +392,7 @@ def build_mesh(
     so all rows share one mesh (see ``_bisect`` for the test).
     """
     forest, _ = _one_job(integrands, a, b, True)
-    ((mesh,),) = refine(
-        [forest], tol, order, initial_panels, max_depth, rel_floor, max_panels, stacklevel=3
-    )
+    ((mesh,),) = refine([forest], tol, max_depth, max_panels, stacklevel=3)
     return mesh
 
 
@@ -422,9 +401,7 @@ def adaptive_quad(
     a: float,
     b: float,
     tol: float = 1e-11,
-    order: int = 24,
-    initial_panels: int = 8,
-    max_depth: int = 24,
+    max_depth: int = _MAX_DEPTH,
 ) -> Union[QuadResult, List[QuadResult]]:
     """Integrate ``fn`` on [a, b] with an error estimate.
 
@@ -434,7 +411,5 @@ def adaptive_quad(
     warning, is exactly that of the row integrated alone.
     """
     forest, ndims = _one_job([fn], a, b, False)
-    ((results,),) = refine(
-        [forest], tol, order, initial_panels, max_depth, _REL_FLOOR, _MAX_PANELS, stacklevel=3
-    )
+    ((results,),) = refine([forest], tol, max_depth, stacklevel=3)
     return results if max(ndims) > 1 else results[0]

@@ -252,7 +252,7 @@ def test_criterion_9_wt_checks(capsys):
     grid = list(np.linspace(0.05, 0.95, 25))
     gauss = wt_checks(GaussianMixture.single(0.0, 1.0), grid)
     bimodal = wt_checks(BIMODAL_MIXTURE, grid)
-    concave_ok = gauss.concavity_ok(1e-8) and bimodal.concavity_ok(1e-8)
+    concave_ok = gauss.concavity_ok() and bimodal.concavity_ok()
     txz_ok = gauss.txz_ok() and bimodal.txz_ok()
     both = bimodal.jw_dd_has_both_signs()
     ok = concave_ok and txz_ok and both

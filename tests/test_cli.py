@@ -296,6 +296,30 @@ class TestScanCommand:
     def test_missing_config_exit_1(self, tmp_path):
         assert main(["scan", "--config", str(tmp_path / "absent.json")]) == 1
 
+    def test_sharp_gaussian_passes_the_costa_check(self, tmp_path, capsys):
+        # e^{2h} is linear in t for every Gaussian, but its grid second
+        # difference at t = 4.3e-8 clears its own noise bar (1.05e-5
+        # against 2.1e-6); the verdict rests on -J' >= J^2 alone
+        payload = {
+            "mixture": [{"w": 1, "mu": 0, "var": 1e-9}],
+            "t_grid": {"start": 1e-9, "stop": 1e-3, "points": 12, "spacing": "log"},
+            "max_order": 4,
+        }
+        cfg = tmp_path / "sharp.json"
+        cfg.write_text(json.dumps(payload))
+        with pytest.warns(UserWarning):  # some of its meshes stop short
+            rc = main(["scan", "--config", str(cfg), "--out", str(tmp_path / "sharp")])
+        out = capsys.readouterr().out
+        assert "entropy-power/Fisher checks: ok" in out.splitlines()
+        assert rc == 0
+        header, *rows = [
+            line.split(",") for line in (tmp_path / "sharp.csv").read_text().splitlines()
+        ]
+        columns = [dict(zip(header, row)) for row in rows]
+        assert [c["costa_ok"] for c in columns] == ["1"] * 12
+        # the grid cross-check at t = 4.3e-8 still shows the noise that failed it
+        assert float(columns[3]["e2h_dd"]) > 1e-6
+
 
 class TestWtScanCommand:
     def test_wt_scan(self, tmp_path, capsys):

@@ -13,7 +13,17 @@ from heatcalc.mixtures import (
     derivative_ratios,
     log_density,
     log_density_and_ratios,
+    map_flow,
 )
+
+
+def _joined(lf, ratios):
+    """A map_flow epilogue: log f on top of the ratio rows."""
+    return np.concatenate([lf[None], ratios])
+
+
+def _log_f(lf, ratios):
+    return lf
 
 
 class TestConstruction:
@@ -137,13 +147,16 @@ class TestRatios:
         )
         y = np.linspace(-30.0, 30.0, nodes)
         ts = np.array([0.05, 0.3, 2.0])
-        lf, ratios = log_density_and_ratios(mix, ts, y, 4)
-        assert lf.shape == (3, nodes) and ratios.shape == (3, 5, nodes)
-        many = log_density(mix, ts, y)
+        # one job whose row holds all three times
+        one_job = np.zeros(nodes, dtype=np.intp)
+        out = map_flow(mix, ts[None], y, one_job, 4, _joined)
+        assert out.shape == (6, 3, nodes)
+        many = map_flow(mix, ts[None], y, one_job, 0, _log_f)
+        assert many.shape == (3, nodes)
         for i, t in enumerate(ts):
             one_lf, one_ratios = log_density_and_ratios(mix, float(t), y, 4)
-            assert np.array_equal(lf[i], one_lf)
-            assert np.array_equal(ratios[i], one_ratios)
+            assert np.array_equal(out[0, i], one_lf)
+            assert np.array_equal(out[1:, i], one_ratios)
             assert np.array_equal(many[i], log_density(mix, float(t), y))
 
     @pytest.mark.parametrize("components", [1, 2, 3, 16])
@@ -162,26 +175,32 @@ class TestRatios:
         y = np.linspace(-30.0, 30.0, 4099)
         ts = np.array([0.05, 0.3, 2.0, 17.0])
         jobs = np.sort(rng.integers(0, 4, y.size))
-        lf, ratios = log_density_and_ratios(mix, ts, y, 6, jobs)
-        assert lf.shape == (y.size,) and ratios.shape == (7, y.size)
+        out = map_flow(mix, ts, y, jobs, 6, _joined)
+        assert out.shape == (8, y.size)
         # a row of three times per job
         rows = rng.uniform(0.01, 5.0, (4, 3))
-        many = log_density(mix, rows, y, jobs)
+        many = map_flow(mix, rows, y, jobs, 0, _log_f)
         assert many.shape == (3, y.size)
         for j, t in enumerate(ts):
             mine = jobs == j
             one_lf, one_ratios = log_density_and_ratios(mix, float(t), y[mine], 6)
-            assert np.array_equal(lf[mine], one_lf)
-            assert np.array_equal(ratios[:, mine], one_ratios)
+            assert np.array_equal(out[0, mine], one_lf)
+            assert np.array_equal(out[1:, mine], one_ratios)
             for k in range(3):
                 assert np.array_equal(many[k, mine], log_density(mix, rows[j, k], y[mine]))
 
     def test_times_must_be_a_vector_of_nonnegatives(self):
         y = np.linspace(-1.0, 1.0, 5)
+        jobs = np.zeros(y.size, dtype=np.intp)
         with pytest.raises(ValueError, match="1-D"):
-            log_density(BIMODAL_MIXTURE, [[0.5]], y)
+            map_flow(BIMODAL_MIXTURE, [[[0.5]]], y, jobs, 0, _log_f)
         with pytest.raises(ValueError, match=">= 0"):
-            log_density(BIMODAL_MIXTURE, [0.5, -0.1], y)
+            map_flow(BIMODAL_MIXTURE, [0.5, -0.1], y, jobs, 0, _log_f)
+        with pytest.raises(ValueError, match=">= 0"):
+            log_density(BIMODAL_MIXTURE, -0.1, y)
+        # one flow time per call; map_flow takes arrays of times
+        with pytest.raises(ValueError, match="a number"):
+            log_density(BIMODAL_MIXTURE, [0.5], y)
 
     def test_log_density_normalization(self):
         # crude Riemann check that log_density integrates to one

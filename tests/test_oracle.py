@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from heatcalc import oracle
-from heatcalc.mixtures import BIMODAL_MIXTURE, GaussianMixture
+from heatcalc.mixtures import BIMODAL_MIXTURE, GaussianMixture, log_density, map_flow
 from heatcalc.oracle import (
     DEFAULT_TOL,
     FdAccuracyWarning,
@@ -36,6 +36,26 @@ def gaussian_entropy(s: float) -> float:
 
 def gaussian_dnh(n: int, s: float) -> float:
     return (-1) ** (n + 1) * math.factorial(n - 1) / 2.0 * s**-n
+
+
+def entropy_integrand(mix: GaussianMixture, t: float):
+    """-f log f at the one flow time t, as a plain integrand."""
+
+    def fn(y):
+        lf = log_density(mix, t, y)
+        return -np.exp(lf) * lf
+
+    return fn
+
+
+def entropy_rows(mix: GaussianMixture, times):
+    """-f log f at each of several flow times, one row each, from one map_flow call."""
+
+    def fn(y):
+        jobs = np.zeros(y.size, dtype=np.intp)
+        return map_flow(mix, [times], y, jobs, 0, lambda lf, ratios: -np.exp(lf) * lf)
+
+    return fn
 
 
 def wide_mixture() -> GaussianMixture:
@@ -163,21 +183,18 @@ class TestFiniteDifferences:
 class TestKernelCalls:
     """Mixture-kernel calls are deterministic, so a second pass over a mesh
     or a return to one call per panel or per flow time fails here without
-    any timing."""
+    any timing.  Every kernel call of the oracle goes through map_flow."""
 
     @staticmethod
     def _counting(monkeypatch):
         calls = []
+        kernel = oracle.map_flow
 
-        def counting(kernel):
-            def wrapper(mix, t, y, *args):
-                calls.append((np.shape(t), y.size))
-                return kernel(mix, t, y, *args)
+        def counting(mix, t, y, *args):
+            calls.append((np.shape(t), y.size))
+            return kernel(mix, t, y, *args)
 
-            return wrapper
-
-        monkeypatch.setattr(oracle, "log_density", counting(oracle.log_density))
-        monkeypatch.setattr(oracle, "map_flow", counting(oracle.map_flow))
+        monkeypatch.setattr(oracle, "map_flow", counting)
         return calls
 
     def test_scan_row_on_a_gaussian(self, monkeypatch):
@@ -186,7 +203,7 @@ class TestKernelCalls:
         # every tree and mesh of this row accepts its 8 initial panels, so
         # each forest makes two calls: 8 panels, then their 16 halves.  h
         # and C_1..C_4 share one tree and one call per level.  The fd
-        # orders 1-2 and 3-4 share a step and a reach, so each pair shares
+        # orders 1-2 and 3-4 share a stencil reach, so each pair shares
         # one probe mesh, with its 3 probe times in one call per level, and
         # then one call for its other stencil times: 2 for orders 1-2 and
         # 4 for orders 3-4, whose stencils have 4-5 and 6-7 points.
@@ -255,7 +272,9 @@ class TestSharedEvaluation:
             mix, ts = BIMODAL_MIXTURE, [0.05, 0.3, 1.0, 12.0]
         else:
             mix, ts = wide_mixture(), list(time_grid(0.1, 100.0, 12, "log")[:4])
-        plans = [oracle._fd_plan(mix, t, range(1, 5), None) for t in ts]
+        plans = oracle._fd_plans(mix, ts, range(1, 5), None)
+        # one plan per stencil reach: orders 1-2 and 3-4
+        assert [plan.orders for plan in plans] == [(1, 2), (3, 4)]
         forests = [oracle._flow_forest(mix, ts, self.ROW), *oracle._fd_forests(mix, plans)]
         with warnings.catch_warnings(record=True) as forest_events:
             warnings.simplefilter("always")
@@ -263,14 +282,18 @@ class TestSharedEvaluation:
         alone = []
         with warnings.catch_warnings(record=True) as alone_events:
             warnings.simplefilter("always")
-            for t, groups in zip(ts, plans):
+            for j, t in enumerate(ts):
                 a, b = mix.support_interval(t)
                 row = adaptive_quad(oracle._flow_integrand(mix, t, self.ROW), a, b)
                 probed = []
-                for g in groups:
-                    probes = oracle._entropy_integrand(mix, np.array(g.probes))
+                for plan in plans:
+                    h = plan.steps[j]
+                    assert h == oracle.default_fd_step(mix, t, plan.orders[0])
+                    times = [t + off * (h / 2.0) for off in (plan.offsets[0], 0, plan.offsets[-1])]
+                    probes = entropy_rows(mix, times)
                     probes.labels = (f"fd probes at t={float(t)!r}",) * 3
-                    probed.append(build_mesh([probes], *g.span, DEFAULT_TOL))
+                    span = mix.support_interval(times[-1])
+                    probed.append(build_mesh([probes], *span, DEFAULT_TOL))
                 alone.append((row, probed))
         for j, (row, probed) in enumerate(alone):
             assert flows[j] == row
@@ -318,15 +341,28 @@ class TestSharedEvaluation:
         t_values = [t + off * half for off in offsets]
         a, b = mix.support_interval(max(t_values))
         probe_t = (min(t_values), t, max(t_values))
-        mesh = build_mesh([oracle._entropy_integrand(mix, tv) for tv in probe_t], a, b, tol)
+        mesh = build_mesh([entropy_integrand(mix, tv) for tv in probe_t], a, b, tol)
         probed = dict(zip(probe_t, mesh.totals))
         h_at = {
-            off: probed[tv] if tv in probed else mesh.integrate(oracle._entropy_integrand(mix, tv))
+            off: probed[tv] if tv in probed else mesh.integrate(entropy_integrand(mix, tv))
             for off, tv in zip(offsets, t_values)
         }
         coarse = sum(c * h_at[2 * off] for off, c in stencil) / h**n
         fine = sum(c * h_at[off] for off, c in stencil) / half**n
         assert fd_entropy_deriv_result(mix, t, n)[0] == (4.0 * fine - coarse) / 3.0
+
+    @pytest.mark.parametrize("step", [1e-17, 3e-16])
+    def test_steps_below_the_float_spacing_merge_stencil_times(self, step):
+        # at t = 1 a step this small rounds some stencil times onto others
+        # (every one of them onto t at 1e-17); each order still gets the
+        # bits it gets alone
+        t = 1.0
+        assert len({t + off * (step / 2.0) for off in range(-4, 5)}) < 9
+        together = fd_entropy_derivs(BIMODAL_MIXTURE, t, range(1, 5), step=step)
+        for n in range(1, 5):
+            assert together[n] == fd_entropy_deriv_result(BIMODAL_MIXTURE, t, n, step=step)
+        if step == 1e-17:
+            assert [value for value, _ in together.values()] == [0.0] * 4
 
     def test_fd_orders_validate_each_order(self):
         with pytest.raises(ValueError, match="order 3"):
