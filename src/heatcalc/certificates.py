@@ -24,9 +24,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .reduction import entropy_derivative, is_canonical, reduce
 from .terms import (
@@ -37,6 +35,11 @@ from .terms import (
     monomial,
     parse_monomial,
 )
+
+# numpy is imported by the search alone; verification and the JSON code run
+# on Fraction, so ``certify`` without ``--search`` starts without it.
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def partitions(n: int) -> List[Tuple[int, ...]]:
@@ -414,6 +417,8 @@ def _central_path(gram: np.ndarray, target: np.ndarray):
     over Q = Q0 + sum_i z_i N_i and t, and (mu, t, Q) is yielded.  At the centre
     Y = mu (Q - tI)^-1 = A*(y) is dual feasible, and y . target = t + p mu >= t*.
     """
+    import numpy as np
+
     p, _, k = gram.shape
     rows, cols = np.triu_indices(p)
     units = np.zeros((len(rows), p, p))  # a basis of the symmetric matrices
@@ -516,6 +521,8 @@ def search_certificate(n: int) -> SearchOutcome:
     From the first centred iterate with t + p mu < 0, the dual point y with
     A*(y) = mu (Q - tI)^-1 is rounded until one passes ``verify_witness``.
     """
+    import numpy as np
+
     _, exact, target = _gram_problem(n)
     gram, goal = np.array(exact, dtype=float), np.array(target, dtype=float)
     p = len(gram)

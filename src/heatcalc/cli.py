@@ -23,10 +23,10 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-import numpy as np
-
+# numpy and the numeric layers are imported by the functions that use them,
+# so derive, verify-identities and certify without --search never load numpy.
 from .certificates import (
     Certificate,
     builtin_certificate,
@@ -35,18 +35,13 @@ from .certificates import (
     search_certificate,
     verify_certificate,
 )
-from .mixtures import GaussianMixture
-from .oracle import (
-    DEFAULT_TOL,
-    scan_conjectures,
-    scan_to_csv,
-    second_difference,
-    time_grid,
-    wt_checks,
-    wt_to_csv,
-)
 from .reduction import entropy_derivative, reduce, verify_ibp_identities
 from .terms import d_dt
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .mixtures import GaussianMixture
 
 
 class ConfigError(ValueError):
@@ -59,12 +54,14 @@ class ExperimentConfig:
     t_start: float
     t_stop: float
     t_points: int
+    quad_tol: float
     t_spacing: str = "linear"
     max_order: int = 4
-    quad_tol: float = DEFAULT_TOL
     output: Optional[str] = None
 
     def grid(self) -> np.ndarray:
+        from .oracle import time_grid
+
         return time_grid(self.t_start, self.t_stop, self.t_points, self.t_spacing)
 
 
@@ -79,6 +76,9 @@ def _is_number(value, kind=(int, float)) -> bool:
 
 
 def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
+    from .mixtures import GaussianMixture
+    from .oracle import DEFAULT_TOL
+
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -171,6 +171,8 @@ def polyline_chart(
     logx: bool = False,
 ) -> str:
     """A minimal self-contained SVG line chart (finite points only)."""
+    import numpy as np
+
     xv = np.asarray(x, dtype=float)
     if logx:
         xv = np.log10(xv)
@@ -236,6 +238,10 @@ def polyline_chart(
 
 
 def _write_scan_svgs(prefix: Path, result, logx: bool) -> List[Path]:
+    import numpy as np
+
+    from .oracle import second_difference
+
     ts = result.ts()
     quantities = {
         "h": result.column("h"),
@@ -381,6 +387,8 @@ def _output_prefix(command: str, out: Optional[str], default: str) -> Optional[P
 
 
 def _cmd_scan(args) -> int:
+    from .oracle import scan_conjectures, scan_to_csv
+
     try:
         config = load_config(args.config)
     except ConfigError as exc:
@@ -411,6 +419,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_wt_scan(args) -> int:
+    from .oracle import wt_checks, wt_to_csv
+
     try:
         config = load_config(args.config)
     except ConfigError as exc:

@@ -29,7 +29,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .terms import Combination, DerivMonomial, d_dt, make_monomial, monomial, parse_monomial
+from .terms import (
+    _ZERO,
+    Combination,
+    DerivMonomial,
+    d_dt,
+    make_monomial,
+    monomial,
+    parse_monomial,
+)
 
 
 class ReductionDepthError(RuntimeError):
@@ -100,7 +108,7 @@ def rewrite_once(mono: DerivMonomial) -> Combination:
 
     def put(counts: Dict[int, int], coeff: Fraction) -> None:
         key = monomial(counts)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
+        terms[key] = terms.get(key, _ZERO) + coeff
         if not terms[key]:
             del terms[key]
 
@@ -147,38 +155,45 @@ def reduce(
     coefficients are preserved term by term.  With ``trace=True`` also
     returns the step-by-step audit trail.
 
-    The working terms live in one dict updated in place, and the
-    non-canonical monomials among them, keyed by their priority, in a
-    pending dict, so a rewrite costs the size of its replacement plus one
-    ``max`` over the pending keys, never a sort of every term.
+    The rewrites go one level of maximal order m* at a time.  Rewriting a
+    monomial of level m* yields only terms of level m* - 1, so once a level
+    starts its non-canonical monomials neither grow in number nor change
+    coefficient: they are sorted once, largest ``_rewrite_priority`` first,
+    which is the order of always taking the largest pending key.  The
+    working terms live in one dict updated in place, so a rewrite costs the
+    size of its replacement.
     """
     budget = max_steps_per_term * max(1, len(c))
     log = ReductionTrace() if trace else None
     current: Dict[DerivMonomial, Fraction] = dict(c.items())
-    pending = {m: _rewrite_priority(m) for m in current if _needs_rewrite(m)}
+    pending = {m for m in current if _needs_rewrite(m)}
     steps = 0
     while pending:
-        target = max(pending, key=pending.__getitem__)
-        steps += 1
-        if steps > budget:
-            raise ReductionDepthError(
-                f"no canonical form after {budget} rewrites; stuck near {target}"
-            )
-        replacement = rewrite_once(target)
-        coeff = current.pop(target)
-        del pending[target]
-        for mono, r in replacement.items():
-            total = current.get(mono, Fraction(0)) + coeff * r
-            if total:
-                current[mono] = total
-                if mono not in pending and _needs_rewrite(mono):
-                    pending[mono] = _rewrite_priority(mono)
-            else:
-                del current[mono]
-                pending.pop(mono, None)
-        if log is not None:
-            rule = "total-derivative" if target.degree == 1 else f"ibp(top=f{target.max_order})"
-            log.steps.append(ReductionStep(target, rule, replacement))
+        top = max(m.max_order for m in pending)
+        level = sorted(
+            (m for m in pending if m.max_order == top), key=_rewrite_priority, reverse=True
+        )
+        pending.difference_update(level)
+        for target in level:
+            steps += 1
+            if steps > budget:
+                raise ReductionDepthError(
+                    f"no canonical form after {budget} rewrites; stuck near {target}"
+                )
+            replacement = rewrite_once(target)
+            coeff = current.pop(target)
+            for mono, r in replacement.items():
+                total = current.get(mono, _ZERO) + coeff * r
+                if total:
+                    current[mono] = total
+                    if mono not in pending and _needs_rewrite(mono):
+                        pending.add(mono)
+                else:
+                    del current[mono]
+                    pending.discard(mono)
+            if log is not None:
+                rule = "total-derivative" if target.degree == 1 else f"ibp(top=f{target.max_order})"
+                log.steps.append(ReductionStep(target, rule, replacement))
     result = Combination(current)
     if log is not None:
         log.final = result

@@ -15,7 +15,7 @@ from heatcalc.certificates import (
     certificate_to_json,
     verify_certificate,
 )
-from heatcalc import cli
+from heatcalc import cli, oracle
 from heatcalc.cli import main, parse_config, ConfigError
 
 
@@ -348,7 +348,8 @@ class TestOutputPrefix:
         def fail(*args, **kwargs):
             raise AssertionError(f"{name} ran before the output path was checked")
 
-        monkeypatch.setattr(cli, name, fail)
+        # the scan commands import their work from the oracle when they run
+        monkeypatch.setattr(oracle, name, fail)
 
     @pytest.mark.parametrize("command,payload,work", CASES)
     def test_prefix_under_a_file(self, tmp_path, capsys, monkeypatch, command, payload, work):
@@ -405,6 +406,48 @@ class TestProcess:
             "print(code, any(m.split('.')[0] == 'scipy' for m in sys.modules))"
         )
         assert self._run(code) == ["0", "False"]
+
+    def test_exact_commands_load_no_numpy(self, tmp_path):
+        # start-up is most of an exact command's time, and numpy was about 0.12 s of it
+        cert = tmp_path / "c4.json"
+        cert.write_text(certificate_to_json(builtin_certificate(4)))
+        steps = [
+            ["derive", "--order", "6"],
+            ["verify-identities"],
+            ["certify", "--order", "2"],
+            ["certify", "--order", "3"],
+            ["certify", "--order", "4"],
+            ["certify", "--order", "4", "--cert", str(cert)],
+        ]
+        code = (
+            "import contextlib, io, sys, heatcalc\n"
+            "heatcalc.reduce\n"
+            "print('numpy' in sys.modules)\n"
+            "from heatcalc import cli\n"
+            f"for args in {steps!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = cli.main(args)\n"
+            "    print(code, 'numpy' in sys.modules)"
+        )
+        assert self._run(code) == ["False"] + ["0", "False"] * len(steps)
+
+    def test_numeric_commands_load_numpy_when_they_run(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SMALL_SCAN))
+        code = (
+            "import contextlib, io, sys\n"
+            "from heatcalc import cli\n"
+            "for args in [['certify', '--order', '4', '--search'], "
+            f"['scan', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'fresh')!r}]]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = cli.main(args)\n"
+            "    print(code, 'numpy' in sys.modules)"
+        )
+        assert self._run(code) == ["0", "True", "0", "True"]
+        # the same scan in this process, which imported numpy long ago
+        assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "here")]) == 0
+        fresh, here = (tmp_path / "fresh.csv").read_bytes(), (tmp_path / "here.csv").read_bytes()
+        assert fresh == here
 
     def test_explicit_blas_thread_count_is_kept(self):
         code = "import os, heatcalc; print(os.environ['OPENBLAS_NUM_THREADS'])"

@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heatcalc.reduction import (
+    IBP_IDENTITIES,
     ReductionDepthError,
+    ReductionStep,
+    ReductionTrace,
     entropy_derivative,
     is_canonical,
     reduce,
@@ -275,3 +278,113 @@ def test_total_derivatives_reduce_to_zero_symbolically(c):
     from heatcalc.terms import d_dy
 
     assert reduce(d_dy(c)).is_zero()
+
+
+# -- rewrite order ------------------------------------------------------------
+
+
+def _reduce_one_max_per_step(c, max_steps_per_term=10_000):
+    """Reference reduction: one ``max`` over every pending monomial per rewrite.
+
+    ``reduce`` sorts each level of maximal order once instead; the targets,
+    their replacements and the result must come out the same.
+    """
+
+    def priority(m):
+        return (m.max_order, m.degree, m.exps)
+
+    def needs(m):
+        return not m.is_empty() and not is_canonical(m)
+
+    budget = max_steps_per_term * max(1, len(c))
+    log = ReductionTrace()
+    current = dict(c.items())
+    pending = {m: priority(m) for m in current if needs(m)}
+    steps = 0
+    while pending:
+        target = max(pending, key=pending.__getitem__)
+        steps += 1
+        if steps > budget:
+            raise ReductionDepthError(
+                f"no canonical form after {budget} rewrites; stuck near {target}"
+            )
+        replacement = rewrite_once(target)
+        coeff = current.pop(target)
+        del pending[target]
+        for mono, r in replacement.items():
+            total = current.get(mono, Fraction(0)) + coeff * r
+            if total:
+                current[mono] = total
+                if mono not in pending and needs(mono):
+                    pending[mono] = priority(mono)
+            else:
+                del current[mono]
+                pending.pop(mono, None)
+        rule = "total-derivative" if target.degree == 1 else f"ibp(top=f{target.max_order})"
+        log.steps.append(ReductionStep(target, rule, replacement))
+    log.final = Combination(current)
+    return log.final, log
+
+
+def _mixed_levels():
+    """Terms of maximal order 1 to 5, weights 3 to 8, a total derivative and a canonical term."""
+    return Combination(
+        {
+            parse_monomial("f2 f4/f^1"): 1,
+            parse_monomial("f1^3 f3/f^3"): Fraction(2, 3),
+            parse_monomial("f3 f5/f^1"): -3,
+            parse_monomial("f1 f2/f^1"): Fraction(5, 7),
+            parse_monomial("f1^2 f2 f4/f^3"): Fraction(-1, 4),
+            parse_monomial("f4"): 2,
+            parse_monomial("f1"): -1,
+            parse_monomial("f3^2/f^1"): 1,
+        }
+    )
+
+
+class TestRewriteOrder:
+    """Sorting a level once gives the parent loop's one-``max``-per-step sequence."""
+
+    @staticmethod
+    def _assert_same(start):
+        final, trace = reduce(start, trace=True)
+        ref_final, ref_trace = _reduce_one_max_per_step(start)
+        assert trace.steps == ref_trace.steps
+        assert final == ref_final == trace.final
+        assert str(final) == str(ref_final)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_time_derivative_of_each_order(self, n):
+        self._assert_same(d_dt(entropy_derivative(n - 1)))
+
+    @pytest.mark.parametrize("label", list(IBP_IDENTITIES))
+    def test_identity_left_sides(self, label):
+        self._assert_same(IBP_IDENTITIES[label][0])
+
+    def test_mixed_levels(self):
+        start = _mixed_levels()
+        assert len({m.max_order for m in start.monomials()}) == 5
+        self._assert_same(start)
+
+    @settings(max_examples=100, deadline=None)
+    @given(combinations)
+    def test_random_combinations(self, c):
+        self._assert_same(c)
+
+    @pytest.mark.parametrize(
+        "start",
+        [
+            Combination.term(parse_monomial("f2 f4/f^1")),
+            Combination.term(parse_monomial("f1^2 f2 f4/f^3")),
+            Combination.term(parse_monomial("f3 f5/f^1")),
+            _mixed_levels(),
+        ],
+        ids=["f2 f4", "f1^2 f2 f4", "f3 f5", "mixed"],
+    )
+    def test_step_budget_fires_at_the_same_target(self, start):
+        # each needs more rewrites than it has terms
+        with pytest.raises(ReductionDepthError) as got:
+            reduce(start, max_steps_per_term=1)
+        with pytest.raises(ReductionDepthError) as ref:
+            _reduce_one_max_per_step(start, max_steps_per_term=1)
+        assert str(got.value) == str(ref.value)
