@@ -15,12 +15,13 @@ are three-sigma style: a check passes or fails only when the value clears
 the estimated numeric error by a factor of three, and is otherwise
 reported as inconclusive rather than asserted.
 
-A scan refines its flow times in batches, each one bisection forest: per
-flow time one tree for h and C_1..C_4, and one probe mesh per fd stencil
-reach, on which the reach's other stencil entropies are then integrated.
-Every density evaluation is one ``mixtures.map_flow`` call with an
-epilogue from ``_flow_rows``, so h and the fd entropies share one
--f log f.
+A scan refines its flow times in batches, each batch two bisection
+forests: per flow time one mesh for h, and one tree on which C_1..C_4
+each accept their own panels.  The h mesh is refined once and serves the
+finite differences too: every fd stencil entropy of that flow time is
+integrated on it.  Every density evaluation is one ``mixtures.map_flow``
+call with an epilogue from ``_flow_rows``, so h and the fd entropies
+share one -f log f.
 """
 
 from __future__ import annotations
@@ -119,12 +120,15 @@ def _flow_forest(
     mix: GaussianMixture,
     ts: Sequence[float],
     quantities: Sequence[Tuple[str, Optional[Combination]]],
+    joint: bool = False,
 ) -> Forest:
-    """One bisection tree per flow time t > 0, on which each quantity accepts its own panels."""
+    """One bisection tree per flow time t > 0; each quantity accepts its own panels,
+    or with ``joint`` all of them together, on one ``Mesh`` per flow time."""
     return Forest(
         _flow_rows(mix, ts, quantities),
         [mix.support_interval(t) for t in ts],
-        labels=[_flow_labels(t, quantities) for t in ts],
+        joint,
+        [_flow_labels(t, quantities) for t in ts],
     )
 
 
@@ -264,27 +268,28 @@ def fd_entropy_derivs(
 ) -> Dict[int, Tuple[float, float]]:
     """``fd_entropy_deriv_result`` of several orders, sharing their evaluations.
 
-    An order's step and mesh depend only on its stencil's reach: the mesh
-    is refined for the entropies at the probe times t - reach * step, t
-    and t + reach * step.  Orders of one reach share one mesh, built once.
-    The probes' entropies come from one multi-t kernel call per
-    refinement level, all other stencil points of the reach from one more
-    call, and each order's result is bit for bit what it gives alone.
+    Every stencil entropy is integrated on the mesh that h(t) is refined
+    on, the one mesh of the scan row at t.  An order's step depends only
+    on its stencil's reach, so the orders of one reach share their stencil
+    entropies, from one multi-t kernel call, and each order's result is
+    bit for bit what it gives alone and what the scan gives at t.
     """
     plans = _fd_plans(mix, [t], orders, step)
     if not plans:
         return {}
-    return _fd_finish(mix, plans, refine(_fd_forests(mix, plans), tol), tol)[0]
+    ((mesh,),) = refine([_flow_forest(mix, [t], _ENTROPY, joint=True)], tol)
+    return _fd_finish(mix, plans, [mesh], tol)[0]
 
 
 @dataclass(frozen=True)
 class _FdPlan:
     """The fd orders of one stencil reach, over the flow times of a batch.
 
-    Stencil points are offsets from t in units of h/2.  Each flow time
-    has one probe mesh, refined jointly for its entropies at the probe
-    offsets (the first, 0 and the last); the other offsets are integrated
-    on it.  Offsets whose times round to the same float get the same bits.
+    Stencil points are offsets from t in units of h/2.  Every offset of a
+    flow time is integrated on that time's h mesh, so the quadrature rule
+    is the same at every stencil point and its error cancels in the
+    differences.  Offsets whose times round to the same float get the
+    same bits.
     """
 
     orders: Tuple[int, ...]
@@ -292,13 +297,9 @@ class _FdPlan:
     ts: Tuple[float, ...]
     steps: Tuple[float, ...]  # h, one per flow time
 
-    @property
-    def probes(self) -> Tuple[int, int, int]:
-        return self.offsets[0], 0, self.offsets[-1]
-
-    def times(self, offsets: Sequence[int]) -> List[List[float]]:
-        """Per flow time, the stencil times at these offsets."""
-        return [[t + off * (h / 2.0) for off in offsets] for t, h in zip(self.ts, self.steps)]
+    def times(self) -> List[List[float]]:
+        """Per flow time, the stencil times at every offset."""
+        return [[t + off * (h / 2.0) for off in self.offsets] for t, h in zip(self.ts, self.steps)]
 
 
 def _fd_plans(
@@ -325,39 +326,21 @@ def _fd_plans(
     return plans
 
 
-def _fd_forests(mix: GaussianMixture, plans: Sequence[_FdPlan]) -> List[Forest]:
-    """Per plan, the probe meshes of every flow time."""
-    forests = []
-    for plan in plans:
-        probes = plan.times(plan.probes)
-        forests.append(
-            Forest(
-                _flow_rows(mix, probes, _ENTROPY),
-                [mix.support_interval(times[-1]) for times in probes],
-                joint=True,
-                labels=[(f"fd probes at t={float(t)!r}",) * 3 for t in plan.ts],
-            )
-        )
-    return forests
-
-
 def _fd_finish(
     mix: GaussianMixture,
     plans: Sequence[_FdPlan],
-    meshes: Sequence[Sequence[Mesh]],
+    meshes: Sequence[Mesh],
     tol: float,
 ) -> List[Dict[int, Tuple[float, float]]]:
-    """Each flow time's fd results from the probe meshes of each plan.
+    """Each flow time's fd results, every stencil entropy integrated on its h mesh.
 
-    The probes' entropies come with the meshes; the other offsets of all
-    flow times are integrated on their meshes in one call per plan.
+    All offsets of all flow times of a plan take one ``integrate`` call.
     """
-    results: List[Dict[int, Tuple[float, float]]] = [{} for _ in plans[0].ts]
-    for plan, by_time in zip(plans, meshes):
-        rest = [off for off in plan.offsets if off not in plan.probes]
-        others = integrate(by_time, _flow_rows(mix, plan.times(rest), _ENTROPY))
-        for out, h, mesh, more in zip(results, plan.steps, by_time, others):
-            h_at = {**dict(zip(plan.probes, mesh.totals)), **dict(zip(rest, more))}
+    results: List[Dict[int, Tuple[float, float]]] = [{} for _ in meshes]
+    for plan in plans:
+        entropies = integrate(meshes, _flow_rows(mix, plan.times(), _ENTROPY))
+        for out, h, by_offset in zip(results, plan.steps, entropies):
+            h_at = dict(zip(plan.offsets, by_offset))
             for n in plan.orders:
                 out[n] = _richardson(n, h, h_at, tol)
     return results
@@ -536,30 +519,31 @@ def _scan_rows(
 ) -> List[ScanRow]:
     """The scan's rows before the grid-level verdicts, from bisection forests.
 
-    Each flow time has one tree for h and C_1..C_4, on which each quantity
-    accepts its own panels, and one probe mesh per fd stencil reach.  A
-    batch of ``_FOREST_TIMES`` flow times is one forest: every level of
-    all its trees is refined together, and the other fd stencil times are
-    then integrated on the probe meshes in one call per reach.
+    Each flow time has one mesh for h, which every fd stencil entropy of
+    that time is then integrated on, in one call per stencil reach, and
+    one tree on which C_1..C_4 each accept their own panels.  A batch of
+    ``_FOREST_TIMES`` flow times is one forest of each: every level of all
+    their trees is refined together.
     """
     sym_orders = min(_SYM_ORDERS, max_order)
-    # h and C_1 (which integrates to J) always; C_2..C_4 as the orders ask
-    quantities = _ENTROPY + [
-        (f"C_{n}", entropy_derivative(n)) for n in range(1, max(sym_orders, 1) + 1)
-    ]
+    # C_1 (which integrates to J) always; C_2..C_4 as the orders ask
+    quantities = [(f"C_{n}", entropy_derivative(n)) for n in range(1, max(sym_orders, 1) + 1)]
     # J' needs order 2, from the fd route when the symbolic one stops at 1
     fd_orders = range(1, max(max_order, 2) + 1)
     rows = []
     for batch in _batches(ts):
-        plans = _fd_plans(mix, batch, fd_orders, None)
-        forests = [_flow_forest(mix, batch, quantities), *_fd_forests(mix, plans)]
-        flows, *meshes = refine(forests, tol)
-        for t, (h_res, *sym), fd in zip(batch, flows, _fd_finish(mix, plans, meshes, tol)):
+        forests = [_flow_forest(mix, batch, _ENTROPY, True), _flow_forest(mix, batch, quantities)]
+        meshes, flows = refine(forests, tol)
+        fds = _fd_finish(mix, _fd_plans(mix, batch, fd_orders, None), meshes, tol)
+        for t, mesh, sym, fd in zip(batch, meshes, flows, fds):
+            (h_res,) = mesh.results
             j_res = sym[0]
             d_sym = tuple(0.5 * r.value for r in sym[:sym_orders])
-            jprime = 2.0 * (d_sym[1] if len(d_sym) >= 2 else fd[2][0])
-            costa_margin = -jprime - j_res.value * j_res.value
-            costa_err = 2.0 * tol + 2.0 * j_res.value * j_res.error + 1e-12 * abs(jprime)
+            # J' is C_2, or twice the order-2 fd when the symbolic orders stop at 1
+            jp = sym[1] if len(d_sym) >= 2 else QuadResult(2.0 * fd[2][0], 2.0 * fd[2][1])
+            costa_margin = -jp.value - j_res.value * j_res.value
+            costa_err = 2.0 * tol + 2.0 * j_res.value * j_res.error + 1e-12 * abs(jp.value)
+            costa_err += jp.error
             rows.append(
                 ScanRow(
                     t=t,
@@ -747,7 +731,7 @@ def wt_checks(
     for t, s, (h_res, j_res, c2_res) in zip(ts, flow_times, flows):
         jprime = c2_res.value
         margin = -jprime + t * t - 2.0 * t * j_res.value
-        margin_err = 2.0 * tol + 2.0 * t * j_res.error
+        margin_err = 2.0 * tol + 2.0 * t * j_res.error + c2_res.error
         rows.append(
             WtRow(
                 t=t,

@@ -266,14 +266,15 @@ class Mesh:
     """A fixed list of panels; integration on a mesh is non-adaptive.
 
     A mesh from ``build_mesh`` or a joint ``Forest`` also keeps what
-    bisection computed, so no panel is evaluated again: ``totals`` holds
-    each integrand row's sum of whole-panel values, equal to ``integrate``
-    of that row.
+    bisection computed, so no panel is evaluated again: ``results`` holds
+    each integrand row's ``QuadResult`` (see ``refine``); a one-row mesh's
+    is ``adaptive_quad`` of that row, bit for bit.  ``integrate`` sums
+    whole-panel values, the same rule for every integrand.
     """
 
     panels: Tuple[Tuple[float, float], ...]
     order: int = _ORDER
-    totals: Tuple[float, ...] = field(default=(), compare=False, repr=False)
+    results: Tuple[QuadResult, ...] = field(default=(), compare=False, repr=False)
 
     def integrate(self, fn: Integrand) -> Union[float, Tuple[float, ...]]:
         """The integral of ``fn`` on the mesh; a tuple, one per row, for an integrand of rows."""
@@ -335,25 +336,24 @@ def refine(
 def _results(forest: Forest, trees: _Bisected) -> List[Union[Mesh, List[QuadResult]]]:
     jobs = len(forest.spans)
     segments = trees.job * trees.rows + trees.row
-    if forest.joint:
-        totals = _sequential_sums(trees.whole, segments, jobs * trees.rows)
-        totals = totals.reshape(jobs, trees.rows).tolist()
-        first = trees.row == 0
-        ends = np.cumsum(trees.counts[0]).tolist()
-        panels = list(zip(trees.lo[first].tolist(), trees.hi[first].tolist()))
-        return [
-            Mesh(tuple(panels[end - n : end]), _ORDER, tuple(total))
-            for n, end, total in zip(trees.counts[0].tolist(), ends, totals)
-        ]
     values = _sequential_sums(trees.halves, segments, jobs * trees.rows)
     errors = _sequential_sums(np.abs(trees.whole - trees.halves), segments, jobs * trees.rows)
+    # a joint job has one tree for all its rows
+    short = np.broadcast_to(trees.exhausted, (trees.rows, jobs)).T.ravel()
     results = [
-        QuadResult(total, max(err, 1e-16 * abs(total)), not short)
-        for total, err, short in zip(
-            values.tolist(), errors.tolist(), trees.exhausted.T.ravel().tolist()
-        )
+        QuadResult(total, max(err, 1e-16 * abs(total)), not stopped)
+        for total, err, stopped in zip(values.tolist(), errors.tolist(), short.tolist())
     ]
-    return [results[j * trees.rows : (j + 1) * trees.rows] for j in range(jobs)]
+    by_job = [results[j * trees.rows : (j + 1) * trees.rows] for j in range(jobs)]
+    if not forest.joint:
+        return by_job
+    first = trees.row == 0
+    ends = np.cumsum(trees.counts[0]).tolist()
+    panels = list(zip(trees.lo[first].tolist(), trees.hi[first].tolist()))
+    return [
+        Mesh(tuple(panels[end - n : end]), _ORDER, tuple(job))
+        for n, end, job in zip(trees.counts[0].tolist(), ends, by_job)
+    ]
 
 
 def _job_rows(fns: Sequence[Integrand]) -> Tuple[JobIntegrand, List[int]]:

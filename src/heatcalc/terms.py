@@ -173,7 +173,7 @@ class Combination:
         clean: Dict[DerivMonomial, Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
-                c = Fraction(coeff)
+                c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
                 if c:
                     clean[mono] = clean.get(mono, _ZERO) + c
                     if not clean[mono]:
@@ -251,10 +251,15 @@ class Combination:
 
     def map_monomials(self, fn) -> "Combination":
         """Apply ``fn: DerivMonomial -> Combination`` linearly to every term."""
-        out = Combination.zero()
+        out: Dict[DerivMonomial, Fraction] = {}
         for mono, coeff in self._terms.items():
-            out = out + fn(mono).scaled(coeff)
-        return out
+            for image, c in fn(mono)._terms.items():
+                out[image] = out.get(image, _ZERO) + coeff * c
+                if not out[image]:
+                    del out[image]
+        result = Combination.__new__(Combination)
+        result._terms = out
+        return result
 
     def __str__(self) -> str:
         if not self._terms:

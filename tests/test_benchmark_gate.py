@@ -1,0 +1,47 @@
+"""The benchmark's scan check, run on the scans it gates.
+
+``perfbench/workloads.py`` fails a scan row when its verdict lines are
+missing, when a row's fd columns differ from ``fd_entropy_deriv_result``
+recomputed at that row's t alone, or when a symbolic derivative misses
+its finite difference by more than 3 (fd error + 3 tol).  A change to the
+oracle that trips that check fails here, not only under the benchmark.
+The check is imported as it is, never edited.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from heatcalc.cli import main
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench import workloads  # noqa: E402
+
+
+def _scan(tmp_path, capsys, mixture, grid, verdicts):
+    cfg = tmp_path / "scan.json"
+    workloads._write_config(cfg, mixture, grid, max_order=4)
+    prefix = tmp_path / "scan"
+    rc = main(["scan", "--config", str(cfg), "--out", str(prefix)])
+    out = workloads.Outcome(
+        rc, capsys.readouterr().out, "", 0.0, 0.0, 0, (tmp_path / "scan.csv").read_bytes()
+    )
+    assert workloads.fd_disagreements(str(cfg), out.csv) == []
+    assert workloads._check_scan(out, str(cfg), grid["points"], verdicts) == 0
+
+
+def test_bimodal_scan_passes_the_gate(tmp_path, capsys):
+    grid = dict(workloads.BIMODAL_GRID, points=40)
+    _scan(tmp_path, capsys, workloads.BIMODAL, grid, workloads.BIMODAL_VERDICTS)
+
+
+def test_wide_mixture_scan_passes_the_gate(tmp_path, capsys):
+    with pytest.warns(UserWarning):  # its three C_4 trees stop short
+        _scan(
+            tmp_path,
+            capsys,
+            workloads.wide_mixture_components(),
+            workloads.WIDE_SCAN_GRID,
+            workloads.SCAN_VERDICTS,
+        )

@@ -321,6 +321,20 @@ class TestScanCommand:
         assert float(columns[3]["e2h_dd"]) > 1e-6
 
 
+    def test_order_1_passes_the_costa_check(self, tmp_path, capsys):
+        # at max_order 1 J' comes from the order-2 finite difference, whose
+        # error (about 2e-3 at t < 0.5) the Costa margin's error must carry
+        payload = dict(SMALL_SCAN, max_order=1)
+        payload["t_grid"] = {"start": 0.05, "stop": 100, "points": 40, "spacing": "log"}
+        cfg = tmp_path / "order1.json"
+        cfg.write_text(json.dumps(payload))
+        rc = main(["scan", "--config", str(cfg), "--out", str(tmp_path / "order1")])
+        assert "entropy-power/Fisher checks: ok" in capsys.readouterr().out.splitlines()
+        assert rc == 0
+        rows = (tmp_path / "order1.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[-2:] for row in rows] == [["1", "1"]] * 40
+
+
 class TestWtScanCommand:
     def test_wt_scan(self, tmp_path, capsys):
         cfg = tmp_path / "wt.json"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from heatcalc import oracle
-from heatcalc.mixtures import BIMODAL_MIXTURE, GaussianMixture, log_density, map_flow
+from heatcalc.mixtures import BIMODAL_MIXTURE, GaussianMixture, log_density
 from heatcalc.oracle import (
     DEFAULT_TOL,
     FdAccuracyWarning,
@@ -44,16 +44,6 @@ def entropy_integrand(mix: GaussianMixture, t: float):
     def fn(y):
         lf = log_density(mix, t, y)
         return -np.exp(lf) * lf
-
-    return fn
-
-
-def entropy_rows(mix: GaussianMixture, times):
-    """-f log f at each of several flow times, one row each, from one map_flow call."""
-
-    def fn(y):
-        jobs = np.zeros(y.size, dtype=np.intp)
-        return map_flow(mix, [times], y, jobs, 0, lambda lf, ratios: -np.exp(lf) * lf)
 
     return fn
 
@@ -157,6 +147,15 @@ class TestFiniteDifferences:
         value, error = fd_entropy_deriv_result(BIMODAL_MIXTURE, 0.5, 3)
         assert value > 3 * error > 0
 
+    def test_gaussian_errors_cover_the_closed_form(self):
+        # every stated fd error covers the truth, from sharp to wide
+        # Gaussians and from tiny to large flow times
+        for var in (1e-9, 1e-6, 1e-3, 1.0, 3.0, 10.0):
+            g = GaussianMixture.single(0, var)
+            for t in np.geomspace(1e-9, 1e3, 13):
+                for n, (value, error) in fd_entropy_derivs(g, float(t), range(1, 5)).items():
+                    assert abs(value - gaussian_dnh(n, var + t)) <= error, (var, t, n)
+
     def test_step_must_stay_inside_domain(self):
         g = GaussianMixture.single(0, 1)
         with pytest.raises(ValueError):
@@ -200,18 +199,16 @@ class TestKernelCalls:
     def test_scan_row_on_a_gaussian(self, monkeypatch):
         calls = self._counting(monkeypatch)
         oracle._scan_row_core(GaussianMixture.single(), 1.0, 4, DEFAULT_TOL)
-        # every tree and mesh of this row accepts its 8 initial panels, so
+        # every mesh and tree of this row accepts its 8 initial panels, so
         # each forest makes two calls: 8 panels, then their 16 halves.  h
-        # and C_1..C_4 share one tree and one call per level.  The fd
-        # orders 1-2 and 3-4 share a stencil reach, so each pair shares
-        # one probe mesh, with its 3 probe times in one call per level, and
-        # then one call for its other stencil times: 2 for orders 1-2 and
-        # 4 for orders 3-4, whose stencils have 4-5 and 6-7 points.
+        # has its own mesh, and C_1..C_4 share one tree and one call per
+        # level.  The fd route refines nothing: orders 1-2 and 3-4 share a
+        # stencil reach, and each reach's stencil times (5 for orders 1-2,
+        # 7 for orders 3-4) are integrated on the h mesh in one call.
         panels = 8 * 24
-        tree = [((1,), panels), ((1,), 2 * panels)]
-        probes = [((1, 3), panels), ((1, 3), 2 * panels)]
-        rest = [((1, 2), panels), ((1, 4), panels)]
-        assert calls == tree + probes + probes + rest
+        level = [((1,), panels), ((1,), 2 * panels)]
+        stencils = [((1, 5), panels), ((1, 7), panels)]
+        assert calls == level + level + stencils
 
     def test_40_points_make_the_calls_of_3(self, monkeypatch):
         # a forest takes up to 40 flow times, one job each, and each level
@@ -224,7 +221,7 @@ class TestKernelCalls:
             layouts.append([(shape[1:], nodes // points) for shape, nodes in calls])
             assert [shape[0] for shape, _ in calls] == [points] * len(calls)
         assert layouts[0] == layouts[1]
-        assert len(layouts[0]) == 8
+        assert len(layouts[0]) == 6
 
 
 class TestSharedEvaluation:
@@ -266,39 +263,30 @@ class TestSharedEvaluation:
 
     @pytest.mark.parametrize("case", ["bimodal", "wide"])
     def test_scan_forest_equals_one_job_each(self, case):
-        # the scan's forest against the one-job quadratures of one flow
+        # the scan's forests against the one-job quadratures of one flow
         # time at a time: every value, error, flag and warning, in order
         if case == "bimodal":
             mix, ts = BIMODAL_MIXTURE, [0.05, 0.3, 1.0, 12.0]
         else:
             mix, ts = wide_mixture(), list(time_grid(0.1, 100.0, 12, "log")[:4])
-        plans = oracle._fd_plans(mix, ts, range(1, 5), None)
-        # one plan per stencil reach: orders 1-2 and 3-4
-        assert [plan.orders for plan in plans] == [(1, 2), (3, 4)]
-        forests = [oracle._flow_forest(mix, ts, self.ROW), *oracle._fd_forests(mix, plans)]
+        entropy_only, symbolic = self.ROW[:1], self.ROW[1:]
+        forests = [
+            oracle._flow_forest(mix, ts, entropy_only, joint=True),
+            oracle._flow_forest(mix, ts, symbolic),
+        ]
         with warnings.catch_warnings(record=True) as forest_events:
             warnings.simplefilter("always")
-            flows, *meshes = refine(forests, DEFAULT_TOL)
+            meshes, flows = refine(forests, DEFAULT_TOL)
         alone = []
         with warnings.catch_warnings(record=True) as alone_events:
             warnings.simplefilter("always")
-            for j, t in enumerate(ts):
+            for t in ts:
                 a, b = mix.support_interval(t)
-                row = adaptive_quad(oracle._flow_integrand(mix, t, self.ROW), a, b)
-                probed = []
-                for plan in plans:
-                    h = plan.steps[j]
-                    assert h == oracle.default_fd_step(mix, t, plan.orders[0])
-                    times = [t + off * (h / 2.0) for off in (plan.offsets[0], 0, plan.offsets[-1])]
-                    probes = entropy_rows(mix, times)
-                    probes.labels = (f"fd probes at t={float(t)!r}",) * 3
-                    span = mix.support_interval(times[-1])
-                    probed.append(build_mesh([probes], *span, DEFAULT_TOL))
-                alone.append((row, probed))
-        for j, (row, probed) in enumerate(alone):
+                mesh = build_mesh([oracle._flow_integrand(mix, t, entropy_only)], a, b)
+                alone.append((mesh, adaptive_quad(oracle._flow_integrand(mix, t, symbolic), a, b)))
+        for j, (mesh, row) in enumerate(alone):
+            assert meshes[j] == mesh and meshes[j].results == mesh.results
             assert flows[j] == row
-            for by_time, mesh in zip(meshes, probed):
-                assert by_time[j] == mesh and by_time[j].totals == mesh.totals
         messages = [
             [str(w.message) for w in events if w.category is QuadratureNonConvergence]
             for events in (forest_events, alone_events)
@@ -308,9 +296,16 @@ class TestSharedEvaluation:
             # the 16-component scan's three C_4 trees that stop short
             panels = [m.split(" at ")[-1].split(" panels")[0] for m in messages[0]]
             assert panels == ["209", "259", "113"]
-            assert [r.converged for r in flows[0]] == [True] * 4 + [False]
+            converged = [r.converged for r in (*meshes[0].results, *flows[0])]
+            assert converged == [True] * 4 + [False]
         else:
             assert messages[0] == []
+        # the fd route integrates every stencil time on the h meshes: one
+        # plan per stencil reach, orders 1-2 and 3-4, at the default steps
+        plans = oracle._fd_plans(mix, ts, range(1, 5), None)
+        assert [plan.orders for plan in plans] == [(1, 2), (3, 4)]
+        for plan in plans:
+            assert list(plan.steps) == [default_fd_step(mix, t, plan.orders[0]) for t in ts]
         assert oracle._fd_finish(mix, plans, meshes, DEFAULT_TOL) == [
             fd_entropy_derivs(mix, t, range(1, 5)) for t in ts
         ]
@@ -328,25 +323,36 @@ class TestSharedEvaluation:
         together = fd_entropy_derivs(BIMODAL_MIXTURE, t, range(1, 7))
         assert together == {n: fd_entropy_deriv_result(BIMODAL_MIXTURE, t, n) for n in range(1, 7)}
 
+    @pytest.mark.parametrize("max_order", range(1, 7))
+    @pytest.mark.parametrize("case", ["bimodal", "wide", "sharp"])
+    def test_scan_fd_equals_fd_of_each_time(self, case, max_order):
+        # the benchmark recomputes each row's fd from its t alone, and
+        # must get the CSV's bits
+        mix, ts = {
+            "bimodal": (BIMODAL_MIXTURE, time_grid(0.05, 100.0, 6, "log")),
+            "wide": (wide_mixture(), time_grid(0.1, 100.0, 4, "log")),
+            "sharp": (GaussianMixture.single(0, 1e-9), time_grid(1e-9, 1e-3, 4, "log")),
+        }[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QuadratureNonConvergence)
+            rows = scan_conjectures(mix, ts, max_order).rows
+        orders = range(1, max_order + 1)
+        for row in rows:
+            fd = fd_entropy_derivs(mix, row.t, orders)
+            assert row.d_fd == tuple(fd[n] for n in orders)
+
     @pytest.mark.parametrize("n", [1, 4])
     def test_fd_equals_one_entropy_at_a_time(self, n):
         # the stencil's entropies each on their own, as separate integrands
-        # on the probe mesh: the multi-t kernel and the batched
+        # on the mesh of h(t): the multi-t kernel and the batched
         # integration must give the same bits
         mix, t, tol = wide_mixture(), 0.8, DEFAULT_TOL
         h = oracle.default_fd_step(mix, t, n)
         half = h / 2.0
         stencil = oracle._central_stencil(n)
         offsets = sorted({2 * off for off, _ in stencil} | {off for off, _ in stencil})
-        t_values = [t + off * half for off in offsets]
-        a, b = mix.support_interval(max(t_values))
-        probe_t = (min(t_values), t, max(t_values))
-        mesh = build_mesh([entropy_integrand(mix, tv) for tv in probe_t], a, b, tol)
-        probed = dict(zip(probe_t, mesh.totals))
-        h_at = {
-            off: probed[tv] if tv in probed else mesh.integrate(entropy_integrand(mix, tv))
-            for off, tv in zip(offsets, t_values)
-        }
+        mesh = build_mesh([entropy_integrand(mix, t)], *mix.support_interval(t), tol)
+        h_at = {off: mesh.integrate(entropy_integrand(mix, t + off * half)) for off in offsets}
         coarse = sum(c * h_at[2 * off] for off, c in stencil) / h**n
         fine = sum(c * h_at[off] for off, c in stencil) / half**n
         assert fd_entropy_deriv_result(mix, t, n)[0] == (4.0 * fine - coarse) / 3.0

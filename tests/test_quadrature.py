@@ -12,7 +12,13 @@ import pytest
 
 from heatcalc import quadrature
 from heatcalc.oracle import scan_conjectures, time_grid
-from heatcalc.quadrature import QuadratureNonConvergence, adaptive_quad, build_mesh
+from heatcalc.quadrature import (
+    Mesh,
+    QuadResult,
+    QuadratureNonConvergence,
+    adaptive_quad,
+    build_mesh,
+)
 from test_oracle import wide_mixture
 
 
@@ -99,13 +105,23 @@ def test_mesh_integrate_makes_one_call():
     assert value == pytest.approx(1.0, abs=1e-10)
 
 
-def test_mesh_totals_equal_integrate():
+def test_mesh_results_sum_the_bisection_halves():
+    # a mesh keeps each row's half-panel sums; integrate sums whole panels,
+    # within the discrepancy the result states
     fns = [Recorder(0.01), Recorder(0.003), Recorder(0.02)]
     mesh = build_mesh(fns, -12.0, 12.0)
-    totals = mesh.totals
-    assert len(totals) == len(fns)
-    for fn, total in zip(fns, totals):
-        assert total == mesh.integrate(fn)
+    assert len(mesh.results) == len(fns)
+    for fn, result in zip(fns, mesh.results):
+        wholes, halves = [], []
+        for lo, hi in mesh.panels:
+            mid = 0.5 * (lo + hi)
+            wholes.append(Mesh(((lo, hi),)).integrate(fn))
+            halves.append(Mesh(((lo, mid),)).integrate(fn) + Mesh(((mid, hi),)).integrate(fn))
+        value = quadrature._plain_sum(halves)
+        discrepancy = quadrature._plain_sum([abs(w - h) for w, h in zip(wholes, halves)])
+        assert result == QuadResult(value, max(discrepancy, 1e-16 * abs(value)), True)
+        assert mesh.integrate(fn) == quadrature._plain_sum(wholes)
+        assert abs(mesh.integrate(fn) - result.value) <= result.error
 
 
 def test_panel_budget_caps_the_mesh():
@@ -170,7 +186,7 @@ def test_build_mesh_rows_share_the_joint_test():
     mesh = build_mesh([rows], -12.0, 12.0)
     alone = build_mesh(rows.singles[:], -12.0, 12.0)
     assert mesh.panels == alone.panels
-    assert mesh.totals == alone.totals
+    assert mesh.results == alone.results
     assert mesh.integrate(rows) == tuple(mesh.integrate(fn) for fn in rows.singles)
 
 
@@ -257,5 +273,25 @@ def test_forest_jobs_equal_one_job_each(max_depth):
     assert len(together_events) == (6 if max_depth == 3 else 0)
     for j, (results, mesh) in enumerate(alone):
         assert together[0][j] == results
-        assert together[1][j] == mesh and together[1][j].totals == mesh.totals
-        assert [r.converged for r in results] == [max_depth == 24 or variances[j] > 1e-3] * 2
+        assert together[1][j] == mesh and together[1][j].results == mesh.results
+        converged = [max_depth == 24 or variances[j] > 1e-3] * 2
+        assert [r.converged for r in results] == [r.converged for r in mesh.results] == converged
+
+
+@pytest.mark.parametrize("max_depth", [24, 3])
+def test_one_row_mesh_results_equal_adaptive_quad(max_depth):
+    # a one-row joint tree accepts exactly the panels of the row alone, so
+    # its mesh's result is the row's own, bit for bit and flag for flag
+    spans = ((-12.0, 12.0), (-3.0, 9.0))
+    cases = [(Recorder(var), a, b) for var in (0.02, 3e-4, 1e-5) for a, b in spans]
+    for fn, a, b in cases:
+        fn.labels = (f"var {fn.var}",)
+    meshes, mesh_events = _nonconverged(
+        lambda: [build_mesh([fn], a, b, max_depth=max_depth) for fn, a, b in cases]
+    )
+    alone, alone_events = _nonconverged(
+        lambda: [adaptive_quad(fn, a, b, max_depth=max_depth) for fn, a, b in cases]
+    )
+    assert [mesh.results for mesh in meshes] == [(result,) for result in alone]
+    assert mesh_events == alone_events
+    assert [r.converged for r in alone].count(False) == (3 if max_depth == 3 else 0)
