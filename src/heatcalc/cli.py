@@ -386,8 +386,20 @@ def _output_prefix(command: str, out: Optional[str], default: str) -> Optional[P
     return prefix
 
 
+def _range_field(exc) -> str:
+    """The config field behind a ``FlowRangeError``.
+
+    A flow time leaves float64's range only when it is tiny (an fd step
+    underflows) or huge (a step overflows, or J**2 underflows), so the
+    grid end at fault follows from t.
+    """
+    if exc.component is not None:
+        return f"mixture[{exc.component}].var"
+    return "t_grid.start" if exc.t < 1.0 else "t_grid.stop"
+
+
 def _cmd_scan(args) -> int:
-    from .oracle import scan_conjectures, scan_to_csv
+    from .oracle import FlowRangeError, scan_conjectures, scan_to_csv
 
     try:
         config = load_config(args.config)
@@ -397,9 +409,13 @@ def _cmd_scan(args) -> int:
     prefix = _output_prefix("scan", args.out, config.output or "scan")
     if prefix is None:
         return 1
-    result = scan_conjectures(
-        config.mixture, config.grid(), config.max_order, config.quad_tol
-    )
+    try:
+        result = scan_conjectures(
+            config.mixture, config.grid(), config.max_order, config.quad_tol
+        )
+    except FlowRangeError as exc:
+        print(f"config error at {_range_field(exc)}: {exc}", file=sys.stderr)
+        return 1
     csv_path = prefix.with_name(prefix.name + ".csv")
     csv_path.write_text(scan_to_csv(result))
     print(f"wrote {csv_path}")

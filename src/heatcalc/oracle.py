@@ -27,6 +27,7 @@ share one -f log f.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -49,6 +50,20 @@ class FdAccuracyWarning(UserWarning):
     """A finite-difference estimate carries more than 10% estimated error."""
 
 
+class FlowRangeError(ValueError):
+    """An input that the scan cannot evaluate in float64.
+
+    ``t`` is the flow time where it fails; ``component`` is the index of
+    the mixture component at fault, or None when the flow time is.
+    """
+
+    def __init__(self, message: str, t: float, component: Optional[int] = None):
+        super().__init__(message)
+        self.t = t
+        self.component = component
+
+
+
 # ---------------------------------------------------------------------------
 # Integrands and basic functionals
 # ---------------------------------------------------------------------------
@@ -64,39 +79,68 @@ def _flow_rows(
     A quantity without a combination is the entropy integrand -f log f;
     the others are their combination evaluated on the flowed density.
     With a row of k times per job (``ts[j]`` a sequence) each quantity
-    has k rows, one per time.  Each value is computed exactly as it would
-    be on its own, so sharing the kernel call changes no bit.
+    has k rows, one per time.
+
+    Each combination is compiled once into its terms, a coefficient and
+    the (order, exponent) pairs of its factors.  Per block of nodes, the
+    powers of the ratios r_m = f_m/f come from a table built by
+    multiplication, r_m^k = r_m^(k-1) r_m: ``**`` with an exponent of 3
+    or more calls libm ``pow``, about a hundred multiplies per element.
+    A term is its coefficient times its factors in order, and a quantity
+    adds its terms one after another, elementwise.  So every value is
+    computed per node, exactly as it would be on its own, and sharing the
+    kernel call, the block or the forest changes no bit.
     """
     combs = [
-        None if comb is None else [(mono.exps, float(coeff)) for mono, coeff in comb.items()]
+        None
+        if comb is None
+        # a zero combination is one term, 0 times the density
+        else [(float(coeff), mono.exps) for mono, coeff in comb.items()] or [(0.0, ())]
         for _, comb in quantities
     ]
-    max_m = max((m for items in combs if items for exps, _ in items for m, _ in exps), default=0)
+    tops: Dict[int, int] = {}  # per ratio row, the highest power a term takes
+    for items in combs:
+        for _, exps in items or ():
+            for m, k in exps:
+                tops[m] = max(tops.get(m, 0), k)
+    max_m = max(tops, default=0)
     times = np.array(ts, dtype=float)
 
     def rows(lf: np.ndarray, ratios: np.ndarray) -> np.ndarray:
         f = np.exp(lf)
-        powers = {}  # each power of a ratio once per block
+        table = {}
+        for m, top in tops.items():
+            power = table[m, 1] = ratios[m]
+            for k in range(2, top + 1):
+                power = table[m, k] = power * ratios[m]
         out = np.empty((len(combs),) + lf.shape)
+        term = np.empty_like(lf)
         for row, items in zip(out, combs):
             if items is None:
-                row[:] = -f * lf
+                np.multiply(-f, lf, out=row)
                 continue
-            acc = np.zeros_like(lf)
-            for exps, coeff in items:
-                term = np.full_like(acc, coeff)
-                for m, k in exps:
-                    if (m, k) not in powers:
-                        powers[m, k] = ratios[m] ** k
-                    term *= powers[m, k]
-                acc += term
-            row[:] = f * acc
+            _term(items[0], table, row)
+            for item in items[1:]:
+                row += _term(item, table, term)
+            row *= f
         return out.reshape(-1, lf.shape[-1])
 
     def fn(y: np.ndarray, jobs: np.ndarray) -> np.ndarray:
         return map_flow(mix, times, y, jobs, max_m, rows)
 
     return fn
+
+
+def _term(item, table, out: np.ndarray) -> np.ndarray:
+    """coeff * prod r_m^k of one compiled term, written to ``out``."""
+    coeff, exps = item
+    if not exps:
+        out.fill(coeff)
+        return out
+    np.multiply(coeff, table[exps[0]], out=out)
+    for pair in exps[1:]:
+        out *= table[pair]
+    return out
 
 
 def _flow_labels(t: float, quantities) -> Tuple[str, ...]:
@@ -283,17 +327,20 @@ def fd_entropy_derivs(
 
 @dataclass(frozen=True)
 class _FdPlan:
-    """The fd orders of one stencil reach, over the flow times of a batch.
+    """The fd orders that share their step, over the flow times of a batch where they do.
 
     Stencil points are offsets from t in units of h/2.  Every offset of a
     flow time is integrated on that time's h mesh, so the quadrature rule
     is the same at every stencil point and its error cancels in the
     differences.  Offsets whose times round to the same float get the
-    same bits.
+    same bits.  A stencil's offsets include those of every stencil of
+    smaller reach, so orders of several reaches that share a step share
+    one set of stencil entropies.
     """
 
     orders: Tuple[int, ...]
     offsets: Tuple[int, ...]  # the union of the orders' stencil offsets
+    rows: Tuple[int, ...]  # the batch's flow times this plan serves, by index
     ts: Tuple[float, ...]
     steps: Tuple[float, ...]  # h, one per flow time
 
@@ -305,24 +352,40 @@ class _FdPlan:
 def _fd_plans(
     mix: GaussianMixture, ts: Sequence[float], orders: Sequence[int], step: Optional[float]
 ) -> List[_FdPlan]:
-    """One plan per stencil reach, in the order the orders first reach it.
+    """The fd plans of the flow times ``ts``: per flow time, one plan per distinct step.
 
-    ``default_fd_step`` depends on the order only through its reach, so
-    the orders of one reach share their step at every flow time.
+    ``default_fd_step`` depends on the order only through its stencil
+    reach, and it clamps a larger reach's step only when t is small, so
+    at most flow times every order shares one step and one stencil call
+    (7 times for orders 1-4).  Flow times with the same orders per step
+    share a plan.
     """
     by_reach: Dict[int, List[int]] = {}
     for n in orders:
         if n < 1:
             raise ValueError("derivative order must be >= 1")
         by_reach.setdefault(_stencil_reach(n), []).append(n)
-    plans = []
-    for reach, ns in by_reach.items():
-        steps = [default_fd_step(mix, t, ns[0]) if step is None else float(step) for t in ts]
-        for t, h in zip(ts, steps):
+    groups: Dict[Tuple[int, ...], List[Tuple[int, float, float]]] = {}
+    for i, t in enumerate(ts):
+        by_step: Dict[float, List[int]] = {}
+        for reach, ns in by_reach.items():
+            h = default_fd_step(mix, t, ns[0]) if step is None else float(step)
             if h <= 0 or t - reach * h <= 0:
                 raise ValueError(f"step {h} reaches t <= 0 for order {ns[0]} at t = {t}")
+            # _richardson divides by h**n and (h/2)**n: both must be normal floats
+            n = max(ns)
+            if not (-1022 <= n * math.log2(h / 2.0) and n * math.log2(h) < 1024):
+                raise FlowRangeError(
+                    f"fd step {h} at t = {t}: h**{n} leaves float64's normal range", t
+                )
+            by_step.setdefault(h, []).extend(ns)
+        for h, ns in by_step.items():
+            groups.setdefault(tuple(ns), []).append((i, t, h))
+    plans = []
+    for ns, members in groups.items():
         offsets = sorted({off for n in ns for off in _stencil_offsets(n)})
-        plans.append(_FdPlan(tuple(ns), tuple(offsets), tuple(ts), tuple(steps)))
+        rows, times, steps = zip(*members)
+        plans.append(_FdPlan(ns, tuple(offsets), rows, times, steps))
     return plans
 
 
@@ -338,11 +401,12 @@ def _fd_finish(
     """
     results: List[Dict[int, Tuple[float, float]]] = [{} for _ in meshes]
     for plan in plans:
-        entropies = integrate(meshes, _flow_rows(mix, plan.times(), _ENTROPY))
-        for out, h, by_offset in zip(results, plan.steps, entropies):
+        rows = _flow_rows(mix, plan.times(), _ENTROPY)
+        entropies = integrate([meshes[i] for i in plan.rows], rows)
+        for i, h, by_offset in zip(plan.rows, plan.steps, entropies):
             h_at = dict(zip(plan.offsets, by_offset))
             for n in plan.orders:
-                out[n] = _richardson(n, h, h_at, tol)
+                results[i][n] = _richardson(n, h, h_at, tol)
     return results
 
 
@@ -538,6 +602,15 @@ def _scan_rows(
         for t, mesh, sym, fd in zip(batch, meshes, flows, fds):
             (h_res,) = mesh.results
             j_res = sym[0]
+            # the verdicts square J and divide by it; J is about 1/(s + t)
+            # for the widest variance s, so the larger of the two is at fault
+            if not sys.float_info.min <= j_res.value * j_res.value < math.inf:
+                widest = int(np.argmax(mix.variances))
+                raise FlowRangeError(
+                    f"J = {j_res.value!r} at t = {t!r}: J**2 leaves float64's normal range",
+                    t,
+                    widest if mix.variances[widest] >= t else None,
+                )
             d_sym = tuple(0.5 * r.value for r in sym[:sym_orders])
             # J' is C_2, or twice the order-2 fd when the symbolic orders stop at 1
             jp = sym[1] if len(d_sym) >= 2 else QuadResult(2.0 * fd[2][0], 2.0 * fd[2][1])

@@ -1,11 +1,13 @@
-"""The benchmark's scan check, run on the scans it gates.
+"""The benchmark's scan and wt-scan checks, run on the inputs they gate.
 
 ``perfbench/workloads.py`` fails a scan row when its verdict lines are
 missing, when a row's fd columns differ from ``fd_entropy_deriv_result``
 recomputed at that row's t alone, or when a symbolic derivative misses
-its finite difference by more than 3 (fd error + 3 tol).  A change to the
-oracle that trips that check fails here, not only under the benchmark.
-The check is imported as it is, never edited.
+its finite difference by more than 3 (fd error + 3 tol).  It fails a
+wt-scan row when the command's verdict lines are missing or the row's
+``txz_ok`` is not 1.  A change to the oracle that trips those checks
+fails here, not only under the benchmark.  The checks are imported as
+they are, never edited.
 """
 
 import sys
@@ -45,3 +47,13 @@ def test_wide_mixture_scan_passes_the_gate(tmp_path, capsys):
             workloads.WIDE_SCAN_GRID,
             workloads.SCAN_VERDICTS,
         )
+
+
+def test_wide_mixture_wt_scan_passes_the_gate(tmp_path, capsys):
+    cfg = tmp_path / "wt.json"
+    workloads._write_config(cfg, workloads.wide_mixture_components(), workloads.WIDE_WT_GRID)
+    rc = main(["wt-scan", "--config", str(cfg), "--out", str(tmp_path / "wt")])
+    out = workloads.Outcome(
+        rc, capsys.readouterr().out, "", 0.0, 0.0, 0, (tmp_path / "wt.csv").read_bytes()
+    )
+    assert workloads._check_wt(out, workloads.WIDE_WT_GRID["points"]) == 0

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -333,6 +334,47 @@ class TestScanCommand:
         assert rc == 0
         rows = (tmp_path / "order1.csv").read_text().splitlines()[1:]
         assert [row.split(",")[-2:] for row in rows] == [["1", "1"]] * 40
+
+
+    @pytest.mark.parametrize(
+        "field,payload",
+        [
+            # the order-4 fd step 0.45 t makes h**4 underflow to 0
+            (
+                "t_grid.start",
+                {
+                    "mixture": [{"w": 1, "mu": 0, "var": 1}],
+                    "t_grid": {"start": 1e-85, "stop": 1, "points": 5, "spacing": "log"},
+                },
+            ),
+            # J is about 1e-200, and its square underflows to 0
+            (
+                "mixture[0].var",
+                {
+                    "mixture": [{"w": 1, "mu": 0, "var": 1e200}],
+                    "t_grid": {"start": 0.1, "stop": 1, "points": 5},
+                },
+            ),
+            # the order-4 fd step 0.02 t makes h**4 overflow
+            (
+                "t_grid.stop",
+                {
+                    "mixture": [{"w": 1, "mu": 0, "var": 1}],
+                    "t_grid": {"start": 0.1, "stop": 1e80, "points": 5, "spacing": "log"},
+                },
+            ),
+        ],
+    )
+    def test_values_out_of_float_range_name_their_field(self, tmp_path, capsys, field, payload):
+        cfg = tmp_path / "range.json"
+        cfg.write_text(json.dumps(payload))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow notes
+            rc = main(["scan", "--config", str(cfg), "--out", str(tmp_path / "range")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error at {field}: ")
+        assert not (tmp_path / "range.csv").exists()
 
 
 class TestWtScanCommand:

@@ -2,12 +2,18 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from heatcalc import oracle
-from heatcalc.mixtures import BIMODAL_MIXTURE, GaussianMixture, log_density
+from heatcalc import mixtures, oracle
+from heatcalc.mixtures import (
+    BIMODAL_MIXTURE,
+    GaussianMixture,
+    log_density,
+    log_density_and_ratios,
+)
 from heatcalc.oracle import (
     DEFAULT_TOL,
     FdAccuracyWarning,
@@ -27,7 +33,7 @@ from heatcalc.oracle import (
 )
 from heatcalc.quadrature import QuadratureNonConvergence, adaptive_quad, build_mesh, refine
 from heatcalc.reduction import entropy_derivative
-from heatcalc.terms import Combination, d_dy, make_monomial
+from heatcalc.terms import Combination, combination, d_dy, make_monomial
 
 
 def gaussian_entropy(s: float) -> float:
@@ -196,19 +202,28 @@ class TestKernelCalls:
         monkeypatch.setattr(oracle, "map_flow", counting)
         return calls
 
+    PANELS = 8 * 24
+    LEVELS = [((1,), PANELS), ((1,), 2 * PANELS)]
+
     def test_scan_row_on_a_gaussian(self, monkeypatch):
         calls = self._counting(monkeypatch)
         oracle._scan_row_core(GaussianMixture.single(), 1.0, 4, DEFAULT_TOL)
         # every mesh and tree of this row accepts its 8 initial panels, so
         # each forest makes two calls: 8 panels, then their 16 halves.  h
         # has its own mesh, and C_1..C_4 share one tree and one call per
-        # level.  The fd route refines nothing: orders 1-2 and 3-4 share a
-        # stencil reach, and each reach's stencil times (5 for orders 1-2,
-        # 7 for orders 3-4) are integrated on the h mesh in one call.
-        panels = 8 * 24
-        level = [((1,), panels), ((1,), 2 * panels)]
-        stencils = [((1, 5), panels), ((1, 7), panels)]
-        assert calls == level + level + stencils
+        # level.  The fd route refines nothing: its stencil times are
+        # integrated on the h mesh.  All four orders share one step here,
+        # and the 5 stencil times of orders 1-2 are among the 7 of orders
+        # 3-4, so one call integrates them all.
+        assert calls == self.LEVELS + self.LEVELS + [((1, 7), self.PANELS)]
+
+    def test_a_small_t_row_keeps_a_call_per_step(self, monkeypatch):
+        # at t = 0.01 the clamp 0.9 t / reach gives orders 1-2 and 3-4
+        # their own steps, so each reach keeps its own stencil call
+        calls = self._counting(monkeypatch)
+        oracle._scan_row_core(GaussianMixture.single(), 0.01, 4, DEFAULT_TOL)
+        stencils = [((1, 5), self.PANELS), ((1, 7), self.PANELS)]
+        assert calls == self.LEVELS + self.LEVELS + stencils
 
     def test_40_points_make_the_calls_of_3(self, monkeypatch):
         # a forest takes up to 40 flow times, one job each, and each level
@@ -221,7 +236,103 @@ class TestKernelCalls:
             layouts.append([(shape[1:], nodes // points) for shape, nodes in calls])
             assert [shape[0] for shape, _ in calls] == [points] * len(calls)
         assert layouts[0] == layouts[1]
-        assert len(layouts[0]) == 6
+        assert len(layouts[0]) == 5
+
+
+class TestCompiledEpilogue:
+    """``_flow_rows`` evaluates each combination from a power table built by
+    multiplication; every node's value is checked against exact arithmetic
+    on the same float ratios, and against itself computed alone."""
+
+    MIX = GaussianMixture.create([(0.3, -1.0, 0.2), (0.7, 1.5, 0.6)])
+    MIXED = combination(
+        {
+            make_monomial([]): 1,
+            make_monomial([2]): Fraction(-1, 3),
+            make_monomial([1, 1, 3]): 5,
+            make_monomial([1] * 12): Fraction(2, 7),
+            make_monomial([1, 1] + [2] * 13): Fraction(-3, 11),
+        }
+    )
+
+    @classmethod
+    def quantities(cls):
+        cs = [(f"C_{n}", entropy_derivative(n)) for n in range(1, 9)]
+        density = Combination.term(make_monomial([]))
+        extra = [("f", density), ("mixed", cls.MIXED), ("zero", Combination.zero())]
+        return [("h", None)] + cs + extra
+
+    def test_each_node_is_within_its_roundoff_of_the_exact_value(self):
+        # the exact value of each combination on the kernel's own float
+        # ratios and density, with exact rational coefficients; the
+        # compiled terms round the coefficient, each power, each product
+        # and each partial sum, well inside 8 eps of the terms' magnitude
+        t = 0.4
+        y = np.linspace(*self.MIX.support_interval(t), 41)
+        qs = self.quantities()
+        values = oracle._flow_rows(self.MIX, [t], qs)(y, np.zeros(y.size, np.intp))
+        lf, ratios = log_density_and_ratios(self.MIX, t, y, 16)
+        f = np.exp(lf)
+        eps = np.finfo(float).eps
+        for (name, comb), row in zip(qs, values):
+            if comb is None:
+                assert np.array_equal(row, -f * lf)
+                continue
+            for i in range(y.size):
+                exact = magnitude = Fraction(0)
+                for mono, coeff in comb.items():
+                    factors = (Fraction(float(ratios[m, i])) ** k for m, k in mono.exps)
+                    term = coeff * math.prod(factors, start=Fraction(1))
+                    exact += term
+                    magnitude += abs(term)
+                fi = Fraction(float(f[i]))
+                error = abs(Fraction(float(row[i])) - fi * exact)
+                assert error <= 8 * eps * fi * magnitude, (name, i)
+
+    def test_a_node_gets_the_same_bits_in_any_call(self, monkeypatch):
+        qs = self.quantities()
+        ts = [0.2, 0.9, 3.0]
+        y = np.linspace(-6.0, 7.0, 300)
+        jobs = np.arange(y.size) % len(ts)
+        forest = oracle._flow_rows(self.MIX, ts, qs)(y, jobs)
+        # one job at a time
+        for j, t in enumerate(ts):
+            alone = oracle._flow_rows(self.MIX, [t], qs)(y[jobs == j], np.zeros(100, np.intp))
+            assert np.array_equal(alone, forest[:, jobs == j])
+        # a row of all three times per node
+        rows = oracle._flow_rows(self.MIX, [ts], qs)(y, np.zeros(y.size, np.intp))
+        rows = rows.reshape(len(qs), len(ts), y.size)
+        for j in range(len(ts)):
+            assert np.array_equal(rows[:, j, jobs == j], forest[:, jobs == j])
+        # blocks of 64 nodes, and calls of 2 and 3 nodes
+        monkeypatch.setattr(mixtures, "_BLOCK_PAIRS", 1)
+        assert np.array_equal(oracle._flow_rows(self.MIX, ts, qs)(y, jobs), forest)
+        for size in (2, 3):
+            parts = [
+                oracle._flow_rows(self.MIX, ts, qs)(y[lo : lo + size], jobs[lo : lo + size])
+                for lo in range(0, y.size, size)
+            ]
+            assert np.array_equal(np.concatenate(parts, axis=1), forest)
+
+    def test_no_pow_in_the_epilogue(self, monkeypatch):
+        # integer powers of 3 or more go through libm pow, a hundred
+        # multiplies' worth per element; the table multiplies instead
+        calls = []
+
+        class Spy(np.ndarray):
+            def __pow__(self, k):
+                calls.append(k)
+                return np.ndarray.__pow__(self, k)
+
+        kernel = oracle.map_flow
+
+        def spying(mix, t, y, jobs, max_m, fn):
+            return kernel(mix, t, y, jobs, max_m, lambda lf, r: fn(lf, r.view(Spy)))
+
+        monkeypatch.setattr(oracle, "map_flow", spying)
+        y = np.linspace(-3.0, 3.0, 10)
+        oracle._flow_rows(self.MIX, [1.0], self.quantities())(y, np.zeros(y.size, np.intp))
+        assert calls == []
 
 
 class TestSharedEvaluation:
@@ -293,19 +404,22 @@ class TestSharedEvaluation:
         ]
         assert messages[0] == messages[1]
         if case == "wide":
-            # the 16-component scan's three C_4 trees that stop short
+            # the 16-component scan's three C_4 trees that stop short; a
+            # tree that never converges stops wherever rounding leads it,
+            # so these counts follow the last bits of C_4's arithmetic
             panels = [m.split(" at ")[-1].split(" panels")[0] for m in messages[0]]
-            assert panels == ["209", "259", "113"]
+            assert panels == ["209", "231", "92"]
             converged = [r.converged for r in (*meshes[0].results, *flows[0])]
             assert converged == [True] * 4 + [False]
         else:
             assert messages[0] == []
-        # the fd route integrates every stencil time on the h meshes: one
-        # plan per stencil reach, orders 1-2 and 3-4, at the default steps
+        # the fd route integrates every stencil time on the h meshes: at
+        # these flow times orders 1-2 and 3-4 share their default step, so
+        # one plan serves all four orders at every time
         plans = oracle._fd_plans(mix, ts, range(1, 5), None)
-        assert [plan.orders for plan in plans] == [(1, 2), (3, 4)]
-        for plan in plans:
-            assert list(plan.steps) == [default_fd_step(mix, t, plan.orders[0]) for t in ts]
+        assert [(plan.orders, plan.rows) for plan in plans] == [((1, 2, 3, 4), (0, 1, 2, 3))]
+        for n in (1, 3):
+            assert list(plans[0].steps) == [default_fd_step(mix, t, n) for t in ts]
         assert oracle._fd_finish(mix, plans, meshes, DEFAULT_TOL) == [
             fd_entropy_derivs(mix, t, range(1, 5)) for t in ts
         ]
@@ -375,6 +489,39 @@ class TestSharedEvaluation:
             fd_entropy_derivs(BIMODAL_MIXTURE, 0.5, [1, 3], step=0.3)
         with pytest.raises(ValueError, match=">= 1"):
             fd_entropy_derivs(BIMODAL_MIXTURE, 0.5, [1, 0])
+
+    def test_fd_plans_split_where_the_clamp_separates_the_steps(self):
+        # below t of about 0.0045 the clamp 0.9 t / reach gives orders 1-2
+        # and 3-4 different steps, and each reach its own stencil call;
+        # above it one plan serves all four orders
+        mix, ts = BIMODAL_MIXTURE, [1e-3, 4e-3, 0.05, 1.0]
+        plans = oracle._fd_plans(mix, ts, range(1, 5), None)
+        assert [(plan.orders, plan.rows, len(plan.offsets)) for plan in plans] == [
+            ((1, 2), (0, 1), 5),
+            ((3, 4), (0, 1), 7),
+            ((1, 2, 3, 4), (2, 3), 7),
+        ]
+        meshes = [build_mesh([entropy_integrand(mix, t)], *mix.support_interval(t)) for t in ts]
+        together = oracle._fd_finish(mix, plans, meshes, DEFAULT_TOL)
+        assert together == [fd_entropy_derivs(mix, t, range(1, 5)) for t in ts]
+        for t, fd in zip(ts, together):
+            assert fd == {n: fd_entropy_deriv_result(mix, t, n) for n in range(1, 5)}
+
+    def test_a_step_out_of_float_range_names_its_flow_time(self):
+        # at t = 1e-85 the order-4 step 0.45 t makes h**4 underflow to 0;
+        # at t = 1e80 the step 0.02 t makes it overflow
+        g = GaussianMixture.single(0, 1)
+        for t in (1e-85, 1e80):
+            with pytest.raises(oracle.FlowRangeError, match="h\\*\\*4") as caught:
+                fd_entropy_derivs(g, t, range(1, 5))
+            assert (caught.value.t, caught.value.component) == (t, None)
+
+    def test_a_fisher_information_too_small_to_square_names_the_widest_component(self):
+        mix = GaussianMixture.create([(0.5, 0.0, 1e200), (0.5, 3.0, 1e199)])
+        with np.errstate(all="ignore"):
+            with pytest.raises(oracle.FlowRangeError, match="J\\*\\*2") as caught:
+                scan_conjectures(mix, [0.1, 0.2, 0.3], 2)
+        assert (caught.value.t, caught.value.component) == (0.1, 0)
 
 
 class TestSecondDifference:
