@@ -431,6 +431,9 @@ def _cmd_scan(args) -> int:
     print(f"entropy-power/Fisher checks: {'ok' if costa else 'FAILED'}")
     print(f"1/J curvature changes sign: {'yes' if both else 'no'} (reported)")
     print(f"log J convexity violations beyond noise: {logj} (reported)")
+    short = result.stopped_short_rows()
+    if short:
+        print(f"inconclusive rows: {short} (quadrature stopped short; reported)")
     return 0 if signs and costa else 2
 
 

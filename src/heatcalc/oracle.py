@@ -15,13 +15,14 @@ are three-sigma style: a check passes or fails only when the value clears
 the estimated numeric error by a factor of three, and is otherwise
 reported as inconclusive rather than asserted.
 
-A scan refines its flow times in batches, each batch two bisection
-forests: per flow time one mesh for h, and one tree on which C_1..C_4
-each accept their own panels.  The h mesh is refined once and serves the
-finite differences too: every fd stencil entropy of that flow time is
-integrated on it.  Every density evaluation is one ``mixtures.map_flow``
-call with an epilogue from ``_flow_rows``, so h and the fd entropies
-share one -f log f.
+A scan refines its flow times in batches, each batch one bisection
+forest: per flow time one tree on which h and C_1..C_4 each accept their
+own panels.  The panels h accepts are its mesh, and they serve the finite
+differences too: every fd stencil entropy of that flow time is integrated
+on them.  Every density evaluation is one ``mixtures.map_flow`` call with
+an epilogue from ``_flow_rows``, so h and the fd entropies share one
+-f log f.  A quantity whose tree stops short of the tolerance leaves
+every sign verdict that rests on it inconclusive.
 """
 
 from __future__ import annotations
@@ -31,12 +32,12 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .mixtures import GaussianMixture, map_flow
-from .quadrature import Forest, Mesh, QuadResult, integrate, refine
+from .quadrature import INITIAL_NODES, Forest, Mesh, QuadResult, integrate, refine
 from .reduction import entropy_derivative
 from .terms import Combination
 
@@ -147,31 +148,30 @@ def _flow_labels(t: float, quantities) -> Tuple[str, ...]:
     return tuple(f"{name} at t={float(t)!r}" for name, _ in quantities)
 
 
-def _flow_integrand(
-    mix: GaussianMixture, t: float, quantities: Sequence[Tuple[str, Optional[Combination]]]
-) -> Callable[[np.ndarray], np.ndarray]:
-    """``_flow_rows`` at the one flow time t, as a plain integrand of rows."""
-    rows = _flow_rows(mix, [t], quantities)
-
-    def fn(y: np.ndarray) -> np.ndarray:
-        return rows(y, np.zeros(y.size, dtype=np.intp))
-
-    fn.labels = _flow_labels(t, quantities)
-    return fn
+def _window(mix: GaussianMixture, t: float) -> Tuple[float, ...]:
+    """``support_interval`` at t as breakpoints, with the 12-sigma edges of each
+    component narrower than the mean spacing of the initial nodes, which
+    could fall between all of them and read as zero."""
+    a, b = mix.support_interval(t)
+    spacing = (b - a) / INITIAL_NODES
+    edges = [
+        mu + side * 12.0 * math.sqrt(v + t)
+        for _, mu, v in mix.components
+        if 24.0 * math.sqrt(v + t) < spacing
+        for side in (-1.0, 1.0)
+    ]
+    return (a, *sorted(edges), b)
 
 
 def _flow_forest(
     mix: GaussianMixture,
     ts: Sequence[float],
     quantities: Sequence[Tuple[str, Optional[Combination]]],
-    joint: bool = False,
 ) -> Forest:
-    """One bisection tree per flow time t > 0; each quantity accepts its own panels,
-    or with ``joint`` all of them together, on one ``Mesh`` per flow time."""
+    """One bisection tree per flow time t > 0 and quantity; each accepts its own panels."""
     return Forest(
         _flow_rows(mix, ts, quantities),
-        [mix.support_interval(t) for t in ts],
-        joint,
+        [_window(mix, t) for t in ts],
         [_flow_labels(t, quantities) for t in ts],
     )
 
@@ -182,8 +182,8 @@ def _flow_results(
     quantities: Sequence[Tuple[str, Optional[Combination]]],
     tol: float,
 ) -> List[QuadResult]:
-    """Each quantity's integral at flow time t > 0, from one shared bisection tree."""
-    ((results,),) = refine([_flow_forest(mix, [t], quantities)], tol)
+    """Each quantity's integral at flow time t > 0, from one bisection forest."""
+    (results,) = refine(_flow_forest(mix, [t], quantities), tol, stacklevel=3)
     return results
 
 
@@ -312,8 +312,8 @@ def fd_entropy_derivs(
 ) -> Dict[int, Tuple[float, float]]:
     """``fd_entropy_deriv_result`` of several orders, sharing their evaluations.
 
-    Every stencil entropy is integrated on the mesh that h(t) is refined
-    on, the one mesh of the scan row at t.  An order's step depends only
+    Every stencil entropy is integrated on the panels that h(t)'s own tree
+    accepts, as in the scan row at t.  An order's step depends only
     on its stencil's reach, so the orders of one reach share their stencil
     entropies, from one multi-t kernel call, and each order's result is
     bit for bit what it gives alone and what the scan gives at t.
@@ -321,8 +321,8 @@ def fd_entropy_derivs(
     plans = _fd_plans(mix, [t], orders, step)
     if not plans:
         return {}
-    ((mesh,),) = refine([_flow_forest(mix, [t], _ENTROPY, joint=True)], tol)
-    return _fd_finish(mix, plans, [mesh], tol)[0]
+    (h,) = _flow_results(mix, t, _ENTROPY, tol)
+    return _fd_finish(mix, plans, [h.mesh()], tol)[0]
 
 
 @dataclass(frozen=True)
@@ -524,6 +524,8 @@ class ScanRow:
     d_sym: Tuple[float, ...]  # symbolic d^n h for n = 1..min(4, max_order)
     costa_margin: float  # -J' - J^2, zero for a single Gaussian
     costa_margin_err: float
+    # per quadrature tree, h then C_1..C_k: False where it stopped short
+    converged: Tuple[bool, ...]
     logJ_dd: float = math.nan
     logJ_dd_err: float = math.nan
     invJ_dd: float = math.nan
@@ -559,6 +561,10 @@ class ScanResult:
         """Both curvature signs present, each clearing its noise estimate."""
         return _has_both_signs((r.invJ_dd, r.invJ_dd_err) for r in self.rows)
 
+    def stopped_short_rows(self) -> int:
+        """Rows with a sign verdict left inconclusive by a tree that stopped short."""
+        return sum(1 for r in self.rows if not all(r.converged))
+
     def logJ_convexity_violations(self) -> int:
         return sum(
             1 for r in self.rows if math.isfinite(r.logJ_dd) and r.logJ_dd < -3.0 * r.logJ_dd_err
@@ -574,33 +580,42 @@ _SYM_ORDERS = 4
 _FOREST_TIMES = 40
 
 
-def _batches(ts: Sequence[float]) -> List[Sequence[float]]:
-    return [ts[i : i + _FOREST_TIMES] for i in range(0, len(ts), _FOREST_TIMES)]
+def _flow_batches(
+    mix: GaussianMixture,
+    ts: Sequence[float],
+    quantities: Sequence[Tuple[str, Optional[Combination]]],
+    tol: float,
+) -> Iterator[Tuple[Sequence[float], List[List[QuadResult]]]]:
+    """Each batch of ``_FOREST_TIMES`` flow times, with each quantity's result per time.
+
+    A batch is one forest: every level of all its trees is refined together.
+    """
+    for i in range(0, len(ts), _FOREST_TIMES):
+        batch = ts[i : i + _FOREST_TIMES]
+        yield batch, refine(_flow_forest(mix, batch, quantities), tol, stacklevel=3)
 
 
 def _scan_rows(
     mix: GaussianMixture, ts: Sequence[float], max_order: int, tol: float
 ) -> List[ScanRow]:
-    """The scan's rows before the grid-level verdicts, from bisection forests.
+    """The scan's rows before the grid-level verdicts, from one forest per batch.
 
-    Each flow time has one mesh for h, which every fd stencil entropy of
-    that time is then integrated on, in one call per stencil reach, and
-    one tree on which C_1..C_4 each accept their own panels.  A batch of
-    ``_FOREST_TIMES`` flow times is one forest of each: every level of all
-    their trees is refined together.
+    Each flow time has one tree on which h and C_1..C_4 each accept their
+    own panels.  The panels h accepts are its mesh: every fd stencil
+    entropy of that time is integrated on it, in one call per stencil reach.
     """
     sym_orders = min(_SYM_ORDERS, max_order)
-    # C_1 (which integrates to J) always; C_2..C_4 as the orders ask
-    quantities = [(f"C_{n}", entropy_derivative(n)) for n in range(1, max(sym_orders, 1) + 1)]
+    # h; C_1 (which integrates to J) always; C_2..C_4 as the orders ask
+    quantities = _ENTROPY + [
+        (f"C_{n}", entropy_derivative(n)) for n in range(1, max(sym_orders, 1) + 1)
+    ]
     # J' needs order 2, from the fd route when the symbolic one stops at 1
     fd_orders = range(1, max(max_order, 2) + 1)
     rows = []
-    for batch in _batches(ts):
-        forests = [_flow_forest(mix, batch, _ENTROPY, True), _flow_forest(mix, batch, quantities)]
-        meshes, flows = refine(forests, tol)
+    for batch, flows in _flow_batches(mix, ts, quantities, tol):
+        meshes = [flow[0].mesh() for flow in flows]
         fds = _fd_finish(mix, _fd_plans(mix, batch, fd_orders, None), meshes, tol)
-        for t, mesh, sym, fd in zip(batch, meshes, flows, fds):
-            (h_res,) = mesh.results
+        for t, (h_res, *sym), fd in zip(batch, flows, fds):
             j_res = sym[0]
             # the verdicts square J and divide by it; J is about 1/(s + t)
             # for the widest variance s, so the larger of the two is at fault
@@ -628,6 +643,7 @@ def _scan_rows(
                     d_sym=d_sym,
                     costa_margin=costa_margin,
                     costa_margin_err=costa_err,
+                    converged=(h_res.converged, *(r.converged for r in sym)),
                 )
             )
     return rows
@@ -686,20 +702,14 @@ def scan_conjectures(
         row.e2h_dd = float(e2h_dd[i])
         row.e2h_dd_err = float(e2h_err[i])
 
-        status = []
-        ok = True
-        for n, (value, error) in enumerate(row.d_fd, start=1):
-            wanted = 1 if n % 2 else -1
-            verdict = _sign_status(value, error, wanted)
-            status.append(verdict)
-            ok = ok and verdict != "fail"
-        for n, value in enumerate(row.d_sym, start=1):
-            wanted = 1 if n % 2 else -1
-            verdict = _sign_status(value, tol * 3, wanted)
-            status.append(verdict)
-            ok = ok and verdict != "fail"
-        row.sign_status = tuple(status)
-        row.signs_ok = ok
+        # a verdict rests on one tree: the fd orders' on h's, d_sym's order n on C_n's
+        checks = [(n, v, e, row.converged[0]) for n, (v, e) in enumerate(row.d_fd, start=1)]
+        checks += [(n, v, tol * 3, row.converged[n]) for n, v in enumerate(row.d_sym, start=1)]
+        row.sign_status = tuple(
+            _sign_status(value, error, 1 if n % 2 else -1) if done else "inconclusive"
+            for n, value, error, done in checks
+        )
+        row.signs_ok = "fail" not in row.sign_status
 
         # (e^{2h})'' = e^{2h} (J^2 + J') makes this the entropy-power
         # concavity too; e2h_dd is its grid cross-check and gets no verdict
@@ -793,13 +803,9 @@ def wt_checks(
     if any(not 0 < t < 1 for t in ts) or sorted(ts) != ts:
         raise ValueError("grid must lie strictly inside (0, 1) and increase")
 
-    quantities = [("h", None), ("C_1", entropy_derivative(1)), ("C_2", entropy_derivative(2))]
+    quantities = _ENTROPY + [("C_1", entropy_derivative(1)), ("C_2", entropy_derivative(2))]
     flow_times = [1.0 / t - 1.0 for t in ts]
-    flows = [
-        result
-        for batch in _batches(flow_times)
-        for result in refine([_flow_forest(mix, batch, quantities)], tol)[0]
-    ]
+    flows = [flow for _, batch in _flow_batches(mix, flow_times, quantities, tol) for flow in batch]
     rows = []
     for t, s, (h_res, j_res, c2_res) in zip(ts, flow_times, flows):
         jprime = c2_res.value

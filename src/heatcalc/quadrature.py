@@ -14,14 +14,17 @@ quote.
 
 Bisection runs on forests: a ``Forest`` is one integrand over many
 intervals, one job per interval, such as one flow time per job of a
-scan.  ``refine`` bisects every tree of every job together, one level at
-a time, so a level costs one integrand call for the whole forest, not one
-per job.  A level is evaluated in chunks of at most ``_CHUNK_NODES``
-abscissae, so the memory of a call does not grow with the forest.
-``adaptive_quad`` and ``build_mesh`` are forests of one job, and
-``integrate`` sums integrands on many meshes in one call per chunk.
+scan.  Every row of every job is a tree that accepts its panels by its
+own test.  ``refine`` bisects every tree of the forest together, one
+level at a time, so a level costs one integrand call for the whole
+forest, not one per job or row.  A level is evaluated in chunks of at
+most ``_CHUNK_NODES`` abscissae, so the memory of a call does not grow
+with the forest.  Each ``QuadResult`` keeps the panels its row accepted,
+so a row's own mesh comes with its integral.  ``adaptive_quad`` and
+``build_mesh`` are forests of one job, and ``integrate`` sums integrands
+on many meshes in one call per chunk.
 
-No bit depends on which panels or jobs share a call: every value is
+No bit depends on which panels, rows or jobs share a call: every value is
 computed per abscissa; each panel's rule sum is one ``ddot`` of its own
 contiguous row of values, batched by ``np.matmul`` (whose vector-vector
 case is that same ``ddot``); the accept tests compare those sums
@@ -49,6 +52,9 @@ class QuadratureNonConvergence(UserWarning):
 # Gauss-Legendre nodes per panel, and the panels of a tree before bisection
 _ORDER = 24
 _INITIAL_PANELS = 8
+# the abscissae of those panels: a tree's first nodes are spaced by its
+# width over this many on average
+INITIAL_NODES = _INITIAL_PANELS * _ORDER
 # a panel whose rules agree within this share of its own magnitude is
 # accepted: refining further would only chase roundoff
 _REL_FLOOR = 5e-15
@@ -108,20 +114,12 @@ def _sequential_sums(values: np.ndarray, segments: np.ndarray, count: int) -> np
     """Each segment's sum, adding its values from 0.0 in the order given.
 
     ``np.add.at`` adds unbuffered, one value at a time in index order, so
-    each segment gets the bits of ``_plain_sum``.
+    each segment gets the bits of a plain loop of ``+=`` (not of ``sum()``,
+    which compensates its rounding from Python 3.12 on).
     """
     totals = np.zeros(count)
     np.add.at(totals, segments, values)
     return totals
-
-
-def _plain_sum(values: Sequence[float]) -> float:
-    # a plain loop, not sum(): sum() compensates its rounding from
-    # Python 3.12 on, which would change the last bits of the total
-    total = 0.0
-    for value in values:
-        total += value
-    return total
 
 
 @dataclass(frozen=True)
@@ -130,75 +128,61 @@ class Forest:
 
     ``fn(y, jobs)`` gets abscissae and the job index of each and returns a
     new (rows, len(y)) array, which bisection may overwrite; every job has
-    the same rows.  With ``joint`` a
-    job's rows accept a panel together and share one mesh, and ``refine``
-    returns a ``Mesh`` per job; otherwise each row accepts its panels by
-    its own test, as if integrated alone, and ``refine`` returns a list of
-    ``QuadResult``, one per row, per job.  ``labels`` holds, per job, one
-    name per row for the non-convergence warnings.
+    the same rows, and each row accepts its panels by its own test, as if
+    integrated alone.  A job's span is its breakpoints ``(a, ..., b)``: its
+    trees start from ``_INITIAL_PANELS`` equal panels of [a, b], split at
+    every interior breakpoint.  ``labels`` holds, per job, one name per
+    row for the non-convergence warnings.
     """
 
     fn: JobIntegrand
-    spans: Sequence[Tuple[float, float]]
-    joint: bool = False
+    spans: Sequence[Sequence[float]]
     labels: Sequence[Sequence[str]] = ()
 
 
-@dataclass
-class _Bisected:
-    """The accepted panels of a forest, one entry per (row, panel).
-
-    ``counts`` and ``exhausted`` hold, per tree (a row, or all rows of a
-    joint job) and job, the accepted panels and whether refinement stopped
-    before the tolerance.
-    """
-
-    rows: int
-    job: np.ndarray
-    row: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    whole: np.ndarray
-    halves: np.ndarray
-    counts: np.ndarray
-    exhausted: np.ndarray
-
-
 def _per_tree(mask: np.ndarray, jobs: np.ndarray, count: int) -> np.ndarray:
-    """The number of set entries of a (trees, panels) mask per tree and job."""
+    """The number of set entries of a (rows, panels) mask per row and job."""
     trees = np.arange(mask.shape[0])[:, None] * count + jobs
     return np.bincount(trees[mask], minlength=mask.shape[0] * count).reshape(-1, count)
 
 
-def _bisect(forest: Forest, tol: float, max_depth: int, max_panels: int) -> _Bisected:
-    """Bisect every tree of every job of the forest, one level at a time.
+def _initial_panels(spans) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every job's initial panels (lo, hi, job) and its width b - a."""
+    ends = np.array([(span[0], span[-1]) for span in spans], dtype=float).reshape(-1, 2)
+    width = ends[:, 1] - ends[:, 0]
+    edges = ends[:, :1] + width[:, None] * np.arange(_INITIAL_PANELS + 1) / _INITIAL_PANELS
+    edges = [
+        np.union1d(row, span[1:-1]) if len(span) > 2 else row for row, span in zip(edges, spans)
+    ]
+    job = np.repeat(np.arange(len(edges)), [row.size - 1 for row in edges])
+    lo = np.concatenate([row[:-1] for row in edges])
+    return lo, np.concatenate([row[1:] for row in edges]), job, width
 
-    A tree accepts a panel when, for each of its rows, the whole-panel
-    rule and the two half-panel rules agree within the panel's share of
-    ``tol`` or within ``_REL_FLOOR`` of the panel's own magnitude -- large
-    integrals stop refining at machine precision instead of chasing an
-    absolute target below roundoff.  Every abscissa is evaluated once: a
-    child panel's whole-panel value is its parent's half-panel value.
 
-    Each level evaluates the halves of every panel that some tree still
-    refines.  A tree's decisions rest on its own rows and job only, so it
+def _bisect(forest: Forest, tol: float, max_depth: int, max_panels: int) -> List[List[QuadResult]]:
+    """Bisect every tree of every job of the forest, one level at a time; see ``refine``.
+
+    A row accepts a panel when its whole-panel rule and its two half-panel
+    rules agree within the panel's share of ``tol`` or within
+    ``_REL_FLOOR`` of the panel's own magnitude -- large integrals stop
+    refining at machine precision instead of chasing an absolute target
+    below roundoff.  Every abscissa is evaluated once: a child panel's
+    whole-panel value is its parent's half-panel value.
+
+    Each level evaluates the halves of every panel that some row still
+    refines.  A row's decisions rest on its own values and job only, so it
     accepts exactly the panels it would accept refined alone.  A level
     whose splits would take a tree past ``max_panels`` accepts its open
-    panels unconverged instead, so no tree has more than
-    ``max(max_panels, _INITIAL_PANELS)`` panels.
+    panels unconverged instead, so no tree has more than ``max_panels``
+    panels, or its initial panels if those are more.
     """
-    spans = np.array(forest.spans, dtype=float).reshape(-1, 2)
-    count = len(spans)
-    a, width = spans[:, 0], spans[:, 1] - spans[:, 0]
-    edges = a[:, None] + width[:, None] * np.arange(_INITIAL_PANELS + 1) / _INITIAL_PANELS
-    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
-    job = np.repeat(np.arange(count), _INITIAL_PANELS)
+    lo, hi, job, width = _initial_panels(forest.spans)
+    count = width.size
     wholes, _ = _evaluate(forest.fn, lo, hi, job, _ORDER, magnitudes=False)
     rows = len(wholes)
-    trees = 1 if forest.joint else rows
-    open_ = np.ones((trees, lo.size), dtype=bool)
-    counts = np.zeros((trees, count), dtype=np.intp)
-    exhausted = np.zeros((trees, count), dtype=bool)
+    open_ = np.ones((rows, lo.size), dtype=bool)
+    counts = np.zeros((rows, count), dtype=np.intp)
+    exhausted = np.zeros((rows, count), dtype=bool)
     accepted = []
     depth = 0
     while lo.size:
@@ -212,8 +196,7 @@ def _bisect(forest: Forest, tol: float, max_depth: int, max_panels: int) -> _Bis
         magnitude = mags[:, 0::2] + mags[:, 1::2]
         floor = _REL_FLOOR * np.maximum(np.maximum(np.abs(wholes), np.abs(halves)), magnitude)
         local_tol = tol * (hi - lo) / width[job]
-        bad = np.abs(wholes - halves) > np.maximum(np.maximum(local_tol, floor), 1e-300)
-        ok = ~bad.any(axis=0, keepdims=True) if forest.joint else ~bad
+        ok = ~(np.abs(wholes - halves) > np.maximum(np.maximum(local_tol, floor), 1e-300))
         stop = open_ if depth >= max_depth else open_ & ok
         deeper = open_ & ~stop
         capped = counts + _per_tree(stop, job, count) + 2 * _per_tree(deeper, job, count)
@@ -222,59 +205,65 @@ def _bisect(forest: Forest, tol: float, max_depth: int, max_panels: int) -> _Bis
         deeper &= ~capped
         exhausted |= _per_tree(stop & ~ok, job, count) > 0
         counts += _per_tree(stop, job, count)
-        r, p = np.nonzero(np.broadcast_to(stop, wholes.shape) if forest.joint else stop)
+        r, p = np.nonzero(stop)
         accepted.append((job[p], r, lo[p], hi[p], wholes[r, p], halves[r, p]))
-        # the next level holds the halves of every panel some tree refines
+        # the next level holds the halves of every panel some row refines
         split = np.flatnonzero(deeper.any(axis=0))
         children = np.stack([2 * split, 2 * split + 1], 1).ravel()
         lo, hi, job = half_lo[children], half_hi[children], job[children // 2]
         wholes = sums[:, children]
         open_ = np.repeat(deeper[:, split], 2, axis=1)
         depth += 1
-    fields_ = [np.concatenate(column) for column in zip(*accepted)]
-    # each tree's panels left to right
-    sort = np.lexsort((fields_[2], fields_[1], fields_[0]))
-    return _Bisected(rows, *(column[sort] for column in fields_), counts, exhausted)
+    job, row, lo, hi, whole, halves = [np.concatenate(column) for column in zip(*accepted)]
+    # the trees by job, then row, and each tree's panels left to right
+    sort = np.lexsort((lo, row, job))
+    segments = (job * rows + row)[sort]
+    values = _sequential_sums(halves[sort], segments, count * rows)
+    errors = _sequential_sums(np.abs(whole - halves)[sort], segments, count * rows)
+    panels = np.stack([lo, hi], axis=1)[sort]
+    panels.flags.writeable = False
+    sizes = counts.T.ravel().tolist()
+    ends = np.cumsum(sizes).tolist()
+    results = [
+        QuadResult(total, max(err, 1e-16 * abs(total)), not stopped, panels[end - n : end])
+        for total, err, stopped, n, end in zip(
+            values.tolist(), errors.tolist(), exhausted.T.ravel().tolist(), sizes, ends
+        )
+    ]
+    return [results[j * rows : (j + 1) * rows] for j in range(count)]
 
 
-def _warn_exhausted(forests, bisected, tol, stacklevel) -> None:
-    """One warning per tree that stopped short, job by job and, within a job, forest by forest."""
-    for j in range(max(len(f.spans) for f in forests)):
-        for forest, done in zip(forests, bisected):
-            if j >= len(forest.spans):
+def _warn_exhausted(
+    forest: Forest, results: List[List[QuadResult]], tol: float, stacklevel: int
+) -> None:
+    """One warning per tree that stopped short, job by job and, within a job, row by row."""
+    for j, (span, rows) in enumerate(zip(forest.spans, results)):
+        labels = forest.labels[j] if len(forest.labels) > j else ()
+        for row, result in enumerate(rows):
+            if result.converged:
                 continue
-            labels = forest.labels[j] if len(forest.labels) > j else ()
-            named = len(labels) == done.rows
-            a, b = forest.spans[j]
-            for tree in np.flatnonzero(done.exhausted[:, j]):
-                rows = range(done.rows) if forest.joint else [tree]
-                names = ", ".join(dict.fromkeys(labels[r] for r in rows)) if named else ""
-                # the quantity, interval and panel count make each event's
-                # text distinct, so the default warning filter shows every
-                # one, not one per call site
-                warnings.warn(
-                    f"mesh refinement{' for ' + names if names else ''} on "
-                    f"[{a:.17g}, {b:.17g}] hit its depth or panel limit at "
-                    f"{done.counts[tree, j]} panels; result may miss tol {tol:.3g}",
-                    QuadratureNonConvergence,
-                    stacklevel=stacklevel,
-                )
+            name = labels[row] if len(labels) == len(rows) else ""
+            # the quantity, interval and panel count make each event's
+            # text distinct, so the default warning filter shows every
+            # one, not one per call site
+            warnings.warn(
+                f"mesh refinement{' for ' + name if name else ''} on "
+                f"[{span[0]:.17g}, {span[-1]:.17g}] hit its depth or panel limit at "
+                f"{len(result.panels)} panels; result may miss tol {tol:.3g}",
+                QuadratureNonConvergence,
+                stacklevel=stacklevel,
+            )
 
 
 @dataclass(frozen=True)
 class Mesh:
     """A fixed list of panels; integration on a mesh is non-adaptive.
 
-    A mesh from ``build_mesh`` or a joint ``Forest`` also keeps what
-    bisection computed, so no panel is evaluated again: ``results`` holds
-    each integrand row's ``QuadResult`` (see ``refine``); a one-row mesh's
-    is ``adaptive_quad`` of that row, bit for bit.  ``integrate`` sums
-    whole-panel values, the same rule for every integrand.
+    ``integrate`` sums whole-panel values, the same rule for every integrand.
     """
 
     panels: Tuple[Tuple[float, float], ...]
     order: int = _ORDER
-    results: Tuple[QuadResult, ...] = field(default=(), compare=False, repr=False)
 
     def integrate(self, fn: Integrand) -> Union[float, Tuple[float, ...]]:
         """The integral of ``fn`` on the mesh; a tuple, one per row, for an integrand of rows."""
@@ -310,50 +299,34 @@ class QuadResult:
     error: float
     # False when refinement hit its depth or panel limit before the tolerance
     converged: bool = True
+    # the panels the row accepted, left to right, as read-only (lo, hi)
+    # rows; none when no bisection computed the value
+    panels: np.ndarray = field(default_factory=lambda: np.empty((0, 2)), compare=False, repr=False)
+
+    def mesh(self) -> Mesh:
+        """The row's own mesh: the panels it accepted."""
+        return Mesh(tuple(map(tuple, self.panels.tolist())))
 
 
 def refine(
-    forests: Sequence[Forest],
+    forest: Forest,
     tol: float = 1e-11,
     max_depth: int = _MAX_DEPTH,
     max_panels: int = _MAX_PANELS,
     stacklevel: int = 2,
-) -> List[List[Union[Mesh, List[QuadResult]]]]:
-    """Bisect every forest; per forest, one result per job (see ``Forest``).
+) -> List[List[QuadResult]]:
+    """Bisect every tree of the forest; per job, one ``QuadResult`` per row.
 
     A row's ``QuadResult`` sums its half-panel values over its accepted
     panels; the error estimate is the half-panel refinement discrepancy
     summed over them (a conservative proxy for the true error of smooth
     integrands).  Every tree that stops short of ``tol`` warns
     ``QuadratureNonConvergence``, in the order in which refining each job
-    alone, forest by forest, would warn.
+    alone would warn.
     """
-    bisected = [_bisect(f, tol, max_depth, max_panels) for f in forests]
-    _warn_exhausted(forests, bisected, tol, stacklevel + 1)
-    return [_results(f, b) for f, b in zip(forests, bisected)]
-
-
-def _results(forest: Forest, trees: _Bisected) -> List[Union[Mesh, List[QuadResult]]]:
-    jobs = len(forest.spans)
-    segments = trees.job * trees.rows + trees.row
-    values = _sequential_sums(trees.halves, segments, jobs * trees.rows)
-    errors = _sequential_sums(np.abs(trees.whole - trees.halves), segments, jobs * trees.rows)
-    # a joint job has one tree for all its rows
-    short = np.broadcast_to(trees.exhausted, (trees.rows, jobs)).T.ravel()
-    results = [
-        QuadResult(total, max(err, 1e-16 * abs(total)), not stopped)
-        for total, err, stopped in zip(values.tolist(), errors.tolist(), short.tolist())
-    ]
-    by_job = [results[j * trees.rows : (j + 1) * trees.rows] for j in range(jobs)]
-    if not forest.joint:
-        return by_job
-    first = trees.row == 0
-    ends = np.cumsum(trees.counts[0]).tolist()
-    panels = list(zip(trees.lo[first].tolist(), trees.hi[first].tolist()))
-    return [
-        Mesh(tuple(panels[end - n : end]), _ORDER, tuple(job))
-        for n, end, job in zip(trees.counts[0].tolist(), ends, by_job)
-    ]
+    results = _bisect(forest, tol, max_depth, max_panels)
+    _warn_exhausted(forest, results, tol, stacklevel + 1)
+    return results
 
 
 def _job_rows(fns: Sequence[Integrand]) -> Tuple[JobIntegrand, List[int]]:
@@ -371,11 +344,11 @@ def _job_rows(fns: Sequence[Integrand]) -> Tuple[JobIntegrand, List[int]]:
     return rows, ndims
 
 
-def _one_job(fns: Sequence[Integrand], a: float, b: float, joint: bool) -> Tuple[Forest, list]:
+def _one_job(fns: Sequence[Integrand], a: float, b: float) -> Tuple[Forest, list]:
     """A forest of one job whose rows are those of the plain integrands ``fns``."""
     rows, ndims = _job_rows(fns)
     labels = (tuple(label for fn in fns for label in getattr(fn, "labels", ())),)
-    return Forest(rows, [(a, b)], joint, labels), ndims
+    return Forest(rows, [(a, b)], labels), ndims
 
 
 def build_mesh(
@@ -386,14 +359,17 @@ def build_mesh(
     max_depth: int = _MAX_DEPTH,
     max_panels: int = _MAX_PANELS,
 ) -> Mesh:
-    """Bisect panels until every row of every integrand is locally converged.
+    """The mesh of the one row of ``integrands``: the panels its bisection accepts.
 
-    The test is joint: a panel is accepted only when every row accepts it,
-    so all rows share one mesh (see ``_bisect`` for the test).
+    These are the panels on which ``adaptive_quad`` of that row sums its
+    result.  Integrands with more than one row raise ``ValueError``: each
+    row has a mesh of its own.
     """
-    forest, _ = _one_job(integrands, a, b, True)
-    ((mesh,),) = refine([forest], tol, max_depth, max_panels, stacklevel=3)
-    return mesh
+    forest, _ = _one_job(integrands, a, b)
+    (results,) = refine(forest, tol, max_depth, max_panels, stacklevel=3)
+    if len(results) != 1:
+        raise ValueError(f"build_mesh takes one integrand row, not {len(results)}")
+    return results[0].mesh()
 
 
 def adaptive_quad(
@@ -406,10 +382,10 @@ def adaptive_quad(
     """Integrate ``fn`` on [a, b] with an error estimate.
 
     For an integrand of rows the result is a list with one ``QuadResult``
-    per row: all rows share one bisection tree, but each row accepts its
+    per row: all rows share one bisection forest, but each row accepts its
     panels by its own test, so each result, and each non-convergence
     warning, is exactly that of the row integrated alone.
     """
-    forest, ndims = _one_job([fn], a, b, False)
-    ((results,),) = refine([forest], tol, max_depth, stacklevel=3)
+    forest, ndims = _one_job([fn], a, b)
+    (results,) = refine(forest, tol, max_depth, stacklevel=3)
     return results if max(ndims) > 1 else results[0]

@@ -18,6 +18,7 @@ from heatcalc.certificates import (
 )
 from heatcalc import cli, oracle
 from heatcalc.cli import main, parse_config, ConfigError
+from test_oracle import wide_mixture
 
 
 SMALL_SCAN = {
@@ -247,6 +248,32 @@ class TestScanCommand:
         header = csv_text.splitlines()[0]
         assert header.startswith("t,h,J,d1_fd")
         assert len(csv_text.splitlines()) == 13
+        assert "inconclusive rows" not in capsys.readouterr().out
+
+    def test_rows_with_a_stopped_short_tree_are_reported(self, tmp_path, capsys):
+        # the 16-component draw's C_4 trees stop short at its first three
+        # flow times; their d4_sym verdicts are inconclusive, which leaves
+        # the CSV and the verdict lines as they were
+        payload = {
+            "mixture": [{"w": w, "mu": mu, "var": v} for w, mu, v in wide_mixture().components],
+            "t_grid": {"start": 0.1, "stop": 100, "points": 12, "spacing": "log"},
+            "max_order": 4,
+        }
+        cfg = tmp_path / "wide.json"
+        cfg.write_text(json.dumps(payload))
+        with pytest.warns(UserWarning) as caught:
+            rc = main(["scan", "--config", str(cfg), "--out", str(tmp_path / "wide")])
+        assert rc == 0
+        assert [str(w.message).split(" at ")[0] for w in caught] == ["mesh refinement for C_4"] * 3
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "sign checks: ok",
+            "entropy-power/Fisher checks: ok",
+            "1/J curvature changes sign: yes (reported)",
+            "log J convexity violations beyond noise: 0 (reported)",
+            "inconclusive rows: 3 (quadrature stopped short; reported)",
+        ]
+        rows = (tmp_path / "wide.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[-2:] for row in rows] == [["1", "1"]] * 12
 
     def test_scan_csv_deterministic(self, tmp_path):
         cfg = tmp_path / "scan.json"

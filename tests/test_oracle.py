@@ -16,6 +16,7 @@ from heatcalc.mixtures import (
 )
 from heatcalc.oracle import (
     DEFAULT_TOL,
+    _sign_status,
     FdAccuracyWarning,
     default_fd_step,
     entropy,
@@ -208,14 +209,13 @@ class TestKernelCalls:
     def test_scan_row_on_a_gaussian(self, monkeypatch):
         calls = self._counting(monkeypatch)
         oracle._scan_row_core(GaussianMixture.single(), 1.0, 4, DEFAULT_TOL)
-        # every mesh and tree of this row accepts its 8 initial panels, so
-        # each forest makes two calls: 8 panels, then their 16 halves.  h
-        # has its own mesh, and C_1..C_4 share one tree and one call per
-        # level.  The fd route refines nothing: its stencil times are
-        # integrated on the h mesh.  All four orders share one step here,
-        # and the 5 stencil times of orders 1-2 are among the 7 of orders
-        # 3-4, so one call integrates them all.
-        assert calls == self.LEVELS + self.LEVELS + [((1, 7), self.PANELS)]
+        # every tree of this row accepts its 8 initial panels, so the one
+        # forest makes two calls: 8 panels, then their 16 halves, for h and
+        # C_1..C_4 together.  The fd route refines nothing: its stencil
+        # times are integrated on the panels h accepted.  All four orders
+        # share one step here, and the 5 stencil times of orders 1-2 are
+        # among the 7 of orders 3-4, so one call integrates them all.
+        assert calls == self.LEVELS + [((1, 7), self.PANELS)]
 
     def test_a_small_t_row_keeps_a_call_per_step(self, monkeypatch):
         # at t = 0.01 the clamp 0.9 t / reach gives orders 1-2 and 3-4
@@ -223,7 +223,7 @@ class TestKernelCalls:
         calls = self._counting(monkeypatch)
         oracle._scan_row_core(GaussianMixture.single(), 0.01, 4, DEFAULT_TOL)
         stencils = [((1, 5), self.PANELS), ((1, 7), self.PANELS)]
-        assert calls == self.LEVELS + self.LEVELS + stencils
+        assert calls == self.LEVELS + stencils
 
     def test_40_points_make_the_calls_of_3(self, monkeypatch):
         # a forest takes up to 40 flow times, one job each, and each level
@@ -236,7 +236,7 @@ class TestKernelCalls:
             layouts.append([(shape[1:], nodes // points) for shape, nodes in calls])
             assert [shape[0] for shape, _ in calls] == [points] * len(calls)
         assert layouts[0] == layouts[1]
-        assert len(layouts[0]) == 5
+        assert len(layouts[0]) == 3
 
 
 class TestCompiledEpilogue:
@@ -343,12 +343,12 @@ class TestSharedEvaluation:
     @staticmethod
     def _alone(mix, t, quantity):
         """One quantity as a plain integrand of one array of values."""
-        rows = oracle._flow_integrand(mix, t, [quantity])
+        rows = oracle._flow_rows(mix, [t], [quantity])
 
         def fn(y):
-            return rows(y)[0]
+            return rows(y, np.zeros(y.size, dtype=np.intp))[0]
 
-        fn.labels = rows.labels
+        fn.labels = oracle._flow_labels(t, [quantity])
         return fn
 
     @pytest.mark.parametrize("case", ["bimodal", "wide"])
@@ -374,52 +374,57 @@ class TestSharedEvaluation:
 
     @pytest.mark.parametrize("case", ["bimodal", "wide"])
     def test_scan_forest_equals_one_job_each(self, case):
-        # the scan's forests against the one-job quadratures of one flow
-        # time at a time: every value, error, flag and warning, in order
+        # the scan's one forest of rows (h, C_1..C_4) against each row of
+        # each flow time refined alone: every value, error, flag, accepted
+        # panel and warning, in order
         if case == "bimodal":
-            mix, ts = BIMODAL_MIXTURE, [0.05, 0.3, 1.0, 12.0]
+            mix, ts = BIMODAL_MIXTURE, [0.05, 1.0, 12.0]
         else:
-            mix, ts = wide_mixture(), list(time_grid(0.1, 100.0, 12, "log")[:4])
-        entropy_only, symbolic = self.ROW[:1], self.ROW[1:]
-        forests = [
-            oracle._flow_forest(mix, ts, entropy_only, joint=True),
-            oracle._flow_forest(mix, ts, symbolic),
-        ]
+            mix, ts = wide_mixture(), [0.1]
         with warnings.catch_warnings(record=True) as forest_events:
             warnings.simplefilter("always")
-            meshes, flows = refine(forests, DEFAULT_TOL)
+            flows = refine(oracle._flow_forest(mix, ts, self.ROW), DEFAULT_TOL)
         alone = []
         with warnings.catch_warnings(record=True) as alone_events:
             warnings.simplefilter("always")
             for t in ts:
+                # no component here is narrow enough to add breakpoints
+                assert oracle._window(mix, t) == mix.support_interval(t)
                 a, b = mix.support_interval(t)
-                mesh = build_mesh([oracle._flow_integrand(mix, t, entropy_only)], a, b)
-                alone.append((mesh, adaptive_quad(oracle._flow_integrand(mix, t, symbolic), a, b)))
-        for j, (mesh, row) in enumerate(alone):
-            assert meshes[j] == mesh and meshes[j].results == mesh.results
-            assert flows[j] == row
+                alone.append([adaptive_quad(self._alone(mix, t, q), a, b) for q in self.ROW])
+        assert flows == alone
+        for together, single in zip(flows, alone):
+            for row, row_alone in zip(together, single):
+                assert row.panels.shape[0] > 0
+                assert np.array_equal(row.panels, row_alone.panels)
         messages = [
             [str(w.message) for w in events if w.category is QuadratureNonConvergence]
             for events in (forest_events, alone_events)
         ]
         assert messages[0] == messages[1]
         if case == "wide":
-            # the 16-component scan's three C_4 trees that stop short; a
+            # the 16-component draw's C_4 tree stops short at t = 0.1; a
             # tree that never converges stops wherever rounding leads it,
-            # so these counts follow the last bits of C_4's arithmetic
+            # so its panel count follows the last bits of C_4's arithmetic
             panels = [m.split(" at ")[-1].split(" panels")[0] for m in messages[0]]
-            assert panels == ["209", "231", "92"]
-            converged = [r.converged for r in (*meshes[0].results, *flows[0])]
-            assert converged == [True] * 4 + [False]
+            assert panels == ["209"]
+            assert [r.converged for r in flows[0]] == [True] * 4 + [False]
+            assert len(flows[0][4].panels) == 209
         else:
             assert messages[0] == []
-        # the fd route integrates every stencil time on the h meshes: at
-        # these flow times orders 1-2 and 3-4 share their default step, so
-        # one plan serves all four orders at every time
+        # the fd route integrates every stencil time on the panels h
+        # accepted: at these flow times orders 1-2 and 3-4 share their
+        # default step, so one plan serves all four orders at every time
         plans = oracle._fd_plans(mix, ts, range(1, 5), None)
-        assert [(plan.orders, plan.rows) for plan in plans] == [((1, 2, 3, 4), (0, 1, 2, 3))]
+        assert [(plan.orders, plan.rows) for plan in plans] == [
+            ((1, 2, 3, 4), tuple(range(len(ts))))
+        ]
         for n in (1, 3):
             assert list(plans[0].steps) == [default_fd_step(mix, t, n) for t in ts]
+        meshes = [flow[0].mesh() for flow in flows]
+        assert meshes == [
+            build_mesh([self._alone(mix, t, self.ROW[0])], *mix.support_interval(t)) for t in ts
+        ]
         assert oracle._fd_finish(mix, plans, meshes, DEFAULT_TOL) == [
             fd_entropy_derivs(mix, t, range(1, 5)) for t in ts
         ]
@@ -524,6 +529,45 @@ class TestSharedEvaluation:
         assert (caught.value.t, caught.value.component) == (0.1, 0)
 
 
+class TestWindows:
+    """A component far narrower than the window gets initial panels of its own."""
+
+    # J of [(0.5, 0, 1), (0.5, 0, v)] at t = 1, from windows split at each
+    # component's own 12-sigma edges; a window of 8 equal panels misses the
+    # narrow component from v of about 1e8 on (J 5.0e-9, converged=True)
+    SPLIT_WINDOW_J = {1e8: 0.249286989117, 1e10: 0.249899770903, 1e12: 0.249986763383}
+
+    @pytest.mark.parametrize("v", sorted(SPLIT_WINDOW_J))
+    def test_a_narrow_component_is_resolved(self, v):
+        mix = GaussianMixture.create([(0.5, 0.0, 1.0), (0.5, 0.0, v)])
+        a, b = mix.support_interval(1.0)
+        edge = 12.0 * math.sqrt(2.0)
+        assert oracle._window(mix, 1.0) == (a, -edge, edge, b)
+        j = oracle.fisher_result(mix, 1.0)
+        assert j.converged
+        assert j.value == pytest.approx(self.SPLIT_WINDOW_J[v], rel=1e-9)
+        assert oracle.entropy_result(mix, 1.0).converged
+
+    @pytest.mark.parametrize("v", [1e2, 1e4])
+    def test_a_resolvable_component_adds_no_breakpoint(self, v):
+        mix = GaussianMixture.create([(0.5, 0.0, 1.0), (0.5, 0.0, v)])
+        assert oracle._window(mix, 1.0) == mix.support_interval(1.0)
+
+    def test_demo_and_benchmark_windows_are_unsplit(self):
+        # the trigger leaves every mesh of the demo configs and of the
+        # benchmark inputs as it was
+        cases = [
+            (BIMODAL_MIXTURE, time_grid(0.05, 100.0, 400, "log")),
+            (GaussianMixture.single(0.0, 1.0), time_grid(0.3, 5.0, 40)),
+            (BIMODAL_MIXTURE, [1.0 / t - 1.0 for t in time_grid(0.05, 0.95, 31)]),
+            (wide_mixture(), [1.0 / t - 1.0 for t in time_grid(0.02, 0.98, 100)]),
+            (wide_mixture(), time_grid(0.1, 100.0, 12, "log")),
+        ]
+        for mix, ts in cases:
+            for t in ts:
+                assert oracle._window(mix, float(t)) == mix.support_interval(float(t))
+
+
 class TestSecondDifference:
     def test_exact_for_quadratics(self):
         ts = [0.5, 0.9, 1.2, 2.0, 3.5]
@@ -556,6 +600,25 @@ class TestScan:
         for row in res.rows[1:-1]:
             assert row.logJ_dd >= -1e-8
             assert abs(row.e2h_dd) <= 1e-8
+
+    def test_a_stopped_short_tree_leaves_its_verdicts_inconclusive(self):
+        # at t = 0.1 the 16-component draw's C_4 tree hits the depth limit:
+        # d4_sym's verdict rests on it, and only that verdict is withheld
+        with pytest.warns(QuadratureNonConvergence, match="C_4 at t=0.1 "):
+            res = scan_conjectures(wide_mixture(), [0.1, 1.0], 4)
+        short, done = res.rows
+        assert short.converged == (True, True, True, True, False)
+        assert done.converged == (True,) * 5
+        assert _sign_status(short.d_sym[3], 3 * DEFAULT_TOL, -1) == "pass"
+        signs = (1, -1, 1, -1)
+        for row in res.rows:
+            fd = [_sign_status(v, e, w) for (v, e), w in zip(row.d_fd, signs)]
+            sym = [_sign_status(v, 3 * DEFAULT_TOL, w) for v, w in zip(row.d_sym, signs)]
+            if row is short:
+                sym[3] = "inconclusive"
+            assert list(row.sign_status) == fd + sym
+        assert res.stopped_short_rows() == 1
+        assert res.all_signs_ok()
 
     def test_grid_validation(self):
         g = GaussianMixture.single(0, 1)

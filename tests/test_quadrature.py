@@ -52,6 +52,15 @@ class Rows:
         return np.array([single(y) for single in self.singles])
 
 
+def plain_sum(values):
+    # a plain loop, not sum(): sum() compensates its rounding from
+    # Python 3.12 on, which would change the last bits of the total
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _nonconverged(action):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -62,8 +71,8 @@ def _nonconverged(action):
 
 
 def test_build_mesh_evaluates_each_abscissa_once():
-    fns = [Recorder(0.01), Recorder(0.003)]
-    mesh = build_mesh(fns, -12.0, 12.0)
+    fn = Recorder(0.003)
+    mesh = build_mesh([fn], -12.0, 12.0)
     # a visited panel is either accepted or split, and each split adds two panels
     visited = 2 * len(mesh.panels) - 8
     assert visited > 8
@@ -72,11 +81,10 @@ def test_build_mesh_evaluates_each_abscissa_once():
     depths = [round(math.log2(3.0 / (hi - lo))) for lo, hi in mesh.panels]
     levels = max(depths) + 1
     assert levels < visited
-    for fn in fns:
-        nodes = fn.nodes()
-        assert np.unique(nodes).size == nodes.size
-        assert len(fn.calls) == 1 + levels
-        assert nodes.size == mesh.order * (8 + 2 * visited)
+    nodes = fn.nodes()
+    assert np.unique(nodes).size == nodes.size
+    assert len(fn.calls) == 1 + levels
+    assert nodes.size == mesh.order * (8 + 2 * visited)
 
 
 def test_adaptive_quad_makes_no_call_after_the_mesh(monkeypatch):
@@ -106,22 +114,28 @@ def test_mesh_integrate_makes_one_call():
 
 
 def test_mesh_results_sum_the_bisection_halves():
-    # a mesh keeps each row's half-panel sums; integrate sums whole panels,
-    # within the discrepancy the result states
+    # a row's result sums its half-panel values over the panels it
+    # accepted; integrate on that row's mesh sums whole panels, within the
+    # discrepancy the result states
     fns = [Recorder(0.01), Recorder(0.003), Recorder(0.02)]
-    mesh = build_mesh(fns, -12.0, 12.0)
-    assert len(mesh.results) == len(fns)
-    for fn, result in zip(fns, mesh.results):
+    results = adaptive_quad(Rows(0.01, 0.003, 0.02), -12.0, 12.0)
+    assert len(results) == len(fns)
+    for fn, result in zip(fns, results):
+        mesh = result.mesh()
+        assert not result.panels.flags.writeable
         wholes, halves = [], []
         for lo, hi in mesh.panels:
             mid = 0.5 * (lo + hi)
             wholes.append(Mesh(((lo, hi),)).integrate(fn))
             halves.append(Mesh(((lo, mid),)).integrate(fn) + Mesh(((mid, hi),)).integrate(fn))
-        value = quadrature._plain_sum(halves)
-        discrepancy = quadrature._plain_sum([abs(w - h) for w, h in zip(wholes, halves)])
+        value = plain_sum(halves)
+        discrepancy = plain_sum([abs(w - h) for w, h in zip(wholes, halves)])
         assert result == QuadResult(value, max(discrepancy, 1e-16 * abs(value)), True)
-        assert mesh.integrate(fn) == quadrature._plain_sum(wholes)
-        assert abs(mesh.integrate(fn) - result.value) <= result.error
+        assert mesh.integrate(fn) == plain_sum(wholes)
+        # the two totals differ by at most the summed discrepancy, plus the
+        # rounding of adding their panels
+        rounding = len(mesh.panels) * np.finfo(float).eps * abs(result.value)
+        assert abs(mesh.integrate(fn) - result.value) <= result.error + rounding
 
 
 def test_panel_budget_caps_the_mesh():
@@ -181,12 +195,14 @@ def test_rows_accept_their_panels_by_their_own_test(max_depth):
     assert shared_calls == max(alone_calls) > min(alone_calls)
 
 
-def test_build_mesh_rows_share_the_joint_test():
+def test_build_mesh_takes_one_row():
+    # each row has a mesh of its own, so a mesh of several rows is refused
     rows = Rows(0.01, 0.003)
-    mesh = build_mesh([rows], -12.0, 12.0)
-    alone = build_mesh(rows.singles[:], -12.0, 12.0)
-    assert mesh.panels == alone.panels
-    assert mesh.results == alone.results
+    for integrands in ([rows], rows.singles):
+        with pytest.raises(ValueError, match="one integrand row, not 2"):
+            build_mesh(integrands, -12.0, 12.0)
+    # an integrand of rows integrates on any one mesh, a row at a time
+    mesh = build_mesh(rows.singles[:1], -12.0, 12.0)
     assert mesh.integrate(rows) == tuple(mesh.integrate(fn) for fn in rows.singles)
 
 
@@ -222,7 +238,7 @@ def test_segment_sums_add_left_to_right():
     segments = rng.integers(0, 40, 3000)
     totals = quadrature._sequential_sums(values, segments, 41)
     for k in range(41):
-        assert _bits(totals[k]) == _bits(quadrature._plain_sum(values[segments == k].tolist()))
+        assert _bits(totals[k]) == _bits(plain_sum(values[segments == k].tolist()))
         cumulative = np.cumsum(np.concatenate([[0.0], values[segments == k]]))[-1]
         assert _bits(totals[k]) == _bits(cumulative)
 
@@ -252,36 +268,46 @@ def test_forest_jobs_equal_one_job_each(max_depth):
     variances = [0.02, 3e-4, 1.0, 1e-5]
     spans = [(-12.0, 12.0), (-10.0, 14.0), (-30.0, 30.0), (-12.0, 12.0)]
     labels = [(f"var {v}", f"var {v} / 3") for v in variances]
-    forests = [
-        quadrature.Forest(_gaussian_rows(variances), spans, False, labels),
-        quadrature.Forest(_gaussian_rows(variances), spans, True, labels),
-    ]
+    forest = quadrature.Forest(_gaussian_rows(variances), spans, labels)
     together, together_events = _nonconverged(
-        lambda: quadrature.refine(forests, max_depth=max_depth)
+        lambda: quadrature.refine(forest, max_depth=max_depth)
     )
     alone, alone_events = _nonconverged(
         lambda: [
-            (
-                adaptive_quad(_one(v), a, b, max_depth=max_depth),
-                build_mesh([_one(v)], a, b, max_depth=max_depth),
-            )
+            adaptive_quad(_one(v), a, b, max_depth=max_depth)
             for v, (a, b) in zip(variances, spans)
         ]
     )
-    # events job by job, and within a job forest by forest
+    # events job by job, and within a job row by row
     assert together_events == alone_events
-    assert len(together_events) == (6 if max_depth == 3 else 0)
-    for j, (results, mesh) in enumerate(alone):
-        assert together[0][j] == results
-        assert together[1][j] == mesh and together[1][j].results == mesh.results
+    assert len(together_events) == (4 if max_depth == 3 else 0)
+    assert together == alone
+    for j, results in enumerate(alone):
+        for row, row_alone in zip(together[j], results):
+            assert np.array_equal(row.panels, row_alone.panels)
         converged = [max_depth == 24 or variances[j] > 1e-3] * 2
-        assert [r.converged for r in results] == [r.converged for r in mesh.results] == converged
+        assert [r.converged for r in together[j]] == converged
+
+
+def test_breakpoints_split_the_initial_panels():
+    # a job's interior breakpoints split its 8 equal initial panels
+    fn = Recorder(1e-8)
+    forest = quadrature.Forest(lambda y, jobs: fn(y)[None], [(-12.0, -1e-3, 1e-3, 12.0)])
+    ((result,),) = quadrature.refine(forest)
+    assert result.converged
+    assert result.value == pytest.approx(1.0, abs=1e-11)
+    # the narrow Gaussian at 0 falls between every node of the equal panels
+    (plain,) = adaptive_quad(lambda y: fn(y)[None], -12.0, 12.0)
+    assert plain.converged and plain.value < 1e-30
+    first = fn.calls[0]
+    assert first.size == 24 * 10 and first.min() < 0 < first.max()
+    assert {-12.0, -9.0, -3.0, -1e-3, 0.0, 1e-3, 3.0, 12.0} <= set(result.panels.ravel().tolist())
 
 
 @pytest.mark.parametrize("max_depth", [24, 3])
 def test_one_row_mesh_results_equal_adaptive_quad(max_depth):
-    # a one-row joint tree accepts exactly the panels of the row alone, so
-    # its mesh's result is the row's own, bit for bit and flag for flag
+    # a one-row mesh is the panels on which adaptive_quad of that row sums
+    # its result, and it warns as that result does
     spans = ((-12.0, 12.0), (-3.0, 9.0))
     cases = [(Recorder(var), a, b) for var in (0.02, 3e-4, 1e-5) for a, b in spans]
     for fn, a, b in cases:
@@ -292,6 +318,6 @@ def test_one_row_mesh_results_equal_adaptive_quad(max_depth):
     alone, alone_events = _nonconverged(
         lambda: [adaptive_quad(fn, a, b, max_depth=max_depth) for fn, a, b in cases]
     )
-    assert [mesh.results for mesh in meshes] == [(result,) for result in alone]
+    assert meshes == [result.mesh() for result in alone]
     assert mesh_events == alone_events
     assert [r.converged for r in alone].count(False) == (3 if max_depth == 3 else 0)
