@@ -26,21 +26,15 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 # numpy and the numeric layers are imported by the functions that use them,
-# so derive, verify-identities and certify without --search never load numpy.
-from .certificates import (
-    Certificate,
-    builtin_certificate,
-    certificate_from_json,
-    certificate_to_json,
-    search_certificate,
-    verify_certificate,
-)
+# so derive, verify-identities and certify without --search never load
+# numpy; the certificate code is imported by certify alone.
 from .reduction import entropy_derivative, reduce, verify_ibp_identities
 from .terms import d_dt
 
 if TYPE_CHECKING:
     import numpy as np
 
+    from .certificates import Certificate
     from .mixtures import GaussianMixture
 
 
@@ -301,6 +295,8 @@ def _cmd_verify_identities(args) -> int:
 
 def _write_certificate(cert: Certificate, out: str) -> int:
     """Write the certificate JSON to --out; the path was checked before any work."""
+    from .certificates import certificate_to_json
+
     try:
         Path(out).write_text(certificate_to_json(cert))
     except OSError as exc:
@@ -311,6 +307,14 @@ def _write_certificate(cert: Certificate, out: str) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from .certificates import (
+        builtin_certificate,
+        certificate_from_json,
+        certificate_to_json,
+        search_certificate,
+        verify_certificate,
+    )
+
     if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
         print(
             f"certify: --out {args.out}: not a file path in an existing directory",

@@ -17,11 +17,13 @@ reported as inconclusive rather than asserted.
 
 A scan refines its flow times in batches, each batch one bisection
 forest: per flow time one tree on which h and C_1..C_4 each accept their
-own panels.  The panels h accepts are its mesh, and they serve the finite
-differences too: every fd stencil entropy of that flow time is integrated
-on them.  Every density evaluation is one ``mixtures.map_flow`` call with
-an epilogue from ``_flow_rows``, so h and the fd entropies share one
--f log f.  A quantity whose tree stops short of the tolerance leaves
+own panels.  C_2..C_4 cancel between their terms, so each carries a
+magnitude row, f times the sum of its terms' absolute values, that sets
+its roundoff floor.  The panels h accepts are its mesh, and they serve
+the finite differences too: every fd stencil entropy of that flow time is
+integrated on them.  Every density evaluation is one ``mixtures.map_flow``
+call with an epilogue from ``_flow_rows``, so h and the fd entropies
+share one -f log f.  A quantity whose tree stops short of the tolerance leaves
 every sign verdict that rests on it inconclusive.
 """
 
@@ -80,7 +82,9 @@ def _flow_rows(
     A quantity without a combination is the entropy integrand -f log f;
     the others are their combination evaluated on the flowed density.
     With a row of k times per job (``ts[j]`` a sequence) each quantity
-    has k rows, one per time.
+    has k rows, one per time.  The magnitude rows that ``_magnitude_rows``
+    names follow the quantities' rows: per combination of two terms or
+    more, f times the sum of its terms' absolute values.
 
     Each combination is compiled once into its terms, a coefficient and
     the (order, exponent) pairs of its factors.  Per block of nodes, the
@@ -88,9 +92,10 @@ def _flow_rows(
     multiplication, r_m^k = r_m^(k-1) r_m: ``**`` with an exponent of 3
     or more calls libm ``pow``, about a hundred multiplies per element.
     A term is its coefficient times its factors in order, and a quantity
-    adds its terms one after another, elementwise.  So every value is
-    computed per node, exactly as it would be on its own, and sharing the
-    kernel call, the block or the forest changes no bit.
+    adds its terms, and its magnitude their absolute values, one after
+    another, elementwise.  So every value is computed per node, exactly as
+    it would be on its own, and sharing the kernel call, the block or the
+    forest changes no bit.
     """
     combs = [
         None
@@ -106,6 +111,9 @@ def _flow_rows(
                 tops[m] = max(tops.get(m, 0), k)
     max_m = max(tops, default=0)
     times = np.array(ts, dtype=float)
+    # per quantity, the output row of its magnitude, if it has a row of its own
+    mag_rows = [None if row == q else row for q, row in enumerate(_magnitude_rows(quantities))]
+    size = len(combs) + sum(row is not None for row in mag_rows)
 
     def rows(lf: np.ndarray, ratios: np.ndarray) -> np.ndarray:
         f = np.exp(lf)
@@ -114,22 +122,46 @@ def _flow_rows(
             power = table[m, 1] = ratios[m]
             for k in range(2, top + 1):
                 power = table[m, k] = power * ratios[m]
-        out = np.empty((len(combs),) + lf.shape)
+        out = np.empty((size,) + lf.shape)
         term = np.empty_like(lf)
-        for row, items in zip(out, combs):
+        for row, items, mag in zip(out, combs, mag_rows):
             if items is None:
                 np.multiply(-f, lf, out=row)
                 continue
             _term(items[0], table, row)
+            if mag is not None:
+                mag = np.abs(row, out=out[mag])
             for item in items[1:]:
                 row += _term(item, table, term)
+                if mag is not None:
+                    mag += np.abs(term, out=term)
             row *= f
+            if mag is not None:
+                mag *= f
         return out.reshape(-1, lf.shape[-1])
 
     def fn(y: np.ndarray, jobs: np.ndarray) -> np.ndarray:
         return map_flow(mix, times, y, jobs, max_m, rows)
 
     return fn
+
+
+def _magnitude_rows(quantities: Sequence[Tuple[str, Optional[Combination]]]) -> Tuple[int, ...]:
+    """Per quantity, the row of ``_flow_rows`` that holds its magnitude.
+
+    A combination of two terms or more cancels between its terms, so its
+    magnitude is a row of its own after the quantities'; for -f log f and
+    a one-term combination the magnitude is the row's absolute value, and
+    the row names itself.
+    """
+    out, extra = [], len(quantities)
+    for q, (_, comb) in enumerate(quantities):
+        if comb is not None and len(comb) > 1:
+            out.append(extra)
+            extra += 1
+        else:
+            out.append(q)
+    return tuple(out)
 
 
 def _term(item, table, out: np.ndarray) -> np.ndarray:
@@ -168,11 +200,16 @@ def _flow_forest(
     ts: Sequence[float],
     quantities: Sequence[Tuple[str, Optional[Combination]]],
 ) -> Forest:
-    """One bisection tree per flow time t > 0 and quantity; each accepts its own panels."""
+    """One bisection tree per flow time t > 0 and quantity; each accepts its own panels.
+
+    A combination's roundoff floor is keyed to the integral of its terms'
+    absolute values, not of its own absolute value, which cancels below it.
+    """
     return Forest(
         _flow_rows(mix, ts, quantities),
         [_window(mix, t) for t in ts],
         [_flow_labels(t, quantities) for t in ts],
+        _magnitude_rows(quantities),
     )
 
 

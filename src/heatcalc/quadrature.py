@@ -15,14 +15,16 @@ quote.
 Bisection runs on forests: a ``Forest`` is one integrand over many
 intervals, one job per interval, such as one flow time per job of a
 scan.  Every row of every job is a tree that accepts its panels by its
-own test.  ``refine`` bisects every tree of the forest together, one
-level at a time, so a level costs one integrand call for the whole
-forest, not one per job or row.  A level is evaluated in chunks of at
-most ``_CHUNK_NODES`` abscissae, so the memory of a call does not grow
-with the forest.  Each ``QuadResult`` keeps the panels its row accepted,
-so a row's own mesh comes with its integral.  ``adaptive_quad`` and
-``build_mesh`` are forests of one job, and ``integrate`` sums integrands
-on many meshes in one call per chunk.
+own test.  A row whose terms cancel can name a magnitude row of the same
+integrand, the sum of its terms' absolute values, that sets its roundoff
+floor; the magnitude rows get no result.  ``refine`` bisects every tree
+of the forest together, one level at a time, so a level costs one
+integrand call for the whole forest, not one per job or row.  A level is
+evaluated in chunks of at most ``_CHUNK_NODES`` abscissae, so the memory
+of a call does not grow with the forest.  Each ``QuadResult`` keeps the
+panels its row accepted, so a row's own mesh comes with its integral.
+``adaptive_quad`` and ``build_mesh`` are forests of one job, and
+``integrate`` sums integrands on many meshes in one call per chunk.
 
 No bit depends on which panels, rows or jobs share a call: every value is
 computed per abscissa; each panel's rule sum is one ``ddot`` of its own
@@ -36,7 +38,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, List, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -55,7 +57,7 @@ _INITIAL_PANELS = 8
 # the abscissae of those panels: a tree's first nodes are spaced by its
 # width over this many on average
 INITIAL_NODES = _INITIAL_PANELS * _ORDER
-# a panel whose rules agree within this share of its own magnitude is
+# a panel whose rules agree within this share of its magnitude is
 # accepted: refining further would only chase roundoff
 _REL_FLOOR = 5e-15
 # a tree's limits by default (adaptive_quad always uses _MAX_PANELS)
@@ -90,9 +92,13 @@ def _evaluate(
     hi: np.ndarray,
     jobs: np.ndarray,
     order: int,
-    magnitudes: bool = True,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Every row's rule sum on each panel and, if asked, the rule sum of its magnitude."""
+    absolute: Union[None, slice, np.ndarray] = None,
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Every row's rule sum on each panel and, given ``absolute``, the rows
+    it picks, the rule sums of those rows' absolute values.
+
+    A slice picks the rows in place, an index array copies them.
+    """
     nodes, weights = _gl_rule(order)
     mids = 0.5 * (lo + hi)
     radii = 0.5 * (hi - lo)
@@ -104,10 +110,11 @@ def _evaluate(
         vals = np.asarray(fn(y, np.repeat(jobs[part], order)), dtype=float)
         vals = vals.reshape(-1, y.size // order, order)
         sums.append(_rule_sums(radii[part], vals, weights))
-        if magnitudes:
-            mags.append(_rule_sums(radii[part], np.abs(vals, out=vals), weights))
+        if absolute is not None:
+            picked = vals[absolute]
+            mags.append(_rule_sums(radii[part], np.abs(picked, out=picked), weights))
         del vals  # before the next chunk's values exist
-    return np.concatenate(sums, axis=1), np.concatenate(mags, axis=1) if magnitudes else None
+    return np.concatenate(sums, axis=1), np.concatenate(mags, axis=1) if mags else None
 
 
 def _sequential_sums(values: np.ndarray, segments: np.ndarray, count: int) -> np.ndarray:
@@ -133,11 +140,21 @@ class Forest:
     trees start from ``_INITIAL_PANELS`` equal panels of [a, b], split at
     every interior breakpoint.  ``labels`` holds, per job, one name per
     row for the non-convergence warnings.
+
+    ``magnitudes`` holds, per result row, the row of ``fn`` that holds its
+    magnitude, a nonnegative integrand at least as large as the row's
+    absolute value, such as the sum of its terms' absolute values when the
+    row is a sum that cancels.  Its integral sets the row's roundoff floor;
+    a row that names itself takes its own absolute value.  The result rows
+    are the first ``len(magnitudes)`` rows of ``fn``, and the rows after
+    them are magnitude rows only, with no result.  By default every row is
+    a result row and takes its own absolute value.
     """
 
     fn: JobIntegrand
     spans: Sequence[Sequence[float]]
     labels: Sequence[Sequence[str]] = ()
+    magnitudes: Sequence[int] = ()
 
 
 def _per_tree(mask: np.ndarray, jobs: np.ndarray, count: int) -> np.ndarray:
@@ -163,11 +180,11 @@ def _bisect(forest: Forest, tol: float, max_depth: int, max_panels: int) -> List
     """Bisect every tree of every job of the forest, one level at a time; see ``refine``.
 
     A row accepts a panel when its whole-panel rule and its two half-panel
-    rules agree within the panel's share of ``tol`` or within
-    ``_REL_FLOOR`` of the panel's own magnitude -- large integrals stop
-    refining at machine precision instead of chasing an absolute target
-    below roundoff.  Every abscissa is evaluated once: a child panel's
-    whole-panel value is its parent's half-panel value.
+    rules agree within the panel's share of ``tol`` or within the roundoff
+    floor, ``_REL_FLOOR`` of the panel's magnitude -- a sum that cancels
+    stops refining at the rounding of its terms instead of chasing an
+    absolute target below it.  Every abscissa is evaluated once: a child
+    panel's whole-panel value is its parent's half-panel value.
 
     Each level evaluates the halves of every panel that some row still
     refines.  A row's decisions rest on its own values and job only, so it
@@ -178,8 +195,15 @@ def _bisect(forest: Forest, tol: float, max_depth: int, max_panels: int) -> List
     """
     lo, hi, job, width = _initial_panels(forest.spans)
     count = width.size
-    wholes, _ = _evaluate(forest.fn, lo, hi, job, _ORDER, magnitudes=False)
-    rows = len(wholes)
+    sums, _ = _evaluate(forest.fn, lo, hi, job, _ORDER)
+    rows = len(forest.magnitudes) or len(sums)
+    wholes = sums[:rows]
+    # a magnitude row is nonnegative, so its rule sum is its magnitude's;
+    # the rows that are their own magnitude take their absolute values, in
+    # place when every row of fn is one of them
+    magnitudes = np.array(forest.magnitudes or range(rows), dtype=np.intp)
+    own = np.flatnonzero(magnitudes == np.arange(rows))
+    absolute = slice(None) if own.size == len(sums) else own
     open_ = np.ones((rows, lo.size), dtype=bool)
     counts = np.zeros((rows, count), dtype=np.intp)
     exhausted = np.zeros((rows, count), dtype=bool)
@@ -188,15 +212,20 @@ def _bisect(forest: Forest, tol: float, max_depth: int, max_panels: int) -> List
     while lo.size:
         mid = 0.5 * (lo + hi)
         half_lo, half_hi = np.stack([lo, mid], 1).ravel(), np.stack([mid, hi], 1).ravel()
-        sums, mags = _evaluate(forest.fn, half_lo, half_hi, np.repeat(job, 2), _ORDER)
+        sums, own_mags = _evaluate(
+            forest.fn, half_lo, half_hi, np.repeat(job, 2), _ORDER, absolute
+        )
+        mags = sums[magnitudes]
+        mags[own] = own_mags
+        sums = sums[:rows]
         halves = sums[:, 0::2] + sums[:, 1::2]
-        # the L1 magnitude sets the roundoff floor: when the integrand
-        # cancels within a panel, refinement below eps * magnitude only
-        # chases noise
         magnitude = mags[:, 0::2] + mags[:, 1::2]
         floor = _REL_FLOOR * np.maximum(np.maximum(np.abs(wholes), np.abs(halves)), magnitude)
         local_tol = tol * (hi - lo) / width[job]
-        ok = ~(np.abs(wholes - halves) > np.maximum(np.maximum(local_tol, floor), 1e-300))
+        discrepancy = np.abs(wholes - halves)
+        ok = ~(discrepancy > np.maximum(np.maximum(local_tol, floor), 1e-300))
+        # a panel's value is known no better than its roundoff floor
+        error = np.maximum(discrepancy, floor)
         stop = open_ if depth >= max_depth else open_ & ok
         deeper = open_ & ~stop
         capped = counts + _per_tree(stop, job, count) + 2 * _per_tree(deeper, job, count)
@@ -206,7 +235,7 @@ def _bisect(forest: Forest, tol: float, max_depth: int, max_panels: int) -> List
         exhausted |= _per_tree(stop & ~ok, job, count) > 0
         counts += _per_tree(stop, job, count)
         r, p = np.nonzero(stop)
-        accepted.append((job[p], r, lo[p], hi[p], wholes[r, p], halves[r, p]))
+        accepted.append((job[p], r, lo[p], hi[p], error[r, p], halves[r, p]))
         # the next level holds the halves of every panel some row refines
         split = np.flatnonzero(deeper.any(axis=0))
         children = np.stack([2 * split, 2 * split + 1], 1).ravel()
@@ -214,20 +243,23 @@ def _bisect(forest: Forest, tol: float, max_depth: int, max_panels: int) -> List
         wholes = sums[:, children]
         open_ = np.repeat(deeper[:, split], 2, axis=1)
         depth += 1
-    job, row, lo, hi, whole, halves = [np.concatenate(column) for column in zip(*accepted)]
+    job, row, lo, hi, error, halves = [np.concatenate(column) for column in zip(*accepted)]
     # the trees by job, then row, and each tree's panels left to right
     sort = np.lexsort((lo, row, job))
     segments = (job * rows + row)[sort]
     values = _sequential_sums(halves[sort], segments, count * rows)
-    errors = _sequential_sums(np.abs(whole - halves)[sort], segments, count * rows)
+    errors = _sequential_sums(error[sort], segments, count * rows)
+    # adding n panel values rounds by at most n eps times their magnitudes
+    sizes = counts.T.ravel()
+    absolute = _sequential_sums(np.abs(halves[sort]), segments, count * rows)
+    errors += sizes * np.finfo(float).eps * absolute
     panels = np.stack([lo, hi], axis=1)[sort]
     panels.flags.writeable = False
-    sizes = counts.T.ravel().tolist()
     ends = np.cumsum(sizes).tolist()
     results = [
-        QuadResult(total, max(err, 1e-16 * abs(total)), not stopped, panels[end - n : end])
+        QuadResult(total, err, not stopped, panels[end - n : end])
         for total, err, stopped, n, end in zip(
-            values.tolist(), errors.tolist(), exhausted.T.ravel().tolist(), sizes, ends
+            values.tolist(), errors.tolist(), exhausted.T.ravel().tolist(), sizes.tolist(), ends
         )
     ]
     return [results[j * rows : (j + 1) * rows] for j in range(count)]
@@ -286,7 +318,7 @@ def integrate(meshes: Sequence[Mesh], fn: JobIntegrand) -> List[Tuple[float, ...
         raise ValueError("meshes must share their rule order")
     bounds = np.array([p for mesh in meshes for p in mesh.panels], dtype=float).reshape(-1, 2)
     jobs = np.repeat(np.arange(len(meshes)), [len(mesh.panels) for mesh in meshes])
-    sums, _ = _evaluate(fn, bounds[:, 0], bounds[:, 1], jobs, order, magnitudes=False)
+    sums, _ = _evaluate(fn, bounds[:, 0], bounds[:, 1], jobs, order)
     rows = len(sums)
     segments = (jobs * rows + np.arange(rows)[:, None]).ravel()
     totals = _sequential_sums(sums.ravel(), segments, len(meshes) * rows)
@@ -318,9 +350,11 @@ def refine(
     """Bisect every tree of the forest; per job, one ``QuadResult`` per row.
 
     A row's ``QuadResult`` sums its half-panel values over its accepted
-    panels; the error estimate is the half-panel refinement discrepancy
-    summed over them (a conservative proxy for the true error of smooth
-    integrands).  Every tree that stops short of ``tol`` warns
+    panels.  Its error adds, per panel, the half-panel refinement
+    discrepancy (a conservative proxy for the truncation error of smooth
+    integrands) or the panel's roundoff floor where that is larger, and
+    n eps times the sum of the n panel values' magnitudes for the rounding
+    of their total.  Every tree that stops short of ``tol`` warns
     ``QuadratureNonConvergence``, in the order in which refining each job
     alone would warn.
     """

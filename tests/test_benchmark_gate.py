@@ -13,8 +13,6 @@ they are, never edited.
 import sys
 from pathlib import Path
 
-import pytest
-
 from heatcalc.cli import main
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -39,14 +37,13 @@ def test_bimodal_scan_passes_the_gate(tmp_path, capsys):
 
 
 def test_wide_mixture_scan_passes_the_gate(tmp_path, capsys):
-    with pytest.warns(UserWarning):  # its three C_4 trees stop short
-        _scan(
-            tmp_path,
-            capsys,
-            workloads.wide_mixture_components(),
-            workloads.WIDE_SCAN_GRID,
-            workloads.SCAN_VERDICTS,
-        )
+    _scan(
+        tmp_path,
+        capsys,
+        workloads.wide_mixture_components(),
+        workloads.WIDE_SCAN_GRID,
+        workloads.SCAN_VERDICTS,
+    )
 
 
 def test_wide_mixture_wt_scan_passes_the_gate(tmp_path, capsys):
