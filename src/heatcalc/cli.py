@@ -395,7 +395,8 @@ def _range_field(exc) -> str:
 
     A flow time leaves float64's range only when it is tiny (an fd step
     underflows) or huge (a step overflows, or J**2 underflows), so the
-    grid end at fault follows from t.
+    grid end at fault follows from t.  wt-scan's t lies in (0, 1) and
+    fails only at its start, where s = 1/t - 1 is huge.
     """
     if exc.component is not None:
         return f"mixture[{exc.component}].var"
@@ -442,7 +443,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_wt_scan(args) -> int:
-    from .oracle import wt_checks, wt_to_csv
+    from .oracle import FlowRangeError, wt_checks, wt_to_csv
 
     try:
         config = load_config(args.config)
@@ -456,7 +457,11 @@ def _cmd_wt_scan(args) -> int:
     prefix = _output_prefix("wt-scan", args.out, config.output or "wt_scan")
     if prefix is None:
         return 1
-    report = wt_checks(config.mixture, grid, config.quad_tol)
+    try:
+        report = wt_checks(config.mixture, grid, config.quad_tol)
+    except FlowRangeError as exc:
+        print(f"config error at {_range_field(exc)}: {exc}", file=sys.stderr)
+        return 1
     csv_path = prefix.with_name(prefix.name + ".csv")
     csv_path.write_text(wt_to_csv(report))
     print(f"wrote {csv_path}")

@@ -11,10 +11,9 @@ and ratios are computed as posterior-weighted averages of per-component
 terms with log-sum-exp weights.  That form never divides by a tiny
 density, which matters for monomials like f1^8/f^7 far into the tails.
 
-There is one kernel, ``map_flow``: it flows each node to its job's time,
-or to each time of its job's row, and hands every block of nodes to an
-epilogue.  ``log_density`` and ``log_density_and_ratios`` are that
-kernel at one flow time.
+There is one kernel, ``map_flow``: it flows each node to its job's time
+and hands every block of nodes to an epilogue.  ``log_density`` and
+``log_density_and_ratios`` are that kernel at one flow time.
 """
 
 from __future__ import annotations
@@ -96,8 +95,7 @@ BIMODAL_MIXTURE = GaussianMixture(((0.5, 0.0, 0.1), (0.5, 10.0, 0.1)))
 
 
 # The kernel works on blocks of nodes with at most this many values per
-# (component, time) and per ratio row of a time, so each temporary stays
-# at 64 KiB or less.
+# component and per ratio row, so each temporary stays at 64 KiB or less.
 # Larger temporaries are mapped from and returned to the OS on every call:
 # whole refinement levels of a 16-component mixture cost a wt-scan 20k-31k
 # page faults instead of 5k, and the count moved with the size of the
@@ -135,45 +133,43 @@ def map_flow(
 ) -> np.ndarray:
     """``fn(lf, ratios)`` on the nodes y, node i flowed to time ``t[jobs[i]]``.
 
-    ``t`` holds one time per job, or a row of k times per job; with rows
-    each node is flowed to every time of its row, and both arguments of
-    ``fn`` carry a k axis before the node axis.  ``fn`` gets a block of
-    nodes' log f and ratio rows 0..max_m, as ``log_density_and_ratios``
-    gives them, and returns an array whose last axis is the block's nodes;
-    the result joins the blocks along that axis.  No block's ratio rows
-    outlive it, so a caller that needs a few rows of values never holds
-    max_m + 1 rows for every node.
+    ``t`` holds one time per job.  ``fn`` gets a block of nodes' log f and
+    ratio rows 0..max_m, as ``log_density_and_ratios`` gives them, and
+    returns an array whose last axis is the block's nodes; the result
+    joins the blocks along that axis.  No block's ratio rows outlive it,
+    so a caller that needs a few rows of values never holds max_m + 1
+    rows for every node.
 
-    The per-time factors are computed once per (component, time) and
+    The per-job factors are computed once per (component, job) and
     gathered per node.  Components are summed in order, a row at a time,
     over blocks of two nodes or more: numpy sums a one-node block's
     components pairwise instead.
     """
     ts = np.asarray(t, dtype=float)
-    if ts.ndim not in (1, 2):
-        raise ValueError("t must be a 1-D array, or 2-D with a row of times per job")
+    if ts.ndim != 1:
+        raise ValueError("t must be a 1-D array, one time per job")
     if np.any(ts < 0):
         raise ValueError("t must be >= 0")
     y = np.atleast_1d(np.asarray(y, dtype=float))
     jobs = np.asarray(jobs, dtype=np.intp)
-    s = mix.variances[:, None, None] + ts.reshape(len(ts), -1).T  # (component, k, job)
+    s = mix.variances[:, None] + ts  # (component, job)
     comps = (
-        mix.means[:, None, None],
+        mix.means[:, None],
         np.sqrt(s),
-        np.log(mix.weights)[:, None, None] - 0.5 * (_LOG_2PI + np.log(s)),
+        np.log(mix.weights)[:, None] - 0.5 * (_LOG_2PI + np.log(s)),
         [(-1.0) ** m / s ** (m / 2.0) for m in range(1, max_m + 1)],
     )
     # equal blocks, never a single node unless there is only one; a node
-    # has a value per (component, time) and per (ratio row, time)
-    per_node = s.shape[1] * (s.shape[0] + max_m + 1)
+    # has a value per component and per ratio row
+    per_node = len(s) + max_m + 1
     blocks = max(1, -(-y.size // max(64, _BLOCK_PAIRS // per_node)))
     edges = [y.size * i // blocks for i in range(blocks + 1)]
     out = None
     for lo, hi in zip(edges[:-1], edges[1:]):
-        ratios = np.empty((max_m + 1, s.shape[1], hi - lo))
+        ratios = np.empty((max_m + 1, hi - lo))
         ratios[0] = 1.0
         lf = _block(comps, y[lo:hi], jobs[lo:hi], ratios[1:])
-        vals = fn(lf, ratios) if ts.ndim == 2 else fn(lf[0], ratios[:, 0])
+        vals = fn(lf, ratios)
         if out is None:
             out = np.empty(vals.shape[:-1] + (y.size,))
         out[..., lo:hi] = vals
@@ -181,17 +177,17 @@ def map_flow(
 
 
 def _block(comps, y: np.ndarray, jobs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """log f on a block of nodes, a row per time of a job; writes ratio rows m >= 1 to ``rows``.
+    """log f on a block of nodes; writes ratio rows m >= 1 to ``rows``.
 
     Per-job factors are gathered per node with ``take``: the same copy
-    as ``x[:, :, jobs]``, at about a fifth of the cost of that fancy index.
+    as ``x[:, jobs]``, at about a fifth of the cost of that fancy index.
     The array methods are the ufunc reductions and gathers that ``np.sum``,
     ``np.max`` and ``np.take`` call, without their Python wrappers, which
     cost a 16-component ``wt-scan`` about a tenth of its kernel time.
     """
     means, scales, log_norm, ratio_scales = comps
-    z = (y - means) / scales.take(jobs, axis=2)
-    lp = log_norm.take(jobs, axis=2) - 0.5 * z * z
+    z = (y - means) / scales.take(jobs, axis=1)
+    lp = log_norm.take(jobs, axis=1) - 0.5 * z * z
     top = lp.max(axis=0)
     post = np.exp(lp - top)
     total = post.sum(axis=0)
@@ -202,7 +198,7 @@ def _block(comps, y: np.ndarray, jobs: np.ndarray, rows: np.ndarray) -> np.ndarr
         for m, scale in enumerate(ratio_scales, start=1):
             if m > 1:
                 he_prev, he = he, z * he - (m - 1) * he_prev
-            rows[m - 1] = (post * scale.take(jobs, axis=2) * he).sum(axis=0)
+            rows[m - 1] = (post * scale.take(jobs, axis=1) * he).sum(axis=0)
     return top + np.log(total)
 
 

@@ -20,10 +20,11 @@ forest: per flow time one tree on which h and C_1..C_4 each accept their
 own panels.  C_2..C_4 cancel between their terms, so each carries a
 magnitude row, f times the sum of its terms' absolute values, that sets
 its roundoff floor.  The panels h accepts are its mesh, and they serve
-the finite differences too: every fd stencil entropy of that flow time is
-integrated on them.  Every density evaluation is one ``mixtures.map_flow``
-call with an epilogue from ``_flow_rows``, so h and the fd entropies
-share one -f log f.  A quantity whose tree stops short of the tolerance leaves
+the finite differences too: every fd stencil time of that flow time is a
+job integrated on them, and a batch's stencil times take one
+``quadrature.integrate`` call.  Every density evaluation is one
+``mixtures.map_flow`` call, one flow time per job, with an epilogue from
+``_flow_rows``, so h and the fd entropies share one -f log f.  A quantity whose tree stops short of the tolerance leaves
 every sign verdict that rests on it inconclusive.
 """
 
@@ -39,7 +40,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 import numpy as np
 
 from .mixtures import GaussianMixture, map_flow
-from .quadrature import INITIAL_NODES, Forest, Mesh, QuadResult, integrate, refine
+from .quadrature import INITIAL_NODES, Forest, QuadResult, integrate, refine
 from .reduction import entropy_derivative
 from .terms import Combination
 
@@ -81,10 +82,9 @@ def _flow_rows(
 
     A quantity without a combination is the entropy integrand -f log f;
     the others are their combination evaluated on the flowed density.
-    With a row of k times per job (``ts[j]`` a sequence) each quantity
-    has k rows, one per time.  The magnitude rows that ``_magnitude_rows``
-    names follow the quantities' rows: per combination of two terms or
-    more, f times the sum of its terms' absolute values.
+    The magnitude rows that ``_magnitude_rows`` names follow the
+    quantities' rows: per combination of two terms or more, f times the
+    sum of its terms' absolute values.
 
     Each combination is compiled once into its terms, a coefficient and
     the (order, exponent) pairs of its factors.  Per block of nodes, the
@@ -122,7 +122,7 @@ def _flow_rows(
             power = table[m, 1] = ratios[m]
             for k in range(2, top + 1):
                 power = table[m, k] = power * ratios[m]
-        out = np.empty((size,) + lf.shape)
+        out = np.empty((size, lf.size))
         term = np.empty_like(lf)
         for row, items, mag in zip(out, combs, mag_rows):
             if items is None:
@@ -138,7 +138,7 @@ def _flow_rows(
             row *= f
             if mag is not None:
                 mag *= f
-        return out.reshape(-1, lf.shape[-1])
+        return out
 
     def fn(y: np.ndarray, jobs: np.ndarray) -> np.ndarray:
         return map_flow(mix, times, y, jobs, max_m, rows)
@@ -350,100 +350,81 @@ def fd_entropy_derivs(
     """``fd_entropy_deriv_result`` of several orders, sharing their evaluations.
 
     Every stencil entropy is integrated on the panels that h(t)'s own tree
-    accepts, as in the scan row at t.  An order's step depends only
-    on its stencil's reach, so the orders of one reach share their stencil
-    entropies, from one multi-t kernel call, and each order's result is
-    bit for bit what it gives alone and what the scan gives at t.
+    accepts, as in the scan row at t.  An order's step depends only on its
+    stencil's reach, so the orders of one reach share their stencil
+    entropies, and each order's result is bit for bit what it gives alone
+    and what the scan gives at t.
     """
-    plans = _fd_plans(mix, [t], orders, step)
-    if not plans:
-        return {}
+    stencils = _fd_stencils(mix, t, orders, step)
     (h,) = _flow_results(mix, t, _ENTROPY, tol)
-    return _fd_finish(mix, plans, [h.mesh()], tol)[0]
+    return _fd_finish(mix, [t], [stencils], [h.panels], tol)[0]
 
 
-@dataclass(frozen=True)
-class _FdPlan:
-    """The fd orders that share their step, over the flow times of a batch where they do.
-
-    Stencil points are offsets from t in units of h/2.  Every offset of a
-    flow time is integrated on that time's h mesh, so the quadrature rule
-    is the same at every stencil point and its error cancels in the
-    differences.  Offsets whose times round to the same float get the
-    same bits.  A stencil's offsets include those of every stencil of
-    smaller reach, so orders of several reaches that share a step share
-    one set of stencil entropies.
-    """
-
-    orders: Tuple[int, ...]
-    offsets: Tuple[int, ...]  # the union of the orders' stencil offsets
-    rows: Tuple[int, ...]  # the batch's flow times this plan serves, by index
-    ts: Tuple[float, ...]
-    steps: Tuple[float, ...]  # h, one per flow time
-
-    def times(self) -> List[List[float]]:
-        """Per flow time, the stencil times at every offset."""
-        return [[t + off * (h / 2.0) for off in self.offsets] for t, h in zip(self.ts, self.steps)]
-
-
-def _fd_plans(
-    mix: GaussianMixture, ts: Sequence[float], orders: Sequence[int], step: Optional[float]
-) -> List[_FdPlan]:
-    """The fd plans of the flow times ``ts``: per flow time, one plan per distinct step.
+def _fd_stencils(
+    mix: GaussianMixture, t: float, orders: Sequence[int], step: Optional[float]
+) -> List[Tuple[float, Tuple[int, ...], Tuple[int, ...]]]:
+    """The fd stencils of flow time t: per distinct step h, its orders and their offsets.
 
     ``default_fd_step`` depends on the order only through its stencil
-    reach, and it clamps a larger reach's step only when t is small, so
-    at most flow times every order shares one step and one stencil call
-    (7 times for orders 1-4).  Flow times with the same orders per step
-    share a plan.
+    reach, and it clamps a larger reach's step only when t is small, so at
+    most flow times every order shares one step (7 stencil times for
+    orders 1-4).  A stencil's offsets, in units of h/2, are the union of
+    its orders', and those include the offsets of every stencil of smaller
+    reach, so orders of several reaches that share a step share one set of
+    stencil entropies.
     """
     by_reach: Dict[int, List[int]] = {}
     for n in orders:
         if n < 1:
             raise ValueError("derivative order must be >= 1")
         by_reach.setdefault(_stencil_reach(n), []).append(n)
-    groups: Dict[Tuple[int, ...], List[Tuple[int, float, float]]] = {}
-    for i, t in enumerate(ts):
-        by_step: Dict[float, List[int]] = {}
-        for reach, ns in by_reach.items():
-            h = default_fd_step(mix, t, ns[0]) if step is None else float(step)
-            if h <= 0 or t - reach * h <= 0:
-                raise ValueError(f"step {h} reaches t <= 0 for order {ns[0]} at t = {t}")
-            # _richardson divides by h**n and (h/2)**n: both must be normal floats
-            n = max(ns)
-            if not (-1022 <= n * math.log2(h / 2.0) and n * math.log2(h) < 1024):
-                raise FlowRangeError(
-                    f"fd step {h} at t = {t}: h**{n} leaves float64's normal range", t
-                )
-            by_step.setdefault(h, []).extend(ns)
-        for h, ns in by_step.items():
-            groups.setdefault(tuple(ns), []).append((i, t, h))
-    plans = []
-    for ns, members in groups.items():
-        offsets = sorted({off for n in ns for off in _stencil_offsets(n)})
-        rows, times, steps = zip(*members)
-        plans.append(_FdPlan(ns, tuple(offsets), rows, times, steps))
-    return plans
+    by_step: Dict[float, List[int]] = {}
+    for reach, ns in by_reach.items():
+        h = default_fd_step(mix, t, ns[0]) if step is None else float(step)
+        if h <= 0 or t - reach * h <= 0:
+            raise ValueError(f"step {h} reaches t <= 0 for order {ns[0]} at t = {t}")
+        # _richardson divides by h**n and (h/2)**n: both must be normal floats
+        n = max(ns)
+        if not (-1022 <= n * math.log2(h / 2.0) and n * math.log2(h) < 1024):
+            raise FlowRangeError(f"fd step {h} at t = {t}: h**{n} leaves float64's normal range", t)
+        by_step.setdefault(h, []).extend(ns)
+    return [
+        (h, tuple(ns), tuple(sorted({off for n in ns for off in _stencil_offsets(n)})))
+        for h, ns in by_step.items()
+    ]
 
 
 def _fd_finish(
     mix: GaussianMixture,
-    plans: Sequence[_FdPlan],
-    meshes: Sequence[Mesh],
+    ts: Sequence[float],
+    stencils: Sequence[Sequence[Tuple[float, Tuple[int, ...], Tuple[int, ...]]]],
+    panels: Sequence[np.ndarray],
     tol: float,
 ) -> List[Dict[int, Tuple[float, float]]]:
-    """Each flow time's fd results, every stencil entropy integrated on its h mesh.
+    """Each flow time's fd results from its ``_fd_stencils``, on the panels its h accepted.
 
-    All offsets of all flow times of a plan take one ``integrate`` call.
+    Every stencil time of every flow time is a job of its own, integrated
+    on its flow time's panels, so the quadrature rule is the same at every
+    stencil point and its error cancels in the differences; all of them
+    take one ``integrate`` call.  Stencil times that round to the same
+    float get the same bits.
     """
-    results: List[Dict[int, Tuple[float, float]]] = [{} for _ in meshes]
-    for plan in plans:
-        rows = _flow_rows(mix, plan.times(), _ENTROPY)
-        entropies = integrate([meshes[i] for i in plan.rows], rows)
-        for i, h, by_offset in zip(plan.rows, plan.steps, entropies):
-            h_at = dict(zip(plan.offsets, by_offset))
-            for n in plan.orders:
-                results[i][n] = _richardson(n, h, h_at, tol)
+    jobs = [
+        (i, t + off * (h / 2.0))
+        for i, (t, steps) in enumerate(zip(ts, stencils))
+        for h, _, offsets in steps
+        for off in offsets
+    ]
+    rows = _flow_rows(mix, [time for _, time in jobs], _ENTROPY)
+    entropies = iter(integrate([panels[i] for i, _ in jobs], rows))
+    results = []
+    for steps in stencils:
+        fd = {}
+        for h, orders, offsets in steps:
+            h_at = {off: next(entropies)[0] for off in offsets}
+            for n in orders:
+                fd[n] = _richardson(n, h, h_at, tol)
+        results.append(fd)
     return results
 
 
@@ -639,7 +620,8 @@ def _scan_rows(
 
     Each flow time has one tree on which h and C_1..C_4 each accept their
     own panels.  The panels h accepts are its mesh: every fd stencil
-    entropy of that time is integrated on it, in one call per stencil reach.
+    entropy of that time is integrated on it, all of the batch's in one
+    ``integrate`` call.
     """
     sym_orders = min(_SYM_ORDERS, max_order)
     # h; C_1 (which integrates to J) always; C_2..C_4 as the orders ask
@@ -650,19 +632,11 @@ def _scan_rows(
     fd_orders = range(1, max(max_order, 2) + 1)
     rows = []
     for batch, flows in _flow_batches(mix, ts, quantities, tol):
-        meshes = [flow[0].mesh() for flow in flows]
-        fds = _fd_finish(mix, _fd_plans(mix, batch, fd_orders, None), meshes, tol)
+        stencils = [_fd_stencils(mix, t, fd_orders, None) for t in batch]
+        fds = _fd_finish(mix, batch, stencils, [flow[0].panels for flow in flows], tol)
         for t, (h_res, *sym), fd in zip(batch, flows, fds):
             j_res = sym[0]
-            # the verdicts square J and divide by it; J is about 1/(s + t)
-            # for the widest variance s, so the larger of the two is at fault
-            if not sys.float_info.min <= j_res.value * j_res.value < math.inf:
-                widest = int(np.argmax(mix.variances))
-                raise FlowRangeError(
-                    f"J = {j_res.value!r} at t = {t!r}: J**2 leaves float64's normal range",
-                    t,
-                    widest if mix.variances[widest] >= t else None,
-                )
+            _check_fisher(mix, j_res.value, t, t)
             d_sym = tuple(0.5 * r.value for r in sym[:sym_orders])
             # J' is C_2, or twice the order-2 fd when the symbolic orders stop at 1
             jp = sym[1] if len(d_sym) >= 2 else QuadResult(2.0 * fd[2][0], 2.0 * fd[2][1])
@@ -684,6 +658,21 @@ def _scan_rows(
                 )
             )
     return rows
+
+
+def _check_fisher(mix: GaussianMixture, j: float, s: float, t: float) -> None:
+    """Raise ``FlowRangeError`` at the grid's t if J at flow time s cannot be squared.
+
+    The verdicts square J and divide by it.  J is about 1/(v + s) for the
+    widest variance v, so the larger of the two is at fault.
+    """
+    if not sys.float_info.min <= j * j < math.inf:
+        widest = int(np.argmax(mix.variances))
+        raise FlowRangeError(
+            f"J = {j!r} at t = {t!r}: J**2 leaves float64's normal range",
+            t,
+            widest if mix.variances[widest] >= s else None,
+        )
 
 
 def _scan_row_core(mix: GaussianMixture, t: float, max_order: int, tol: float) -> ScanRow:
@@ -834,7 +823,8 @@ def wt_checks(
 
     Uses the scaling identity h(W_t) = h(X + sqrt(1/t - 1) Z) + log(t)/2
     and J(W_t) = J(X + sqrt(1/t - 1) Z) / t, so everything reduces to flow
-    quantities at s = 1/t - 1.
+    quantities at s = 1/t - 1.  A t whose s or J(Y_s)**2 leaves float64's
+    range raises ``FlowRangeError`` at that t, as the scan does.
     """
     ts = [float(t) for t in t_grid]
     if any(not 0 < t < 1 for t in ts) or sorted(ts) != ts:
@@ -842,9 +832,13 @@ def wt_checks(
 
     quantities = _ENTROPY + [("C_1", entropy_derivative(1)), ("C_2", entropy_derivative(2))]
     flow_times = [1.0 / t - 1.0 for t in ts]
+    for t, s in zip(ts, flow_times):
+        if not math.isfinite(s):
+            raise FlowRangeError(f"s = 1/t - 1 at t = {t!r} overflows float64", t)
     flows = [flow for _, batch in _flow_batches(mix, flow_times, quantities, tol) for flow in batch]
     rows = []
     for t, s, (h_res, j_res, c2_res) in zip(ts, flow_times, flows):
+        _check_fisher(mix, j_res.value, s, t)
         jprime = c2_res.value
         margin = -jprime + t * t - 2.0 * t * j_res.value
         margin_err = 2.0 * tol + 2.0 * t * j_res.error + c2_res.error

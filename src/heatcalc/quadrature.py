@@ -8,9 +8,8 @@ the parameter and cancels in the differences.
 
 An integrand maps an array of N abscissae to N values, or to a (k, N)
 array: k rows that share their evaluation, such as several quantities at
-one flow time or one quantity at several times.  An integrand may carry a
-``labels`` attribute, one name per row, that non-convergence warnings
-quote.
+one flow time.  An integrand may carry a ``labels`` attribute, one name
+per row, that non-convergence warnings quote.
 
 Bisection runs on forests: a ``Forest`` is one integrand over many
 intervals, one job per interval, such as one flow time per job of a
@@ -24,7 +23,8 @@ evaluated in chunks of at most ``_CHUNK_NODES`` abscissae, so the memory
 of a call does not grow with the forest.  Each ``QuadResult`` keeps the
 panels its row accepted, so a row's own mesh comes with its integral.
 ``adaptive_quad`` and ``build_mesh`` are forests of one job, and
-``integrate`` sums integrands on many meshes in one call per chunk.
+``integrate`` sums integrands on many lists of panels in one call per
+chunk.
 
 No bit depends on which panels, rows or jobs share a call: every value is
 computed per abscissa; each panel's rule sum is one ``ddot`` of its own
@@ -38,7 +38,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, ClassVar, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -295,34 +295,33 @@ class Mesh:
     """
 
     panels: Tuple[Tuple[float, float], ...]
-    order: int = _ORDER
+    # Gauss-Legendre nodes per panel, the same for every mesh; perfbench's
+    # tracer reads it
+    order: ClassVar[int] = _ORDER
 
     def integrate(self, fn: Integrand) -> Union[float, Tuple[float, ...]]:
         """The integral of ``fn`` on the mesh; a tuple, one per row, for an integrand of rows."""
         rows, ndims = _job_rows([fn])
-        (totals,) = integrate([self], rows)
+        (totals,) = integrate([np.array(self.panels, dtype=float).reshape(-1, 2)], rows)
         return totals if max(ndims) > 1 else totals[0]
 
 
-def integrate(meshes: Sequence[Mesh], fn: JobIntegrand) -> List[Tuple[float, ...]]:
-    """Each row's integral on each mesh, as ``Mesh.integrate`` gives it.
+def integrate(panels: Sequence[np.ndarray], fn: JobIntegrand) -> List[Tuple[float, ...]]:
+    """Each row's integral on each job's panels, as ``Mesh.integrate`` gives it.
 
-    ``fn(y, jobs)`` gets the abscissae of all meshes, with the index of the
-    mesh each belongs to, in one call per chunk; the meshes must share
-    their rule order.
+    ``panels`` holds per job a (panels, 2) array of (lo, hi) rows, such as
+    a ``QuadResult``'s.  ``fn(y, jobs)`` gets the abscissae of all jobs,
+    with the index of the job each belongs to, in one call per chunk.
     """
-    if not meshes:
+    if not panels:
         return []
-    order = meshes[0].order
-    if any(mesh.order != order for mesh in meshes):
-        raise ValueError("meshes must share their rule order")
-    bounds = np.array([p for mesh in meshes for p in mesh.panels], dtype=float).reshape(-1, 2)
-    jobs = np.repeat(np.arange(len(meshes)), [len(mesh.panels) for mesh in meshes])
-    sums, _ = _evaluate(fn, bounds[:, 0], bounds[:, 1], jobs, order)
+    bounds = np.concatenate(panels)
+    jobs = np.repeat(np.arange(len(panels)), [len(part) for part in panels])
+    sums, _ = _evaluate(fn, bounds[:, 0], bounds[:, 1], jobs, _ORDER)
     rows = len(sums)
     segments = (jobs * rows + np.arange(rows)[:, None]).ravel()
-    totals = _sequential_sums(sums.ravel(), segments, len(meshes) * rows)
-    return [tuple(part) for part in totals.reshape(len(meshes), rows).tolist()]
+    totals = _sequential_sums(sums.ravel(), segments, len(panels) * rows)
+    return [tuple(part) for part in totals.reshape(len(panels), rows).tolist()]
 
 
 @dataclass(frozen=True)

@@ -393,18 +393,42 @@ class TestScanCommand:
                     "t_grid": {"start": 0.1, "stop": 1e80, "points": 5, "spacing": "log"},
                 },
             ),
+            # grids inside (0, 1), which wt-scan takes too: at t = 1e-320
+            # wt-scan's flow time s = 1/t - 1 overflows, and the scan's fd
+            # step underflows
+            (
+                "t_grid.start",
+                {
+                    "mixture": [{"w": 1, "mu": 0, "var": 1}],
+                    "t_grid": {"start": 1e-320, "stop": 0.5, "points": 5, "spacing": "log"},
+                },
+            ),
+            # J is about 1e-300 at every flow time of either command
+            (
+                "mixture[0].var",
+                {
+                    "mixture": [{"w": 1, "mu": 0, "var": 1e300}],
+                    "t_grid": {"start": 0.1, "stop": 0.9, "points": 5},
+                },
+            ),
         ],
     )
     def test_values_out_of_float_range_name_their_field(self, tmp_path, capsys, field, payload):
         cfg = tmp_path / "range.json"
         cfg.write_text(json.dumps(payload))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow notes
-            rc = main(["scan", "--config", str(cfg), "--out", str(tmp_path / "range")])
-        assert rc == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"config error at {field}: ")
-        assert not (tmp_path / "range.csv").exists()
+        commands = ["scan"] + (["wt-scan"] if payload["t_grid"]["stop"] < 1 else [])
+        for command in commands:
+            with warnings.catch_warnings():
+                # numpy's overflow notes; wt-scan stops before any
+                if command == "scan":
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                else:
+                    warnings.simplefilter("error", RuntimeWarning)
+                rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "range")])
+            assert rc == 1, command
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"config error at {field}: "), command
+            assert not (tmp_path / "range.csv").exists()
 
 
 class TestWtScanCommand:

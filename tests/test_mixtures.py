@@ -147,17 +147,18 @@ class TestRatios:
         )
         y = np.linspace(-30.0, 30.0, nodes)
         ts = np.array([0.05, 0.3, 2.0])
-        # one job whose row holds all three times
-        one_job = np.zeros(nodes, dtype=np.intp)
-        out = map_flow(mix, ts[None], y, one_job, 4, _joined)
-        assert out.shape == (6, 3, nodes)
-        many = map_flow(mix, ts[None], y, one_job, 0, _log_f)
-        assert many.shape == (3, nodes)
+        # every node at all three times, a job per time
+        jobs = np.repeat(np.arange(ts.size), nodes)
+        out = map_flow(mix, ts, np.tile(y, ts.size), jobs, 4, _joined)
+        assert out.shape == (6, 3 * nodes)
+        many = map_flow(mix, ts, np.tile(y, ts.size), jobs, 0, _log_f)
+        assert many.shape == (3 * nodes,)
         for i, t in enumerate(ts):
+            mine = jobs == i
             one_lf, one_ratios = log_density_and_ratios(mix, float(t), y, 4)
-            assert np.array_equal(out[0, i], one_lf)
-            assert np.array_equal(out[1:, i], one_ratios)
-            assert np.array_equal(many[i], log_density(mix, float(t), y))
+            assert np.array_equal(out[0, mine], one_lf)
+            assert np.array_equal(out[1:, mine], one_ratios)
+            assert np.array_equal(many[mine], log_density(mix, float(t), y))
 
     @pytest.mark.parametrize("components", [1, 2, 3, 16])
     @pytest.mark.parametrize("block_pairs", [8192, 40])
@@ -177,23 +178,23 @@ class TestRatios:
         jobs = np.sort(rng.integers(0, 4, y.size))
         out = map_flow(mix, ts, y, jobs, 6, _joined)
         assert out.shape == (8, y.size)
-        # a row of three times per job
-        rows = rng.uniform(0.01, 5.0, (4, 3))
-        many = map_flow(mix, rows, y, jobs, 0, _log_f)
-        assert many.shape == (3, y.size)
+        # no ratio rows
+        many = map_flow(mix, ts, y, jobs, 0, _log_f)
+        assert many.shape == (y.size,)
         for j, t in enumerate(ts):
             mine = jobs == j
             one_lf, one_ratios = log_density_and_ratios(mix, float(t), y[mine], 6)
             assert np.array_equal(out[0, mine], one_lf)
             assert np.array_equal(out[1:, mine], one_ratios)
-            for k in range(3):
-                assert np.array_equal(many[k, mine], log_density(mix, rows[j, k], y[mine]))
+            assert np.array_equal(many[mine], one_lf)
 
     def test_times_must_be_a_vector_of_nonnegatives(self):
         y = np.linspace(-1.0, 1.0, 5)
         jobs = np.zeros(y.size, dtype=np.intp)
-        with pytest.raises(ValueError, match="1-D"):
-            map_flow(BIMODAL_MIXTURE, [[[0.5]]], y, jobs, 0, _log_f)
+        # one time per job: no rows of times, and no scalar
+        for t in ([[0.5]], [[0.5, 0.6]], [[[0.5]]], 0.5):
+            with pytest.raises(ValueError, match="1-D"):
+                map_flow(BIMODAL_MIXTURE, t, y, jobs, 0, _log_f)
         with pytest.raises(ValueError, match=">= 0"):
             map_flow(BIMODAL_MIXTURE, [0.5, -0.1], y, jobs, 0, _log_f)
         with pytest.raises(ValueError, match=">= 0"):

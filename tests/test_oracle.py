@@ -213,31 +213,35 @@ class TestKernelCalls:
         # every tree of this row accepts its 8 initial panels, so the one
         # forest makes two calls: 8 panels, then their 16 halves, for h and
         # C_1..C_4 together.  The fd route refines nothing: its stencil
-        # times are integrated on the panels h accepted.  All four orders
-        # share one step here, and the 5 stencil times of orders 1-2 are
-        # among the 7 of orders 3-4, so one call integrates them all.
-        assert calls == self.LEVELS + [((1, 7), self.PANELS)]
+        # times are integrated on the panels h accepted, a job each.  All
+        # four orders share one step here, and the 5 stencil times of
+        # orders 1-2 are among the 7 of orders 3-4, so one call of 7 jobs
+        # integrates them all.
+        assert calls == self.LEVELS + [((7,), 7 * self.PANELS)]
 
-    def test_a_small_t_row_keeps_a_call_per_step(self, monkeypatch):
+    def test_a_small_t_row_makes_one_stencil_call(self, monkeypatch):
         # at t = 0.01 the clamp 0.9 t / reach gives orders 1-2 and 3-4
-        # their own steps, so each reach keeps its own stencil call
+        # their own steps, and the 5 and 7 stencil times of the two steps
+        # are 12 jobs of one call
         calls = self._counting(monkeypatch)
         oracle._scan_row_core(GaussianMixture.single(), 0.01, 4, DEFAULT_TOL)
-        stencils = [((1, 5), self.PANELS), ((1, 7), self.PANELS)]
-        assert calls == self.LEVELS + stencils
+        assert calls == self.LEVELS + [((12,), 12 * self.PANELS)]
 
     def test_40_points_make_the_calls_of_3(self, monkeypatch):
         # a forest takes up to 40 flow times, one job each, and each level
-        # of each forest is one call for all of them
+        # of each forest is one call for all of them; so are the stencil
+        # entropies, a job per stencil time.  A call is cut at
+        # _CHUNK_NODES abscissae, which the stencils of 40 points pass, so
+        # the cut is lifted here
+        monkeypatch.setattr(quadrature, "_CHUNK_NODES", 10**6)
         calls = self._counting(monkeypatch)
         layouts = []
         for points in (3, 40):
             del calls[:]
             scan_conjectures(GaussianMixture.single(), time_grid(0.3, 5.0, points), 4)
-            layouts.append([(shape[1:], nodes // points) for shape, nodes in calls])
-            assert [shape[0] for shape, _ in calls] == [points] * len(calls)
-        assert layouts[0] == layouts[1]
-        assert len(layouts[0]) == 3
+            layouts.append([(shape[0] / points, nodes / points) for shape, nodes in calls])
+        levels = [(1, self.PANELS), (1, 2 * self.PANELS)]
+        assert layouts[0] == layouts[1] == levels + [(7, 7 * self.PANELS)]
 
 
 class TestCompiledEpilogue:
@@ -310,11 +314,6 @@ class TestCompiledEpilogue:
         for j, t in enumerate(ts):
             alone = oracle._flow_rows(self.MIX, [t], qs)(y[jobs == j], np.zeros(100, np.intp))
             assert np.array_equal(alone, forest[:, jobs == j])
-        # a row of all three times per node
-        rows = oracle._flow_rows(self.MIX, [ts], qs)(y, np.zeros(y.size, np.intp))
-        rows = rows.reshape(len(forest), len(ts), y.size)
-        for j in range(len(ts)):
-            assert np.array_equal(rows[:, j, jobs == j], forest[:, jobs == j])
         # blocks of 64 nodes, and calls of 2 and 3 nodes
         monkeypatch.setattr(mixtures, "_BLOCK_PAIRS", 1)
         assert np.array_equal(oracle._flow_rows(self.MIX, ts, qs)(y, jobs), forest)
@@ -442,19 +441,19 @@ class TestSharedEvaluation:
             assert messages[0] == []
         # the fd route integrates every stencil time on the panels h
         # accepted: at these flow times orders 1-2 and 3-4 share their
-        # default step, so one plan serves all four orders at every time
-        plans = oracle._fd_plans(mix, ts, range(1, 5), None)
-        assert [(plan.orders, plan.rows) for plan in plans] == [
-            ((1, 2, 3, 4), tuple(range(len(ts))))
-        ]
+        # default step, so one stencil of 7 times serves all four orders
+        stencils = [oracle._fd_stencils(mix, t, range(1, 5), None) for t in ts]
+        assert [[(orders, len(offsets)) for _, orders, offsets in steps] for steps in stencils] == [
+            [((1, 2, 3, 4), 7)]
+        ] * len(ts)
         for n in (1, 3):
-            assert list(plans[0].steps) == [default_fd_step(mix, t, n) for t in ts]
-        meshes = [flow[0].mesh() for flow in flows]
+            assert [steps[0][0] for steps in stencils] == [default_fd_step(mix, t, n) for t in ts]
         # h's own test is that of a plain integrand
-        assert meshes == [
+        assert [flow[0].mesh() for flow in flows] == [
             build_mesh([self._plain(mix, t, self.ROW[0])], *mix.support_interval(t)) for t in ts
         ]
-        assert oracle._fd_finish(mix, plans, meshes, DEFAULT_TOL) == [
+        panels = [flow[0].panels for flow in flows]
+        assert oracle._fd_finish(mix, ts, stencils, panels, DEFAULT_TOL) == [
             fd_entropy_derivs(mix, t, range(1, 5)) for t in ts
         ]
 
@@ -524,19 +523,32 @@ class TestSharedEvaluation:
         with pytest.raises(ValueError, match=">= 1"):
             fd_entropy_derivs(BIMODAL_MIXTURE, 0.5, [1, 0])
 
-    def test_fd_plans_split_where_the_clamp_separates_the_steps(self):
+    def test_fd_stencils_split_where_the_clamp_separates_the_steps(self, monkeypatch):
         # below t of about 0.0045 the clamp 0.9 t / reach gives orders 1-2
-        # and 3-4 different steps, and each reach its own stencil call;
-        # above it one plan serves all four orders
+        # and 3-4 different steps, each with its own stencil; above it one
+        # stencil serves all four orders
         mix, ts = BIMODAL_MIXTURE, [1e-3, 4e-3, 0.05, 1.0]
-        plans = oracle._fd_plans(mix, ts, range(1, 5), None)
-        assert [(plan.orders, plan.rows, len(plan.offsets)) for plan in plans] == [
-            ((1, 2), (0, 1), 5),
-            ((3, 4), (0, 1), 7),
-            ((1, 2, 3, 4), (2, 3), 7),
+        stencils = [oracle._fd_stencils(mix, t, range(1, 5), None) for t in ts]
+        split, joint = [((1, 2), 5), ((3, 4), 7)], [((1, 2, 3, 4), 7)]
+        assert [[(orders, len(offsets)) for _, orders, offsets in steps] for steps in stencils] == [
+            split,
+            split,
+            joint,
+            joint,
         ]
-        meshes = [build_mesh([entropy_integrand(mix, t)], *mix.support_interval(t)) for t in ts]
-        together = oracle._fd_finish(mix, plans, meshes, DEFAULT_TOL)
+        # the 38 stencil times of all four flow times are the jobs of one
+        # integrate call
+        calls = []
+        integrate = oracle.integrate
+
+        def counting(panels, fn):
+            calls.append(len(panels))
+            return integrate(panels, fn)
+
+        monkeypatch.setattr(oracle, "integrate", counting)
+        panels = [oracle.entropy_result(mix, t).panels for t in ts]
+        together = oracle._fd_finish(mix, ts, stencils, panels, DEFAULT_TOL)
+        assert calls == [38]
         assert together == [fd_entropy_derivs(mix, t, range(1, 5)) for t in ts]
         for t, fd in zip(ts, together):
             assert fd == {n: fd_entropy_deriv_result(mix, t, n) for n in range(1, 5)}
@@ -731,6 +743,19 @@ class TestWt:
         g = GaussianMixture.single(0, 1)
         with pytest.raises(ValueError):
             wt_checks(g, [0.5, 1.5])
+
+    def test_values_out_of_float_range_name_the_grid_time(self):
+        # s = 1/t - 1 overflows at t = 1e-320; at t = 1e-200, s = 1e200
+        # and J(Y_s)**2 underflows; a variance of 1e300 makes J tiny at
+        # every t, and that component is at fault
+        g = GaussianMixture.single(0, 1)
+        for t in (1e-320, 1e-200):
+            with pytest.raises(oracle.FlowRangeError) as caught:
+                wt_checks(g, [t, 0.5, 0.6])
+            assert (caught.value.t, caught.value.component) == (t, None)
+        with pytest.raises(oracle.FlowRangeError, match="J\\*\\*2") as caught:
+            wt_checks(GaussianMixture.single(0, 1e300), [0.1, 0.5, 0.9])
+        assert (caught.value.t, caught.value.component) == (0.1, 0)
 
     def test_csv_output(self):
         g = GaussianMixture.single(0, 1)

@@ -84,7 +84,7 @@ def test_build_mesh_evaluates_each_abscissa_once():
     nodes = fn.nodes()
     assert np.unique(nodes).size == nodes.size
     assert len(fn.calls) == 1 + levels
-    assert nodes.size == mesh.order * (8 + 2 * visited)
+    assert nodes.size == quadrature._ORDER * (8 + 2 * visited)
 
 
 def test_adaptive_quad_makes_no_call_after_the_mesh(monkeypatch):
@@ -109,7 +109,7 @@ def test_mesh_integrate_makes_one_call():
     fn = Recorder(0.02)
     value = mesh.integrate(fn)
     assert len(fn.calls) == 1
-    assert fn.calls[0].size == mesh.order * len(mesh.panels)
+    assert fn.calls[0].size == quadrature._ORDER * len(mesh.panels)
     assert value == pytest.approx(1.0, abs=1e-10)
 
 
