@@ -65,8 +65,18 @@ def _require(condition: bool, where: str, message: str) -> None:
 
 
 def _is_number(value, kind=(int, float)) -> bool:
-    """A JSON number of the given kind; JSON booleans are Python ints but not numbers."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+    """A JSON number of the given kind whose float is finite.
+
+    JSON booleans are Python ints but not numbers; Python's ``json`` reads
+    NaN, Infinity and 1e400 as non-finite floats, and an integer of
+    hundreds of digits has no float at all.
+    """
+    if not isinstance(value, kind) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
@@ -77,6 +87,8 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config error in {source}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except ValueError as exc:  # an integer past Python's digit limit for int()
+        raise ConfigError(f"config error in {source}: {exc}")
 
     _require(isinstance(payload, dict), "<root>", "expected a JSON object")
     mixture = payload.get("mixture")
@@ -87,9 +99,7 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         _require(isinstance(entry, dict), where, "expected an object")
         for key in ("w", "mu", "var"):
             _require(key in entry, f"{where}.{key}", "missing")
-            _require(
-                _is_number(entry[key]), f"{where}.{key}", "expected a number"
-            )
+            _require(_is_number(entry[key]), f"{where}.{key}", "expected a finite number")
         _require(entry["w"] > 0, f"{where}.w", "must be > 0")
         _require(entry["var"] > 0, f"{where}.var", "must be > 0")
         comps.append((float(entry["w"]), float(entry["mu"]), float(entry["var"])))
@@ -103,8 +113,10 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     for key in ("start", "stop", "points"):
         _require(key in grid, f"t_grid.{key}", "missing")
     start, stop, points = grid["start"], grid["stop"], grid["points"]
-    _require(_is_number(start) and start > 0, "t_grid.start", "must be > 0")
-    _require(_is_number(stop) and stop > start, "t_grid.stop", "must be > start")
+    for key in ("start", "stop"):
+        _require(_is_number(grid[key]), f"t_grid.{key}", "expected a finite number")
+    _require(start > 0, "t_grid.start", "must be > 0")
+    _require(stop > start, "t_grid.stop", "must be > start")
     _require(_is_number(points, int) and points >= 3, "t_grid.points", "must be an int >= 3")
     spacing = grid.get("spacing", "linear")
     _require(spacing in ("linear", "log"), "t_grid.spacing", "must be 'linear' or 'log'")
@@ -122,7 +134,8 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         _require(isinstance(tolerances, dict), "tolerances", "expected an object")
         if "quad" in tolerances:
             quad = tolerances["quad"]
-            _require(_is_number(quad) and quad > 0, "tolerances.quad", "must be a number > 0")
+            _require(_is_number(quad), "tolerances.quad", "expected a finite number")
+            _require(quad > 0, "tolerances.quad", "must be > 0")
             quad_tol = float(quad)
 
     output = payload.get("output")

@@ -153,11 +153,14 @@ def map_flow(
     y = np.atleast_1d(np.asarray(y, dtype=float))
     jobs = np.asarray(jobs, dtype=np.intp)
     s = mix.variances[:, None] + ts  # (component, job)
+    # a power past float64's range makes its scale 0, where it rounds anyway
+    with np.errstate(over="ignore"):
+        ratio_scales = [(-1.0) ** m / s ** (m / 2.0) for m in range(1, max_m + 1)]
     comps = (
         mix.means[:, None],
         np.sqrt(s),
         np.log(mix.weights)[:, None] - 0.5 * (_LOG_2PI + np.log(s)),
-        [(-1.0) ** m / s ** (m / 2.0) for m in range(1, max_m + 1)],
+        ratio_scales,
     )
     # equal blocks, never a single node unless there is only one; a node
     # has a value per component and per ratio row

@@ -150,9 +150,9 @@ def _magnitude_rows(quantities: Sequence[Tuple[str, Optional[Combination]]]) -> 
     """Per quantity, the row of ``_flow_rows`` that holds its magnitude.
 
     A combination of two terms or more cancels between its terms, so its
-    magnitude is a row of its own after the quantities'; for -f log f and
-    a one-term combination the magnitude is the row's absolute value, and
-    the row names itself.
+    magnitude is a row of its own after the quantities'; -f log f and a
+    one-term combination name their own row, and their floor comes from
+    the absolute values of their own rule sums.
     """
     out, extra = [], len(quantities)
     for q, (_, comb) in enumerate(quantities):

@@ -16,7 +16,8 @@ intervals, one job per interval, such as one flow time per job of a
 scan.  Every row of every job is a tree that accepts its panels by its
 own test.  A row whose terms cancel can name a magnitude row of the same
 integrand, the sum of its terms' absolute values, that sets its roundoff
-floor; the magnitude rows get no result.  ``refine`` bisects every tree
+floor; the magnitude rows get no result, and any other row's floor is
+the absolute values of its own rule sums.  ``refine`` bisects every tree
 of the forest together, one level at a time, so a level costs one
 integrand call for the whole forest, not one per job or row.  A level is
 evaluated in chunks of at most ``_CHUNK_NODES`` abscissae, so the memory
@@ -37,8 +38,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, ClassVar, List, Optional, Sequence, Tuple, Union
+from typing import Callable, ClassVar, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -57,6 +57,8 @@ _INITIAL_PANELS = 8
 # the abscissae of those panels: a tree's first nodes are spaced by its
 # width over this many on average
 INITIAL_NODES = _INITIAL_PANELS * _ORDER
+# the rule of every panel, on [-1, 1]
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(_ORDER)
 # a panel whose rules agree within this share of its magnitude is
 # accepted: refining further would only chase roundoff
 _REL_FLOOR = 5e-15
@@ -68,13 +70,7 @@ _MAX_PANELS = 16384
 _CHUNK_NODES = 16384
 
 
-@lru_cache(maxsize=None)
-def _gl_rule(order: int) -> Tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
-
-
-def _rule_sums(radii: np.ndarray, vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _rule_sums(radii: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Each panel's rule sum from a (rows, panels, order) array of node values.
 
     The vector-vector case of ``np.matmul`` calls one ``ddot`` per panel
@@ -83,38 +79,22 @@ def _rule_sums(radii: np.ndarray, vals: np.ndarray, weights: np.ndarray) -> np.n
     a strided ``ddot`` sums in another order.
     """
     vals = np.ascontiguousarray(vals)
-    return radii * np.matmul(vals[..., None, :], weights[:, None])[..., 0, 0]
+    return radii * np.matmul(vals[..., None, :], _WEIGHTS[:, None])[..., 0, 0]
 
 
-def _evaluate(
-    fn: JobIntegrand,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    jobs: np.ndarray,
-    order: int,
-    absolute: Union[None, slice, np.ndarray] = None,
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Every row's rule sum on each panel and, given ``absolute``, the rows
-    it picks, the rule sums of those rows' absolute values.
-
-    A slice picks the rows in place, an index array copies them.
-    """
-    nodes, weights = _gl_rule(order)
+def _evaluate(fn: JobIntegrand, lo: np.ndarray, hi: np.ndarray, jobs: np.ndarray) -> np.ndarray:
+    """Every row's rule sum on each panel, a (rows, panels) array."""
     mids = 0.5 * (lo + hi)
     radii = 0.5 * (hi - lo)
-    step = max(1, _CHUNK_NODES // order)
-    sums, mags = [], []
+    step = max(1, _CHUNK_NODES // _ORDER)
+    sums = []
     for start in range(0, lo.size, step):
         part = slice(start, start + step)
-        y = (mids[part, None] + radii[part, None] * nodes).ravel()
-        vals = np.asarray(fn(y, np.repeat(jobs[part], order)), dtype=float)
-        vals = vals.reshape(-1, y.size // order, order)
-        sums.append(_rule_sums(radii[part], vals, weights))
-        if absolute is not None:
-            picked = vals[absolute]
-            mags.append(_rule_sums(radii[part], np.abs(picked, out=picked), weights))
+        y = (mids[part, None] + radii[part, None] * _NODES).ravel()
+        vals = np.asarray(fn(y, np.repeat(jobs[part], _ORDER)), dtype=float)
+        sums.append(_rule_sums(radii[part], vals.reshape(-1, y.size // _ORDER, _ORDER)))
         del vals  # before the next chunk's values exist
-    return np.concatenate(sums, axis=1), np.concatenate(mags, axis=1) if mags else None
+    return np.concatenate(sums, axis=1)
 
 
 def _sequential_sums(values: np.ndarray, segments: np.ndarray, count: int) -> np.ndarray:
@@ -145,10 +125,11 @@ class Forest:
     magnitude, a nonnegative integrand at least as large as the row's
     absolute value, such as the sum of its terms' absolute values when the
     row is a sum that cancels.  Its integral sets the row's roundoff floor;
-    a row that names itself takes its own absolute value.  The result rows
-    are the first ``len(magnitudes)`` rows of ``fn``, and the rows after
-    them are magnitude rows only, with no result.  By default every row is
-    a result row and takes its own absolute value.
+    a row that names itself takes the absolute values of its own
+    half-panel rule sums.  The result rows are the first
+    ``len(magnitudes)`` rows of ``fn``, and the rows after them are
+    magnitude rows only, with no result.  By default every row is a result
+    row and names itself.
     """
 
     fn: JobIntegrand
@@ -195,15 +176,10 @@ def _bisect(forest: Forest, tol: float, max_depth: int, max_panels: int) -> List
     """
     lo, hi, job, width = _initial_panels(forest.spans)
     count = width.size
-    sums, _ = _evaluate(forest.fn, lo, hi, job, _ORDER)
+    sums = _evaluate(forest.fn, lo, hi, job)
     rows = len(forest.magnitudes) or len(sums)
     wholes = sums[:rows]
-    # a magnitude row is nonnegative, so its rule sum is its magnitude's;
-    # the rows that are their own magnitude take their absolute values, in
-    # place when every row of fn is one of them
     magnitudes = np.array(forest.magnitudes or range(rows), dtype=np.intp)
-    own = np.flatnonzero(magnitudes == np.arange(rows))
-    absolute = slice(None) if own.size == len(sums) else own
     open_ = np.ones((rows, lo.size), dtype=bool)
     counts = np.zeros((rows, count), dtype=np.intp)
     exhausted = np.zeros((rows, count), dtype=bool)
@@ -212,15 +188,16 @@ def _bisect(forest: Forest, tol: float, max_depth: int, max_panels: int) -> List
     while lo.size:
         mid = 0.5 * (lo + hi)
         half_lo, half_hi = np.stack([lo, mid], 1).ravel(), np.stack([mid, hi], 1).ravel()
-        sums, own_mags = _evaluate(
-            forest.fn, half_lo, half_hi, np.repeat(job, 2), _ORDER, absolute
-        )
-        mags = sums[magnitudes]
-        mags[own] = own_mags
+        sums = _evaluate(forest.fn, half_lo, half_hi, np.repeat(job, 2))
+        # a magnitude row is nonnegative, so abs leaves its rule sums as they
+        # are; a row that names itself takes the absolute values of its own
+        mags = np.abs(sums[magnitudes])
         sums = sums[:rows]
         halves = sums[:, 0::2] + sums[:, 1::2]
+        # at least |halves|: a magnitude row is at least its row's absolute
+        # value at every node, and rounding keeps |s0 + s1| <= |s0| + |s1|
         magnitude = mags[:, 0::2] + mags[:, 1::2]
-        floor = _REL_FLOOR * np.maximum(np.maximum(np.abs(wholes), np.abs(halves)), magnitude)
+        floor = _REL_FLOOR * np.maximum(np.abs(wholes), magnitude)
         local_tol = tol * (hi - lo) / width[job]
         discrepancy = np.abs(wholes - halves)
         ok = ~(discrepancy > np.maximum(np.maximum(local_tol, floor), 1e-300))
@@ -317,7 +294,7 @@ def integrate(panels: Sequence[np.ndarray], fn: JobIntegrand) -> List[Tuple[floa
         return []
     bounds = np.concatenate(panels)
     jobs = np.repeat(np.arange(len(panels)), [len(part) for part in panels])
-    sums, _ = _evaluate(fn, bounds[:, 0], bounds[:, 1], jobs, _ORDER)
+    sums = _evaluate(fn, bounds[:, 0], bounds[:, 1], jobs)
     rows = len(sums)
     segments = (jobs * rows + np.arange(rows)[:, None]).ravel()
     totals = _sequential_sums(sums.ravel(), segments, len(panels) * rows)

@@ -238,6 +238,22 @@ class TestConfigParsing:
             parse_config("{\n  broken\n}")
 
 
+def _put(field, literal):
+    """A mutation that writes the JSON number ``literal`` at ``field`` and returns the config text."""
+
+    def mutate(payload):
+        holders = {
+            "mixture[0]": payload["mixture"][0],
+            "t_grid": payload["t_grid"],
+            "tolerances": payload.setdefault("tolerances", {}),
+        }
+        where, key = field.rsplit(".", 1)
+        holders[where][key] = "@@"
+        return json.dumps(payload).replace('"@@"', literal)
+
+    return mutate
+
+
 class TestScanCommand:
     def test_scan_writes_csv_and_passes(self, tmp_path, capsys):
         cfg = tmp_path / "scan.json"
@@ -312,15 +328,42 @@ class TestScanCommand:
             ("max_order", lambda d: d.update(max_order=True)),
             ("tolerances.quad", lambda d: d.update(tolerances={"quad": True})),
             ("tolerances.quad", lambda d: d.update(tolerances={"quad": "abc"})),
+        ]
+        # numbers that Python's json reads but that have no finite float
+        + [
+            pytest.param(field, _put(field, literal), id=f"{field}={literal[:9]}")
+            for field in (
+                "mixture[0].w",
+                "mixture[0].mu",
+                "mixture[0].var",
+                "t_grid.start",
+                "t_grid.stop",
+                "tolerances.quad",
+            )
+            for literal in ("NaN", "Infinity", "-Infinity", "1e400", "1" * 401)
         ],
     )
     def test_non_number_field_exit_1(self, tmp_path, capsys, field, mutate):
-        payload = json.loads(json.dumps(SMALL_SCAN))
-        mutate(payload)
+        payload = json.loads(json.dumps(WT_SCAN))
+        text = mutate(payload) or json.dumps(payload)
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps(payload))
-        assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 1
-        assert f"config error at {field}:" in capsys.readouterr().err
+        cfg.write_text(text)
+        for command in ("scan", "wt-scan"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "s")])
+            assert rc == 1, command
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"config error at {field}: "), command
+
+    def test_integer_past_the_digit_limit_exit_1(self, tmp_path, capsys):
+        # Python's json refuses to convert an integer of 4301 digits or more
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(WT_SCAN).replace('"var": 1.0', '"var": ' + "1" * 5000))
+        for command in ("scan", "wt-scan"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "s")]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"config error in {cfg}: "), command
 
     def test_missing_config_exit_1(self, tmp_path):
         assert main(["scan", "--config", str(tmp_path / "absent.json")]) == 1
@@ -419,11 +462,8 @@ class TestScanCommand:
         commands = ["scan"] + (["wt-scan"] if payload["t_grid"]["stop"] < 1 else [])
         for command in commands:
             with warnings.catch_warnings():
-                # numpy's overflow notes; wt-scan stops before any
-                if command == "scan":
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                else:
-                    warnings.simplefilter("error", RuntimeWarning)
+                # no numpy overflow note comes before the config error
+                warnings.simplefilter("error", RuntimeWarning)
                 rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "range")])
             assert rc == 1, command
             err = capsys.readouterr().err.splitlines()
@@ -439,6 +479,18 @@ class TestWtScanCommand:
         assert main(["wt-scan", "--config", str(cfg), "--out", str(prefix)]) == 0
         text = (tmp_path / "wt_out.csv").read_text()
         assert text.splitlines()[0] == "t,s,hW,JW,hW_dd,JW_dd,txz_margin,txz_ok"
+
+    def test_wt_scan_svg_outputs(self, tmp_path, capsys):
+        cfg = tmp_path / "wt.json"
+        cfg.write_text(json.dumps(WT_SCAN))
+        prefix = tmp_path / "wt_plots"
+        assert main(["wt-scan", "--config", str(cfg), "--out", str(prefix), "--svg"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        for name in ("hW", "JW", "hW_dd", "JW_dd"):
+            path = tmp_path / f"wt_plots_{name}.svg"
+            assert f"wrote {path}" in out
+            text = path.read_text()
+            assert text.startswith("<svg") and "polyline" in text
 
     def test_grid_must_stay_inside_unit_interval(self, tmp_path, capsys):
         payload = json.loads(json.dumps(WT_SCAN))

@@ -87,6 +87,30 @@ def test_build_mesh_evaluates_each_abscissa_once():
     assert nodes.size == quadrature._ORDER * (8 + 2 * visited)
 
 
+def test_a_level_sums_each_chunk_once(monkeypatch):
+    # rows that name themselves take their roundoff floor from the absolute
+    # values of their own rule sums, so no chunk's values are summed a
+    # second time as absolute values
+    passes = []
+    rule_sums = quadrature._rule_sums
+
+    def counting(radii, vals):
+        passes.append(vals.shape)
+        return rule_sums(radii, vals)
+
+    monkeypatch.setattr(quadrature, "_rule_sums", counting)
+    # ten panels per chunk, so a level takes several chunks
+    monkeypatch.setattr(quadrature, "_CHUNK_NODES", 10 * quadrature._ORDER)
+    rows = Rows(0.02, 3e-4, 1e-5)
+    results = adaptive_quad(rows, -12.0, 12.0)
+    assert all(result.converged for result in results)
+    # the panels of depth d are 3 / 2**d wide; levels 0..max depth are reached
+    levels = 1 + max(round(math.log2(3.0 / (hi - lo))) for r in results for lo, hi in r.panels)
+    assert rows.calls > levels
+    assert len(passes) == rows.calls
+    assert all(shape[0] == 3 and shape[1] <= 10 for shape in passes)
+
+
 def test_adaptive_quad_makes_no_call_after_the_mesh(monkeypatch):
     fn = Recorder(0.01)
     built = []
@@ -185,9 +209,10 @@ def test_every_nonconverged_mesh_warns(capped):
 
 def test_a_magnitude_row_sets_the_floor_of_a_cancelling_row():
     # (big + g) - big is g plus the rounding of big, about eps * 1e10 per
-    # node; the floor keyed to the row's own absolute value lies far below
-    # that noise, so its tree chases it to the depth limit, while the
-    # magnitude row big + g + big stops it on the 8 initial panels
+    # node; a row that names itself keys its floor to the absolute values
+    # of its own rule sums, about 1, far below that noise, so its tree
+    # chases it to the depth limit, while the magnitude row big + g + big
+    # stops it on the 8 initial panels
     g, big = Recorder(0.01), Recorder(1.0)
 
     def rows(y, jobs):
@@ -242,7 +267,7 @@ def _bits(values):
 def test_batched_panel_sums_have_the_bits_of_per_panel_dot():
     # 20,000 panels whose values span 1e-30 to 1e5, within and across panels
     rng = np.random.default_rng(11)
-    _, weights = quadrature._gl_rule(24)
+    weights = quadrature._WEIGHTS
     vals = rng.standard_normal((4, 5000, 24)) * 10.0 ** rng.uniform(-30, 5, (4, 5000, 1))
     vals *= 10.0 ** rng.uniform(-2, 2, vals.shape)
     radii = rng.uniform(1e-3, 3.0, 5000)
@@ -250,14 +275,14 @@ def test_batched_panel_sums_have_the_bits_of_per_panel_dot():
     def per_panel(radii, vals):
         return [[r * float(weights.dot(row)) for r, row in zip(radii, rows)] for rows in vals]
 
-    batched = quadrature._rule_sums(radii, vals, weights)
+    batched = quadrature._rule_sums(radii, vals)
     assert np.array_equal(_bits(batched), _bits(per_panel(radii, vals)))
     # picked or strided panels sum as they do in place
     picks = np.sort(rng.choice(5000, 700, replace=False))
-    picked = quadrature._rule_sums(radii[picks], vals[:, picks], weights)
+    picked = quadrature._rule_sums(radii[picks], vals[:, picks])
     assert np.array_equal(_bits(picked), _bits(batched[:, picks]))
     assert np.array_equal(
-        _bits(quadrature._rule_sums(radii[::3], vals[:, ::3], weights)), _bits(batched[:, ::3])
+        _bits(quadrature._rule_sums(radii[::3], vals[:, ::3])), _bits(batched[:, ::3])
     )
 
 

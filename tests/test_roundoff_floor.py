@@ -64,6 +64,20 @@ def test_bimodal_fourth_derivative_is_within_its_error():
     assert abs(0.5 * c4.value - BIMODAL_H4) <= 0.5 * c4.error
 
 
+@pytest.mark.parametrize("tol", [1e-11, 1e-14, 1e-15, 1e-16])
+@pytest.mark.parametrize("v", [1e-9, 1e-6, 1e-4, 1e-2])
+def test_gaussian_entropy_is_within_its_error(v, tol):
+    # h's integrand -f log f changes sign where f = 1; on a half panel
+    # across that point the absolute value of its rule sum, which keys its
+    # floor, is below that of its node values, and at tol 1e-15 or less
+    # such panels refine further.  The worst case is 0.18 of its error
+    mix = GaussianMixture.create([(1.0, 0.0, v)])
+    for t in (1e-9, 1e-6, 1e-4, 1e-2, 1.0):
+        h = _quiet(lambda: oracle.entropy_result(mix, t, tol))
+        assert h.converged
+        assert abs(h.value - 0.5 * math.log(2.0 * math.pi * math.e * (v + t))) <= h.error
+
+
 def _wide_scan_grid():
     grid = workloads.WIDE_SCAN_GRID
     return time_grid(grid["start"], grid["stop"], grid["points"], grid["spacing"])
