@@ -201,11 +201,7 @@ def order2_family(alpha: CoeffLike, beta: CoeffLike, gamma: CoeffLike) -> Certif
 
 def check_order2_family(alpha: CoeffLike, beta: CoeffLike, gamma: CoeffLike) -> bool:
     """True iff (alpha, beta, gamma) gives nonnegative remainder coefficients."""
-    a, b, g = Fraction(alpha), Fraction(beta), Fraction(gamma)
-    return (
-        1 - a * a >= 0
-        and -b * b - g * g - Fraction(4, 3) * a * b - Fraction(1, 3) >= 0
-    )
+    return all(c >= 0 for _, c in order2_family(alpha, beta, gamma).remainder.items())
 
 
 def order3_family(beta: CoeffLike) -> Certificate:
@@ -227,8 +223,8 @@ def order3_family(beta: CoeffLike) -> Certificate:
 
 
 def order3_family_coefficients(beta: CoeffLike) -> Tuple[Fraction, Fraction]:
-    b = Fraction(beta)
-    return (6 * b - 2, Fraction(6, 5) - Fraction(16, 5) * b - b * b)
+    remainder = order3_family(beta).remainder
+    return tuple(remainder.coefficient(make_monomial(m)) for m in ([1, 1, 2, 2], [1] * 6))
 
 
 def check_order3_family(beta: CoeffLike) -> Tuple[bool, Tuple[Fraction, Fraction]]:

@@ -9,9 +9,11 @@ Subcommands:
 * ``wt-scan --config FILE``   concavity checks for sqrt(t) X + sqrt(1-t) Z
 
 Exit codes: 0 all asserted checks pass, 2 a check failed, 1 usage or
-configuration error.  Scans read a JSON experiment config and write CSV
-(and optional SVG polyline plots); identical configs produce byte-identical
-CSV output.
+configuration error.  Every exit-1 condition is a ``ConfigError`` whose
+message names the offending option or field; ``main`` alone prints it and
+returns 1.  Scans read a JSON experiment config and write CSV (and
+optional SVG polyline plots); identical configs produce byte-identical CSV
+output.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 # numpy and the numeric layers are imported by the functions that use them,
 # so derive, verify-identities and certify without --search never load
@@ -34,12 +36,14 @@ from .terms import d_dt
 if TYPE_CHECKING:
     import numpy as np
 
-    from .certificates import Certificate
     from .mixtures import GaussianMixture
 
 
 class ConfigError(ValueError):
-    """Malformed experiment configuration; the message names the field."""
+    """A usage or configuration error; the message names the option or field.
+
+    Commands raise it for every exit-1 condition; ``main`` prints it and returns 1.
+    """
 
 
 @dataclass
@@ -244,28 +248,20 @@ def polyline_chart(
     return "\n".join(parts) + "\n"
 
 
-def _write_scan_svgs(prefix: Path, result, logx: bool) -> List[Path]:
-    import numpy as np
+def _write_svgs(
+    prefix: Path, ts: Sequence[float], series: Dict[str, Sequence[float]], logx: bool
+) -> None:
+    """One chart per named series, at ``<prefix>_<name>.svg``, in order."""
+    for name, values in series.items():
+        path = prefix.with_name(prefix.name + f"_{name}.svg")
+        path.write_text(polyline_chart(ts, {name: values}, title=name, logx=logx))
+        print(f"wrote {path}")
 
-    from .oracle import second_difference
 
-    ts = result.ts()
-    quantities = {
-        "h": result.column("h"),
-        "J": result.column("J"),
-        "invJ": 1.0 / result.column("J"),
-        "logJ": np.log(result.column("J")),
-    }
-    written = []
-    for name, values in quantities.items():
-        dd, _ = second_difference(ts, values)
-        for suffix, data in ((name, values), (f"{name}_dd", dd)):
-            path = prefix.with_name(prefix.name + f"_{suffix}.svg")
-            path.write_text(
-                polyline_chart(ts, {suffix: data}, title=suffix, logx=logx)
-            )
-            written.append(path)
-    return written
+def _write_csv(prefix: Path, text: str) -> None:
+    path = prefix.with_name(prefix.name + ".csv")
+    path.write_text(text)
+    print(f"wrote {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +282,7 @@ def _print_reduction_trace(order: int) -> None:
 
 def _cmd_derive(args) -> int:
     if args.order < 1:
-        print("derive: --order must be >= 1", file=sys.stderr)
-        return 1
+        raise ConfigError("derive: --order must be >= 1")
     if args.trace:
         _print_reduction_trace(args.order)
     print(entropy_derivative(args.order))
@@ -306,19 +301,6 @@ def _cmd_verify_identities(args) -> int:
     return 0 if ok else 2
 
 
-def _write_certificate(cert: Certificate, out: str) -> int:
-    """Write the certificate JSON to --out; the path was checked before any work."""
-    from .certificates import certificate_to_json
-
-    try:
-        Path(out).write_text(certificate_to_json(cert))
-    except OSError as exc:
-        print(f"certify: --out {out}: {exc}", file=sys.stderr)
-        return 1
-    print(f"wrote {out}")
-    return 0
-
-
 def _cmd_certify(args) -> int:
     from .certificates import (
         builtin_certificate,
@@ -329,21 +311,14 @@ def _cmd_certify(args) -> int:
     )
 
     if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
-        print(
-            f"certify: --out {args.out}: not a file path in an existing directory",
-            file=sys.stderr,
-        )
-        return 1
+        raise ConfigError(f"certify: --out {args.out}: not a file path in an existing directory")
     if args.search:
         if args.order < 2:
-            print("certify: --search needs --order >= 2", file=sys.stderr)
-            return 1
+            raise ConfigError("certify: --search needs --order >= 2")
         if args.starts < 1:
-            print("certify: --starts must be >= 1", file=sys.stderr)
-            return 1
+            raise ConfigError("certify: --starts must be >= 1")
         if args.seed < 0:
-            print("certify: --seed must be >= 0", file=sys.stderr)
-            return 1
+            raise ConfigError("certify: --seed must be >= 0")
         outcome = search_certificate(args.order)
         verdict = "; Farkas witness verified exactly" if outcome.witness is not None else ""
         print(
@@ -354,36 +329,39 @@ def _cmd_certify(args) -> int:
             print("no exactly-verified certificate found (reported, not asserted)")
             return 0
         print("certificate found and re-verified exactly")
-        if args.out:
-            return _write_certificate(outcome.certificate, args.out)
-        print(certificate_to_json(outcome.certificate))
-        return 0
+        cert = outcome.certificate
+        if not args.out:
+            print(certificate_to_json(cert))
+    else:
+        try:
+            if args.cert:
+                cert = certificate_from_json(Path(args.cert).read_text())
+            else:
+                cert = builtin_certificate(args.order)
+            # a file of another order is refused below, before any verdict
+            if cert.order == args.order:
+                ok, residual = verify_certificate(cert)
+        except (OSError, ValueError) as exc:
+            where = f"--cert {args.cert}: " if args.cert else ""
+            raise ConfigError(f"certify: {where}{exc}") from exc
+        if cert.order != args.order:
+            raise ConfigError(f"certify: file is order {cert.order}, not {args.order}")
+        if not ok:
+            print(f"FAILED, residual: {residual}")
+            return 2
+        print("VERIFIED (exact)")
+    if args.out:
+        # the path was checked before any work
+        try:
+            Path(args.out).write_text(certificate_to_json(cert))
+        except OSError as exc:
+            raise ConfigError(f"certify: --out {args.out}: {exc}") from exc
+        print(f"wrote {args.out}")
+    return 0
 
-    try:
-        if args.cert:
-            cert = certificate_from_json(Path(args.cert).read_text())
-            if cert.order != args.order:
-                print(
-                    f"certify: file is order {cert.order}, not {args.order}",
-                    file=sys.stderr,
-                )
-                return 1
-        else:
-            cert = builtin_certificate(args.order)
-        ok, residual = verify_certificate(cert)
-    except (OSError, ValueError) as exc:
-        where = f"--cert {args.cert}: " if args.cert else ""
-        print(f"certify: {where}{exc}", file=sys.stderr)
-        return 1
-    if not ok:
-        print(f"FAILED, residual: {residual}")
-        return 2
-    print("VERIFIED (exact)")
-    return _write_certificate(cert, args.out) if args.out else 0
 
-
-def _output_prefix(command: str, out: Optional[str], default: str) -> Optional[Path]:
-    """The output prefix, its directory made; None, after a message, if it cannot take the files.
+def _output_prefix(command: str, out: Optional[str], default: str) -> Path:
+    """The output prefix, its directory made; a ``ConfigError`` if it cannot take the files.
 
     Checked before any work, so a bad path fails at once and not after a
     whole scan.
@@ -398,48 +376,47 @@ def _output_prefix(command: str, out: Optional[str], default: str) -> Optional[P
             raise PermissionError(f"{csv_path.parent} is not writable")
     except OSError as exc:
         where = f"--out {out}" if out else f"output {default}"
-        print(f"{command}: {where}: {exc}", file=sys.stderr)
-        return None
+        raise ConfigError(f"{command}: {where}: {exc}") from exc
     return prefix
 
 
-def _range_field(exc) -> str:
-    """The config field behind a ``FlowRangeError``.
+def _in_range(run, *args):
+    """``run(*args)``, a ``FlowRangeError`` raised again as a ``ConfigError`` at its field.
 
-    A flow time leaves float64's range only when it is tiny (an fd step
-    underflows) or huge (a step overflows, or J**2 underflows), so the
-    grid end at fault follows from t.  wt-scan's t lies in (0, 1) and
-    fails only at its start, where s = 1/t - 1 is huge.
+    That is the component's parameter at fault, or else the grid end at t:
+    a flow time leaves float64's range only when tiny or huge, and
+    wt-scan's t in (0, 1) only at its start, where s = 1/t - 1 is huge.
     """
-    if exc.component is not None:
-        return f"mixture[{exc.component}].var"
-    return "t_grid.start" if exc.t < 1.0 else "t_grid.stop"
+    from .oracle import FlowRangeError
+
+    try:
+        return run(*args)
+    except FlowRangeError as exc:
+        if exc.component is not None:
+            field = f"mixture[{exc.component}].{exc.parameter}"
+        else:
+            field = "t_grid.start" if exc.t < 1.0 else "t_grid.stop"
+        raise ConfigError(f"config error at {field}: {exc}") from exc
 
 
 def _cmd_scan(args) -> int:
-    from .oracle import FlowRangeError, scan_conjectures, scan_to_csv
+    import numpy as np
 
-    try:
-        config = load_config(args.config)
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    from .oracle import scan_conjectures, scan_to_csv, second_difference
+
+    config = load_config(args.config)
     prefix = _output_prefix("scan", args.out, config.output or "scan")
-    if prefix is None:
-        return 1
-    try:
-        result = scan_conjectures(
-            config.mixture, config.grid(), config.max_order, config.quad_tol
-        )
-    except FlowRangeError as exc:
-        print(f"config error at {_range_field(exc)}: {exc}", file=sys.stderr)
-        return 1
-    csv_path = prefix.with_name(prefix.name + ".csv")
-    csv_path.write_text(scan_to_csv(result))
-    print(f"wrote {csv_path}")
+    result = _in_range(
+        scan_conjectures, config.mixture, config.grid(), config.max_order, config.quad_tol
+    )
+    _write_csv(prefix, scan_to_csv(result))
     if args.svg:
-        for path in _write_scan_svgs(prefix, result, logx=config.t_spacing == "log"):
-            print(f"wrote {path}")
+        ts, h, j = result.ts(), result.column("h"), result.column("J")
+        series = {}
+        for name, values in zip(("h", "J", "invJ", "logJ"), (h, j, 1.0 / j, np.log(j))):
+            series[name] = values
+            series[f"{name}_dd"] = second_difference(ts, values)[0]
+        _write_svgs(prefix, ts, series, logx=config.t_spacing == "log")
 
     signs = result.all_signs_ok()
     costa = result.all_costa_ok()
@@ -456,39 +433,19 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_wt_scan(args) -> int:
-    from .oracle import FlowRangeError, wt_checks, wt_to_csv
+    from .oracle import wt_checks, wt_to_csv
 
-    try:
-        config = load_config(args.config)
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    grid = config.grid()
-    if grid[-1] >= 1.0:
-        print("config error at t_grid.stop: wt-scan needs the grid inside (0, 1)", file=sys.stderr)
-        return 1
+    config = load_config(args.config)
+    if config.t_stop >= 1.0:
+        raise ConfigError("config error at t_grid.stop: wt-scan needs the grid inside (0, 1)")
     prefix = _output_prefix("wt-scan", args.out, config.output or "wt_scan")
-    if prefix is None:
-        return 1
-    try:
-        report = wt_checks(config.mixture, grid, config.quad_tol)
-    except FlowRangeError as exc:
-        print(f"config error at {_range_field(exc)}: {exc}", file=sys.stderr)
-        return 1
-    csv_path = prefix.with_name(prefix.name + ".csv")
-    csv_path.write_text(wt_to_csv(report))
-    print(f"wrote {csv_path}")
+    report = _in_range(wt_checks, config.mixture, config.grid(), config.quad_tol)
+    _write_csv(prefix, wt_to_csv(report))
     if args.svg:
-        ts = [r.t for r in report.rows]
-        for name, values in (
-            ("hW", [r.hW for r in report.rows]),
-            ("JW", [r.JW for r in report.rows]),
-            ("hW_dd", [r.hW_dd for r in report.rows]),
-            ("JW_dd", [r.JW_dd for r in report.rows]),
-        ):
-            path = prefix.with_name(prefix.name + f"_{name}.svg")
-            path.write_text(polyline_chart(ts, {name: values}, title=name))
-            print(f"wrote {path}")
+        series = {
+            name: [getattr(r, name) for r in report.rows] for name in ("hW", "JW", "hW_dd", "JW_dd")
+        }
+        _write_svgs(prefix, [r.t for r in report.rows], series, logx=False)
 
     concave = report.concavity_ok()
     txz = report.txz_ok()
@@ -541,6 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; the one place that prints a ``ConfigError`` and returns 1."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

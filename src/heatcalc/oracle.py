@@ -58,14 +58,17 @@ class FlowRangeError(ValueError):
     """An input that the scan cannot evaluate in float64.
 
     ``t`` is the flow time where it fails; ``component`` is the index of
-    the mixture component at fault, or None when the flow time is.
+    the mixture component at fault, or None when the flow time is, and
+    ``parameter`` names that component's parameter at fault, "mu" or "var".
     """
 
-    def __init__(self, message: str, t: float, component: Optional[int] = None):
+    def __init__(
+        self, message: str, t: float, component: Optional[int] = None, parameter: str = "var"
+    ):
         super().__init__(message)
         self.t = t
         self.component = component
-
+        self.parameter = parameter
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +198,33 @@ def _window(mix: GaussianMixture, t: float) -> Tuple[float, ...]:
     return (a, *sorted(edges), b)
 
 
+def _check_z(mix: GaussianMixture, windows: Sequence[Tuple[float, ...]], ts, power: int) -> None:
+    """Raise ``FlowRangeError`` if a component's z on ``windows[j]`` overflows at ``power``.
+
+    Node y at flow time ``ts[j]`` has z = (y - mu)/sqrt(v + ts[j]), largest
+    at a window's ends.  The kernel squares z, and ratio row m raises it to
+    the m-th power in the Hermite recurrence.  The means are at fault, the
+    largest |mu|, when they lie farther apart than the window's padding;
+    otherwise the variance of the component whose z overflows.
+    """
+    ends = np.array([(w[0], w[-1]) for w in windows])
+    with np.errstate(over="ignore"):
+        reach = np.abs(ends[:, :, None] - mix.means).max(axis=1)  # (job, component)
+        z = reach / np.sqrt(np.asarray(ts, dtype=float)[:, None] + mix.variances)
+    bad = np.argwhere(~(z < 2.0 ** (1024 / power)))
+    if bad.size:
+        j, k = bad[0]
+        means = [mu for _, mu, _ in mix.components]
+        spread = max(means) - min(means) > ends[j, 1] - max(means)
+        raise FlowRangeError(
+            f"|z| of component {k} reaches {z[j, k]:.3g} at flow time {float(ts[j])!r}: "
+            f"|z|**{power} overflows float64",
+            float(ts[j]),
+            int(np.argmax(np.abs(mix.means))) if spread else int(k),
+            "mu" if spread else "var",
+        )
+
+
 def _flow_forest(
     mix: GaussianMixture,
     ts: Sequence[float],
@@ -205,9 +235,12 @@ def _flow_forest(
     A combination's roundoff floor is keyed to the integral of its terms'
     absolute values, not of its own absolute value, which cancels below it.
     """
+    windows = [_window(mix, t) for t in ts]
+    top = max((comb.max_order() for _, comb in quantities if comb is not None), default=0)
+    _check_z(mix, windows, ts, max(2, top))
     return Forest(
         _flow_rows(mix, ts, quantities),
-        [_window(mix, t) for t in ts],
+        windows,
         [_flow_labels(t, quantities) for t in ts],
         _magnitude_rows(quantities),
     )
@@ -415,6 +448,8 @@ def _fd_finish(
         for h, _, offsets in steps
         for off in offsets
     ]
+    windows = [mix.support_interval(t) for t in ts]
+    _check_z(mix, [windows[i] for i, _ in jobs], [time for _, time in jobs], 2)
     rows = _flow_rows(mix, [time for _, time in jobs], _ENTROPY)
     entropies = iter(integrate([panels[i] for i, _ in jobs], rows))
     results = []
@@ -624,12 +659,11 @@ def _scan_rows(
     ``integrate`` call.
     """
     sym_orders = min(_SYM_ORDERS, max_order)
-    # h; C_1 (which integrates to J) always; C_2..C_4 as the orders ask
+    # h; C_1 and C_2 (which integrate to J and J') always; C_3, C_4 as the orders ask
     quantities = _ENTROPY + [
-        (f"C_{n}", entropy_derivative(n)) for n in range(1, max(sym_orders, 1) + 1)
+        (f"C_{n}", entropy_derivative(n)) for n in range(1, max(sym_orders, 2) + 1)
     ]
-    # J' needs order 2, from the fd route when the symbolic one stops at 1
-    fd_orders = range(1, max(max_order, 2) + 1)
+    fd_orders = range(1, max_order + 1)
     rows = []
     for batch, flows in _flow_batches(mix, ts, quantities, tol):
         stencils = [_fd_stencils(mix, t, fd_orders, None) for t in batch]
@@ -638,8 +672,7 @@ def _scan_rows(
             j_res = sym[0]
             _check_fisher(mix, j_res.value, t, t)
             d_sym = tuple(0.5 * r.value for r in sym[:sym_orders])
-            # J' is C_2, or twice the order-2 fd when the symbolic orders stop at 1
-            jp = sym[1] if len(d_sym) >= 2 else QuadResult(2.0 * fd[2][0], 2.0 * fd[2][1])
+            jp = sym[1]
             costa_margin = -jp.value - j_res.value * j_res.value
             costa_err = 2.0 * tol + 2.0 * j_res.value * j_res.error + 1e-12 * abs(jp.value)
             costa_err += jp.error

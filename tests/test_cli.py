@@ -35,6 +35,9 @@ WT_SCAN = {
     "t_grid": {"start": 0.1, "stop": 0.9, "points": 9, "spacing": "linear"},
 }
 
+# two unit components whose means, 1e300 apart, make a window where every |z|**2 overflows
+FAR_MEANS = [{"w": 0.5, "mu": 1e300, "var": 1}, {"w": 0.5, "mu": 0, "var": 1}]
+
 
 class TestDerive:
     def test_order3_golden_line(self, capsys):
@@ -238,6 +241,15 @@ class TestConfigParsing:
             parse_config("{\n  broken\n}")
 
 
+def _wide_and_narrow(var, narrow=1.0, max_order=4):
+    """Two centred components of variances ``var`` and ``narrow`` on t = 0.1 ... 0.9."""
+    return {
+        "mixture": [{"w": 0.5, "mu": 0, "var": var}, {"w": 0.5, "mu": 0, "var": narrow}],
+        "t_grid": {"start": 0.1, "stop": 0.9, "points": 9},
+        "max_order": max_order,
+    }
+
+
 def _put(field, literal):
     """A mutation that writes the JSON number ``literal`` at ``field`` and returns the config text."""
 
@@ -396,8 +408,8 @@ class TestScanCommand:
 
 
     def test_order_1_passes_the_costa_check(self, tmp_path, capsys):
-        # at max_order 1 J' comes from the order-2 finite difference, whose
-        # error (about 2e-3 at t < 0.5) the Costa margin's error must carry
+        # at max_order 1 J' still comes from C_2, whose quadrature error the
+        # Costa margin's error carries, and no order-2 finite difference is taken
         payload = dict(SMALL_SCAN, max_order=1)
         payload["t_grid"] = {"start": 0.05, "stop": 100, "points": 40, "spacing": "log"}
         cfg = tmp_path / "order1.json"
@@ -454,21 +466,64 @@ class TestScanCommand:
                     "t_grid": {"start": 0.1, "stop": 0.9, "points": 5},
                 },
             ),
+        ]
+        # the window is 12 sigma of the wide component, where the narrow
+        # one's |z|**4 overflows in the scan's ratio row 4; wt-scan goes to
+        # ratio row 2 and takes these mixtures
+        + [
+            ({"scan": "mixture[1].var"}, _wide_and_narrow(var, max_order=4))
+            for var in (1e155, 1e200, 1e250, 1e300)
+        ]
+        + [
+            # means 1e300 apart make the window, and every |z|**2 overflows
+            (
+                "mixture[0].mu",
+                {
+                    "mixture": FAR_MEANS,
+                    "t_grid": {"start": 0.1, "stop": 0.9, "points": 9},
+                    "max_order": 4,
+                },
+            ),
+            # |z|**2 of the narrow component is in range at the grid's flow
+            # times, and overflows at the order-2 stencil's smallest time
+            (
+                {"scan": "mixture[1].var"},
+                dict(
+                    _wide_and_narrow(3.1e302, narrow=1e-6, max_order=2),
+                    t_grid={"start": 1e-3, "stop": 2e-3, "points": 3},
+                ),
+            ),
         ],
     )
     def test_values_out_of_float_range_name_their_field(self, tmp_path, capsys, field, payload):
         cfg = tmp_path / "range.json"
         cfg.write_text(json.dumps(payload))
-        commands = ["scan"] + (["wt-scan"] if payload["t_grid"]["stop"] < 1 else [])
-        for command in commands:
+        # one field for the scan and, on a grid inside (0, 1), for wt-scan, or one per command
+        if isinstance(field, str):
+            field = {"scan": field, **({"wt-scan": field} if payload["t_grid"]["stop"] < 1 else {})}
+        for command, where in field.items():
             with warnings.catch_warnings():
                 # no numpy overflow note comes before the config error
                 warnings.simplefilter("error", RuntimeWarning)
+                # the narrow spike of the stencil case is finer than the trees can resolve
+                warnings.simplefilter("ignore", quadrature.QuadratureNonConvergence)
                 rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "range")])
             assert rc == 1, command
             err = capsys.readouterr().err.splitlines()
-            assert len(err) == 1 and err[0].startswith(f"config error at {field}: "), command
+            assert len(err) == 1 and err[0].startswith(f"config error at {where}: "), command
             assert not (tmp_path / "range.csv").exists()
+
+    @pytest.mark.parametrize("command,var", [("scan", 1e150), ("wt-scan", 1e300)])
+    def test_a_wide_component_in_range_runs_clean(self, tmp_path, capsys, command, var):
+        # the narrow component's largest |z| is 1.2e76 at ratio row 4, and
+        # 1.2e151 at wt-scan's ratio row 2
+        cfg = tmp_path / "wide.json"
+        cfg.write_text(json.dumps(_wide_and_narrow(var, max_order=4)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "wide")])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestWtScanCommand:
@@ -539,6 +594,89 @@ class TestOutputPrefix:
         prefix = tmp_path / "a" / "b" / "run"
         assert main([command, "--config", str(cfg), "--out", str(prefix)]) == 0
         assert (tmp_path / "a" / "b" / "run.csv").is_file()
+
+
+class TestExitOne:
+    """Every exit-1 path prints one line on stderr, through ``main``, and nothing on stdout."""
+
+    # per case, the command line ({tmp} is the test's directory) and the
+    # start of its one stderr line
+    CASES = {
+        "derive-order-0": (["derive", "--order", "0"], "derive: --order must be >= 1"),
+        "certify-bad-out": (
+            ["certify", "--order", "4", "--out", "{tmp}/missing/x.json"],
+            "certify: --out {tmp}/missing/x.json: not a file path",
+        ),
+        "certify-search-order-1": (
+            ["certify", "--order", "1", "--search"],
+            "certify: --search needs --order >= 2",
+        ),
+        "certify-starts-0": (
+            ["certify", "--order", "4", "--search", "--starts", "0"],
+            "certify: --starts must be >= 1",
+        ),
+        "certify-seed-negative": (
+            ["certify", "--order", "4", "--search", "--seed", "-1"],
+            "certify: --seed must be >= 0",
+        ),
+        "certify-missing-cert": (
+            ["certify", "--order", "3", "--cert", "{tmp}/absent.json"],
+            "certify: --cert {tmp}/absent.json: ",
+        ),
+        "certify-order-mismatch": (
+            ["certify", "--order", "4", "--cert", "{tmp}/order3.json"],
+            "certify: file is order 3, not 4",
+        ),
+        "scan-bad-config": (["scan", "--config", "{tmp}/bad.json"], "config error at mixture: "),
+        "scan-bad-out": (
+            ["scan", "--config", "{tmp}/scan.json", "--out", "/dev/null/x"],
+            "scan: --out /dev/null/x: ",
+        ),
+        "scan-out-of-range": (
+            ["scan", "--config", "{tmp}/range.json", "--out", "{tmp}/r"],
+            "config error at mixture[0].mu: ",
+        ),
+        "wt-scan-bad-config": (
+            ["wt-scan", "--config", "{tmp}/bad.json"],
+            "config error at mixture: ",
+        ),
+        "wt-scan-bad-out": (
+            ["wt-scan", "--config", "{tmp}/wt.json", "--out", "/dev/null/x"],
+            "wt-scan: --out /dev/null/x: ",
+        ),
+        "wt-scan-out-of-range": (
+            ["wt-scan", "--config", "{tmp}/range.json", "--out", "{tmp}/r"],
+            "config error at mixture[0].mu: ",
+        ),
+        "wt-scan-stop-past-1": (
+            ["wt-scan", "--config", "{tmp}/stop.json", "--out", "{tmp}/w"],
+            "config error at t_grid.stop: wt-scan needs the grid inside (0, 1)",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_one_line_on_stderr(self, tmp_path, capsys, case):
+        stop = json.loads(json.dumps(WT_SCAN))
+        stop["t_grid"]["stop"] = 1.5
+        files = {
+            "bad.json": '{"mixture": "nope"}',
+            "scan.json": json.dumps(SMALL_SCAN),
+            "wt.json": json.dumps(WT_SCAN),
+            "stop.json": json.dumps(stop),
+            "range.json": json.dumps(dict(WT_SCAN, mixture=FAR_MEANS)),
+            "order3.json": certificate_to_json(builtin_certificate(3)),
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv, start = self.CASES[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(start.replace("{tmp}", str(tmp_path)))
 
 
 class TestProcess:

@@ -2,7 +2,8 @@
 
 Each case runs one CLI command, which must pass its verdicts, and pins
 the SHA-256 of the CSV it writes and its stdout (with the output path
-replaced by ``<out>``).  A refactor that means to change no number must leave every
+replaced by ``<out>``); the ``--svg`` cases pin the SHA-256 of every
+chart as well.  A refactor that means to change no number must leave every
 digest as it is; a change that moves a value on purpose updates the
 digest and says which columns moved and by how much.
 """
@@ -125,3 +126,48 @@ def test_output_bytes_are_pinned(name, tmp_path, capsys):
     csv = (tmp_path / "out.csv").read_bytes()
     assert out == stdout
     assert hashlib.sha256(csv).hexdigest() == digest
+
+
+# per command with --svg on its demo config, each chart's SHA-256 in the
+# order the command writes them
+SVGS = {
+    "scan": (
+        "bimodal",
+        {
+            "h": "968160c5f8a77c3f5ed208d2b08e023509892a1abbe7202ec30bb8e2ae809f67",
+            "h_dd": "89c452ffffaf2e81ee7f22e432da49cef571c82b02852e122f27ede862ac6661",
+            "J": "af2e5d1b63da808d1a1632a9a8d5463c70778ce491c587be0b61d9098b4bf0b4",
+            "J_dd": "3bafedbb998e1390b028678ea853742405fb6a095d25dfd46a76825ab3d8e976",
+            "invJ": "f9a3b5462c4d2510ece24fb5d1ea59780f4c5a8f5e1b40dc6ef50f6961ef5ff4",
+            "invJ_dd": "1ae79b9b31b4466270d0d67537023221ba751d62b5186266031850c383d933a9",
+            "logJ": "b792ebbc41a7fdf788b5838a789c232e5617629d58d60d3d04d6b3414e57f9f4",
+            "logJ_dd": "1cbc6c762833e47c5b0493fcdd4bc99b8cd9eec0d3be8d34016a5bfb634a087f",
+        },
+    ),
+    "wt-scan": (
+        "wt_bimodal",
+        {
+            "hW": "f74ee13fe416ac2f6bb04c004a3581b8f8dd9c11a3575aa3c93bb929690b1563",
+            "JW": "812ea566a9a2b4fccf2b62aee6b3958186e68adabf3e508c445ee3193994af98",
+            "hW_dd": "aeb29060190fbcf8607ab08bc4a7f9c3144cb270a374ba42a9d091bff75fe251",
+            "JW_dd": "e6d3d884990db8d04e914796a111d502926fd9bc7ba91fe22c44b33ce963c583",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("command", SVGS)
+def test_svg_bytes_are_pinned(command, tmp_path, capsys):
+    name, charts = SVGS[command]
+    _, payload, stdout, digest = CASES[name]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(payload))
+    prefix = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(prefix), "--svg"]) == 0
+    out = capsys.readouterr().out.replace(str(prefix), "<out>")
+    head, verdicts = stdout.split("\n", 1)
+    assert out == head + "\n" + "".join(f"wrote <out>_{c}.svg\n" for c in charts) + verdicts
+    assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() == digest
+    for chart, chart_digest in charts.items():
+        svg = (tmp_path / f"out_{chart}.svg").read_bytes()
+        assert hashlib.sha256(svg).hexdigest() == chart_digest, chart
