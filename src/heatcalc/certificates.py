@@ -365,7 +365,9 @@ class SearchOutcome:
     """Search report; ``certificate`` and ``witness`` are set only after exact checks.
 
     ``best_residual`` is max |A(Q) - sign C_n| at the final float Q; ``margin`` is its
-    t, the phase-I optimum t* to within ``_GAP``.
+    t, the phase-I optimum t* to within ``_GAP``.  If the central path broke down in
+    float arithmetic, ``breakdown`` is its barrier weight mu there, ``margin`` its t,
+    and ``best_residual`` nan.
     """
 
     order: int
@@ -373,6 +375,7 @@ class SearchOutcome:
     best_residual: float
     margin: float
     witness: Optional[Tuple[Fraction, ...]] = None
+    breakdown: Optional[float] = None
 
 
 def _gram_problem(n: int):
@@ -412,6 +415,8 @@ def _central_path(gram: np.ndarray, target: np.ndarray):
     For each barrier weight mu, damped Newton steps minimise -t/mu - log det(Q - tI)
     over Q = Q0 + sum_i z_i N_i and t, and (mu, t, Q) is yielded.  At the centre
     Y = mu (Q - tI)^-1 = A*(y) is dual feasible, and y . target = t + p mu >= t*.
+    Where Q - tI or the Newton system is not numerically positive definite,
+    the path breaks down: it yields (mu, t, None) there and stops.
     """
     import numpy as np
 
@@ -428,12 +433,19 @@ def _central_path(gram: np.ndarray, target: np.ndarray):
     mu = _MU_START
     while p * mu > _GAP:
         for _ in range(_NEWTON_CAP):
-            inv = np.linalg.inv(np.linalg.cholesky(base + np.tensordot(x, dirs, axes=1)))
-            scaled = (inv @ dirs @ inv.T).reshape(len(dirs), -1)
-            grad = -scaled[:, :: p + 1].sum(axis=1)  # -trace((Q - tI)^-1 dir_i)
-            grad[-1] -= 1.0 / mu
-            step = -np.linalg.solve(scaled @ scaled.T, grad)
-            decrement = float(np.sqrt(-grad @ step))
+            try:
+                inv = np.linalg.inv(np.linalg.cholesky(base + np.tensordot(x, dirs, axes=1)))
+                scaled = (inv @ dirs @ inv.T).reshape(len(dirs), -1)
+                grad = -scaled[:, :: p + 1].sum(axis=1)  # -trace((Q - tI)^-1 dir_i)
+                grad[-1] -= 1.0 / mu
+                step = -np.linalg.solve(scaled @ scaled.T, grad)
+                squared = float(-grad @ step)
+            except np.linalg.LinAlgError:
+                squared = np.nan
+            if not squared >= 0.0:  # not numerically definite: the path breaks down
+                yield mu, float(x[-1]), None
+                return
+            decrement = float(np.sqrt(squared))
             x += step / (1.0 + decrement) if decrement > 0.25 else step
             if decrement < _CENTRED:
                 break
@@ -516,6 +528,8 @@ def search_certificate(n: int) -> SearchOutcome:
     split by exact LDL^T into weighted squares for ``verify_certificate``.
     From the first centred iterate with t + p mu < 0, the dual point y with
     A*(y) = mu (Q - tI)^-1 is rounded until one passes ``verify_witness``.
+    A path that breaks down in float arithmetic ends the search there, with
+    the witness found before it, if any.
     """
     import numpy as np
 
@@ -524,6 +538,8 @@ def search_certificate(n: int) -> SearchOutcome:
     p = len(gram)
     witness = None
     for mu, t, q in _central_path(gram, goal):
+        if q is None:
+            return SearchOutcome(n, None, np.nan, t, witness, mu)
         if witness is None and t + p * mu < 0:
             dual = mu * np.linalg.inv(q - t * np.eye(p))
             y = np.linalg.lstsq(gram.reshape(p * p, -1), dual.ravel(), rcond=None)[0]

@@ -320,11 +320,14 @@ def _cmd_certify(args) -> int:
         if args.seed < 0:
             raise ConfigError("certify: --seed must be >= 0")
         outcome = search_certificate(args.order)
-        verdict = "; Farkas witness verified exactly" if outcome.witness is not None else ""
-        print(
-            f"search order {args.order}: best residual {outcome.best_residual:.3e}, "
-            f"Gram margin t* {outcome.margin:.3e}{verdict}"
-        )
+        if outcome.breakdown is None:
+            where, verdict = f"best residual {outcome.best_residual:.3e}, Gram margin t*", ""
+        else:
+            where = f"central path broke down at mu {outcome.breakdown:.3e}, t"
+            verdict = "; undecided"
+        if outcome.witness is not None:
+            verdict = "; Farkas witness verified exactly"
+        print(f"search order {args.order}: {where} {outcome.margin:.3e}{verdict}")
         if outcome.certificate is None:
             print("no exactly-verified certificate found (reported, not asserted)")
             return 0

@@ -94,8 +94,9 @@ def _frozen(values) -> np.ndarray:
 BIMODAL_MIXTURE = GaussianMixture(((0.5, 0.0, 0.1), (0.5, 10.0, 0.1)))
 
 
-# The kernel works on blocks of nodes with at most this many values per
-# component and per ratio row, so each temporary stays at 64 KiB or less.
+# The kernel works on blocks of nodes small enough that each temporary, a
+# row per component or a row per ratio, holds at most this many values:
+# 64 KiB or less.
 # Larger temporaries are mapped from and returned to the OS on every call:
 # whole refinement levels of a 16-component mixture cost a wt-scan 20k-31k
 # page faults instead of 5k, and the count moved with the size of the
@@ -162,9 +163,9 @@ def map_flow(
         np.log(mix.weights)[:, None] - 0.5 * (_LOG_2PI + np.log(s)),
         ratio_scales,
     )
-    # equal blocks, never a single node unless there is only one; a node
-    # has a value per component and per ratio row
-    per_node = len(s) + max_m + 1
+    # equal blocks, never a single node unless there is only one; a
+    # temporary holds a node's value per component, or per ratio row
+    per_node = max(len(s), max_m + 1)
     blocks = max(1, -(-y.size // max(64, _BLOCK_PAIRS // per_node)))
     edges = [y.size * i // blocks for i in range(blocks + 1)]
     out = None

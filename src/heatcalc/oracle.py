@@ -5,27 +5,27 @@ the heat flow, so the symbolic canonical forms can be cross-checked two
 independent ways:
 
 * ``functional`` integrates a derivative-monomial combination directly;
-* ``fd_entropy_deriv`` differences the entropy in t, never touching the
-  symbolic calculus.
+* ``fd_entropy_deriv`` integrates the Taylor jet of -f log f in t, from
+  the heat equation f_t = f_yy/2 alone, never touching the symbolic
+  calculus: f(y, t + e) = f (1 + G), G = sum_k e^k r_2k / (2^k k!) with
+  r_m = f_m/f, so h^(n) = -int f (log f r_2n / 2^n + P_n) dy, with P_n
+  exact in the ratios (``_jet_remainder``).  Order 0 is h itself.
 
 Scans sweep a t-grid and record both routes together with the quantities
 the sign conjectures speak about (log J and 1/J curvature, the entropy
 power, the interpolation W_t = sqrt(t) X + sqrt(1-t) Z).  Sign verdicts
 are three-sigma style: a check passes or fails only when the value clears
-the estimated numeric error by a factor of three, and is otherwise
-reported as inconclusive rather than asserted.
+its own stated error by a factor of three, and is otherwise reported as
+inconclusive rather than asserted.
 
 A scan refines its flow times in batches, each batch one bisection
-forest: per flow time one tree on which h and C_1..C_4 each accept their
-own panels.  C_2..C_4 cancel between their terms, so each carries a
+forest: per flow time one tree on which the jet orders 0..max_order and
+C_1..C_4 each accept their own panels.  A row whose terms cancel carries a
 magnitude row, f times the sum of its terms' absolute values, that sets
-its roundoff floor.  The panels h accepts are its mesh, and they serve
-the finite differences too: every fd stencil time of that flow time is a
-job integrated on them, and a batch's stencil times take one
-``quadrature.integrate`` call.  Every density evaluation is one
-``mixtures.map_flow`` call, one flow time per job, with an epilogue from
-``_flow_rows``, so h and the fd entropies share one -f log f.  A quantity whose tree stops short of the tolerance leaves
-every sign verdict that rests on it inconclusive.
+its roundoff floor.  Every density evaluation is one ``mixtures.map_flow``
+call, one flow time per job, with an epilogue from ``_flow_rows``.  A
+quantity whose tree stops short of the tolerance leaves every sign
+verdict that rests on it inconclusive.
 """
 
 from __future__ import annotations
@@ -34,30 +34,35 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .mixtures import GaussianMixture, map_flow
-from .quadrature import INITIAL_NODES, Forest, QuadResult, integrate, refine
+from .quadrature import INITIAL_NODES, Forest, QuadResult, refine
 from .reduction import entropy_derivative
-from .terms import Combination
+from .terms import Combination, make_monomial
 
 DEFAULT_TOL = 1e-11
 
-# the entropy integrand -f log f as a quantity of ``_flow_rows``
-_ENTROPY = [("h", None)]
+# a quantity of ``_flow_rows``: its name, and a combination, or the order
+# n of the jet row that integrates to h^(n) (0 for h itself)
+Quantity = Tuple[str, Union[Combination, int]]
+
+# the factor log f of a compiled term, beside the ratio powers (m, k)
+_LOG_F = "log f"
 
 
 class FdAccuracyWarning(UserWarning):
-    """A finite-difference estimate carries more than 10% estimated error."""
+    """A jet entropy derivative carries more than 10% estimated error."""
 
 
 class FlowRangeError(ValueError):
     """An input that the scan cannot evaluate in float64.
 
-    ``t`` is the flow time where it fails; ``component`` is the index of
+    ``t`` is the grid time where it fails; ``component`` is the index of
     the mixture component at fault, or None when the flow time is, and
     ``parameter`` names that component's parameter at fault, "mu" or "var".
     """
@@ -76,42 +81,87 @@ class FlowRangeError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _jet(n: int) -> Quantity:
+    """The quantity whose integral is h^(n), h itself at n = 0."""
+    return ("h" if n == 0 else f"h^({n})", n)
+
+
+@lru_cache(maxsize=None)
+def _jet_remainder(n: int) -> Combination:
+    """f P_n, with P_n = n! [e^n] of sum_{k>=2} (-1)^k G^k / (k (k-1)).
+
+    F log F = f log f (1 + G) + f (1 + G) log(1 + G) for F = f (1 + G), and
+    (1 + G) log(1 + G) = G + sum_{k>=2} (-1)^k G^k / (k (k-1)); G's own
+    term f_2n / 2^n integrates to zero.  f times a product of ratios is a
+    derivative monomial, so f P_n is exact in f_2..f_{2n-2}.
+    """
+    # the series in e: {(power of e, ratio orders): coefficient}
+    g = {(k, (2 * k,)): Fraction(1, 2**k * math.factorial(k)) for k in range(1, n + 1)}
+    total, power = Combination(), g
+    for k in range(2, n + 1):
+        product: Dict[Tuple[int, Tuple[int, ...]], Fraction] = {}
+        for (i, a), c in power.items():
+            for (j, b), d in g.items():
+                if i + j <= n:
+                    key = (i + j, tuple(sorted(a + b)))
+                    product[key] = product.get(key, Fraction(0)) + c * d
+        power = product
+        scale = Fraction((-1) ** k * math.factorial(n), k * (k - 1))
+        total += Combination(
+            {make_monomial(orders): scale * c for (i, orders), c in power.items() if i == n}
+        )
+    return total
+
+
+def _compiled(spec: Union[Combination, int]) -> Tuple[Tuple[float, tuple], ...]:
+    """A quantity's terms as (coefficient, factors); a factor is a ratio power (m, k) or log f.
+
+    A combination's terms are its monomials'; jet order n's are
+    -log f r_2n / 2^n and the terms of -P_n.
+    """
+    if isinstance(spec, Combination):
+        terms = [(float(coeff), mono.exps) for mono, coeff in spec.items()]
+    else:
+        ratio = ((2 * spec, 1),) if spec else ()
+        terms = [(-(0.5**spec), (_LOG_F,) + ratio)]
+        terms += [(float(-coeff), mono.exps) for mono, coeff in _jet_remainder(spec).items()]
+    # a zero combination is one term, 0 times the density
+    return tuple(terms) or ((0.0, ()),)
+
+
+def _ratio_powers(quantities: Sequence[Quantity]) -> Dict[int, int]:
+    """Per ratio row m, the highest power k that a term of the quantities takes."""
+    tops: Dict[int, int] = {}
+    for _, spec in quantities:
+        for _, factors in _compiled(spec):
+            for m, k in (pair for pair in factors if pair != _LOG_F):
+                tops[m] = max(tops.get(m, 0), k)
+    return tops
+
+
 def _flow_rows(
     mix: GaussianMixture,
     ts: Sequence,
-    quantities: Sequence[Tuple[str, Optional[Combination]]],
+    quantities: Sequence[Quantity],
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """One row per named quantity, node i at flow time ``ts[jobs[i]]``, from one kernel call.
 
-    A quantity without a combination is the entropy integrand -f log f;
-    the others are their combination evaluated on the flowed density.
-    The magnitude rows that ``_magnitude_rows`` names follow the
-    quantities' rows: per combination of two terms or more, f times the
-    sum of its terms' absolute values.
+    A quantity's row is f times the sum of its ``_compiled`` terms.  The
+    magnitude rows that ``_magnitude_rows`` names follow the quantities'
+    rows: per quantity of two terms or more, f times the sum of its terms'
+    absolute values.
 
-    Each combination is compiled once into its terms, a coefficient and
-    the (order, exponent) pairs of its factors.  Per block of nodes, the
-    powers of the ratios r_m = f_m/f come from a table built by
-    multiplication, r_m^k = r_m^(k-1) r_m: ``**`` with an exponent of 3
-    or more calls libm ``pow``, about a hundred multiplies per element.
-    A term is its coefficient times its factors in order, and a quantity
-    adds its terms, and its magnitude their absolute values, one after
-    another, elementwise.  So every value is computed per node, exactly as
-    it would be on its own, and sharing the kernel call, the block or the
-    forest changes no bit.
+    Per block of nodes, the powers of the ratios r_m = f_m/f come from a
+    table built by multiplication, r_m^k = r_m^(k-1) r_m: ``**`` with an
+    exponent of 3 or more calls libm ``pow``, about a hundred multiplies
+    per element.  The table holds log f too.  A term is its coefficient
+    times its factors in order, and a quantity adds its terms, and its
+    magnitude their absolute values, one after another, elementwise.  So
+    every value is computed per node, exactly as it would be on its own,
+    and sharing the kernel call, the block or the forest changes no bit.
     """
-    combs = [
-        None
-        if comb is None
-        # a zero combination is one term, 0 times the density
-        else [(float(coeff), mono.exps) for mono, coeff in comb.items()] or [(0.0, ())]
-        for _, comb in quantities
-    ]
-    tops: Dict[int, int] = {}  # per ratio row, the highest power a term takes
-    for items in combs:
-        for _, exps in items or ():
-            for m, k in exps:
-                tops[m] = max(tops.get(m, 0), k)
+    combs = [_compiled(spec) for _, spec in quantities]
+    tops = _ratio_powers(quantities)
     max_m = max(tops, default=0)
     times = np.array(ts, dtype=float)
     # per quantity, the output row of its magnitude, if it has a row of its own
@@ -120,7 +170,7 @@ def _flow_rows(
 
     def rows(lf: np.ndarray, ratios: np.ndarray) -> np.ndarray:
         f = np.exp(lf)
-        table = {}
+        table = {_LOG_F: lf}
         for m, top in tops.items():
             power = table[m, 1] = ratios[m]
             for k in range(2, top + 1):
@@ -128,9 +178,6 @@ def _flow_rows(
         out = np.empty((size, lf.size))
         term = np.empty_like(lf)
         for row, items, mag in zip(out, combs, mag_rows):
-            if items is None:
-                np.multiply(-f, lf, out=row)
-                continue
             _term(items[0], table, row)
             if mag is not None:
                 mag = np.abs(row, out=out[mag])
@@ -149,17 +196,17 @@ def _flow_rows(
     return fn
 
 
-def _magnitude_rows(quantities: Sequence[Tuple[str, Optional[Combination]]]) -> Tuple[int, ...]:
+def _magnitude_rows(quantities: Sequence[Quantity]) -> Tuple[int, ...]:
     """Per quantity, the row of ``_flow_rows`` that holds its magnitude.
 
-    A combination of two terms or more cancels between its terms, so its
-    magnitude is a row of its own after the quantities'; -f log f and a
-    one-term combination name their own row, and their floor comes from
-    the absolute values of their own rule sums.
+    A quantity of two terms or more cancels between its terms, so its
+    magnitude is a row of its own after the quantities'; a one-term
+    quantity names its own row, and its floor comes from the absolute
+    values of its own rule sums.
     """
     out, extra = [], len(quantities)
-    for q, (_, comb) in enumerate(quantities):
-        if comb is not None and len(comb) > 1:
+    for q, (_, spec) in enumerate(quantities):
+        if len(_compiled(spec)) > 1:
             out.append(extra)
             extra += 1
         else:
@@ -168,14 +215,14 @@ def _magnitude_rows(quantities: Sequence[Tuple[str, Optional[Combination]]]) -> 
 
 
 def _term(item, table, out: np.ndarray) -> np.ndarray:
-    """coeff * prod r_m^k of one compiled term, written to ``out``."""
-    coeff, exps = item
-    if not exps:
+    """coeff * the product of the factors of one compiled term, written to ``out``."""
+    coeff, factors = item
+    if not factors:
         out.fill(coeff)
         return out
-    np.multiply(coeff, table[exps[0]], out=out)
-    for pair in exps[1:]:
-        out *= table[pair]
+    np.multiply(coeff, table[factors[0]], out=out)
+    for factor in factors[1:]:
+        out *= table[factor]
     return out
 
 
@@ -198,19 +245,27 @@ def _window(mix: GaussianMixture, t: float) -> Tuple[float, ...]:
     return (a, *sorted(edges), b)
 
 
-def _check_z(mix: GaussianMixture, windows: Sequence[Tuple[float, ...]], ts, power: int) -> None:
-    """Raise ``FlowRangeError`` if a component's z on ``windows[j]`` overflows at ``power``.
+def _check_kernel(mix: GaussianMixture, windows: Sequence[Tuple[float, ...]], ts, power: int):
+    """Raise ``FlowRangeError`` if ratio row ``power`` leaves float64 on ``windows[j]``.
 
-    Node y at flow time ``ts[j]`` has z = (y - mu)/sqrt(v + ts[j]), largest
-    at a window's ends.  The kernel squares z, and ratio row m raises it to
-    the m-th power in the Hermite recurrence.  The means are at fault, the
-    largest |mu|, when they lie farther apart than the window's padding;
-    otherwise the variance of the component whose z overflows.
+    Node y at flow time ``ts[j]`` has z = (y - mu)/sqrt(s), s = v + ts[j],
+    largest at a window's ends, and ratio row m raises z to the m-th power.
+    Where |z|**power overflows, the means are at fault, the largest |mu|,
+    when they lie farther apart than the window's padding; otherwise the
+    variance of the component whose z overflows.  An integrand of row m
+    scales like f r_m ~ s**(-(m + 1)/2), largest, or where every component
+    is wide smallest, at the narrowest component's s.  That power must stay
+    within 2**1000 of 1, leaving 2**24 for the Hermite values, coefficients
+    and log f; outside it, the larger of that v and the flow time is at
+    fault, as in ``_check_fisher``.
     """
     ends = np.array([(w[0], w[-1]) for w in windows])
+    times = np.asarray(ts, dtype=float)
+    narrowest = int(np.argmin(mix.variances))
     with np.errstate(over="ignore"):
         reach = np.abs(ends[:, :, None] - mix.means).max(axis=1)  # (job, component)
-        z = reach / np.sqrt(np.asarray(ts, dtype=float)[:, None] + mix.variances)
+        z = reach / np.sqrt(times[:, None] + mix.variances)
+        s = times + mix.variances[narrowest]
     bad = np.argwhere(~(z < 2.0 ** (1024 / power)))
     if bad.size:
         j, k = bad[0]
@@ -223,12 +278,22 @@ def _check_z(mix: GaussianMixture, windows: Sequence[Tuple[float, ...]], ts, pow
             int(np.argmax(np.abs(mix.means))) if spread else int(k),
             "mu" if spread else "var",
         )
+    scale = (power + 1) / 2.0
+    bad = np.flatnonzero(~(np.abs(np.log2(s)) * scale < 1000.0))
+    if bad.size:
+        j = bad[0]
+        raise FlowRangeError(
+            f"flowed variance {float(s[j])!r} of component {narrowest} at flow time "
+            f"{float(ts[j])!r}: s**{-scale:g} leaves float64's range",
+            float(ts[j]),
+            narrowest if mix.variances[narrowest] >= times[j] else None,
+        )
 
 
 def _flow_forest(
     mix: GaussianMixture,
     ts: Sequence[float],
-    quantities: Sequence[Tuple[str, Optional[Combination]]],
+    quantities: Sequence[Quantity],
 ) -> Forest:
     """One bisection tree per flow time t > 0 and quantity; each accepts its own panels.
 
@@ -236,8 +301,7 @@ def _flow_forest(
     absolute values, not of its own absolute value, which cancels below it.
     """
     windows = [_window(mix, t) for t in ts]
-    top = max((comb.max_order() for _, comb in quantities if comb is not None), default=0)
-    _check_z(mix, windows, ts, max(2, top))
+    _check_kernel(mix, windows, ts, max([2, *_ratio_powers(quantities)]))
     return Forest(
         _flow_rows(mix, ts, quantities),
         windows,
@@ -249,18 +313,18 @@ def _flow_forest(
 def _flow_results(
     mix: GaussianMixture,
     t: float,
-    quantities: Sequence[Tuple[str, Optional[Combination]]],
+    quantities: Sequence[Quantity],
     tol: float,
 ) -> List[QuadResult]:
     """Each quantity's integral at flow time t > 0, from one bisection forest."""
+    if t <= 0:
+        raise ValueError("quantities along the flow need t > 0")
     (results,) = refine(_flow_forest(mix, [t], quantities), tol, stacklevel=3)
     return results
 
 
 def entropy_result(mix: GaussianMixture, t: float, tol: float = DEFAULT_TOL) -> QuadResult:
-    if t <= 0:
-        raise ValueError("entropy along the flow needs t > 0")
-    return _flow_results(mix, t, [("h", None)], tol)[0]
+    return _flow_results(mix, t, [_jet(0)], tol)[0]
 
 
 def entropy(mix: GaussianMixture, t: float, tol: float = DEFAULT_TOL) -> float:
@@ -272,8 +336,6 @@ def fisher_result(
     mix: GaussianMixture, t: float, tol: float = DEFAULT_TOL
 ) -> QuadResult:
     """J(t) as the integral of C_1 = f1^2/f."""
-    if t <= 0:
-        raise ValueError("functionals along the flow need t > 0")
     return _flow_results(mix, t, [("C_1", entropy_derivative(1))], tol)[0]
 
 
@@ -304,192 +366,31 @@ def functional(
 
 
 # ---------------------------------------------------------------------------
-# Finite differences in t
+# Entropy derivatives by the Taylor jet in t
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _central_stencil(n: int) -> Tuple[Tuple[int, float], ...]:
-    """Centered stencil (offset, coefficient) with f^(n) ~ sum c f(t+k h) / h^n.
+def fd_entropy_deriv_result(
+    mix: GaussianMixture, t: float, n: int, tol: float = DEFAULT_TOL
+) -> Tuple[float, float]:
+    """h^(n)(t) as the integral of its jet row; returns (value, error).
 
-    Even orders use the plain binomial stencil; odd orders convolve the
-    next-lower even stencil with the centered first difference, which
-    keeps every point on the integer grid (2 ceil(n/2) + 1 points).
+    The row is ``_jet(n)``'s, refined alone on its own tree, so it has the
+    bits that the scan's ``d_fd`` gives it at t.  It rests on the heat
+    equation and the kernel's ratios only, never on the symbolic calculus.
     """
     if n < 1:
         raise ValueError("derivative order must be >= 1")
-    m = n if n % 2 == 0 else n - 1
-    coeffs: Dict[int, float] = {}
-    for k in range(m + 1):
-        off = m // 2 - k
-        coeffs[off] = coeffs.get(off, 0.0) + (-1.0) ** k * math.comb(m, k)
-    if n % 2:
-        odd: Dict[int, float] = {}
-        for off, c in coeffs.items():
-            odd[off + 1] = odd.get(off + 1, 0.0) + 0.5 * c
-            odd[off - 1] = odd.get(off - 1, 0.0) - 0.5 * c
-        coeffs = odd
-    return tuple(sorted((off, c) for off, c in coeffs.items() if c))
+    (result,) = _flow_results(mix, t, [_jet(n)], tol)
+    return result.value, result.error
 
 
-@lru_cache(maxsize=None)
-def _stencil_offsets(n: int) -> Tuple[int, ...]:
-    """The stencil's points at steps h and h/2, in units of h/2."""
-    stencil = _central_stencil(n)
-    return tuple(sorted({2 * off for off, _ in stencil} | {off for off, _ in stencil}))
-
-
-def _stencil_reach(n: int) -> int:
-    return max(abs(off) for off, _ in _central_stencil(n))
-
-
-def default_fd_step(mix: GaussianMixture, t: float, n: int) -> float:
-    """Step scaled by the local smoothness scale of h, clamped inside (0, t).
-
-    The entropy varies on the scale of the smallest flowed variance, so
-    the step follows t + min variance; a pure-t step would be far too
-    small when the mixture is much wider than t.
-    """
-    scale = t + min(v for _, _, v in mix.components)
-    step = max(1e-3, 0.02 * scale)
-    reach = _stencil_reach(n)
-    return min(step, 0.9 * t / reach)
-
-
-def fd_entropy_deriv_result(
-    mix: GaussianMixture,
-    t: float,
-    n: int,
-    step: Optional[float] = None,
-    tol: float = DEFAULT_TOL,
-) -> Tuple[float, float]:
-    """Richardson-extrapolated central difference of entropy; returns (value, error).
-
-    Both step levels (h and h/2) are evaluated on one shared quadrature
-    mesh so the quadrature error varies smoothly across the stencil and
-    cancels in the differences.  The error estimate combines the
-    Richardson correction with a roundoff/quadrature floor.
-    """
-    return fd_entropy_derivs(mix, t, [n], step, tol)[n]
-
-
-def fd_entropy_derivs(
-    mix: GaussianMixture,
-    t: float,
-    orders: Sequence[int],
-    step: Optional[float] = None,
-    tol: float = DEFAULT_TOL,
-) -> Dict[int, Tuple[float, float]]:
-    """``fd_entropy_deriv_result`` of several orders, sharing their evaluations.
-
-    Every stencil entropy is integrated on the panels that h(t)'s own tree
-    accepts, as in the scan row at t.  An order's step depends only on its
-    stencil's reach, so the orders of one reach share their stencil
-    entropies, and each order's result is bit for bit what it gives alone
-    and what the scan gives at t.
-    """
-    stencils = _fd_stencils(mix, t, orders, step)
-    (h,) = _flow_results(mix, t, _ENTROPY, tol)
-    return _fd_finish(mix, [t], [stencils], [h.panels], tol)[0]
-
-
-def _fd_stencils(
-    mix: GaussianMixture, t: float, orders: Sequence[int], step: Optional[float]
-) -> List[Tuple[float, Tuple[int, ...], Tuple[int, ...]]]:
-    """The fd stencils of flow time t: per distinct step h, its orders and their offsets.
-
-    ``default_fd_step`` depends on the order only through its stencil
-    reach, and it clamps a larger reach's step only when t is small, so at
-    most flow times every order shares one step (7 stencil times for
-    orders 1-4).  A stencil's offsets, in units of h/2, are the union of
-    its orders', and those include the offsets of every stencil of smaller
-    reach, so orders of several reaches that share a step share one set of
-    stencil entropies.
-    """
-    by_reach: Dict[int, List[int]] = {}
-    for n in orders:
-        if n < 1:
-            raise ValueError("derivative order must be >= 1")
-        by_reach.setdefault(_stencil_reach(n), []).append(n)
-    by_step: Dict[float, List[int]] = {}
-    for reach, ns in by_reach.items():
-        h = default_fd_step(mix, t, ns[0]) if step is None else float(step)
-        if h <= 0 or t - reach * h <= 0:
-            raise ValueError(f"step {h} reaches t <= 0 for order {ns[0]} at t = {t}")
-        # _richardson divides by h**n and (h/2)**n: both must be normal floats
-        n = max(ns)
-        if not (-1022 <= n * math.log2(h / 2.0) and n * math.log2(h) < 1024):
-            raise FlowRangeError(f"fd step {h} at t = {t}: h**{n} leaves float64's normal range", t)
-        by_step.setdefault(h, []).extend(ns)
-    return [
-        (h, tuple(ns), tuple(sorted({off for n in ns for off in _stencil_offsets(n)})))
-        for h, ns in by_step.items()
-    ]
-
-
-def _fd_finish(
-    mix: GaussianMixture,
-    ts: Sequence[float],
-    stencils: Sequence[Sequence[Tuple[float, Tuple[int, ...], Tuple[int, ...]]]],
-    panels: Sequence[np.ndarray],
-    tol: float,
-) -> List[Dict[int, Tuple[float, float]]]:
-    """Each flow time's fd results from its ``_fd_stencils``, on the panels its h accepted.
-
-    Every stencil time of every flow time is a job of its own, integrated
-    on its flow time's panels, so the quadrature rule is the same at every
-    stencil point and its error cancels in the differences; all of them
-    take one ``integrate`` call.  Stencil times that round to the same
-    float get the same bits.
-    """
-    jobs = [
-        (i, t + off * (h / 2.0))
-        for i, (t, steps) in enumerate(zip(ts, stencils))
-        for h, _, offsets in steps
-        for off in offsets
-    ]
-    windows = [mix.support_interval(t) for t in ts]
-    _check_z(mix, [windows[i] for i, _ in jobs], [time for _, time in jobs], 2)
-    rows = _flow_rows(mix, [time for _, time in jobs], _ENTROPY)
-    entropies = iter(integrate([panels[i] for i, _ in jobs], rows))
-    results = []
-    for steps in stencils:
-        fd = {}
-        for h, orders, offsets in steps:
-            h_at = {off: next(entropies)[0] for off in offsets}
-            for n in orders:
-                fd[n] = _richardson(n, h, h_at, tol)
-        results.append(fd)
-    return results
-
-
-def _richardson(n: int, h: float, h_at: Dict[int, float], tol: float) -> Tuple[float, float]:
-    """Order n's (value, error) from the entropies at its stencil offsets, in units of h/2."""
-    stencil = _central_stencil(n)
-    half = h / 2.0
-    coarse = sum(c * h_at[2 * off] for off, c in stencil) / h**n
-    fine = sum(c * h_at[off] for off, c in stencil) / half**n
-    value = (4.0 * fine - coarse) / 3.0
-
-    coeff_l1 = sum(abs(c) for _, c in stencil)
-    eval_noise = tol + 1e-15 * max(abs(h_at[off]) for off in _stencil_offsets(n))
-    roundoff = coeff_l1 * eval_noise * (1.0 / h**n + 4.0 / half**n) / 3.0
-    error = abs(fine - coarse) / 3.0 + roundoff
-    return value, error
-
-
-def fd_entropy_deriv(
-    mix: GaussianMixture,
-    t: float,
-    n: int,
-    step: Optional[float] = None,
-    tol: float = DEFAULT_TOL,
-) -> float:
-    """n-th t-derivative of entropy by central differences (symbolic-free oracle)."""
-    value, error = fd_entropy_deriv_result(mix, t, n, step, tol)
+def fd_entropy_deriv(mix: GaussianMixture, t: float, n: int, tol: float = DEFAULT_TOL) -> float:
+    """n-th t-derivative of entropy from the Taylor jet (symbolic-free oracle)."""
+    value, error = fd_entropy_deriv_result(mix, t, n, tol)
     if abs(value) > 0 and error > 0.1 * abs(value):
         warnings.warn(
-            f"order-{n} finite difference at t={t} has estimated error "
+            f"order-{n} jet derivative at t={t} has estimated error "
             f"{error:.2e} (> 10% of value {value:.2e})",
             FdAccuracyWarning,
             stacklevel=2,
@@ -541,20 +442,13 @@ def second_difference(
 
 
 def _has_both_signs(values: Iterable[Tuple[float, float]]) -> bool:
-    """Among finite (value, error) pairs, one above 3 errors and one below -3 errors."""
-    pos = neg = False
-    for value, error in values:
-        if not math.isfinite(value):
-            continue
-        if value > 3.0 * error:
-            pos = True
-        elif value < -3.0 * error:
-            neg = True
-    return pos and neg
+    """Among (value, error) pairs, one above 3 errors and one below -3 errors."""
+    return {"pass", "fail"} <= {_sign_status(value, error, 1) for value, error in values}
 
 
 def _sign_status(value: float, error: float, wanted: int) -> str:
-    if abs(value) <= 3.0 * error:
+    """A sign verdict: "pass" or "fail" only for a finite value beyond 3 finite errors."""
+    if not (math.isfinite(value) and math.isfinite(error)) or abs(value) <= 3.0 * error:
         return "inconclusive"
     return "pass" if math.copysign(1.0, value) == wanted else "fail"
 
@@ -573,11 +467,12 @@ class ScanRow:
     h_err: float
     J: float
     J_err: float
-    d_fd: Tuple[Tuple[float, float], ...]  # (value, error) for n = 1..max_order
-    d_sym: Tuple[float, ...]  # symbolic d^n h for n = 1..min(4, max_order)
+    d_fd: Tuple[Tuple[float, float], ...]  # jet (value, error) for n = 1..max_order
+    d_sym: Tuple[Tuple[float, float], ...]  # symbolic (value, error) for n = 1..min(4, max_order)
     costa_margin: float  # -J' - J^2, zero for a single Gaussian
     costa_margin_err: float
-    # per quadrature tree, h then C_1..C_k: False where it stopped short
+    # per quadrature tree, the jet orders 0..max_order (h first) then
+    # C_1..C_k: False where it stopped short
     converged: Tuple[bool, ...]
     logJ_dd: float = math.nan
     logJ_dd_err: float = math.nan
@@ -619,9 +514,7 @@ class ScanResult:
         return sum(1 for r in self.rows if not all(r.converged))
 
     def logJ_convexity_violations(self) -> int:
-        return sum(
-            1 for r in self.rows if math.isfinite(r.logJ_dd) and r.logJ_dd < -3.0 * r.logJ_dd_err
-        )
+        return sum(_sign_status(r.logJ_dd, r.logJ_dd_err, 1) == "fail" for r in self.rows)
 
 
 _SYM_ORDERS = 4
@@ -636,7 +529,7 @@ _FOREST_TIMES = 40
 def _flow_batches(
     mix: GaussianMixture,
     ts: Sequence[float],
-    quantities: Sequence[Tuple[str, Optional[Combination]]],
+    quantities: Sequence[Quantity],
     tol: float,
 ) -> Iterator[Tuple[Sequence[float], List[List[QuadResult]]]]:
     """Each batch of ``_FOREST_TIMES`` flow times, with each quantity's result per time.
@@ -653,25 +546,20 @@ def _scan_rows(
 ) -> List[ScanRow]:
     """The scan's rows before the grid-level verdicts, from one forest per batch.
 
-    Each flow time has one tree on which h and C_1..C_4 each accept their
-    own panels.  The panels h accepts are its mesh: every fd stencil
-    entropy of that time is integrated on it, all of the batch's in one
-    ``integrate`` call.
+    Each flow time has one tree on which the jet orders 0..max_order (h
+    first) and C_1..C_4 each accept their own panels.
     """
     sym_orders = min(_SYM_ORDERS, max_order)
-    # h; C_1 and C_2 (which integrate to J and J') always; C_3, C_4 as the orders ask
-    quantities = _ENTROPY + [
+    # the jet; C_1 and C_2 (which integrate to J and J') always; C_3, C_4 as the orders ask
+    quantities = [_jet(n) for n in range(max_order + 1)] + [
         (f"C_{n}", entropy_derivative(n)) for n in range(1, max(sym_orders, 2) + 1)
     ]
-    fd_orders = range(1, max_order + 1)
     rows = []
     for batch, flows in _flow_batches(mix, ts, quantities, tol):
-        stencils = [_fd_stencils(mix, t, fd_orders, None) for t in batch]
-        fds = _fd_finish(mix, batch, stencils, [flow[0].panels for flow in flows], tol)
-        for t, (h_res, *sym), fd in zip(batch, flows, fds):
+        for t, flow in zip(batch, flows):
+            h_res, jet, sym = flow[0], flow[1 : max_order + 1], flow[max_order + 1 :]
             j_res = sym[0]
             _check_fisher(mix, j_res.value, t, t)
-            d_sym = tuple(0.5 * r.value for r in sym[:sym_orders])
             jp = sym[1]
             costa_margin = -jp.value - j_res.value * j_res.value
             costa_err = 2.0 * tol + 2.0 * j_res.value * j_res.error + 1e-12 * abs(jp.value)
@@ -683,11 +571,11 @@ def _scan_rows(
                     h_err=h_res.error,
                     J=j_res.value,
                     J_err=j_res.error,
-                    d_fd=tuple(fd[n] for n in range(1, max_order + 1)),
-                    d_sym=d_sym,
+                    d_fd=tuple((r.value, r.error) for r in jet),
+                    d_sym=tuple((0.5 * r.value, 0.5 * r.error) for r in sym[:sym_orders]),
                     costa_margin=costa_margin,
                     costa_margin_err=costa_err,
-                    converged=(h_res.converged, *(r.converged for r in sym)),
+                    converged=tuple(r.converged for r in flow),
                 )
             )
     return rows
@@ -761,9 +649,11 @@ def scan_conjectures(
         row.e2h_dd = float(e2h_dd[i])
         row.e2h_dd_err = float(e2h_err[i])
 
-        # a verdict rests on one tree: the fd orders' on h's, d_sym's order n on C_n's
-        checks = [(n, v, e, row.converged[0]) for n, (v, e) in enumerate(row.d_fd, start=1)]
-        checks += [(n, v, tol * 3, row.converged[n]) for n, v in enumerate(row.d_sym, start=1)]
+        # a verdict rests on one tree: d_fd's order n on the jet's, d_sym's on C_n's
+        checks = [(n, v, e, row.converged[n]) for n, (v, e) in enumerate(row.d_fd, start=1)]
+        checks += [
+            (n, v, e, row.converged[max_order + n]) for n, (v, e) in enumerate(row.d_sym, start=1)
+        ]
         row.sign_status = tuple(
             _sign_status(value, error, 1 if n % 2 else -1) if done else "inconclusive"
             for n, value, error, done in checks
@@ -792,7 +682,7 @@ def scan_to_csv(result: ScanResult) -> str:
     lines = [CSV_HEADER]
     for row in result.rows:
         d_fd = [row.d_fd[i][0] if i < len(row.d_fd) else math.nan for i in range(4)]
-        d_sym = [row.d_sym[i] if i < len(row.d_sym) else math.nan for i in range(4)]
+        d_sym = [row.d_sym[i][0] if i < len(row.d_sym) else math.nan for i in range(4)]
         fields = (
             [_fmt(row.t), _fmt(row.h), _fmt(row.J)]
             + [_fmt(v) for v in d_fd]
@@ -856,19 +746,25 @@ def wt_checks(
 
     Uses the scaling identity h(W_t) = h(X + sqrt(1/t - 1) Z) + log(t)/2
     and J(W_t) = J(X + sqrt(1/t - 1) Z) / t, so everything reduces to flow
-    quantities at s = 1/t - 1.  A t whose s or J(Y_s)**2 leaves float64's
-    range raises ``FlowRangeError`` at that t, as the scan does.
+    quantities at s = 1/t - 1.  A t whose s, kernel values or J(Y_s)**2
+    leave float64's range raises ``FlowRangeError`` at that t, as the scan
+    does.
     """
     ts = [float(t) for t in t_grid]
     if any(not 0 < t < 1 for t in ts) or sorted(ts) != ts:
         raise ValueError("grid must lie strictly inside (0, 1) and increase")
 
-    quantities = _ENTROPY + [("C_1", entropy_derivative(1)), ("C_2", entropy_derivative(2))]
+    quantities = [_jet(0), ("C_1", entropy_derivative(1)), ("C_2", entropy_derivative(2))]
     flow_times = [1.0 / t - 1.0 for t in ts]
     for t, s in zip(ts, flow_times):
         if not math.isfinite(s):
             raise FlowRangeError(f"s = 1/t - 1 at t = {t!r} overflows float64", t)
-    flows = [flow for _, batch in _flow_batches(mix, flow_times, quantities, tol) for flow in batch]
+    batches = _flow_batches(mix, flow_times, quantities, tol)
+    try:
+        flows = [flow for _, batch in batches for flow in batch]
+    except FlowRangeError as exc:
+        exc.t = ts[flow_times.index(exc.t)]  # the grid time of the flow time at fault
+        raise
     rows = []
     for t, s, (h_res, j_res, c2_res) in zip(ts, flow_times, flows):
         _check_fisher(mix, j_res.value, s, t)

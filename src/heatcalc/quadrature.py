@@ -1,10 +1,7 @@
 """Adaptive Gauss-Legendre quadrature on panel meshes, refined as forests.
 
 All integrands here decay like Gaussians, so fixed-order Gauss-Legendre
-panels with adaptive bisection converge fast.  Meshes are first-class:
-callers that difference an integral in a parameter evaluate every shifted
-integrand on one shared mesh, so quadrature error varies smoothly with
-the parameter and cancels in the differences.
+panels with adaptive bisection converge fast.
 
 An integrand maps an array of N abscissae to N values, or to a (k, N)
 array: k rows that share their evaluation, such as several quantities at
@@ -24,8 +21,7 @@ evaluated in chunks of at most ``_CHUNK_NODES`` abscissae, so the memory
 of a call does not grow with the forest.  Each ``QuadResult`` keeps the
 panels its row accepted, so a row's own mesh comes with its integral.
 ``adaptive_quad`` and ``build_mesh`` are forests of one job, and
-``integrate`` sums integrands on many lists of panels in one call per
-chunk.
+``Mesh.integrate`` sums an integrand's whole-panel values on fixed panels.
 
 No bit depends on which panels, rows or jobs share a call: every value is
 computed per abscissa; each panel's rule sum is one ``ddot`` of its own
@@ -279,26 +275,11 @@ class Mesh:
     def integrate(self, fn: Integrand) -> Union[float, Tuple[float, ...]]:
         """The integral of ``fn`` on the mesh; a tuple, one per row, for an integrand of rows."""
         rows, ndims = _job_rows([fn])
-        (totals,) = integrate([np.array(self.panels, dtype=float).reshape(-1, 2)], rows)
+        bounds = np.array(self.panels, dtype=float).reshape(-1, 2)
+        sums = _evaluate(rows, bounds[:, 0], bounds[:, 1], np.zeros(len(bounds), np.intp))
+        segments = np.repeat(np.arange(len(sums)), sums.shape[1])
+        totals = tuple(_sequential_sums(sums.ravel(), segments, len(sums)).tolist())
         return totals if max(ndims) > 1 else totals[0]
-
-
-def integrate(panels: Sequence[np.ndarray], fn: JobIntegrand) -> List[Tuple[float, ...]]:
-    """Each row's integral on each job's panels, as ``Mesh.integrate`` gives it.
-
-    ``panels`` holds per job a (panels, 2) array of (lo, hi) rows, such as
-    a ``QuadResult``'s.  ``fn(y, jobs)`` gets the abscissae of all jobs,
-    with the index of the job each belongs to, in one call per chunk.
-    """
-    if not panels:
-        return []
-    bounds = np.concatenate(panels)
-    jobs = np.repeat(np.arange(len(panels)), [len(part) for part in panels])
-    sums = _evaluate(fn, bounds[:, 0], bounds[:, 1], jobs)
-    rows = len(sums)
-    segments = (jobs * rows + np.arange(rows)[:, None]).ravel()
-    totals = _sequential_sums(sums.ravel(), segments, len(panels) * rows)
-    return [tuple(part) for part in totals.reshape(len(panels), rows).tolist()]
 
 
 @dataclass(frozen=True)

@@ -222,7 +222,7 @@ def test_criterion_8_conjecture_scans(capsys):
     scan = scan_conjectures(mix, list(np.linspace(0.4, 3.0, 14)), max_order=6)
     sym_ok = True
     for row in scan.rows:
-        for n, value in enumerate(row.d_sym, start=1):
+        for n, (value, _) in enumerate(row.d_sym, start=1):
             exact = _gaussian_dnh(n, 1.0 + row.t)
             sym_ok = sym_ok and abs(value - exact) / abs(exact) < 1e-8
     logj_ok = all(

@@ -3,7 +3,8 @@
 ``perfbench/workloads.py`` fails a scan row when its verdict lines are
 missing, when a row's fd columns differ from ``fd_entropy_deriv_result``
 recomputed at that row's t alone, or when a symbolic derivative misses
-its finite difference by more than 3 (fd error + 3 tol).  It fails a
+it by more than 3 (error + 3 tol).  The fd columns and that function
+carry the Taylor jet's h^(n) and its quadrature error.  It fails a
 wt-scan row when the command's verdict lines are missing or the row's
 ``txz_ok`` is not 1.  A change to the oracle that trips those checks
 fails here, not only under the benchmark.  The checks are imported as

@@ -173,6 +173,15 @@ class TestCertify:
         assert lines[0].endswith("Farkas witness verified exactly")
         assert lines[1] == "no exactly-verified certificate found (reported, not asserted)"
 
+    def test_order7_search_ends_undecided_without_a_traceback(self, capsys):
+        # the central path's Cholesky fails at mu 3.3e-11, in about 1.7 s
+        assert main(["certify", "--order", "7", "--search"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("search order 7: central path broke down at mu 3.277e-11, t ")
+        assert lines[0].endswith("; undecided")
+        assert lines[1] == "no exactly-verified certificate found (reported, not asserted)"
+
     @pytest.mark.parametrize("starts", ["0", "-2"])
     def test_search_needs_at_least_one_start(self, starts, capsys):
         code = main(["certify", "--order", "4", "--search", "--starts", starts])
@@ -424,12 +433,13 @@ class TestScanCommand:
     @pytest.mark.parametrize(
         "field,payload",
         [
-            # the order-4 fd step 0.45 t makes h**4 underflow to 0
+            # the integrands of ratio row 8 scale like s**-4.5, which
+            # overflows at s = v + t = 1e-100; t is the larger, at fault
             (
                 "t_grid.start",
                 {
-                    "mixture": [{"w": 1, "mu": 0, "var": 1}],
-                    "t_grid": {"start": 1e-85, "stop": 1, "points": 5, "spacing": "log"},
+                    "mixture": [{"w": 1, "mu": 0, "var": 1e-200}],
+                    "t_grid": {"start": 1e-100, "stop": 1, "points": 5, "spacing": "log"},
                 },
             ),
             # J is about 1e-200, and its square underflows to 0
@@ -440,7 +450,7 @@ class TestScanCommand:
                     "t_grid": {"start": 0.1, "stop": 1, "points": 5},
                 },
             ),
-            # the order-4 fd step 0.02 t makes h**4 overflow
+            # s**-4.5 underflows at s = 1e80
             (
                 "t_grid.stop",
                 {
@@ -449,12 +459,12 @@ class TestScanCommand:
                 },
             ),
             # grids inside (0, 1), which wt-scan takes too: at t = 1e-320
-            # wt-scan's flow time s = 1/t - 1 overflows, and the scan's fd
-            # step underflows
+            # wt-scan's flow time s = 1/t - 1 overflows, and the scan's
+            # s**-4.5 of s = t + 1e-321 overflows
             (
                 "t_grid.start",
                 {
-                    "mixture": [{"w": 1, "mu": 0, "var": 1}],
+                    "mixture": [{"w": 1, "mu": 0, "var": 1e-321}],
                     "t_grid": {"start": 1e-320, "stop": 0.5, "points": 5, "spacing": "log"},
                 },
             ),
@@ -468,7 +478,7 @@ class TestScanCommand:
             ),
         ]
         # the window is 12 sigma of the wide component, where the narrow
-        # one's |z|**4 overflows in the scan's ratio row 4; wt-scan goes to
+        # one's |z|**8 overflows in the scan's ratio row 8; wt-scan goes to
         # ratio row 2 and takes these mixtures
         + [
             ({"scan": "mixture[1].var"}, _wide_and_narrow(var, max_order=4))
@@ -484,14 +494,24 @@ class TestScanCommand:
                     "max_order": 4,
                 },
             ),
-            # |z|**2 of the narrow component is in range at the grid's flow
-            # times, and overflows at the order-2 stencil's smallest time
+            # at max_order 2 the top ratio row is 4, where |z|**4 of the
+            # narrow component overflows
             (
                 {"scan": "mixture[1].var"},
                 dict(
                     _wide_and_narrow(3.1e302, narrow=1e-6, max_order=2),
                     t_grid={"start": 1e-3, "stop": 2e-3, "points": 3},
                 ),
+            ),
+            # |z|**8 of the narrow component reaches 1.2e76**8
+            ({"scan": "mixture[1].var"}, _wide_and_narrow(1e150, max_order=4)),
+            # s**-4.5 overflows at s = 2e-100, where v is at fault
+            (
+                "mixture[0].var",
+                {
+                    "mixture": [{"w": 1, "mu": 0, "var": 1e-100}],
+                    "t_grid": {"start": 1e-100, "stop": 1, "points": 5, "spacing": "log"},
+                },
             ),
         ],
     )
@@ -505,18 +525,19 @@ class TestScanCommand:
             with warnings.catch_warnings():
                 # no numpy overflow note comes before the config error
                 warnings.simplefilter("error", RuntimeWarning)
-                # the narrow spike of the stencil case is finer than the trees can resolve
-                warnings.simplefilter("ignore", quadrature.QuadratureNonConvergence)
+                # and no tree stops short: each case is refused before the kernel
+                # runs, or at its first J
+                warnings.simplefilter("error", quadrature.QuadratureNonConvergence)
                 rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "range")])
             assert rc == 1, command
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith(f"config error at {where}: "), command
             assert not (tmp_path / "range.csv").exists()
 
-    @pytest.mark.parametrize("command,var", [("scan", 1e150), ("wt-scan", 1e300)])
+    @pytest.mark.parametrize("command,var", [("scan", 1e70), ("wt-scan", 1e300)])
     def test_a_wide_component_in_range_runs_clean(self, tmp_path, capsys, command, var):
-        # the narrow component's largest |z| is 1.2e76 at ratio row 4, and
-        # 1.2e151 at wt-scan's ratio row 2
+        # the narrow component's largest |z| is 1.2e36 at the scan's ratio
+        # row 8, and 1.2e151 at wt-scan's ratio row 2
         cfg = tmp_path / "wide.json"
         cfg.write_text(json.dumps(_wide_and_narrow(var, max_order=4)))
         with warnings.catch_warnings():

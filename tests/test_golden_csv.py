@@ -53,16 +53,14 @@ def _wide(grid, max_order=None):
     return payload
 
 
-# a sharp Gaussian at tiny flow times, where every fd step is clamped to
-# 0.9 t / reach
+# a sharp Gaussian at tiny flow times, where the flowed variance is 2e-9
 TINY = {
     "mixture": [{"w": 1, "mu": 0, "var": 1e-9}],
     "t_grid": {"start": 1e-9, "stop": 1e-3, "points": 12, "spacing": "log"},
     "max_order": 4,
 }
 
-# bimodal at small t, where the 0.9 t / reach clamp gives the orders
-# different fd steps
+# bimodal at small t to order 6, where the jet reaches ratio row 12
 BIMODAL_ORDER_6 = dict(
     _demo("bimodal.json"),
     t_grid={"start": 0.001, "stop": 1.0, "points": 40, "spacing": "log"},
@@ -74,13 +72,13 @@ CASES = {
         "scan",
         _demo("bimodal.json"),
         SCAN_OUT.format("yes (reported)"),
-        "1bf96e4879954937b2ceb023e20cfb16ae2204af4114d17d750650bf14bcc956",
+        "22ac32af3b00d348ac3a66d6107eeef4d9a57fc849072aa59e9b44d107b44ff6",
     ),
     "gaussian": (
         "scan",
         _demo("gaussian.json"),
         SCAN_OUT.format("no (reported)"),
-        "43aecce87394fc3bad112f5ca845986ca70aad255aae0a7bd0069e738c1c7c45",
+        "caa6ffde3c14219d463759c9cb1ee77d414eb80e4f771d765911d2f889898ab0",
     ),
     "wt_bimodal": (
         "wt-scan",
@@ -92,7 +90,7 @@ CASES = {
         "scan",
         _wide(workloads.WIDE_SCAN_GRID, 4),
         SCAN_OUT.format("yes (reported)"),
-        "9201fe444ae8a982ce82f65487a0cb43ee49f0a147170a948c657e021c515d2c",
+        "b0dd1e19fab4ef0d821f3b71d9c501bf302eb7754b9e1c4e663ac7002e6fa381",
     ),
     "wide_wt": (
         "wt-scan",
@@ -104,13 +102,13 @@ CASES = {
         "scan",
         TINY,
         SCAN_OUT.format("no (reported)"),
-        "bce61a43266d72d7a17f114b1735725f477cf68d996a18b70ca5a5b61d4a1559",
+        "7a64662ee4248aa7a6b22ce690935c998af6113144929a329c68b9b50bf3b6c3",
     ),
     "bimodal_order_6": (
         "scan",
         BIMODAL_ORDER_6,
         SCAN_OUT.format("no (reported)"),
-        "931af54c9b544475e8530d53208b0700d43ae61b9b4969c6a3f65aed2c5f9c93",
+        "c1c647d6a307683bfa2fb41168b91fe638d36fd58a0ad5fbdb16b535a3998e53",
     ),
 }
 

@@ -1,4 +1,4 @@
-"""Oracle tests: quadrature closed forms, finite differences, scans, W_t checks."""
+"""Oracle tests: quadrature closed forms, the Taylor jet, scans, W_t checks."""
 
 import functools
 import math
@@ -19,11 +19,9 @@ from heatcalc.oracle import (
     DEFAULT_TOL,
     _sign_status,
     FdAccuracyWarning,
-    default_fd_step,
     entropy,
     fd_entropy_deriv,
     fd_entropy_deriv_result,
-    fd_entropy_derivs,
     fisher,
     functional,
     scan_conjectures,
@@ -131,60 +129,71 @@ class TestFunctional:
                     assert math.isclose(got, 2 * gaussian_dnh(n, s), rel_tol=1e-8)
 
     def test_agrees_with_fd_on_bimodal(self):
-        got = functional(entropy_derivative(4), BIMODAL_MIXTURE, 2.0)
-        fd, _ = fd_entropy_deriv_result(BIMODAL_MIXTURE, 2.0, 4)
-        assert math.isclose(got, 2 * fd, rel_tol=1e-3)
+        # the symbolic C_4 and the jet's h^(4) agree within their joint error
+        sym = oracle.functional_result(entropy_derivative(4), BIMODAL_MIXTURE, 2.0)
+        fd, error = fd_entropy_deriv_result(BIMODAL_MIXTURE, 2.0, 4)
+        assert abs(0.5 * sym.value - fd) <= 0.5 * sym.error + error
 
 
 class TestFiniteDifferences:
+    """The d*_fd route: h^(n) as the integral of its Taylor-jet row."""
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_gaussian_closed_form(self, n):
         g = GaussianMixture.single(0, 1)
         got = fd_entropy_deriv(g, 1.0, n)
-        assert math.isclose(got, gaussian_dnh(n, 2.0), rel_tol=1e-6)
+        assert math.isclose(got, gaussian_dnh(n, 2.0), rel_tol=1e-13)
 
     def test_de_bruijn(self):
         got = fd_entropy_deriv(BIMODAL_MIXTURE, 0.7, 1)
-        assert math.isclose(got, 0.5 * fisher(BIMODAL_MIXTURE, 0.7), rel_tol=1e-6)
+        assert math.isclose(got, 0.5 * fisher(BIMODAL_MIXTURE, 0.7), rel_tol=1e-12)
 
     def test_fourth_order_value(self):
         g = GaussianMixture.single(0, 1)
-        assert math.isclose(fd_entropy_deriv(g, 1.0, 4), -3.0 / 16.0, rel_tol=1e-6)
+        assert math.isclose(fd_entropy_deriv(g, 1.0, 4), -3.0 / 16.0, rel_tol=1e-13)
 
     def test_third_derivative_positive_on_bimodal(self):
         value, error = fd_entropy_deriv_result(BIMODAL_MIXTURE, 0.5, 3)
         assert value > 3 * error > 0
 
     def test_gaussian_errors_cover_the_closed_form(self):
-        # every stated fd error covers the truth, from sharp to wide
-        # Gaussians and from tiny to large flow times
+        # every stated jet error covers h^(n) = (-1)^(n+1) (n-1)! / (2 (v+t)^n),
+        # from sharp to wide Gaussians and from tiny to large flow times
         for var in (1e-9, 1e-6, 1e-3, 1.0, 3.0, 10.0):
             g = GaussianMixture.single(0, var)
             for t in np.geomspace(1e-9, 1e3, 13):
-                for n, (value, error) in fd_entropy_derivs(g, float(t), range(1, 5)).items():
+                for n in range(1, 7):
+                    value, error = fd_entropy_deriv_result(g, float(t), n)
                     assert abs(value - gaussian_dnh(n, var + t)) <= error, (var, t, n)
 
-    def test_step_must_stay_inside_domain(self):
-        g = GaussianMixture.single(0, 1)
-        with pytest.raises(ValueError):
-            fd_entropy_deriv(g, 0.1, 4, step=0.06)
+    def test_jet_remainders_are_the_series(self):
+        # P_n of (1 + G) log(1 + G), exact in f_2..f_(2n-2)
+        def comb(*terms):
+            return combination({make_monomial(orders): Fraction(c) for c, orders in terms})
 
-    def test_default_step_respects_domain(self):
-        g = GaussianMixture.single(0, 4)
-        step = default_fd_step(g, 0.3, 4)
-        assert 0.3 - 2 * step > 0
+        assert oracle._jet_remainder(1) == Combination.zero()
+        assert oracle._jet_remainder(2) == comb(("1/4", [2, 2]))
+        assert oracle._jet_remainder(3) == comb(("3/8", [2, 4]), ("-1/8", [2, 2, 2]))
+        assert oracle._jet_remainder(4) == comb(
+            ("1/4", [2, 6]), ("3/16", [4, 4]), ("-3/8", [2, 2, 4]), ("1/8", [2, 2, 2, 2])
+        )
 
-    def test_warns_when_error_estimate_large(self):
-        g = GaussianMixture.single(0, 1)
-        with pytest.warns(FdAccuracyWarning):
-            # a huge fourth-order step forces a visible Richardson correction
-            fd_entropy_deriv(g, 4.0, 4, step=1.9)
+    def test_warns_when_error_estimate_large(self, monkeypatch):
+        # trees held to their initial panels cannot resolve modes of
+        # standard deviation 0.045 that lie 30 apart, so the stated error
+        # is larger than the value
+        monkeypatch.setattr(oracle, "refine", functools.partial(quadrature.refine, max_panels=8))
+        mix = GaussianMixture.create([(0.5, 0.0, 1e-3), (0.5, 30.0, 1e-3)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QuadratureNonConvergence)
+            with pytest.warns(FdAccuracyWarning):
+                fd_entropy_deriv(mix, 1e-3, 4)
 
     def test_fifth_derivative_cross_check(self):
         mix = GaussianMixture.create([(0.4, -1.0, 0.6), (0.6, 1.5, 1.2)])
-        sym = functional(entropy_derivative(5), mix, 0.8)
-        fd, _ = fd_entropy_deriv_result(mix, 0.8, 5)
-        assert math.isclose(sym, 2 * fd, rel_tol=1e-4)
+        sym = oracle.functional_result(entropy_derivative(5), mix, 0.8)
+        fd, error = fd_entropy_deriv_result(mix, 0.8, 5)
+        assert abs(0.5 * sym.value - fd) <= 0.5 * sym.error + error
 
 
 class TestKernelCalls:
@@ -211,29 +220,13 @@ class TestKernelCalls:
         calls = self._counting(monkeypatch)
         oracle._scan_row_core(GaussianMixture.single(), 1.0, 4, DEFAULT_TOL)
         # every tree of this row accepts its 8 initial panels, so the one
-        # forest makes two calls: 8 panels, then their 16 halves, for h and
-        # C_1..C_4 together.  The fd route refines nothing: its stencil
-        # times are integrated on the panels h accepted, a job each.  All
-        # four orders share one step here, and the 5 stencil times of
-        # orders 1-2 are among the 7 of orders 3-4, so one call of 7 jobs
-        # integrates them all.
-        assert calls == self.LEVELS + [((7,), 7 * self.PANELS)]
-
-    def test_a_small_t_row_makes_one_stencil_call(self, monkeypatch):
-        # at t = 0.01 the clamp 0.9 t / reach gives orders 1-2 and 3-4
-        # their own steps, and the 5 and 7 stencil times of the two steps
-        # are 12 jobs of one call
-        calls = self._counting(monkeypatch)
-        oracle._scan_row_core(GaussianMixture.single(), 0.01, 4, DEFAULT_TOL)
-        assert calls == self.LEVELS + [((12,), 12 * self.PANELS)]
+        # forest makes two calls: 8 panels, then their 16 halves, for the
+        # jet orders 0..4 and C_1..C_4 together
+        assert calls == self.LEVELS
 
     def test_40_points_make_the_calls_of_3(self, monkeypatch):
         # a forest takes up to 40 flow times, one job each, and each level
-        # of each forest is one call for all of them; so are the stencil
-        # entropies, a job per stencil time.  A call is cut at
-        # _CHUNK_NODES abscissae, which the stencils of 40 points pass, so
-        # the cut is lifted here
-        monkeypatch.setattr(quadrature, "_CHUNK_NODES", 10**6)
+        # of each forest is one call for all of them
         calls = self._counting(monkeypatch)
         layouts = []
         for points in (3, 40):
@@ -241,7 +234,7 @@ class TestKernelCalls:
             scan_conjectures(GaussianMixture.single(), time_grid(0.3, 5.0, points), 4)
             layouts.append([(shape[0] / points, nodes / points) for shape, nodes in calls])
         levels = [(1, self.PANELS), (1, 2 * self.PANELS)]
-        assert layouts[0] == layouts[1] == levels + [(7, 7 * self.PANELS)]
+        assert layouts[0] == layouts[1] == levels
 
 
 class TestCompiledEpilogue:
@@ -262,18 +255,31 @@ class TestCompiledEpilogue:
 
     @classmethod
     def quantities(cls):
+        jet = [oracle._jet(n) for n in range(7)]
         cs = [(f"C_{n}", entropy_derivative(n)) for n in range(1, 9)]
         density = Combination.term(make_monomial([]))
         extra = [("f", density), ("mixed", cls.MIXED), ("zero", Combination.zero())]
-        return [("h", None)] + cs + extra
+        return jet + cs + extra
+
+    @staticmethod
+    def exact_terms(spec, lf, ratios, i):
+        """Each term of a quantity at node i, exact on the kernel's own floats, without f."""
+
+        def product(mono):
+            return math.prod((Fraction(float(ratios[m, i])) ** k for m, k in mono.exps), start=1)
+
+        if isinstance(spec, Combination):
+            return [coeff * product(mono) for mono, coeff in spec.items()]
+        head = -Fraction(float(lf[i])) * Fraction(float(ratios[2 * spec, i])) / 2**spec
+        return [head] + [-c * product(mono) for mono, c in oracle._jet_remainder(spec).items()]
 
     def test_each_node_is_within_its_roundoff_of_the_exact_value(self):
-        # the exact value of each combination on the kernel's own float
-        # ratios and density, with exact rational coefficients; the
-        # compiled terms round the coefficient, each power, each product
-        # and each partial sum, well inside 8 eps of the terms' magnitude;
-        # so is each magnitude row, f times the sum of the terms' absolute
-        # values, of that exact magnitude
+        # the exact value of each combination and jet row on the kernel's own
+        # float log density and ratios, with exact rational coefficients;
+        # the compiled terms round the coefficient, each power, each
+        # product and each partial sum, well inside 8 eps of the terms'
+        # magnitude; so is each magnitude row, f times the sum of the
+        # terms' absolute values, of that exact magnitude
         t = 0.4
         y = np.linspace(*self.MIX.support_interval(t), 41)
         qs = self.quantities()
@@ -283,19 +289,15 @@ class TestCompiledEpilogue:
         eps = np.finfo(float).eps
         layout = oracle._magnitude_rows(qs)
         assert len(values) == max(layout) + 1 > len(qs)
-        for q, ((name, comb), row) in enumerate(zip(qs, values)):
-            if comb is None:
-                assert np.array_equal(row, -f * lf)
-                continue
+        # h is -f log f to the bit
+        assert np.array_equal(values[0], -f * lf)
+        for q, ((name, spec), row) in enumerate(zip(qs, values)):
             own = values[layout[q]]
-            assert (layout[q] == q) == (len(comb) <= 1)
+            assert (layout[q] == q) == (len(self.exact_terms(spec, lf, ratios, 0)) <= 1)
             for i in range(y.size):
-                exact = magnitude = Fraction(0)
-                for mono, coeff in comb.items():
-                    factors = (Fraction(float(ratios[m, i])) ** k for m, k in mono.exps)
-                    term = coeff * math.prod(factors, start=Fraction(1))
-                    exact += term
-                    magnitude += abs(term)
+                terms = self.exact_terms(spec, lf, ratios, i)
+                exact = sum(terms, Fraction(0))
+                magnitude = sum(map(abs, terms), Fraction(0))
                 fi = Fraction(float(f[i]))
                 error = abs(Fraction(float(row[i])) - fi * exact)
                 assert error <= 8 * eps * fi * magnitude, (name, i)
@@ -359,7 +361,10 @@ def capped(monkeypatch):
 class TestSharedEvaluation:
     """Sharing kernel calls between the quantities of a row changes no bit."""
 
-    ROW = [("h", None)] + [(f"C_{n}", entropy_derivative(n)) for n in range(1, 5)]
+    # the scan's row at max_order 4: the jet orders 0..4, then C_1..C_4
+    ROW = [oracle._jet(n) for n in range(5)] + [
+        (f"C_{n}", entropy_derivative(n)) for n in range(1, 5)
+    ]
 
     @staticmethod
     def _alone(mix, t, quantity):
@@ -384,11 +389,13 @@ class TestSharedEvaluation:
         assert messages[0] == messages[1]
         assert len(messages[0]) == (1 if case == "wide" else 0)
         assert entropy(mix, t) == shared[0].value
-        assert functional(entropy_derivative(3), mix, t) == shared[3].value
+        assert fd_entropy_deriv_result(mix, t, 3) == (shared[3].value, shared[3].error)
+        assert functional(entropy_derivative(3), mix, t) == shared[7].value
         # a plain integrand takes its own absolute value as its magnitude,
-        # and so do h and the one-term C_1
+        # and so do the one-term h, h' and C_1
         a, b = mix.support_interval(t)
-        assert shared[:2] == [adaptive_quad(self._plain(mix, t, q), a, b) for q in self.ROW[:2]]
+        for q in (0, 1, 5):
+            assert shared[q] == adaptive_quad(self._plain(mix, t, self.ROW[q]), a, b)
 
     @staticmethod
     def _plain(mix, t, quantity):
@@ -403,9 +410,9 @@ class TestSharedEvaluation:
 
     @pytest.mark.parametrize("case", ["bimodal", "wide"])
     def test_scan_forest_equals_one_job_each(self, case, capped):
-        # the scan's one forest of rows (h, C_1..C_4) against each row of
-        # each flow time refined alone: every value, error, flag, accepted
-        # panel and warning, in order
+        # the scan's one forest of rows (the jet orders 0..4, C_1..C_4)
+        # against each row of each flow time refined alone: every value,
+        # error, flag, accepted panel and warning, in order
         if case == "bimodal":
             mix, ts = BIMODAL_MIXTURE, [0.05, 1.0, 12.0]
         else:
@@ -432,29 +439,17 @@ class TestSharedEvaluation:
         assert messages[0] == messages[1]
         if case == "wide":
             # the 16-component draw's C_4 tree at t = 0.1 takes 49 panels,
-            # so the cap of 45 stops it short, with the panels it had
+            # so the cap of 45 stops it short, with the panels it had; its
+            # jet h'''' takes 40
             panels = [m.split(" at ")[-1].split(" panels")[0] for m in messages[0]]
-            assert [r.converged for r in flows[0]] == [True] * 4 + [False]
-            assert panels == [str(len(flows[0][4].panels))]
-            assert len(flows[0][4].panels) <= 45
+            assert [r.converged for r in flows[0]] == [True] * 8 + [False]
+            assert panels == [str(len(flows[0][8].panels))]
+            assert len(flows[0][8].panels) <= 45
         else:
             assert messages[0] == []
-        # the fd route integrates every stencil time on the panels h
-        # accepted: at these flow times orders 1-2 and 3-4 share their
-        # default step, so one stencil of 7 times serves all four orders
-        stencils = [oracle._fd_stencils(mix, t, range(1, 5), None) for t in ts]
-        assert [[(orders, len(offsets)) for _, orders, offsets in steps] for steps in stencils] == [
-            [((1, 2, 3, 4), 7)]
-        ] * len(ts)
-        for n in (1, 3):
-            assert [steps[0][0] for steps in stencils] == [default_fd_step(mix, t, n) for t in ts]
         # h's own test is that of a plain integrand
         assert [flow[0].mesh() for flow in flows] == [
             build_mesh([self._plain(mix, t, self.ROW[0])], *mix.support_interval(t)) for t in ts
-        ]
-        panels = [flow[0].panels for flow in flows]
-        assert oracle._fd_finish(mix, ts, stencils, panels, DEFAULT_TOL) == [
-            fd_entropy_derivs(mix, t, range(1, 5)) for t in ts
         ]
 
     def test_converged_flag_follows_the_tree(self, capped):
@@ -462,18 +457,21 @@ class TestSharedEvaluation:
         with warnings.catch_warnings(record=True):
             warnings.simplefilter("always")
             results = oracle._flow_results(wide_mixture(), 0.1, self.ROW, DEFAULT_TOL)
-        assert [r.converged for r in results] == [True, True, True, True, False]
+        assert [r.converged for r in results] == [True] * 8 + [False]
         assert oracle.entropy_result(BIMODAL_MIXTURE, 1.0).converged
 
     @pytest.mark.parametrize("t", [0.05, 0.7, 12.0])
     def test_fd_orders_together_equal_each_alone(self, t):
-        together = fd_entropy_derivs(BIMODAL_MIXTURE, t, range(1, 7))
-        assert together == {n: fd_entropy_deriv_result(BIMODAL_MIXTURE, t, n) for n in range(1, 7)}
+        together = oracle._flow_results(
+            BIMODAL_MIXTURE, t, [oracle._jet(n) for n in range(1, 7)], DEFAULT_TOL
+        )
+        for n, result in enumerate(together, start=1):
+            assert (result.value, result.error) == fd_entropy_deriv_result(BIMODAL_MIXTURE, t, n)
 
     @pytest.mark.parametrize("max_order", range(1, 7))
     @pytest.mark.parametrize("case", ["bimodal", "wide", "sharp"])
     def test_scan_fd_equals_fd_of_each_time(self, case, max_order):
-        # the benchmark recomputes each row's fd from its t alone, and
+        # the benchmark recomputes each row's jet from its t alone, and
         # must get the CSV's bits
         mix, ts = {
             "bimodal": (BIMODAL_MIXTURE, time_grid(0.05, 100.0, 6, "log")),
@@ -485,88 +483,45 @@ class TestSharedEvaluation:
             rows = scan_conjectures(mix, ts, max_order).rows
         orders = range(1, max_order + 1)
         for row in rows:
-            fd = fd_entropy_derivs(mix, row.t, orders)
-            assert row.d_fd == tuple(fd[n] for n in orders)
-
-    @pytest.mark.parametrize("n", [1, 4])
-    def test_fd_equals_one_entropy_at_a_time(self, n):
-        # the stencil's entropies each on their own, as separate integrands
-        # on the mesh of h(t): the multi-t kernel and the batched
-        # integration must give the same bits
-        mix, t, tol = wide_mixture(), 0.8, DEFAULT_TOL
-        h = oracle.default_fd_step(mix, t, n)
-        half = h / 2.0
-        stencil = oracle._central_stencil(n)
-        offsets = sorted({2 * off for off, _ in stencil} | {off for off, _ in stencil})
-        mesh = build_mesh([entropy_integrand(mix, t)], *mix.support_interval(t), tol)
-        h_at = {off: mesh.integrate(entropy_integrand(mix, t + off * half)) for off in offsets}
-        coarse = sum(c * h_at[2 * off] for off, c in stencil) / h**n
-        fine = sum(c * h_at[off] for off, c in stencil) / half**n
-        assert fd_entropy_deriv_result(mix, t, n)[0] == (4.0 * fine - coarse) / 3.0
-
-    @pytest.mark.parametrize("step", [1e-17, 3e-16])
-    def test_steps_below_the_float_spacing_merge_stencil_times(self, step):
-        # at t = 1 a step this small rounds some stencil times onto others
-        # (every one of them onto t at 1e-17); each order still gets the
-        # bits it gets alone
-        t = 1.0
-        assert len({t + off * (step / 2.0) for off in range(-4, 5)}) < 9
-        together = fd_entropy_derivs(BIMODAL_MIXTURE, t, range(1, 5), step=step)
-        for n in range(1, 5):
-            assert together[n] == fd_entropy_deriv_result(BIMODAL_MIXTURE, t, n, step=step)
-        if step == 1e-17:
-            assert [value for value, _ in together.values()] == [0.0] * 4
+            assert row.d_fd == tuple(fd_entropy_deriv_result(mix, row.t, n) for n in orders)
 
     def test_fd_orders_validate_each_order(self):
-        with pytest.raises(ValueError, match="order 3"):
-            fd_entropy_derivs(BIMODAL_MIXTURE, 0.5, [1, 3], step=0.3)
         with pytest.raises(ValueError, match=">= 1"):
-            fd_entropy_derivs(BIMODAL_MIXTURE, 0.5, [1, 0])
+            fd_entropy_deriv_result(BIMODAL_MIXTURE, 0.5, 0)
+        with pytest.raises(ValueError, match="t > 0"):
+            fd_entropy_deriv_result(BIMODAL_MIXTURE, 0.0, 2)
 
-    def test_fd_stencils_split_where_the_clamp_separates_the_steps(self, monkeypatch):
-        # below t of about 0.0045 the clamp 0.9 t / reach gives orders 1-2
-        # and 3-4 different steps, each with its own stencil; above it one
-        # stencil serves all four orders
-        mix, ts = BIMODAL_MIXTURE, [1e-3, 4e-3, 0.05, 1.0]
-        stencils = [oracle._fd_stencils(mix, t, range(1, 5), None) for t in ts]
-        split, joint = [((1, 2), 5), ((3, 4), 7)], [((1, 2, 3, 4), 7)]
-        assert [[(orders, len(offsets)) for _, orders, offsets in steps] for steps in stencils] == [
-            split,
-            split,
-            joint,
-            joint,
+    def test_a_flowed_variance_out_of_float_range_names_its_field(self):
+        # at max_order 4 the integrands reach ratio row 8 and scale like
+        # s**-4.5, s = v + t: that overflows at s = 2e-100 and underflows
+        # at s = 1e80; the larger of v and t is at fault, before any
+        # kernel call
+        cases = [
+            (GaussianMixture.single(0, 1e-100), 1e-100, 0),
+            (GaussianMixture.single(0, 1e-200), 1e-100, None),
+            (GaussianMixture.single(0, 1e80), 1.0, 0),
+            (GaussianMixture.single(0, 1), 1e80, None),
         ]
-        # the 38 stencil times of all four flow times are the jobs of one
-        # integrate call
-        calls = []
-        integrate = oracle.integrate
-
-        def counting(panels, fn):
-            calls.append(len(panels))
-            return integrate(panels, fn)
-
-        monkeypatch.setattr(oracle, "integrate", counting)
-        panels = [oracle.entropy_result(mix, t).panels for t in ts]
-        together = oracle._fd_finish(mix, ts, stencils, panels, DEFAULT_TOL)
-        assert calls == [38]
-        assert together == [fd_entropy_derivs(mix, t, range(1, 5)) for t in ts]
-        for t, fd in zip(ts, together):
-            assert fd == {n: fd_entropy_deriv_result(mix, t, n) for n in range(1, 5)}
-
-    def test_a_step_out_of_float_range_names_its_flow_time(self):
-        # at t = 1e-85 the order-4 step 0.45 t makes h**4 underflow to 0;
-        # at t = 1e80 the step 0.02 t makes it overflow
-        g = GaussianMixture.single(0, 1)
-        for t in (1e-85, 1e80):
-            with pytest.raises(oracle.FlowRangeError, match="h\\*\\*4") as caught:
-                fd_entropy_derivs(g, t, range(1, 5))
-            assert (caught.value.t, caught.value.component) == (t, None)
+        for mix, t, component in cases:
+            with pytest.raises(oracle.FlowRangeError, match="flowed variance") as caught:
+                oracle._scan_row_core(mix, t, 4, DEFAULT_TOL)
+            assert (caught.value.t, caught.value.component) == (t, component)
+        # s = 2e-100 is in range at wt-scan's ratio row 2, and s = 2e-66 at
+        # the scan's ratio row 8, where every tree converges with no
+        # overflow
+        oracle._check_kernel(GaussianMixture.single(0, 1e-100), [(-1.0, 1.0)], [1e-100], 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row = oracle._scan_row_core(GaussianMixture.single(0, 1e-66), 1e-66, 4, DEFAULT_TOL)
+        assert all(row.converged)
 
     def test_a_fisher_information_too_small_to_square_names_the_widest_component(self):
+        # at max_order 1 the top ratio row is 2, where 1/s of s = 1e200 is in
+        # range, and J**2 is the first value to leave it
         mix = GaussianMixture.create([(0.5, 0.0, 1e200), (0.5, 3.0, 1e199)])
         with np.errstate(all="ignore"):
             with pytest.raises(oracle.FlowRangeError, match="J\\*\\*2") as caught:
-                scan_conjectures(mix, [0.1, 0.2, 0.3], 2)
+                scan_conjectures(mix, [0.1, 0.2, 0.3], 1)
         assert (caught.value.t, caught.value.component) == (0.1, 0)
 
 
@@ -630,10 +585,8 @@ class TestScan:
         assert res.all_signs_ok()
         assert res.all_costa_ok()
         for row in res.rows:
-            for n, value in enumerate(row.d_sym, start=1):
-                assert math.isclose(
-                    value, gaussian_dnh(n, 1.0 + row.t), rel_tol=1e-8
-                )
+            for n, (value, error) in enumerate(row.d_sym, start=1):
+                assert abs(value - gaussian_dnh(n, 1.0 + row.t)) <= error
 
     def test_gaussian_logJ_convex_and_e2h_linear(self):
         g = GaussianMixture.single(0, 1)
@@ -648,13 +601,14 @@ class TestScan:
         with pytest.warns(QuadratureNonConvergence, match="C_4 at t=0.1 "):
             res = scan_conjectures(wide_mixture(), [0.1, 1.0], 4)
         short, done = res.rows
-        assert short.converged == (True, True, True, True, False)
-        assert done.converged == (True,) * 5
-        assert _sign_status(short.d_sym[3], 3 * DEFAULT_TOL, -1) == "pass"
+        # the jet orders 0..4, then C_1..C_4
+        assert short.converged == (True,) * 8 + (False,)
+        assert done.converged == (True,) * 9
+        assert _sign_status(*short.d_sym[3], -1) == "pass"
         signs = (1, -1, 1, -1)
         for row in res.rows:
             fd = [_sign_status(v, e, w) for (v, e), w in zip(row.d_fd, signs)]
-            sym = [_sign_status(v, 3 * DEFAULT_TOL, w) for v, w in zip(row.d_sym, signs)]
+            sym = [_sign_status(v, e, w) for (v, e), w in zip(row.d_sym, signs)]
             if row is short:
                 sym[3] = "inconclusive"
             assert list(row.sign_status) == fd + sym
@@ -678,7 +632,27 @@ class TestScan:
         # C_1 integrates to J, so a row evaluates it once for both columns
         res = scan_conjectures(BIMODAL_MIXTURE, [0.06, 0.2, 1.0], max_order=1)
         for row in res.rows:
-            assert row.J == 2.0 * row.d_sym[0]
+            assert (row.J, row.J_err) == (2.0 * row.d_sym[0][0], 2.0 * row.d_sym[0][1])
+
+    @pytest.mark.parametrize(
+        "value,error",
+        [(math.nan, 0.0), (-math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (-1.0, math.inf)],
+    )
+    def test_a_non_finite_value_or_error_is_inconclusive(self, value, error):
+        # a NaN has a sign bit, and every comparison with it is false; it
+        # may neither pass nor fail a verdict
+        for wanted in (1, -1):
+            assert _sign_status(value, error, wanted) == "inconclusive"
+
+    def test_symbolic_values_carry_half_their_integrals_error(self):
+        # d_sym's verdicts are judged against these errors, as d_fd's are
+        g = GaussianMixture.single(0, 1)
+        row = scan_conjectures(g, [0.5, 1.0, 2.0], 4).rows[1]
+        for n, pair in enumerate(row.d_sym, start=1):
+            result = oracle.functional_result(entropy_derivative(n), g, 1.0)
+            assert pair == (0.5 * result.value, 0.5 * result.error)
+        signs = [_sign_status(v, e, 1 if n % 2 else -1) for n, (v, e) in enumerate(row.d_sym, 1)]
+        assert list(row.sign_status[4:]) == signs == ["pass"] * 4
 
     def test_csv_schema_and_determinism(self):
         g = GaussianMixture.single(0, 1)
@@ -746,16 +720,18 @@ class TestWt:
 
     def test_values_out_of_float_range_name_the_grid_time(self):
         # s = 1/t - 1 overflows at t = 1e-320; at t = 1e-200, s = 1e200
-        # and J(Y_s)**2 underflows; a variance of 1e300 makes J tiny at
-        # every t, and that component is at fault
+        # and J(Y_s)**2 underflows; at t = 1e-250 the integrands' s**-1.5
+        # underflows first.  A variance of 1e190 makes J tiny at every t,
+        # and one of 1e300 the integrands: that component is at fault
         g = GaussianMixture.single(0, 1)
-        for t in (1e-320, 1e-200):
+        for t in (1e-320, 1e-200, 1e-250):
             with pytest.raises(oracle.FlowRangeError) as caught:
                 wt_checks(g, [t, 0.5, 0.6])
             assert (caught.value.t, caught.value.component) == (t, None)
-        with pytest.raises(oracle.FlowRangeError, match="J\\*\\*2") as caught:
-            wt_checks(GaussianMixture.single(0, 1e300), [0.1, 0.5, 0.9])
-        assert (caught.value.t, caught.value.component) == (0.1, 0)
+        for var, message in ((1e190, "J\\*\\*2"), (1e300, "flowed variance")):
+            with pytest.raises(oracle.FlowRangeError, match=message) as caught:
+                wt_checks(GaussianMixture.single(0, var), [0.1, 0.5, 0.9])
+            assert (caught.value.t, caught.value.component) == (0.1, 0)
 
     def test_csv_output(self):
         g = GaussianMixture.single(0, 1)

@@ -64,6 +64,12 @@ def test_bimodal_fourth_derivative_is_within_its_error():
     assert abs(0.5 * c4.value - BIMODAL_H4) <= 0.5 * c4.error
 
 
+def test_bimodal_fourth_derivative_jet_is_within_its_error():
+    # the jet row of order 4 is 5.9e-12 off, with a stated error of 1.9e-10
+    value, error = _quiet(lambda: oracle.fd_entropy_deriv_result(BIMODAL_MIXTURE, BIMODAL_T, 4))
+    assert abs(value - BIMODAL_H4) <= error
+
+
 @pytest.mark.parametrize("tol", [1e-11, 1e-14, 1e-15, 1e-16])
 @pytest.mark.parametrize("v", [1e-9, 1e-6, 1e-4, 1e-2])
 def test_gaussian_entropy_is_within_its_error(v, tol):
@@ -113,10 +119,11 @@ class TestKernelWork:
 
     def test_wide_scan(self, monkeypatch):
         # 88,992 when its three C_4 trees at t = 0.1-0.35 refined their
-        # roundoff to the depth limit
+        # roundoff to the depth limit, and 50,784 when the fd stencil
+        # entropies took 26,688 of them; the jet rows refine with the forest
         mix = GaussianMixture.create(workloads.wide_mixture_components())
         grid = _wide_scan_grid()
-        assert self._node_times(monkeypatch, lambda: scan_conjectures(mix, grid, 4)) <= 51_000
+        assert self._node_times(monkeypatch, lambda: scan_conjectures(mix, grid, 4)) <= 25_000
 
     def test_wide_scan_cost_does_not_follow_the_component_order(self, monkeypatch):
         # when trees chased their rounding, where they stopped followed the
@@ -134,4 +141,6 @@ class TestKernelWork:
         grid = workloads.BIMODAL_GRID
         ts = time_grid(grid["start"], grid["stop"], grid["points"], grid["spacing"])
         mix = GaussianMixture.create(workloads.BIMODAL)
-        assert self._node_times(monkeypatch, lambda: scan_conjectures(mix, ts, 4)) <= 846_240
+        # 842,496 when the fd stencil entropies took 537,600 of them; the
+        # jet rows take none of their own: the forest refines as it did
+        assert self._node_times(monkeypatch, lambda: scan_conjectures(mix, ts, 4)) <= 310_000
