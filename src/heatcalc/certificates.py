@@ -514,7 +514,11 @@ def verify_witness(n: int, witness: Sequence[CoeffLike]) -> bool:
     basis, exact, target = _gram_problem(n)
     if len(witness) != len(basis):
         raise ValueError(f"expected {len(basis)} witness coordinates for order {n}")
-    y = [Fraction(v) for v in witness]
+    return _is_witness(exact, target, [Fraction(v) for v in witness])
+
+
+def _is_witness(exact, target, y: Sequence[Fraction]) -> bool:
+    """y . target < 0 and A*(y) >= 0, exactly, for the Gram problem ``(exact, target)``."""
     return _dot(y, target) < 0 and _ldl([[_dot(y, e) for e in row] for row in exact]) is not None
 
 
@@ -527,7 +531,7 @@ def search_certificate(n: int) -> SearchOutcome:
     is rounded, projected exactly onto the affine space (Peyrl & Parrilo) and
     split by exact LDL^T into weighted squares for ``verify_certificate``.
     From the first centred iterate with t + p mu < 0, the dual point y with
-    A*(y) = mu (Q - tI)^-1 is rounded until one passes ``verify_witness``.
+    A*(y) = mu (Q - tI)^-1 is rounded until one passes the exact Farkas check.
     A path that breaks down in float arithmetic ends the search there, with
     the witness found before it, if any.
     """
@@ -544,7 +548,7 @@ def search_certificate(n: int) -> SearchOutcome:
             dual = mu * np.linalg.inv(q - t * np.eye(p))
             y = np.linalg.lstsq(gram.reshape(p * p, -1), dual.ravel(), rcond=None)[0]
             candidate = tuple(_rounded(v) for v in y)
-            witness = candidate if verify_witness(n, candidate) else None
+            witness = candidate if _is_witness(exact, target, candidate) else None
     cert = _exact_certificate(n, exact, target, q) if t > 0 else None
     residual = float(np.max(np.abs(np.tensordot(q, gram, axes=2) - goal)))
     return SearchOutcome(n, cert, residual, t, witness)

@@ -402,6 +402,12 @@ def _in_range(run, *args):
         raise ConfigError(f"config error at {field}: {exc}") from exc
 
 
+def _print_inconclusive(rows: int) -> None:
+    """After the verdict lines, the number of rows that numerical trouble left inconclusive."""
+    if rows:
+        print(f"inconclusive rows: {rows} (quadrature stopped short or not finite; reported)")
+
+
 def _cmd_scan(args) -> int:
     import numpy as np
 
@@ -429,9 +435,7 @@ def _cmd_scan(args) -> int:
     print(f"entropy-power/Fisher checks: {'ok' if costa else 'FAILED'}")
     print(f"1/J curvature changes sign: {'yes' if both else 'no'} (reported)")
     print(f"log J convexity violations beyond noise: {logj} (reported)")
-    short = result.stopped_short_rows()
-    if short:
-        print(f"inconclusive rows: {short} (quadrature stopped short; reported)")
+    _print_inconclusive(result.inconclusive_rows())
     return 0 if signs and costa else 2
 
 
@@ -456,6 +460,7 @@ def _cmd_wt_scan(args) -> int:
     print(f"h(W_t) concavity: {'ok' if concave else 'FAILED'}")
     print(f"interpolation inequality: {'ok' if txz else 'FAILED'}")
     print(f"J(W_t) curvature changes sign: {'yes' if both else 'no'} (reported)")
+    _print_inconclusive(report.inconclusive_rows())
     return 0 if concave and txz else 2
 
 

@@ -13,10 +13,12 @@ independent ways:
 
 Scans sweep a t-grid and record both routes together with the quantities
 the sign conjectures speak about (log J and 1/J curvature, the entropy
-power, the interpolation W_t = sqrt(t) X + sqrt(1-t) Z).  Sign verdicts
-are three-sigma style: a check passes or fails only when the value clears
-its own stated error by a factor of three, and is otherwise reported as
-inconclusive rather than asserted.
+power, the interpolation W_t = sqrt(t) X + sqrt(1-t) Z).  Every pass/fail
+verdict follows one rule, ``_sign_status``: a check passes or fails only
+when the value clears its own stated error by a factor of three, both are
+finite and every tree it rests on converged; otherwise it is reported as
+inconclusive rather than asserted.  Errors are propagated from the
+integrals' own, never padded.
 
 A scan refines its flow times in batches, each batch one bisection
 forest: per flow time one tree on which the jet orders 0..max_order and
@@ -24,8 +26,9 @@ C_1..C_4 each accept their own panels.  A row whose terms cancel carries a
 magnitude row, f times the sum of its terms' absolute values, that sets
 its roundoff floor.  Every density evaluation is one ``mixtures.map_flow``
 call, one flow time per job, with an epilogue from ``_flow_rows``.  A
-quantity whose tree stops short of the tolerance leaves every sign
-verdict that rests on it inconclusive.
+quantity whose tree stops short of the tolerance leaves every verdict
+that rests on it inconclusive; in a grid difference its point has no
+error bound.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .reduction import entropy_derivative
 from .terms import Combination, make_monomial
 
 DEFAULT_TOL = 1e-11
+_EPS = sys.float_info.epsilon
 
 # a quantity of ``_flow_rows``: its name, and a combination, or the order
 # n of the jet row that integrates to h^(n) (0 for h itself)
@@ -311,10 +315,7 @@ def _flow_forest(
 
 
 def _flow_results(
-    mix: GaussianMixture,
-    t: float,
-    quantities: Sequence[Quantity],
-    tol: float,
+    mix: GaussianMixture, t: float, quantities: Sequence[Quantity], tol: float
 ) -> List[QuadResult]:
     """Each quantity's integral at flow time t > 0, from one bisection forest."""
     if t <= 0:
@@ -332,9 +333,7 @@ def entropy(mix: GaussianMixture, t: float, tol: float = DEFAULT_TOL) -> float:
     return entropy_result(mix, t, tol).value
 
 
-def fisher_result(
-    mix: GaussianMixture, t: float, tol: float = DEFAULT_TOL
-) -> QuadResult:
+def fisher_result(mix: GaussianMixture, t: float, tol: float = DEFAULT_TOL) -> QuadResult:
     """J(t) as the integral of C_1 = f1^2/f."""
     return _flow_results(mix, t, [("C_1", entropy_derivative(1))], tol)[0]
 
@@ -414,30 +413,30 @@ def time_grid(start: float, stop: float, points: int, spacing: str = "linear") -
 
 
 def second_difference(
-    ts: Sequence[float], values: Sequence[float], errors: Optional[Sequence[float]] = None
+    ts: Sequence[float],
+    values: Sequence[float],
+    errors: Optional[Sequence[float]] = None,
+    converged: Optional[Sequence[bool]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Three-point second-derivative estimates on a possibly non-uniform grid.
 
     Endpoints are nan.  The error output propagates per-point value errors
     through the stencil; for a genuinely convex (concave) function the
     estimate is nonnegative (nonpositive) up to exactly this noise, with
-    no truncation term.
+    no truncation term.  A point whose tree stopped short (``converged``
+    False) has no error bound, so every estimate that uses it has none.
     """
     ts = np.asarray(ts, dtype=float)
     vals = np.asarray(values, dtype=float)
     errs = np.zeros_like(vals) if errors is None else np.asarray(errors, dtype=float)
+    if converged is not None:
+        errs = np.where(converged, errs, math.inf)
+    hp, hm = ts[2:] - ts[1:-1], ts[1:-1] - ts[:-2]
     out = np.full_like(vals, np.nan)
     out_err = np.full_like(vals, np.nan)
-    for i in range(1, len(ts) - 1):
-        hp = ts[i + 1] - ts[i]
-        hm = ts[i] - ts[i - 1]
-        slope_up = (vals[i + 1] - vals[i]) / hp
-        slope_dn = (vals[i] - vals[i - 1]) / hm
-        out[i] = 2.0 * (slope_up - slope_dn) / (hp + hm)
-        noise = (
-            errs[i + 1] / hp + errs[i] * (1.0 / hp + 1.0 / hm) + errs[i - 1] / hm
-        )
-        out_err[i] = 2.0 * noise / (hp + hm)
+    out[1:-1] = 2.0 * ((vals[2:] - vals[1:-1]) / hp - (vals[1:-1] - vals[:-2]) / hm) / (hp + hm)
+    noise = errs[2:] / hp + errs[1:-1] * (1.0 / hp + 1.0 / hm) + errs[:-2] / hm
+    out_err[1:-1] = 2.0 * noise / (hp + hm)
     return out, out_err
 
 
@@ -446,11 +445,20 @@ def _has_both_signs(values: Iterable[Tuple[float, float]]) -> bool:
     return {"pass", "fail"} <= {_sign_status(value, error, 1) for value, error in values}
 
 
-def _sign_status(value: float, error: float, wanted: int) -> str:
-    """A sign verdict: "pass" or "fail" only for a finite value beyond 3 finite errors."""
-    if not (math.isfinite(value) and math.isfinite(error)) or abs(value) <= 3.0 * error:
+def _sign_status(value: float, error: float, wanted: int, done: bool = True) -> str:
+    """The one verdict rule: "pass" or "fail" only for a finite value beyond 3 finite errors.
+
+    ``done`` is False when a tree that the value rests on stopped short,
+    which leaves the verdict "inconclusive" as well.
+    """
+    if _withheld([done], (value, error)) or abs(value) <= 3.0 * error:
         return "inconclusive"
     return "pass" if math.copysign(1.0, value) == wanted else "fail"
+
+
+def _withheld(converged: Iterable[bool], *pairs: Tuple[float, float]) -> bool:
+    """Numerical trouble: a tree stopped short, or a value or error is not finite."""
+    return not (all(converged) and all(math.isfinite(x) for pair in pairs for x in pair))
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +478,7 @@ class ScanRow:
     d_fd: Tuple[Tuple[float, float], ...]  # jet (value, error) for n = 1..max_order
     d_sym: Tuple[Tuple[float, float], ...]  # symbolic (value, error) for n = 1..min(4, max_order)
     costa_margin: float  # -J' - J^2, zero for a single Gaussian
-    costa_margin_err: float
+    costa_margin_err: float  # 2 J J_err + J'_err + eps (|J'| + J^2)
     # per quadrature tree, the jet orders 0..max_order (h first) then
     # C_1..C_k: False where it stopped short
     converged: Tuple[bool, ...]
@@ -482,7 +490,12 @@ class ScanRow:
     e2h_dd_err: float = math.nan
     sign_status: Tuple[str, ...] = ()
     signs_ok: bool = True
-    costa_ok: bool = True
+    costa_status: str = "inconclusive"
+
+    @property
+    def withheld(self) -> bool:  # a tree stopped short or a number is not finite
+        pairs = [(self.h, self.h_err), (self.J, self.J_err), *self.d_fd, *self.d_sym]
+        return _withheld(self.converged, (self.costa_margin, self.costa_margin_err), *pairs)
 
 
 @dataclass
@@ -503,15 +516,15 @@ class ScanResult:
         return all(r.signs_ok for r in self.rows)
 
     def all_costa_ok(self) -> bool:
-        return all(r.costa_ok for r in self.rows)
+        return all(r.costa_status != "fail" for r in self.rows)
 
     def invJ_dd_has_both_signs(self) -> bool:
         """Both curvature signs present, each clearing its noise estimate."""
         return _has_both_signs((r.invJ_dd, r.invJ_dd_err) for r in self.rows)
 
-    def stopped_short_rows(self) -> int:
-        """Rows with a sign verdict left inconclusive by a tree that stopped short."""
-        return sum(1 for r in self.rows if not all(r.converged))
+    def inconclusive_rows(self) -> int:
+        """Rows with a verdict withheld by a tree that stopped short or a non-finite number."""
+        return sum(r.withheld for r in self.rows)
 
     def logJ_convexity_violations(self) -> int:
         return sum(_sign_status(r.logJ_dd, r.logJ_dd_err, 1) == "fail" for r in self.rows)
@@ -527,10 +540,7 @@ _FOREST_TIMES = 40
 
 
 def _flow_batches(
-    mix: GaussianMixture,
-    ts: Sequence[float],
-    quantities: Sequence[Quantity],
-    tol: float,
+    mix: GaussianMixture, ts: Sequence[float], quantities: Sequence[Quantity], tol: float
 ) -> Iterator[Tuple[Sequence[float], List[List[QuadResult]]]]:
     """Each batch of ``_FOREST_TIMES`` flow times, with each quantity's result per time.
 
@@ -560,10 +570,9 @@ def _scan_rows(
             h_res, jet, sym = flow[0], flow[1 : max_order + 1], flow[max_order + 1 :]
             j_res = sym[0]
             _check_fisher(mix, j_res.value, t, t)
-            jp = sym[1]
-            costa_margin = -jp.value - j_res.value * j_res.value
-            costa_err = 2.0 * tol + 2.0 * j_res.value * j_res.error + 1e-12 * abs(jp.value)
-            costa_err += jp.error
+            j, jp = j_res.value, sym[1].value
+            # the integrals' errors to first order, and the margin's own rounding
+            costa_err = 2.0 * j * j_res.error + sym[1].error + _EPS * (abs(jp) + j * j)
             rows.append(
                 ScanRow(
                     t=t,
@@ -573,7 +582,7 @@ def _scan_rows(
                     J_err=j_res.error,
                     d_fd=tuple((r.value, r.error) for r in jet),
                     d_sym=tuple((0.5 * r.value, 0.5 * r.error) for r in sym[:sym_orders]),
-                    costa_margin=costa_margin,
+                    costa_margin=-jp - j * j,
                     costa_margin_err=costa_err,
                     converged=tuple(r.converged for r in flow),
                 )
@@ -621,48 +630,39 @@ def scan_conjectures(
         raise ValueError("grid must be positive and strictly increasing")
     rows = _scan_rows(mix, ts, max_order, tol)
 
-    h_vals = [r.h for r in rows]
-    h_errs = [r.h_err for r in rows]
     j_vals = [r.J for r in rows]
     j_errs = [r.J_err for r in rows]
-
+    j_done = [r.converged[max_order + 1] for r in rows]
+    e2h = [math.exp(2.0 * r.h) for r in rows]
     # per-point noise floors include one ulp of the stored value, which
     # dominates when the quadrature is machine-exact
     logj_dd, logj_err = second_difference(
-        ts, np.log(j_vals), [max(e / v, 3e-16) for v, e in zip(j_vals, j_errs)]
+        ts, np.log(j_vals), [max(e / v, 3e-16) for v, e in zip(j_vals, j_errs)], j_done
     )
-    invj_dd, invj_err = second_difference(
-        ts,
-        [1.0 / v for v in j_vals],
-        [max(e / (v * v), 3e-16 / v) for v, e in zip(j_vals, j_errs)],
-    )
-    e2h = [math.exp(2.0 * v) for v in h_vals]
+    invj_errs = [max(e / (v * v), 3e-16 / v) for v, e in zip(j_vals, j_errs)]
+    invj_dd, invj_err = second_difference(ts, [1.0 / v for v in j_vals], invj_errs, j_done)
     e2h_dd, e2h_err = second_difference(
-        ts, e2h, [2.0 * p * e for p, e in zip(e2h, h_errs)]
+        ts, e2h, [2.0 * p * r.h_err for p, r in zip(e2h, rows)], [r.converged[0] for r in rows]
     )
-
     for i, row in enumerate(rows):
-        row.logJ_dd = float(logj_dd[i])
-        row.logJ_dd_err = float(logj_err[i])
-        row.invJ_dd = float(invj_dd[i])
-        row.invJ_dd_err = float(invj_err[i])
-        row.e2h_dd = float(e2h_dd[i])
-        row.e2h_dd_err = float(e2h_err[i])
+        row.logJ_dd, row.logJ_dd_err = float(logj_dd[i]), float(logj_err[i])
+        row.invJ_dd, row.invJ_dd_err = float(invj_dd[i]), float(invj_err[i])
+        row.e2h_dd, row.e2h_dd_err = float(e2h_dd[i]), float(e2h_err[i])
 
-        # a verdict rests on one tree: d_fd's order n on the jet's, d_sym's on C_n's
+        # a sign verdict rests on one tree: d_fd's order n on the jet's, d_sym's on C_n's
         checks = [(n, v, e, row.converged[n]) for n, (v, e) in enumerate(row.d_fd, start=1)]
         checks += [
             (n, v, e, row.converged[max_order + n]) for n, (v, e) in enumerate(row.d_sym, start=1)
         ]
         row.sign_status = tuple(
-            _sign_status(value, error, 1 if n % 2 else -1) if done else "inconclusive"
-            for n, value, error, done in checks
+            _sign_status(value, error, 1 if n % 2 else -1, done) for n, value, error, done in checks
         )
         row.signs_ok = "fail" not in row.sign_status
-
-        # (e^{2h})'' = e^{2h} (J^2 + J') makes this the entropy-power
-        # concavity too; e2h_dd is its grid cross-check and gets no verdict
-        row.costa_ok = row.costa_margin >= -3.0 * row.costa_margin_err
+        # -J' >= J^2 rests on C_1's and C_2's trees; (e^{2h})'' = e^{2h} (J^2 + J')
+        # makes it the entropy-power concavity too, and e2h_dd, its grid
+        # cross-check, gets no verdict
+        c12 = row.converged[max_order + 1 : max_order + 3]
+        row.costa_status = _sign_status(row.costa_margin, row.costa_margin_err, 1, all(c12))
 
     return ScanResult(mix, max_order, rows)
 
@@ -683,14 +683,9 @@ def scan_to_csv(result: ScanResult) -> str:
     for row in result.rows:
         d_fd = [row.d_fd[i][0] if i < len(row.d_fd) else math.nan for i in range(4)]
         d_sym = [row.d_sym[i][0] if i < len(row.d_sym) else math.nan for i in range(4)]
-        fields = (
-            [_fmt(row.t), _fmt(row.h), _fmt(row.J)]
-            + [_fmt(v) for v in d_fd]
-            + [_fmt(v) for v in d_sym]
-            + [_fmt(row.logJ_dd), _fmt(row.invJ_dd), _fmt(row.e2h_dd)]
-            + [str(int(row.costa_ok)), str(int(row.signs_ok))]
-        )
-        lines.append(",".join(fields))
+        values = [row.t, row.h, row.J, *d_fd, *d_sym, row.logJ_dd, row.invJ_dd, row.e2h_dd]
+        flags = [str(int(row.costa_status != "fail")), str(int(row.signs_ok))]
+        lines.append(",".join([*map(_fmt, values), *flags]))
     return "\n".join(lines) + "\n"
 
 
@@ -708,15 +703,18 @@ class WtRow:
     JW: float
     JW_err: float  # J(Y_s)'s quadrature error / t
     txz_margin: float  # -J'(Y_s) + t^2 - 2 t J(Y_s)
-    txz_err: float
+    txz_err: float  # 2 t J_err + J'_err + eps (|J'| + t^2 + 2 t J), of Y_s
+    converged: Tuple[bool, ...]  # per tree, h, C_1 and C_2 at s: False where it stopped short
     hW_dd: float = math.nan
     hW_dd_err: float = math.nan
     JW_dd: float = math.nan
     JW_dd_err: float = math.nan
+    txz_status: str = "inconclusive"  # the interpolation inequality's verdict
 
     @property
-    def txz_ok(self) -> bool:  # the interpolation inequality, within 3 errors
-        return self.txz_margin >= -3.0 * self.txz_err
+    def withheld(self) -> bool:  # a tree stopped short or a number is not finite
+        margin = (self.txz_margin, self.txz_err)
+        return _withheld(self.converged, (self.hW, self.hW_err), (self.JW, self.JW_err), margin)
 
 
 @dataclass
@@ -725,23 +723,21 @@ class WtReport:
     rows: List[WtRow]
 
     def concavity_ok(self) -> bool:
-        return all(
-            not math.isfinite(r.hW_dd) or r.hW_dd <= 1e-8 + 3.0 * r.hW_dd_err for r in self.rows
-        )
+        return all(_sign_status(r.hW_dd, r.hW_dd_err, -1) != "fail" for r in self.rows)
 
     def txz_ok(self) -> bool:
-        return all(r.txz_ok for r in self.rows)
+        return all(r.txz_status != "fail" for r in self.rows)
+
+    def inconclusive_rows(self) -> int:
+        """Rows with a verdict withheld by a tree that stopped short or a non-finite number."""
+        return sum(r.withheld for r in self.rows)
 
     def jw_dd_has_both_signs(self) -> bool:
         """Both curvature signs present, each clearing its noise estimate."""
         return _has_both_signs((r.JW_dd, r.JW_dd_err) for r in self.rows)
 
 
-def wt_checks(
-    mix: GaussianMixture,
-    t_grid: Sequence[float],
-    tol: float = DEFAULT_TOL,
-) -> WtReport:
+def wt_checks(mix: GaussianMixture, t_grid: Sequence[float], tol: float = DEFAULT_TOL) -> WtReport:
     """Concavity/convexity checks for the interpolation on 0 < t < 1.
 
     Uses the scaling identity h(W_t) = h(X + sqrt(1/t - 1) Z) + log(t)/2
@@ -768,31 +764,34 @@ def wt_checks(
     rows = []
     for t, s, (h_res, j_res, c2_res) in zip(ts, flow_times, flows):
         _check_fisher(mix, j_res.value, s, t)
-        jprime = c2_res.value
-        margin = -jprime + t * t - 2.0 * t * j_res.value
-        margin_err = 2.0 * tol + 2.0 * t * j_res.error + c2_res.error
+        j, jp = j_res.value, c2_res.value
         rows.append(
             WtRow(
                 t=t,
                 s=s,
                 hW=h_res.value + 0.5 * math.log(t),
                 hW_err=h_res.error,
-                JW=j_res.value / t,
+                JW=j / t,
                 JW_err=j_res.error / t,
-                txz_margin=margin,
-                txz_err=margin_err,
+                txz_margin=-jp + t * t - 2.0 * t * j,
+                # the integrals' errors to first order, and the margin's own rounding
+                txz_err=2.0 * t * j_res.error + c2_res.error
+                + _EPS * (abs(jp) + t * t + 2.0 * t * j),
+                converged=(h_res.converged, j_res.converged, c2_res.converged),
             )
         )
 
     hw_dd, hw_err = second_difference(
-        ts, [r.hW for r in rows], [r.hW_err for r in rows]
+        ts, [r.hW for r in rows], [r.hW_err for r in rows], [r.converged[0] for r in rows]
     )
-    jw_dd, jw_err = second_difference(ts, [r.JW for r in rows], [r.JW_err for r in rows])
+    jw_dd, jw_err = second_difference(
+        ts, [r.JW for r in rows], [r.JW_err for r in rows], [r.converged[1] for r in rows]
+    )
     for i, row in enumerate(rows):
-        row.hW_dd = float(hw_dd[i])
-        row.hW_dd_err = float(hw_err[i])
-        row.JW_dd = float(jw_dd[i])
-        row.JW_dd_err = float(jw_err[i])
+        row.hW_dd, row.hW_dd_err = float(hw_dd[i]), float(hw_err[i])
+        row.JW_dd, row.JW_dd_err = float(jw_dd[i]), float(jw_err[i])
+        # -J' + t^2 - 2 t J >= 0 rests on C_1's and C_2's trees at s
+        row.txz_status = _sign_status(row.txz_margin, row.txz_err, 1, all(row.converged[1:]))
     return WtReport(mix, rows)
 
 
@@ -802,18 +801,6 @@ WT_CSV_HEADER = "t,s,hW,JW,hW_dd,JW_dd,txz_margin,txz_ok"
 def wt_to_csv(report: WtReport) -> str:
     lines = [WT_CSV_HEADER]
     for r in report.rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.t),
-                    _fmt(r.s),
-                    _fmt(r.hW),
-                    _fmt(r.JW),
-                    _fmt(r.hW_dd),
-                    _fmt(r.JW_dd),
-                    _fmt(r.txz_margin),
-                    str(int(r.txz_ok)),
-                ]
-            )
-        )
+        values = [r.t, r.s, r.hW, r.JW, r.hW_dd, r.JW_dd, r.txz_margin]
+        lines.append(",".join([*map(_fmt, values), str(int(r.txz_status != "fail"))]))
     return "\n".join(lines) + "\n"

@@ -260,7 +260,7 @@ def test_criterion_9_wt_checks(capsys):
         _report(
             9,
             ok,
-            f"h(W_t) concave (tol 1e-8 + 3*err), interpolation inequality pointwise, "
+            f"h(W_t) concave (3*err), interpolation inequality pointwise, "
             f"bimodal J(W_t) curvature both signs={both}",
         )
 

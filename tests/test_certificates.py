@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heatcalc import certificates
 from heatcalc.certificates import (
     Certificate,
     SquareForm,
@@ -303,6 +304,20 @@ class TestSearch:
         assert out.margin < 0
         assert len(out.witness) == len(canonical_basis(2 * n))
         assert verify_witness(n, out.witness)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_the_search_builds_its_gram_problem_once(self, n, monkeypatch):
+        # the candidate witnesses are checked against the search's own
+        # problem; verify_witness rebuilds it only for a stored witness
+        calls = []
+
+        def counted(order):
+            calls.append(order)
+            return _gram_problem(order)
+
+        monkeypatch.setattr(certificates, "_gram_problem", counted)
+        assert search_certificate(n).witness is not None
+        assert calls == [n]
 
     def test_witness_check_is_sharp(self):
         # move the coordinate that most lowers the smallest eigenvalue of

@@ -7,6 +7,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import heatcalc
@@ -18,8 +19,9 @@ from heatcalc.certificates import (
 )
 from heatcalc import cli, oracle, quadrature
 from heatcalc.cli import main, parse_config, ConfigError
-from test_oracle import capped, wide_mixture  # noqa: F401 (a fixture)
+from test_oracle import c2_capped, capped, nan_at, wide_mixture  # noqa: F401 (fixtures)
 
+ROOT = Path(__file__).resolve().parents[1]
 
 SMALL_SCAN = {
     "mixture": [
@@ -308,10 +310,34 @@ class TestScanCommand:
             "entropy-power/Fisher checks: ok",
             "1/J curvature changes sign: yes (reported)",
             "log J convexity violations beyond noise: 0 (reported)",
-            "inconclusive rows: 2 (quadrature stopped short; reported)",
+            "inconclusive rows: 2 (quadrature stopped short or not finite; reported)",
         ]
         rows = (tmp_path / "wide.csv").read_text().splitlines()[1:]
         assert [row.split(",")[-2:] for row in rows] == [["1", "1"]] * 12
+
+    def test_a_stopped_short_C2_tree_leaves_costa_inconclusive(self, tmp_path, capsys, c2_capped):
+        # at max_order 1 only -J' >= J^2 rests on C_2, whose trees at the
+        # 5th and 6th times stop short: that verdict is withheld, not passed
+        cfg = tmp_path / "scan.json"
+        cfg.write_text(json.dumps(dict(SMALL_SCAN, max_order=1)))
+        with pytest.warns(quadrature.QuadratureNonConvergence, match="C_2 at t="):
+            rc = main(["scan", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[2] == "entropy-power/Fisher checks: ok"
+        assert out[-1] == "inconclusive rows: 2 (quadrature stopped short or not finite; reported)"
+        rows = (tmp_path / "out.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[-2] for row in rows] == ["1"] * 12
+
+    def test_a_nan_margin_does_not_fail_the_scan(self, tmp_path, capsys, monkeypatch):
+        t = float(np.geomspace(0.05, 100, 12)[5])
+        nan_at(monkeypatch, "C_2", t)
+        cfg = tmp_path / "scan.json"
+        cfg.write_text(json.dumps(SMALL_SCAN))
+        assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[2] == "entropy-power/Fisher checks: ok"
+        assert out[-1] == "inconclusive rows: 1 (quadrature stopped short or not finite; reported)"
 
     def test_scan_csv_deterministic(self, tmp_path):
         cfg = tmp_path / "scan.json"
@@ -555,6 +581,20 @@ class TestWtScanCommand:
         assert main(["wt-scan", "--config", str(cfg), "--out", str(prefix)]) == 0
         text = (tmp_path / "wt_out.csv").read_text()
         assert text.splitlines()[0] == "t,s,hW,JW,hW_dd,JW_dd,txz_margin,txz_ok"
+
+    def test_a_stopped_short_C2_tree_leaves_txz_inconclusive(self, tmp_path, capsys, c2_capped):
+        cfg = ROOT / "demos" / "configs" / "wt_bimodal.json"
+        with pytest.warns(quadrature.QuadratureNonConvergence, match="C_2 at t="):
+            rc = main(["wt-scan", "--config", str(cfg), "--out", str(tmp_path / "wt")])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "h(W_t) concavity: ok",
+            "interpolation inequality: ok",
+            "J(W_t) curvature changes sign: yes (reported)",
+            "inconclusive rows: 14 (quadrature stopped short or not finite; reported)",
+        ]
+        rows = (tmp_path / "wt.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[-1] for row in rows] == ["1"] * 31
 
     def test_wt_scan_svg_outputs(self, tmp_path, capsys):
         cfg = tmp_path / "wt.json"

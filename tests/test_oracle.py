@@ -54,6 +54,9 @@ def entropy_integrand(mix: GaussianMixture, t: float):
     return fn
 
 
+C_1_AND_C_2 = [("C_1", entropy_derivative(1)), ("C_2", entropy_derivative(2))]
+
+
 def wide_mixture() -> GaussianMixture:
     """The benchmark's 16-component draw: Dirichlet(1) weights, U[-20, 20]
     means, log-uniform variances on [1e-2, 1]."""
@@ -165,6 +168,12 @@ class TestFiniteDifferences:
                 for n in range(1, 7):
                     value, error = fd_entropy_deriv_result(g, float(t), n)
                     assert abs(value - gaussian_dnh(n, var + t)) <= error, (var, t, n)
+                # and C_1's and C_2's cover J = 1/s and J' = -1/s^2, s = v + t, on
+                # which the margins' derived errors rest
+                j, jp = oracle._flow_results(g, float(t), C_1_AND_C_2, DEFAULT_TOL)
+                s = var + t
+                assert abs(j.value - 1.0 / s) <= j.error, (var, t)
+                assert abs(jp.value + 1.0 / s**2) <= jp.error, (var, t)
 
     def test_jet_remainders_are_the_series(self):
         # P_n of (1 + G) log(1 + G), exact in f_2..f_(2n-2)
@@ -356,6 +365,37 @@ def capped(monkeypatch):
     every other tree of that scan takes at most 44.
     """
     monkeypatch.setattr(oracle, "refine", functools.partial(quadrature.refine, max_panels=45))
+
+
+@pytest.fixture
+def c2_capped(monkeypatch):
+    """The oracle's trees capped at 9 panels.
+
+    On the bimodal mixture every h, jet and C_1 tree below keeps its 8
+    initial panels, and so does C_2's, except where the two modes merge:
+    at t = 0.793 and 1.583 of the 12-point log scan on [0.05, 100], and at
+    t = 0.26..0.68 but 0.59 of the 31-point wt grid on [0.05, 0.95], C_2's
+    tree takes 10 panels, so there it stops short and nothing else does.
+    """
+    monkeypatch.setattr(oracle, "refine", functools.partial(quadrature.refine, max_panels=9))
+
+
+def nan_at(monkeypatch, quantity, s):
+    """The oracle's trees as they are, but ``quantity``'s integral at flow time s NaN.
+
+    That is what refining a NaN integrand gives: no rule sum exceeds the
+    tolerance, so the tree ends with a NaN value and error.
+    """
+    label = f"{quantity} at t={float(s)!r}"
+
+    def refine(forest, tol, stacklevel=2):
+        results = quadrature.refine(forest, tol, stacklevel=stacklevel + 1)
+        for labels, row in zip(forest.labels, results):
+            if label in labels:
+                row[labels.index(label)] = quadrature.QuadResult(math.nan, math.nan)
+        return results
+
+    monkeypatch.setattr(oracle, "refine", refine)
 
 
 class TestSharedEvaluation:
@@ -577,6 +617,25 @@ class TestSecondDifference:
         _, err = second_difference(ts, [0.0, 0.0, 0.0], [1e-9, 1e-9, 1e-9])
         assert err[1] == pytest.approx(4e-9)
 
+    def test_equals_the_point_by_point_stencil(self):
+        # the arrays do each point's arithmetic in the loop's order, so the
+        # bits are the loop's
+        rng = np.random.default_rng(1)
+        ts = np.cumsum(rng.uniform(0.01, 2.0, 40))
+        vals, errs = rng.normal(size=40), rng.uniform(0.0, 1e-9, 40)
+        dd, err = second_difference(ts, vals, errs)
+        for i in range(1, 39):
+            hp, hm = ts[i + 1] - ts[i], ts[i] - ts[i - 1]
+            slopes = (vals[i + 1] - vals[i]) / hp - (vals[i] - vals[i - 1]) / hm
+            noise = errs[i + 1] / hp + errs[i] * (1.0 / hp + 1.0 / hm) + errs[i - 1] / hm
+            assert (dd[i], err[i]) == (2.0 * slopes / (hp + hm), 2.0 * noise / (hp + hm))
+
+    def test_a_point_whose_tree_stopped_short_has_no_error_bound(self):
+        ts, vals = [1.0, 2.0, 3.0, 4.0, 5.0], [0.0, 1.0, 4.0, 9.0, 16.0]
+        dd, err = second_difference(ts, vals, [1e-9] * 5, [True, True, True, True, False])
+        assert list(dd[1:-1]) == [2.0] * 3
+        assert list(np.isinf(err)) == [False, False, False, True, False]
+
 
 class TestScan:
     def test_gaussian_grid_all_verdicts_pass(self):
@@ -612,8 +671,52 @@ class TestScan:
             if row is short:
                 sym[3] = "inconclusive"
             assert list(row.sign_status) == fd + sym
-        assert res.stopped_short_rows() == 1
+        assert res.inconclusive_rows() == 1
         assert res.all_signs_ok()
+
+    def test_a_stopped_short_C2_tree_leaves_costa_inconclusive(self, c2_capped):
+        # at max_order 1 only -J' >= J^2 rests on C_2; its own numbers would
+        # pass, but not from a tree that stopped short
+        grid = time_grid(0.05, 100.0, 12, "log")
+        with pytest.warns(QuadratureNonConvergence, match="C_2 at t=") as caught:
+            res = scan_conjectures(BIMODAL_MIXTURE, grid, max_order=1)
+        assert len(caught) == 2
+        short = [i for i, row in enumerate(res.rows) if not row.converged[3]]
+        assert short == [4, 5]
+        for i, row in enumerate(res.rows):
+            own = _sign_status(row.costa_margin, row.costa_margin_err, 1)
+            if i in short:
+                assert (own, row.costa_status) == ("pass", "inconclusive")
+            else:
+                assert row.costa_status == own
+            assert row.withheld == (i in short)
+            assert row.sign_status == ("pass", "pass")
+        assert res.all_costa_ok() and res.all_signs_ok()
+        assert res.inconclusive_rows() == 2
+        assert [line.split(",")[-2] for line in scan_to_csv(res).splitlines()[1:]] == ["1"] * 12
+
+    def test_a_nan_margin_is_inconclusive_not_failed(self, monkeypatch):
+        nan_at(monkeypatch, "C_2", 1.0)
+        res = scan_conjectures(BIMODAL_MIXTURE, [0.5, 1.0, 2.0], max_order=1)
+        row = res.rows[1]
+        assert math.isnan(row.costa_margin) and all(row.converged)
+        assert row.costa_status == "inconclusive"
+        assert [r.costa_status for r in res.rows] == ["pass", "inconclusive", "pass"]
+        assert res.all_costa_ok()
+        assert res.inconclusive_rows() == 1
+
+    def test_derived_margin_errors_cover_a_gaussians_zero_margin(self):
+        # -J' = J^2 for every Gaussian: the computed margin is rounding and
+        # quadrature error only, which its derived error must cover
+        g = GaussianMixture.single(0, 1)
+        res = scan_conjectures(g, time_grid(0.3, 5.0, 40), max_order=2)
+        eps = np.finfo(float).eps
+        for row in res.rows:
+            j, (jp, jp_err) = row.J, (2.0 * row.d_sym[1][0], 2.0 * row.d_sym[1][1])
+            derived = 2.0 * j * row.J_err + jp_err + eps * (abs(jp) + j * j)
+            assert row.costa_margin_err == pytest.approx(derived, rel=1e-12)
+            assert abs(row.costa_margin) <= row.costa_margin_err
+            assert row.costa_status == "inconclusive"
 
     def test_grid_validation(self):
         g = GaussianMixture.single(0, 1)
@@ -717,6 +820,55 @@ class TestWt:
         g = GaussianMixture.single(0, 1)
         with pytest.raises(ValueError):
             wt_checks(g, [0.5, 1.5])
+
+    def test_a_stopped_short_C2_tree_leaves_txz_inconclusive(self, c2_capped):
+        with pytest.warns(QuadratureNonConvergence, match="C_2 at t=") as caught:
+            rep = wt_checks(BIMODAL_MIXTURE, list(np.linspace(0.05, 0.95, 31)))
+        short = [i for i, row in enumerate(rep.rows) if not row.converged[2]]
+        assert short == [i for i in range(7, 22) if i != 18] and len(caught) == 14
+        for i, row in enumerate(rep.rows):
+            assert row.converged[:2] == (True, True)
+            assert _sign_status(row.txz_margin, row.txz_err, 1) == "pass"
+            assert row.txz_status == ("inconclusive" if i in short else "pass")
+        assert rep.txz_ok() and rep.concavity_ok()
+        assert rep.inconclusive_rows() == 14
+        assert [line[-1] for line in wt_to_csv(rep).splitlines()[1:]] == ["1"] * 31
+
+    def test_a_nan_margin_is_inconclusive_not_failed(self, monkeypatch):
+        # t = 0.5 is flow time 1
+        nan_at(monkeypatch, "C_2", 1.0)
+        rep = wt_checks(BIMODAL_MIXTURE, [0.2, 0.4, 0.5, 0.6, 0.8])
+        assert math.isnan(rep.rows[2].txz_margin)
+        assert [r.txz_status for r in rep.rows] == ["pass"] * 2 + ["inconclusive"] + ["pass"] * 2
+        assert rep.txz_ok()
+        assert rep.inconclusive_rows() == 1
+
+    def test_a_nan_curvature_is_inconclusive_and_counted(self, monkeypatch):
+        # a NaN h at t = 0.5 leaves h(W_t)'s three second differences that
+        # use it NaN: none may pass silently, and the row at fault is counted
+        nan_at(monkeypatch, "h", 1.0)
+        rep = wt_checks(BIMODAL_MIXTURE, [0.2, 0.4, 0.5, 0.6, 0.8, 0.9])
+        assert [math.isnan(r.hW_dd) for r in rep.rows[1:-1]] == [True, True, True, False]
+        assert [_sign_status(r.hW_dd, r.hW_dd_err, -1) for r in rep.rows[1:-1]] == [
+            "inconclusive"
+        ] * 3 + ["pass"]
+        assert rep.concavity_ok()
+        assert [r.withheld for r in rep.rows] == [False, False, True, False, False, False]
+        assert rep.inconclusive_rows() == 1
+
+    def test_derived_margin_errors_cover_a_gaussians_zero_margin(self):
+        # W_t is N(0, 1) for every t, so J(Y_s) = t and J'(Y_s) = -t^2: the
+        # margin is zero, and the integrals' own errors must cover it
+        g = GaussianMixture.single(0, 1)
+        rep = wt_checks(g, list(np.linspace(0.05, 0.95, 31)))
+        eps = np.finfo(float).eps
+        for row in rep.rows:
+            j, jp = oracle._flow_results(g, row.s, C_1_AND_C_2, DEFAULT_TOL)
+            t = row.t
+            derived = 2.0 * t * j.error + jp.error + eps * (abs(jp.value) + t * t + 2 * t * j.value)
+            assert row.txz_err == pytest.approx(derived, rel=1e-12)
+            assert abs(row.txz_margin) <= row.txz_err
+            assert row.txz_status == "inconclusive"
 
     def test_values_out_of_float_range_name_the_grid_time(self):
         # s = 1/t - 1 overflows at t = 1e-320; at t = 1e-200, s = 1e200

@@ -92,7 +92,7 @@ def _wide_scan_grid():
 def test_wide_scan_converges_everywhere():
     mix = GaussianMixture.create(workloads.wide_mixture_components())
     result = _quiet(lambda: scan_conjectures(mix, _wide_scan_grid(), 4))
-    assert result.stopped_short_rows() == 0
+    assert result.inconclusive_rows() == 0
     assert all(all(row.converged) for row in result.rows)
 
 
