@@ -346,10 +346,6 @@ def fisher(mix: GaussianMixture, t: float, tol: float = DEFAULT_TOL) -> float:
 def functional_result(
     comb: Combination, mix: GaussianMixture, t: float, tol: float = DEFAULT_TOL
 ) -> QuadResult:
-    if t <= 0:
-        raise ValueError("functionals along the flow need t > 0")
-    if comb.is_zero():
-        return QuadResult(0.0, 0.0)
     return _flow_results(mix, t, [("functional", comb)], tol)[0]
 
 

@@ -44,7 +44,10 @@ JobIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 class QuadratureNonConvergence(UserWarning):
-    """Adaptive refinement hit its depth or panel limit before the tolerance."""
+    """Adaptive refinement stopped short of the tolerance.
+
+    It hit its depth or panel limit, or a panel whose rule sums are not finite.
+    """
 
 
 # Gauss-Legendre nodes per panel, and the panels of a tree before bisection
@@ -195,11 +198,15 @@ def _bisect(forest: Forest, tol: float, max_depth: int, max_panels: int) -> List
         magnitude = mags[:, 0::2] + mags[:, 1::2]
         floor = _REL_FLOOR * np.maximum(np.abs(wholes), magnitude)
         local_tol = tol * (hi - lo) / width[job]
-        discrepancy = np.abs(wholes - halves)
-        ok = ~(discrepancy > np.maximum(np.maximum(local_tol, floor), 1e-300))
+        # a panel whose rule sums are not finite is accepted at once, not
+        # converged: bisecting it can only find more of the same
+        finite = np.isfinite(wholes) & np.isfinite(halves)
+        with np.errstate(invalid="ignore"):
+            discrepancy = np.abs(wholes - halves)
+        ok = finite & ~(discrepancy > np.maximum(np.maximum(local_tol, floor), 1e-300))
         # a panel's value is known no better than its roundoff floor
         error = np.maximum(discrepancy, floor)
-        stop = open_ if depth >= max_depth else open_ & ok
+        stop = open_ if depth >= max_depth else open_ & (ok | ~finite)
         deeper = open_ & ~stop
         capped = counts + _per_tree(stop, job, count) + 2 * _per_tree(deeper, job, count)
         capped = (capped > max_panels)[:, job]
@@ -253,8 +260,9 @@ def _warn_exhausted(
             # one, not one per call site
             warnings.warn(
                 f"mesh refinement{' for ' + name if name else ''} on "
-                f"[{span[0]:.17g}, {span[-1]:.17g}] hit its depth or panel limit at "
-                f"{len(result.panels)} panels; result may miss tol {tol:.3g}",
+                f"[{span[0]:.17g}, {span[-1]:.17g}] stopped at {len(result.panels)} panels "
+                f"on its depth or panel limit or a value that is not finite; "
+                f"result may miss tol {tol:.3g}",
                 QuadratureNonConvergence,
                 stacklevel=stacklevel,
             )
@@ -286,7 +294,8 @@ class Mesh:
 class QuadResult:
     value: float
     error: float
-    # False when refinement hit its depth or panel limit before the tolerance
+    # False when refinement stopped short of the tolerance: at its depth or
+    # panel limit, or on a panel whose rule sums are not finite
     converged: bool = True
     # the panels the row accepted, left to right, as read-only (lo, hi)
     # rows; none when no bisection computed the value

@@ -9,14 +9,16 @@ pure power of f1.
 
 ``reduce`` rewrites any combination into canonical form while preserving
 its integral over y, term weight, and exact rational coefficients.  One
-rewrite step takes the maximal order m* (exponent one), absorbs all
-f_{m*-1} factors into the antiderivative
+rewrite step takes the maximal order m* (exponent one) of a target and
+its flux Phi, the target with f_{m*} removed and f_{m*-1}^e raised to
+f_{m*-1}^{e+1}, and replaces the target by
 
-    f_{m*-1}^e f_{m*} = (f_{m*-1}^{e+1})' / (e+1),
+    target - D_y(Phi) / (e+1),
 
-and differentiates the cofactor, so every produced term has maximal order
-m* - 1.  Iterating therefore terminates; a step bound guards against rule
-gaps regardless.
+which has the same integral and in which the target cancels, so every
+produced term has maximal order m* - 1.  Iterating therefore terminates;
+a step bound guards against rule gaps regardless.  The trace sums the
+fluxes, so a start minus its reduction is exactly ``d_dy`` of one flux.
 
 ``entropy_derivative(n)`` chains the heat-flow time derivative with this
 reduction to produce the canonical integrand C_n with
@@ -31,6 +33,7 @@ from typing import Dict, List, Tuple
 
 from .terms import (
     _ZERO,
+    _derive,
     Combination,
     DerivMonomial,
     d_dt,
@@ -74,10 +77,15 @@ class ReductionStep:
 
 @dataclass
 class ReductionTrace:
-    """Audit trail for a reduction; replaying the steps reproduces ``final``."""
+    """Audit trail for a reduction; replaying the steps reproduces ``final``.
+
+    ``flux`` is what the steps integrated away: the start minus ``final``
+    is exactly ``d_dy(flux)``, the sum of coeff * Phi/(e+1) over the steps.
+    """
 
     steps: List[ReductionStep] = field(default_factory=list)
     final: Combination = field(default_factory=Combination.zero)
+    flux: Combination = field(default_factory=Combination.zero)
 
     def replay(self, start: Combination) -> Combination:
         current = start
@@ -87,45 +95,29 @@ class ReductionTrace:
         return current
 
 
-def rewrite_once(mono: DerivMonomial) -> Combination:
-    """Apply a single IBP rewrite to a non-canonical monomial."""
+def _antiderivative(mono: DerivMonomial) -> Tuple[DerivMonomial, int]:
+    """The flux Phi of a non-canonical ``mono`` and the exponent e of f_{m*-1} in it.
+
+    Phi is ``mono`` with f_{m*} removed and f_{m*-1}^e raised to
+    f_{m*-1}^{e+1} (the bare density f for m* = 1), so D_y(Phi) holds
+    ``mono`` with coefficient e + 1.
+    """
     if mono.is_empty() or is_canonical(mono):
         raise ValueError(f"{mono} is already canonical")
-    if mono.degree == 1:
-        # d/dy of f_{m-1}; the integral of a total derivative is zero
-        return Combination.zero()
-
-    exps = mono.as_dict()
     mstar = mono.max_order
-    K = mono.degree
+    exps = dict(mono.exps[:-1])
     e = exps.get(mstar - 1, 0)
-    cofactor = dict(exps)
-    del cofactor[mstar]
-    cofactor.pop(mstar - 1, None)
+    if mstar > 1:
+        exps[mstar - 1] = e + 1
+    return monomial(exps), e
 
-    scale = Fraction(-1, e + 1)
-    terms: Dict[DerivMonomial, Fraction] = {}
 
-    def put(counts: Dict[int, int], coeff: Fraction) -> None:
-        key = monomial(counts)
-        terms[key] = terms.get(key, _ZERO) + coeff
-        if not terms[key]:
-            del terms[key]
-
-    # differentiate each cofactor numerator factor
-    for m, k in cofactor.items():
-        counts = dict(cofactor)
-        counts[m] -= 1
-        if not counts[m]:
-            del counts[m]
-        counts[m + 1] = counts.get(m + 1, 0) + 1
-        counts[mstar - 1] = counts.get(mstar - 1, 0) + e + 1
-        put(counts, scale * k)
-    # differentiate the implied denominator f^(K-1)
-    counts = dict(cofactor)
-    counts[1] = counts.get(1, 0) + 1
-    counts[mstar - 1] = counts.get(mstar - 1, 0) + e + 1
-    put(counts, scale * (-(K - 1)))
+def rewrite_once(mono: DerivMonomial) -> Combination:
+    """Apply a single IBP rewrite to a non-canonical monomial: mono - D_y(Phi)/(e+1)."""
+    phi, e = _antiderivative(mono)
+    terms = _derive(phi, 1, Fraction(-1, e + 1))
+    # D_y(Phi)/(e+1) holds mono once, which the rewrite cancels
+    del terms[mono]
     return Combination(terms)
 
 
@@ -165,6 +157,7 @@ def reduce(
     """
     budget = max_steps_per_term * max(1, len(c))
     log = ReductionTrace() if trace else None
+    flux: Dict[DerivMonomial, Fraction] = {}
     current: Dict[DerivMonomial, Fraction] = dict(c.items())
     pending = {m for m in current if _needs_rewrite(m)}
     steps = 0
@@ -194,9 +187,12 @@ def reduce(
             if log is not None:
                 rule = "total-derivative" if target.degree == 1 else f"ibp(top=f{target.max_order})"
                 log.steps.append(ReductionStep(target, rule, replacement))
+                phi, e = _antiderivative(target)
+                flux[phi] = flux.get(phi, _ZERO) + coeff / (e + 1)
     result = Combination(current)
     if log is not None:
         log.final = result
+        log.flux = Combination(flux)
         return result, log
     return result
 

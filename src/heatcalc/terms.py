@@ -9,9 +9,10 @@ where ``f_m`` is the m-th derivative (in y) of a smooth positive density
 ``f(y, t)`` and the empty product denotes ``f`` itself.  Linear
 combinations of such monomials with exact rational coefficients are the
 integrands that appear when differentiating the entropy of ``X + sqrt(t) Z``
-in t, so the module provides the two derivations that generate them:
+in t, so the module provides the two derivations that generate them, both
+one product rule (``_derive``) on the factors and the implied denominator:
 
-* ``d_dy`` -- the spatial derivative (quotient/product rule), and
+* ``d_dy`` -- the spatial derivative, f_m -> f_{m+1}, and
 * ``d_dt`` -- the time derivative under the heat flow, using
   ``f_t = f_yy / 2`` so every factor ``f_m`` turns into ``f_{m+2} / 2``.
 
@@ -170,15 +171,12 @@ class Combination:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[DerivMonomial, CoeffLike] | None = None):
-        clean: Dict[DerivMonomial, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-                if c:
-                    clean[mono] = clean.get(mono, _ZERO) + c
-                    if not clean[mono]:
-                        del clean[mono]
-        self._terms = clean
+        # a mapping's keys are distinct, so no two terms merge
+        self._terms: Dict[DerivMonomial, Fraction] = {}
+        for mono, coeff in (terms or {}).items():
+            c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+            if c:
+                self._terms[mono] = c
 
     @staticmethod
     def zero() -> "Combination":
@@ -250,10 +248,10 @@ class Combination:
         return hash(frozenset(self._terms.items()))
 
     def map_monomials(self, fn) -> "Combination":
-        """Apply ``fn: DerivMonomial -> Combination`` linearly to every term."""
+        """Apply ``fn``, a monomial's image as a dict of exact terms, linearly to every term."""
         out: Dict[DerivMonomial, Fraction] = {}
         for mono, coeff in self._terms.items():
-            for image, c in fn(mono)._terms.items():
+            for image, c in fn(mono).items():
                 out[image] = out.get(image, _ZERO) + coeff * c
                 if not out[image]:
                     del out[image]
@@ -286,56 +284,40 @@ def combination(terms: Mapping[DerivMonomial, CoeffLike]) -> Combination:
     return Combination(terms)
 
 
-def _replace_factor(exps: Dict[int, int], old: int, new: int) -> DerivMonomial:
-    out = dict(exps)
-    out[old] -= 1
-    if not out[old]:
-        del out[old]
-    out[new] = out.get(new, 0) + 1
-    return monomial(out)
+def _derive(mono: DerivMonomial, step: int, unit: Fraction) -> Dict[DerivMonomial, Fraction]:
+    """The terms of ``unit`` times the derivation with f_m -> f_{m+step} on every factor.
 
-
-def _d_dy_monomial(mono: DerivMonomial) -> Combination:
+    The product rule bumps each factor of the numerator, and the implied
+    denominator f^(K-1) adds a factor f_step with weight -(K-1).  No two
+    terms share a monomial.  The spatial derivative is ``(1, 1)``; the
+    heat flow, ``f_t = f_yy/2``, is ``(2, 1/2)``.
+    """
     exps = mono.as_dict()
     K = mono.degree
     terms: Dict[DerivMonomial, Fraction] = {}
     for m, k in exps.items():
-        bumped = _replace_factor(exps, m, m + 1)
-        terms[bumped] = terms.get(bumped, _ZERO) + k
-    # quotient rule on the implied denominator f^(K-1): adds an f1 factor
+        bumped = dict(exps)
+        bumped[m] -= 1  # monomial() drops a zero exponent
+        bumped[m + step] = bumped.get(m + step, 0) + 1
+        terms[monomial(bumped)] = k * unit
     if K != 1:
         extra = dict(exps)
-        extra[1] = extra.get(1, 0) + 1
-        down = monomial(extra)
-        terms[down] = terms.get(down, _ZERO) - (K - 1)
-    return Combination(terms)
+        extra[step] = extra.get(step, 0) + 1
+        terms[monomial(extra)] = -(K - 1) * unit
+    return terms
 
 
-def _d_dt_monomial(mono: DerivMonomial) -> Combination:
-    exps = mono.as_dict()
-    K = mono.degree
-    half = Fraction(1, 2)
-    terms: Dict[DerivMonomial, Fraction] = {}
-    for m, k in exps.items():
-        bumped = _replace_factor(exps, m, m + 2)
-        terms[bumped] = terms.get(bumped, _ZERO) + k * half
-    if K != 1:
-        extra = dict(exps)
-        extra[2] = extra.get(2, 0) + 1
-        down = monomial(extra)
-        terms[down] = terms.get(down, _ZERO) - (K - 1) * half
-    return Combination(terms)
+def _derivation(c: Combination | DerivMonomial, step: int, unit: Fraction) -> Combination:
+    if isinstance(c, DerivMonomial):
+        c = Combination.term(c)
+    return c.map_monomials(lambda mono: _derive(mono, step, unit))
 
 
 def d_dy(c: Combination | DerivMonomial) -> Combination:
     """Spatial derivative; raises every term's weight by exactly one."""
-    if isinstance(c, DerivMonomial):
-        return _d_dy_monomial(c)
-    return c.map_monomials(_d_dy_monomial)
+    return _derivation(c, 1, Fraction(1))
 
 
 def d_dt(c: Combination | DerivMonomial) -> Combination:
     """Heat-flow time derivative (f_t = f_yy/2); raises weight by two."""
-    if isinstance(c, DerivMonomial):
-        return _d_dt_monomial(c)
-    return c.map_monomials(_d_dt_monomial)
+    return _derivation(c, 2, Fraction(1, 2))

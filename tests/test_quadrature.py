@@ -375,3 +375,20 @@ def test_one_row_mesh_results_equal_adaptive_quad(max_depth):
     assert meshes == [result.mesh() for result in alone]
     assert mesh_events == alone_events
     assert [r.converged for r in alone].count(False) == (3 if max_depth == 3 else 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_panels_stop_unconverged(bad):
+    # comparing a NaN discrepancy with the tolerance is False, so a panel
+    # whose rule sums are not finite must be rejected explicitly, and
+    # bisecting it would only find more of the same
+    fn = Recorder()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = adaptive_quad(lambda y: np.where(y > 0.5, bad, fn(y)), 0.0, 1.0)
+    assert not result.converged
+    assert [w.category for w in caught] == [QuadratureNonConvergence]
+    assert "at 8 panels" in str(caught[0].message)
+    assert len(result.panels) == quadrature._INITIAL_PANELS
+    # the initial level and the halves of its panels, nothing deeper
+    assert len(fn.nodes()) == 3 * quadrature.INITIAL_NODES

@@ -1,5 +1,6 @@
 """IBP reduction: canonical classification, rewriting, and entropy derivatives."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,8 @@ from heatcalc.reduction import (
     rewrite_once,
     verify_ibp_identities,
 )
-from heatcalc.terms import Combination, d_dt, make_monomial, parse_monomial
+from heatcalc.certificates import partitions
+from heatcalc.terms import Combination, d_dt, d_dy, make_monomial, parse_monomial
 
 
 class TestIsCanonical:
@@ -228,6 +230,80 @@ class TestEntropyDerivative:
         assert entropy_derivative(4).to_lines() == expected
 
 
+# -- pinned exact output ------------------------------------------------------
+
+# sha256 of str(C_n), n = 1..12
+C_N_DIGESTS = {
+    1: "ebe2089a0d9ed015ca584b6ed46a2db5697474ce418c6249d696597ce3842ccf",
+    2: "7490e4dbd04d327f9bd8caf2be41c80ca473c51e640209464a01f32da14eb215",
+    3: "be997a85dc06a48c5835dd470e3f7e1efaabad9e0f943ac9df2dcad916231ec1",
+    4: "85d1602b5256f560874f3a00bf1991fc2d524e90fd7b6f37d3f9de87a8bdd092",
+    5: "810a9362fee1535cd8a49166d5fab7e31ef50bbd35dd605dc58e7fc2f5d675db",
+    6: "f1270c04c6e5ef8545de98272add282fd21885e85bee462265e89c24738c1a02",
+    7: "886668f87d5754d39f797a920f8d79aaeef7f2e5af8c656e39447464cebefe87",
+    8: "32c89a5fdf25f1f8ab798b7b91b2d1c8bb81ef895b9700ad2deb5d06cc974650",
+    9: "1191de503cf3a6754c41b27bf9f3db450b86e388d0ee5b597f74b35566a7b01b",
+    10: "478de6612a835a5e485ac9807f8ebe94776adba344f97ae5b04dec4cea079ac3",
+    11: "48eb3d30e5538077eb007783d78c26d4c19f17f08b7aaab5e841ebee7af15686",
+    12: "7cb3dd8e02bedfa5d75c3cd2f97404a45a037a568b95a601850b531da337e21f",
+}
+# sha256 of the sorted "m -> rewrite_once(m)" lines, joined by newlines, of
+# every non-canonical monomial of weight <= 10
+REWRITE_DIGEST = "c59e49c78b6501402cb85c62ac77b673f057b3449dce0a9e9e0f400ab7097759"
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPinnedExactOutput:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_entropy_derivative(self, n):
+        assert _sha256(str(entropy_derivative(n))) == C_N_DIGESTS[n]
+
+    def test_every_rewrite_up_to_weight_ten(self):
+        lines = [
+            f"{m} -> {rewrite_once(m)}"
+            for w in range(1, 11)
+            for m in map(make_monomial, partitions(w))
+            if not is_canonical(m)
+        ]
+        assert len(lines) == 97
+        assert _sha256("\n".join(sorted(lines))) == REWRITE_DIGEST
+
+
+# -- flux ---------------------------------------------------------------------
+
+
+class TestFlux:
+    """A start minus its reduction is d_dy of the trace's flux, checked without ``reduce``."""
+
+    @staticmethod
+    def _assert_flux(start):
+        final, trace = reduce(start, trace=True)
+        assert start - final == d_dy(trace.flux)
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_time_derivative_of_each_order(self, n):
+        self._assert_flux(d_dt(entropy_derivative(n)))
+
+    @pytest.mark.parametrize("label", list(IBP_IDENTITIES))
+    def test_identity_left_sides(self, label):
+        self._assert_flux(IBP_IDENTITIES[label][0])
+
+    def test_single_steps(self):
+        # f1^4 f2 = (f1^5/f^4)'/5 + 4/5 f1^6/f^5; the total derivatives f1
+        # and f3 are the derivatives of f and f2
+        cases = [
+            ("f1^4 f2/f^4", "f1^5/f^4", Fraction(1, 5)),
+            ("f1", "f", Fraction(1)),
+            ("f3", "f2", Fraction(1)),
+        ]
+        for target, flux, coeff in cases:
+            _, trace = reduce(Combination.term(parse_monomial(target)), trace=True)
+            assert trace.flux == Combination.term(parse_monomial(flux), coeff)
+
+
 # -- randomized properties ----------------------------------------------------
 
 orders = st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=6)
@@ -275,8 +351,6 @@ def test_reduce_commutes_with_time_derivative_reduction(c):
 @settings(max_examples=100, deadline=None)
 @given(combinations)
 def test_total_derivatives_reduce_to_zero_symbolically(c):
-    from heatcalc.terms import d_dy
-
     assert reduce(d_dy(c)).is_zero()
 
 
