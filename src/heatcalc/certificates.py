@@ -239,62 +239,32 @@ def check_order3_family(beta: CoeffLike) -> Tuple[bool, Tuple[Fraction, Fraction
 
 @dataclass(frozen=True)
 class SqrtExtValue:
-    """Exact element a + b*sqrt(d) of a real quadratic extension of Q."""
+    """The exact number a + b*sqrt(d), for an integer d > 0 that is not a square."""
 
     a: Fraction
     b: Fraction
     d: int
-
-    def __add__(self, other: "SqrtExtValue") -> "SqrtExtValue":
-        self._check(other)
-        return SqrtExtValue(self.a + other.a, self.b + other.b, self.d)
-
-    def __sub__(self, other: "SqrtExtValue") -> "SqrtExtValue":
-        self._check(other)
-        return SqrtExtValue(self.a - other.a, self.b - other.b, self.d)
-
-    def __mul__(self, other: "SqrtExtValue") -> "SqrtExtValue":
-        self._check(other)
-        return SqrtExtValue(
-            self.a * other.a + self.d * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-            self.d,
-        )
-
-    def _check(self, other: "SqrtExtValue") -> None:
-        if self.d != other.d:
-            raise ValueError("mixed radicands")
-
-    def is_zero(self) -> bool:
-        return not self.a and not self.b
-
-    @staticmethod
-    def rational(value: CoeffLike, d: int) -> "SqrtExtValue":
-        return SqrtExtValue(Fraction(value), Fraction(0), d)
 
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * float(self.d) ** 0.5
 
 
 def order3_family_upper_endpoint() -> SqrtExtValue:
-    """The largest feasible beta, (-8 + sqrt(94)) / 5, verified symbolically.
+    """The largest feasible beta, (-8 + sqrt(94)) / 5, verified exactly.
 
-    Returns the exact value after checking it is a root of
-    6/5 - 16 b/5 - b^2 and that the linear coefficient 6 b - 2 is positive
-    there.
+    For beta = a + b sqrt(d), the quadratic 6/5 - 16 beta/5 - beta^2 is
+    (6/5 - 16a/5 - a^2 - d b^2) + (-16b/5 - 2ab) sqrt(d), zero when both
+    parts are; the linear coefficient 6 beta - 2 = (6a - 2) + 6b sqrt(d)
+    is positive when b > 0 and (6b)^2 d > (6a - 2)^2.
     """
-    beta = SqrtExtValue(Fraction(-8, 5), Fraction(1, 5), 94)
-    residual = (
-        SqrtExtValue.rational(Fraction(6, 5), 94)
-        - SqrtExtValue.rational(Fraction(16, 5), 94) * beta
-        - beta * beta
-    )
-    if not residual.is_zero():
+    a, b, d = Fraction(-8, 5), Fraction(1, 5), 94
+    rational_part = Fraction(6, 5) - Fraction(16, 5) * a - a * a - d * b * b
+    sqrt_part = -Fraction(16, 5) * b - 2 * a * b
+    if rational_part or sqrt_part:
         raise AssertionError("endpoint does not solve the quadratic")
-    linear = SqrtExtValue.rational(6, 94) * beta - SqrtExtValue.rational(2, 94)
-    if float(linear) <= 0:
+    if not (b > 0 and (6 * b) ** 2 * d > (6 * a - 2) ** 2):
         raise AssertionError("endpoint violates the linear constraint")
-    return beta
+    return SqrtExtValue(a, b, d)
 
 
 def order3_certificate() -> Certificate:

@@ -26,6 +26,7 @@ from typing import Iterable, Tuple
 import numpy as np
 
 _LOG_2PI = math.log(2.0 * math.pi)
+WINDOW_SIGMAS = 12.0  # the integration window's padding, in flow standard deviations
 
 
 @dataclass(frozen=True)
@@ -76,10 +77,10 @@ class GaussianMixture:
     def variances(self) -> np.ndarray:
         return _frozen([v for _, _, v in self.components])
 
-    def support_interval(self, t: float, sigmas: float = 12.0) -> Tuple[float, float]:
-        """Integration window: means padded by ``sigmas`` flow standard deviations."""
+    def support_interval(self, t: float) -> Tuple[float, float]:
+        """Integration window: means padded by ``WINDOW_SIGMAS`` flow standard deviations."""
         means = [mu for _, mu, _ in self.components]
-        spread = sigmas * math.sqrt(max(v for _, _, v in self.components) + t)
+        spread = WINDOW_SIGMAS * math.sqrt(max(v for _, _, v in self.components) + t)
         return min(means) - spread, max(means) + spread
 
 

@@ -22,7 +22,9 @@ integrals' own, never padded.
 
 A scan refines its flow times in batches, each batch one bisection
 forest: per flow time one tree on which the jet orders 0..max_order and
-C_1..C_4 each accept their own panels.  A row whose terms cancel carries a
+C_1..C_4 each accept their own panels; ``wt_checks`` reads these rows
+at max_order 0, at s = 1/t - 1, and a forest sees the mixture in its
+own frame (``_flow_forest``).  A row whose terms cancel carries a
 magnitude row, f times the sum of its terms' absolute values, that sets
 its roundoff floor.  Every density evaluation is one ``mixtures.map_flow``
 call, one flow time per job, with an epilogue from ``_flow_rows``.  A
@@ -39,11 +41,11 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .mixtures import GaussianMixture, map_flow
+from .mixtures import WINDOW_SIGMAS, GaussianMixture, map_flow
 from .quadrature import INITIAL_NODES, Forest, QuadResult, refine
 from .reduction import entropy_derivative
 from .terms import Combination, make_monomial
@@ -235,15 +237,15 @@ def _flow_labels(t: float, quantities) -> Tuple[str, ...]:
 
 
 def _window(mix: GaussianMixture, t: float) -> Tuple[float, ...]:
-    """``support_interval`` at t as breakpoints, with the 12-sigma edges of each
-    component narrower than the mean spacing of the initial nodes, which
-    could fall between all of them and read as zero."""
+    """``support_interval`` at t as breakpoints, with the ``WINDOW_SIGMAS`` edges
+    of each component narrower than the mean spacing of the initial nodes,
+    which could fall between all of them and read as zero."""
     a, b = mix.support_interval(t)
     spacing = (b - a) / INITIAL_NODES
     edges = [
-        mu + side * 12.0 * math.sqrt(v + t)
+        mu + side * WINDOW_SIGMAS * math.sqrt(v + t)
         for _, mu, v in mix.components
-        if 24.0 * math.sqrt(v + t) < spacing
+        if 2.0 * WINDOW_SIGMAS * math.sqrt(v + t) < spacing
         for side in (-1.0, 1.0)
     ]
     return (a, *sorted(edges), b)
@@ -273,8 +275,7 @@ def _check_kernel(mix: GaussianMixture, windows: Sequence[Tuple[float, ...]], ts
     bad = np.argwhere(~(z < 2.0 ** (1024 / power)))
     if bad.size:
         j, k = bad[0]
-        means = [mu for _, mu, _ in mix.components]
-        spread = max(means) - min(means) > ends[j, 1] - max(means)
+        spread = np.ptp(mix.means) > ends[j, 1] - mix.means.max()
         raise FlowRangeError(
             f"|z| of component {k} reaches {z[j, k]:.3g} at flow time {float(ts[j])!r}: "
             f"|z|**{power} overflows float64",
@@ -303,7 +304,14 @@ def _flow_forest(
 
     A combination's roundoff floor is keyed to the integral of its terms'
     absolute values, not of its own absolute value, which cancels below it.
+
+    h, J and every C_n ignore a translation, so the windows, the range
+    check and the kernel see the mixture shifted by c, 0 when the means
+    straddle 0 and else the mean nearest 0, where y - mu keeps its digits.
     """
+    if not mix.means.min() <= 0.0 <= mix.means.max():
+        c = float(min(mix.means, key=abs))
+        mix = GaussianMixture(tuple((w, mu - c, v) for w, mu, v in mix.components))
     windows = [_window(mix, t) for t in ts]
     _check_kernel(mix, windows, ts, max([2, *_ratio_powers(quantities)]))
     return Forest(
@@ -471,6 +479,8 @@ class ScanRow:
     h_err: float
     J: float
     J_err: float
+    Jp: float  # J' as the integral of C_2
+    Jp_err: float
     d_fd: Tuple[Tuple[float, float], ...]  # jet (value, error) for n = 1..max_order
     d_sym: Tuple[Tuple[float, float], ...]  # symbolic (value, error) for n = 1..min(4, max_order)
     costa_margin: float  # -J' - J^2, zero for a single Gaussian
@@ -535,25 +545,14 @@ _SYM_ORDERS = 4
 _FOREST_TIMES = 40
 
 
-def _flow_batches(
-    mix: GaussianMixture, ts: Sequence[float], quantities: Sequence[Quantity], tol: float
-) -> Iterator[Tuple[Sequence[float], List[List[QuadResult]]]]:
-    """Each batch of ``_FOREST_TIMES`` flow times, with each quantity's result per time.
-
-    A batch is one forest: every level of all its trees is refined together.
-    """
-    for i in range(0, len(ts), _FOREST_TIMES):
-        batch = ts[i : i + _FOREST_TIMES]
-        yield batch, refine(_flow_forest(mix, batch, quantities), tol, stacklevel=3)
-
-
 def _scan_rows(
     mix: GaussianMixture, ts: Sequence[float], max_order: int, tol: float
 ) -> List[ScanRow]:
-    """The scan's rows before the grid-level verdicts, from one forest per batch.
+    """The rows at flow times ``ts`` before the grid-level verdicts, one forest per batch.
 
     Each flow time has one tree on which the jet orders 0..max_order (h
-    first) and C_1..C_4 each accept their own panels.
+    first) and C_1..C_4 each accept their own panels.  At max_order 0 the
+    quantities are h, C_1 and C_2, the rows that ``wt_checks`` reads.
     """
     sym_orders = min(_SYM_ORDERS, max_order)
     # the jet; C_1 and C_2 (which integrate to J and J') always; C_3, C_4 as the orders ask
@@ -561,21 +560,24 @@ def _scan_rows(
         (f"C_{n}", entropy_derivative(n)) for n in range(1, max(sym_orders, 2) + 1)
     ]
     rows = []
-    for batch, flows in _flow_batches(mix, ts, quantities, tol):
-        for t, flow in zip(batch, flows):
+    for i in range(0, len(ts), _FOREST_TIMES):
+        batch = ts[i : i + _FOREST_TIMES]
+        for t, flow in zip(batch, refine(_flow_forest(mix, batch, quantities), tol)):
             h_res, jet, sym = flow[0], flow[1 : max_order + 1], flow[max_order + 1 :]
-            j_res = sym[0]
-            _check_fisher(mix, j_res.value, t, t)
-            j, jp = j_res.value, sym[1].value
+            j_res, jp_res = sym[0], sym[1]
+            _check_fisher(mix, j_res.value, t)
+            j, jp = j_res.value, jp_res.value
             # the integrals' errors to first order, and the margin's own rounding
-            costa_err = 2.0 * j * j_res.error + sym[1].error + _EPS * (abs(jp) + j * j)
+            costa_err = 2.0 * j * j_res.error + jp_res.error + _EPS * (abs(jp) + j * j)
             rows.append(
                 ScanRow(
                     t=t,
                     h=h_res.value,
                     h_err=h_res.error,
-                    J=j_res.value,
+                    J=j,
                     J_err=j_res.error,
+                    Jp=jp,
+                    Jp_err=jp_res.error,
                     d_fd=tuple((r.value, r.error) for r in jet),
                     d_sym=tuple((0.5 * r.value, 0.5 * r.error) for r in sym[:sym_orders]),
                     costa_margin=-jp - j * j,
@@ -586,8 +588,8 @@ def _scan_rows(
     return rows
 
 
-def _check_fisher(mix: GaussianMixture, j: float, s: float, t: float) -> None:
-    """Raise ``FlowRangeError`` at the grid's t if J at flow time s cannot be squared.
+def _check_fisher(mix: GaussianMixture, j: float, s: float) -> None:
+    """Raise ``FlowRangeError`` at flow time s if J there cannot be squared.
 
     The verdicts square J and divide by it.  J is about 1/(v + s) for the
     widest variance v, so the larger of the two is at fault.
@@ -595,8 +597,8 @@ def _check_fisher(mix: GaussianMixture, j: float, s: float, t: float) -> None:
     if not sys.float_info.min <= j * j < math.inf:
         widest = int(np.argmax(mix.variances))
         raise FlowRangeError(
-            f"J = {j!r} at t = {t!r}: J**2 leaves float64's normal range",
-            t,
+            f"J = {j!r} at flow time {s!r}: J**2 leaves float64's normal range",
+            s,
             widest if mix.variances[widest] >= s else None,
         )
 
@@ -737,43 +739,40 @@ def wt_checks(mix: GaussianMixture, t_grid: Sequence[float], tol: float = DEFAUL
     """Concavity/convexity checks for the interpolation on 0 < t < 1.
 
     Uses the scaling identity h(W_t) = h(X + sqrt(1/t - 1) Z) + log(t)/2
-    and J(W_t) = J(X + sqrt(1/t - 1) Z) / t, so everything reduces to flow
-    quantities at s = 1/t - 1.  A t whose s, kernel values or J(Y_s)**2
-    leave float64's range raises ``FlowRangeError`` at that t, as the scan
-    does.
+    and J(W_t) = J(X + sqrt(1/t - 1) Z) / t, so each row is the scan's
+    row at flow time s = 1/t - 1 and max_order 0.  A t whose s, kernel
+    values or J(Y_s)**2 leave float64's range raises ``FlowRangeError``
+    at that t, as the scan does.
     """
     ts = [float(t) for t in t_grid]
     if any(not 0 < t < 1 for t in ts) or sorted(ts) != ts:
         raise ValueError("grid must lie strictly inside (0, 1) and increase")
 
-    quantities = [_jet(0), ("C_1", entropy_derivative(1)), ("C_2", entropy_derivative(2))]
     flow_times = [1.0 / t - 1.0 for t in ts]
     for t, s in zip(ts, flow_times):
         if not math.isfinite(s):
             raise FlowRangeError(f"s = 1/t - 1 at t = {t!r} overflows float64", t)
-    batches = _flow_batches(mix, flow_times, quantities, tol)
     try:
-        flows = [flow for _, batch in batches for flow in batch]
+        flows = _scan_rows(mix, flow_times, 0, tol)
     except FlowRangeError as exc:
         exc.t = ts[flow_times.index(exc.t)]  # the grid time of the flow time at fault
         raise
     rows = []
-    for t, s, (h_res, j_res, c2_res) in zip(ts, flow_times, flows):
-        _check_fisher(mix, j_res.value, s, t)
-        j, jp = j_res.value, c2_res.value
+    for t, flow in zip(ts, flows):
+        j, jp = flow.J, flow.Jp
         rows.append(
             WtRow(
                 t=t,
-                s=s,
-                hW=h_res.value + 0.5 * math.log(t),
-                hW_err=h_res.error,
+                s=flow.t,
+                hW=flow.h + 0.5 * math.log(t),
+                hW_err=flow.h_err,
                 JW=j / t,
-                JW_err=j_res.error / t,
+                JW_err=flow.J_err / t,
                 txz_margin=-jp + t * t - 2.0 * t * j,
                 # the integrals' errors to first order, and the margin's own rounding
-                txz_err=2.0 * t * j_res.error + c2_res.error
+                txz_err=2.0 * t * flow.J_err + flow.Jp_err
                 + _EPS * (abs(jp) + t * t + 2.0 * t * j),
-                converged=(h_res.converged, j_res.converged, c2_res.converged),
+                converged=flow.converged,
             )
         )
 

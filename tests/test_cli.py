@@ -511,14 +511,18 @@ class TestScanCommand:
             for var in (1e155, 1e200, 1e250, 1e300)
         ]
         + [
-            # means 1e300 apart make the window, and every |z|**2 overflows
-            (
-                "mixture[0].mu",
-                {
-                    "mixture": FAR_MEANS,
-                    "t_grid": {"start": 0.1, "stop": 0.9, "points": 9},
-                    "max_order": 4,
-                },
+            # means 1e300 apart make the window, and every |z|**2 overflows;
+            # so they do in the frame of the mean nearest 0, when both are positive
+            *(
+                (
+                    "mixture[0].mu",
+                    {
+                        "mixture": means,
+                        "t_grid": {"start": 0.1, "stop": 0.9, "points": 9},
+                        "max_order": 4,
+                    },
+                )
+                for means in (FAR_MEANS, [FAR_MEANS[0], dict(FAR_MEANS[1], mu=1)])
             ),
             # at max_order 2 the top ratio row is 4, where |z|**4 of the
             # narrow component overflows
@@ -559,6 +563,24 @@ class TestScanCommand:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith(f"config error at {where}: "), command
             assert not (tmp_path / "range.csv").exists()
+
+    @pytest.mark.parametrize("command", ["scan", "wt-scan"])
+    @pytest.mark.parametrize("mu", [1e17, -1e300])
+    def test_a_far_mean_is_integrated_in_its_own_frame(self, tmp_path, capsys, command, mu):
+        # a lone component's window 1e17 +- 12 is two float spacings wide
+        # where it lies, so each forest shifts the mixture by its mean:
+        # N(mu, 1) writes the bytes of N(0, 1)
+        csv = {}
+        for mean in (mu, 0.0):
+            cfg = tmp_path / "far.json"
+            cfg.write_text(json.dumps(dict(WT_SCAN, mixture=[{"w": 1, "mu": mean, "var": 1}])))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "far")])
+            assert rc == 0
+            assert capsys.readouterr().err == ""
+            csv[mean] = (tmp_path / "far.csv").read_bytes()
+        assert csv[mu] == csv[0.0]
 
     @pytest.mark.parametrize("command,var", [("scan", 1e70), ("wt-scan", 1e300)])
     def test_a_wide_component_in_range_runs_clean(self, tmp_path, capsys, command, var):

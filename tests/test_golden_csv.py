@@ -113,6 +113,22 @@ CASES = {
 }
 
 
+def _shifted(name, mu):
+    """``CASES[name]`` with every mean moved by mu, and the same output bytes.
+
+    h, J and every C_n ignore a translation, and each forest integrates
+    the mixture shifted by its mean nearest 0 (unframed, the bimodal
+    scan at mu = 1e16 failed its sign checks).
+    """
+    command, payload, stdout, digest = CASES[name]
+    mixture = [dict(c, mu=c["mu"] + mu) for c in payload["mixture"]]
+    return command, dict(payload, mixture=mixture), stdout, digest
+
+
+CASES.update({f"bimodal+{mu:g}": _shifted("bimodal", mu) for mu in (1e4, 1e8, 1e12, 1e15, 1e16)})
+CASES.update({f"wt_bimodal+{mu:g}": _shifted("wt_bimodal", mu) for mu in (1e4, 1e16)})
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_output_bytes_are_pinned(name, tmp_path, capsys):
     command, payload, stdout, digest = CASES[name]

@@ -885,6 +885,19 @@ class TestWt:
                 wt_checks(GaussianMixture.single(0, var), [0.1, 0.5, 0.9])
             assert (caught.value.t, caught.value.component) == (0.1, 0)
 
+    @pytest.mark.parametrize("case", ["bimodal", "wide"])
+    def test_rows_are_the_scan_rows_at_s(self, case):
+        # h(W_t) = h(Y_s) + log(t)/2 and J(W_t) = J(Y_s)/t at s = 1/t - 1:
+        # every value is the scan's at that flow time, bit for bit
+        mix = BIMODAL_MIXTURE if case == "bimodal" else wide_mixture()
+        ts = time_grid(0.05, 0.95, 31)
+        rep = wt_checks(mix, ts)
+        scan = scan_conjectures(mix, sorted(1.0 / t - 1.0 for t in ts), max_order=1)
+        for row, flow in zip(rep.rows, reversed(scan.rows)):
+            assert row.s == flow.t
+            assert row.hW == flow.h + 0.5 * math.log(row.t) and row.hW_err == flow.h_err
+            assert row.JW == flow.J / row.t and row.JW_err == flow.J_err / row.t
+
     def test_csv_output(self):
         g = GaussianMixture.single(0, 1)
         rep = wt_checks(g, [0.2, 0.5, 0.8])
