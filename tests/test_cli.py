@@ -511,18 +511,14 @@ class TestScanCommand:
             for var in (1e155, 1e200, 1e250, 1e300)
         ]
         + [
-            # means 1e300 apart make the window, and every |z|**2 overflows;
-            # so they do in the frame of the mean nearest 0, when both are positive
-            *(
-                (
-                    "mixture[0].mu",
-                    {
-                        "mixture": means,
-                        "t_grid": {"start": 0.1, "stop": 0.9, "points": 9},
-                        "max_order": 4,
-                    },
-                )
-                for means in (FAR_MEANS, [FAR_MEANS[0], dict(FAR_MEANS[1], mu=1)])
+            # means 1e300 apart make the window, and every |z|**2 overflows
+            (
+                "mixture[0].mu",
+                {
+                    "mixture": FAR_MEANS,
+                    "t_grid": {"start": 0.1, "stop": 0.9, "points": 9},
+                    "max_order": 4,
+                },
             ),
             # at max_order 2 the top ratio row is 4, where |z|**4 of the
             # narrow component overflows
@@ -541,6 +537,16 @@ class TestScanCommand:
                 {
                     "mixture": [{"w": 1, "mu": 0, "var": 1e-100}],
                     "t_grid": {"start": 1e-100, "stop": 1, "points": 5, "spacing": "log"},
+                },
+            ),
+            # means 1e300 apart, both positive: every |z|**2 overflows in the
+            # frame of the mean nearest 0 as well
+            (
+                "mixture[0].mu",
+                {
+                    "mixture": [FAR_MEANS[0], dict(FAR_MEANS[1], mu=1)],
+                    "t_grid": {"start": 0.1, "stop": 0.9, "points": 9},
+                    "max_order": 4,
                 },
             ),
         ],
