@@ -83,6 +83,12 @@ def _is_number(value, kind=(int, float)) -> bool:
         return False
 
 
+def _require_known(obj: dict, prefix: str, keys: Sequence[str]) -> None:
+    """Reject a key outside ``keys``: a misspelt field would silently take its default."""
+    for key in obj:
+        _require(key in keys, prefix + key, "unknown field")
+
+
 def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     from .mixtures import GaussianMixture
     from .oracle import DEFAULT_TOL
@@ -95,12 +101,14 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         raise ConfigError(f"config error in {source}: {exc}")
 
     _require(isinstance(payload, dict), "<root>", "expected a JSON object")
+    _require_known(payload, "", ("mixture", "t_grid", "max_order", "tolerances", "output"))
     mixture = payload.get("mixture")
     _require(isinstance(mixture, list) and mixture, "mixture", "expected a nonempty list")
     comps = []
     for i, entry in enumerate(mixture):
         where = f"mixture[{i}]"
         _require(isinstance(entry, dict), where, "expected an object")
+        _require_known(entry, f"{where}.", ("w", "mu", "var"))
         for key in ("w", "mu", "var"):
             _require(key in entry, f"{where}.{key}", "missing")
             _require(_is_number(entry[key]), f"{where}.{key}", "expected a finite number")
@@ -114,6 +122,7 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
 
     grid = payload.get("t_grid")
     _require(isinstance(grid, dict), "t_grid", "expected an object")
+    _require_known(grid, "t_grid.", ("start", "stop", "points", "spacing"))
     for key in ("start", "stop", "points"):
         _require(key in grid, f"t_grid.{key}", "missing")
     start, stop, points = grid["start"], grid["stop"], grid["points"]
@@ -134,13 +143,13 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
 
     quad_tol = DEFAULT_TOL
     tolerances = payload.get("tolerances", {})
-    if tolerances:
-        _require(isinstance(tolerances, dict), "tolerances", "expected an object")
-        if "quad" in tolerances:
-            quad = tolerances["quad"]
-            _require(_is_number(quad), "tolerances.quad", "expected a finite number")
-            _require(quad > 0, "tolerances.quad", "must be > 0")
-            quad_tol = float(quad)
+    _require(isinstance(tolerances, dict), "tolerances", "expected an object")
+    _require_known(tolerances, "tolerances.", ("quad",))
+    if "quad" in tolerances:
+        quad = tolerances["quad"]
+        _require(_is_number(quad), "tolerances.quad", "expected a finite number")
+        _require(quad > 0, "tolerances.quad", "must be > 0")
+        quad_tol = float(quad)
 
     output = payload.get("output")
     if output is not None:
@@ -421,10 +430,16 @@ def _cmd_scan(args) -> int:
     _write_csv(prefix, scan_to_csv(result))
     if args.svg:
         ts, h, j = result.ts(), result.column("h"), result.column("J")
-        series = {}
-        for name, values in zip(("h", "J", "invJ", "logJ"), (h, j, 1.0 / j, np.log(j))):
-            series[name] = values
-            series[f"{name}_dd"] = second_difference(ts, values)[0]
+        series = {
+            "h": h,
+            "h_dd": second_difference(ts, h)[0],
+            "J": j,
+            "J_dd": second_difference(ts, j)[0],
+            "invJ": 1.0 / j,
+            "invJ_dd": result.column("invJ_dd"),
+            "logJ": np.log(j),
+            "logJ_dd": result.column("logJ_dd"),
+        }
         _write_svgs(prefix, ts, series, logx=config.t_spacing == "log")
 
     signs = result.all_signs_ok()

@@ -15,10 +15,9 @@ Scans sweep a t-grid and record both routes together with the quantities
 the sign conjectures speak about (log J and 1/J curvature, the entropy
 power, the interpolation W_t = sqrt(t) X + sqrt(1-t) Z).  Every pass/fail
 verdict follows one rule, ``_sign_status``: a check passes or fails only
-when the value clears its own stated error by a factor of three, both are
-finite and every tree it rests on converged; otherwise it is reported as
-inconclusive rather than asserted.  Errors are propagated from the
-integrals' own, never padded.
+when the value clears its own stated error by a factor of three and both
+are finite; otherwise it is reported as inconclusive rather than asserted.
+Errors are propagated from the integrals' own, never padded.
 
 A scan refines its flow times in batches, each batch one bisection
 forest: per flow time one tree on which the jet orders 0..max_order and
@@ -28,9 +27,10 @@ own frame (``_flow_forest``).  A row whose terms cancel carries a
 magnitude row, f times the sum of its terms' absolute values, that sets
 its roundoff floor.  Every density evaluation is one ``mixtures.map_flow``
 call, one flow time per job, with an epilogue from ``_flow_rows``.  A
-quantity whose tree stops short of the tolerance leaves every verdict
-that rests on it inconclusive; in a grid difference its point has no
-error bound.
+quantity whose tree stops short of the tolerance has no error bound: its
+row carries it as an infinite error, which every error derived from it,
+on the row or in a grid difference, inherits, so each verdict that rests
+on it is inconclusive.
 """
 
 from __future__ import annotations
@@ -417,24 +417,19 @@ def time_grid(start: float, stop: float, points: int, spacing: str = "linear") -
 
 
 def second_difference(
-    ts: Sequence[float],
-    values: Sequence[float],
-    errors: Optional[Sequence[float]] = None,
-    converged: Optional[Sequence[bool]] = None,
+    ts: Sequence[float], values: Sequence[float], errors: Optional[Sequence[float]] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Three-point second-derivative estimates on a possibly non-uniform grid.
 
     Endpoints are nan.  The error output propagates per-point value errors
     through the stencil; for a genuinely convex (concave) function the
     estimate is nonnegative (nonpositive) up to exactly this noise, with
-    no truncation term.  A point whose tree stopped short (``converged``
-    False) has no error bound, so every estimate that uses it has none.
+    no truncation term.  A point with an infinite error, one whose tree
+    stopped short, gives every estimate that uses it an infinite error.
     """
     ts = np.asarray(ts, dtype=float)
     vals = np.asarray(values, dtype=float)
     errs = np.zeros_like(vals) if errors is None else np.asarray(errors, dtype=float)
-    if converged is not None:
-        errs = np.where(converged, errs, math.inf)
     hp, hm = ts[2:] - ts[1:-1], ts[1:-1] - ts[:-2]
     out = np.full_like(vals, np.nan)
     out_err = np.full_like(vals, np.nan)
@@ -449,20 +444,20 @@ def _has_both_signs(values: Iterable[Tuple[float, float]]) -> bool:
     return {"pass", "fail"} <= {_sign_status(value, error, 1) for value, error in values}
 
 
-def _sign_status(value: float, error: float, wanted: int, done: bool = True) -> str:
+def _sign_status(value: float, error: float, wanted: int) -> str:
     """The one verdict rule: "pass" or "fail" only for a finite value beyond 3 finite errors.
 
-    ``done`` is False when a tree that the value rests on stopped short,
-    which leaves the verdict "inconclusive" as well.
+    A value that rests on a tree that stopped short has an infinite error,
+    so its verdict is "inconclusive".
     """
-    if _withheld([done], (value, error)) or abs(value) <= 3.0 * error:
+    if _withheld((value, error)) or abs(value) <= 3.0 * error:
         return "inconclusive"
     return "pass" if math.copysign(1.0, value) == wanted else "fail"
 
 
-def _withheld(converged: Iterable[bool], *pairs: Tuple[float, float]) -> bool:
-    """Numerical trouble: a tree stopped short, or a value or error is not finite."""
-    return not (all(converged) and all(math.isfinite(x) for pair in pairs for x in pair))
+def _withheld(*pairs: Tuple[float, float]) -> bool:
+    """Numerical trouble: a value or error is not finite, as where a tree stopped short."""
+    return not all(math.isfinite(x) for pair in pairs for x in pair)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +481,7 @@ class ScanRow:
     costa_margin: float  # -J' - J^2, zero for a single Gaussian
     costa_margin_err: float  # 2 J J_err + J'_err + eps (|J'| + J^2)
     # per quadrature tree, the jet orders 0..max_order (h first) then
-    # C_1..C_k: False where it stopped short
+    # C_1..C_k: False where it stopped short, and its error is inf
     converged: Tuple[bool, ...]
     logJ_dd: float = math.nan
     logJ_dd_err: float = math.nan
@@ -499,9 +494,9 @@ class ScanRow:
     costa_status: str = "inconclusive"
 
     @property
-    def withheld(self) -> bool:  # a tree stopped short or a number is not finite
+    def withheld(self) -> bool:  # a number is not finite, as where a tree stopped short
         pairs = [(self.h, self.h_err), (self.J, self.J_err), *self.d_fd, *self.d_sym]
-        return _withheld(self.converged, (self.costa_margin, self.costa_margin_err), *pairs)
+        return _withheld((self.costa_margin, self.costa_margin_err), *pairs)
 
 
 @dataclass
@@ -552,7 +547,8 @@ def _scan_rows(
 
     Each flow time has one tree on which the jet orders 0..max_order (h
     first) and C_1..C_4 each accept their own panels.  At max_order 0 the
-    quantities are h, C_1 and C_2, the rows that ``wt_checks`` reads.
+    quantities are h, C_1 and C_2, the rows that ``wt_checks`` reads.  A
+    tree that stopped short gives its value an infinite error.
     """
     sym_orders = min(_SYM_ORDERS, max_order)
     # the jet; C_1 and C_2 (which integrate to J and J') always; C_3, C_4 as the orders ask
@@ -563,23 +559,23 @@ def _scan_rows(
     for i in range(0, len(ts), _FOREST_TIMES):
         batch = ts[i : i + _FOREST_TIMES]
         for t, flow in zip(batch, refine(_flow_forest(mix, batch, quantities), tol)):
-            h_res, jet, sym = flow[0], flow[1 : max_order + 1], flow[max_order + 1 :]
-            j_res, jp_res = sym[0], sym[1]
-            _check_fisher(mix, j_res.value, t)
-            j, jp = j_res.value, jp_res.value
+            pairs = [(r.value, r.error if r.converged else math.inf) for r in flow]
+            (h, h_err), jet, sym = pairs[0], pairs[1 : max_order + 1], pairs[max_order + 1 :]
+            (j, j_err), (jp, jp_err) = sym[0], sym[1]
+            _check_fisher(mix, j, t)
             # the integrals' errors to first order, and the margin's own rounding
-            costa_err = 2.0 * j * j_res.error + jp_res.error + _EPS * (abs(jp) + j * j)
+            costa_err = 2.0 * j * j_err + jp_err + _EPS * (abs(jp) + j * j)
             rows.append(
                 ScanRow(
                     t=t,
-                    h=h_res.value,
-                    h_err=h_res.error,
+                    h=h,
+                    h_err=h_err,
                     J=j,
-                    J_err=j_res.error,
+                    J_err=j_err,
                     Jp=jp,
-                    Jp_err=jp_res.error,
-                    d_fd=tuple((r.value, r.error) for r in jet),
-                    d_sym=tuple((0.5 * r.value, 0.5 * r.error) for r in sym[:sym_orders]),
+                    Jp_err=jp_err,
+                    d_fd=tuple(jet),
+                    d_sym=tuple((0.5 * v, 0.5 * e) for v, e in sym[:sym_orders]),
                     costa_margin=-jp - j * j,
                     costa_margin_err=costa_err,
                     converged=tuple(r.converged for r in flow),
@@ -630,37 +626,29 @@ def scan_conjectures(
 
     j_vals = [r.J for r in rows]
     j_errs = [r.J_err for r in rows]
-    j_done = [r.converged[max_order + 1] for r in rows]
     e2h = [math.exp(2.0 * r.h) for r in rows]
     # per-point noise floors include one ulp of the stored value, which
     # dominates when the quadrature is machine-exact
     logj_dd, logj_err = second_difference(
-        ts, np.log(j_vals), [max(e / v, 3e-16) for v, e in zip(j_vals, j_errs)], j_done
+        ts, np.log(j_vals), [max(e / v, 3e-16) for v, e in zip(j_vals, j_errs)]
     )
     invj_errs = [max(e / (v * v), 3e-16 / v) for v, e in zip(j_vals, j_errs)]
-    invj_dd, invj_err = second_difference(ts, [1.0 / v for v in j_vals], invj_errs, j_done)
-    e2h_dd, e2h_err = second_difference(
-        ts, e2h, [2.0 * p * r.h_err for p, r in zip(e2h, rows)], [r.converged[0] for r in rows]
-    )
+    invj_dd, invj_err = second_difference(ts, [1.0 / v for v in j_vals], invj_errs)
+    e2h_dd, e2h_err = second_difference(ts, e2h, [2.0 * p * r.h_err for p, r in zip(e2h, rows)])
     for i, row in enumerate(rows):
         row.logJ_dd, row.logJ_dd_err = float(logj_dd[i]), float(logj_err[i])
         row.invJ_dd, row.invJ_dd_err = float(invj_dd[i]), float(invj_err[i])
         row.e2h_dd, row.e2h_dd_err = float(e2h_dd[i]), float(e2h_err[i])
 
-        # a sign verdict rests on one tree: d_fd's order n on the jet's, d_sym's on C_n's
-        checks = [(n, v, e, row.converged[n]) for n, (v, e) in enumerate(row.d_fd, start=1)]
-        checks += [
-            (n, v, e, row.converged[max_order + n]) for n, (v, e) in enumerate(row.d_sym, start=1)
-        ]
         row.sign_status = tuple(
-            _sign_status(value, error, 1 if n % 2 else -1, done) for n, value, error, done in checks
+            _sign_status(value, error, 1 if n % 2 else -1)
+            for derivs in (row.d_fd, row.d_sym)
+            for n, (value, error) in enumerate(derivs, start=1)
         )
         row.signs_ok = "fail" not in row.sign_status
-        # -J' >= J^2 rests on C_1's and C_2's trees; (e^{2h})'' = e^{2h} (J^2 + J')
-        # makes it the entropy-power concavity too, and e2h_dd, its grid
-        # cross-check, gets no verdict
-        c12 = row.converged[max_order + 1 : max_order + 3]
-        row.costa_status = _sign_status(row.costa_margin, row.costa_margin_err, 1, all(c12))
+        # (e^{2h})'' = e^{2h} (J^2 + J') makes -J' >= J^2 the entropy-power
+        # concavity too, and e2h_dd, its grid cross-check, gets no verdict
+        row.costa_status = _sign_status(row.costa_margin, row.costa_margin_err, 1)
 
     return ScanResult(mix, max_order, rows)
 
@@ -710,9 +698,9 @@ class WtRow:
     txz_status: str = "inconclusive"  # the interpolation inequality's verdict
 
     @property
-    def withheld(self) -> bool:  # a tree stopped short or a number is not finite
+    def withheld(self) -> bool:  # a number is not finite, as where a tree stopped short
         margin = (self.txz_margin, self.txz_err)
-        return _withheld(self.converged, (self.hW, self.hW_err), (self.JW, self.JW_err), margin)
+        return _withheld((self.hW, self.hW_err), (self.JW, self.JW_err), margin)
 
 
 @dataclass
@@ -776,17 +764,12 @@ def wt_checks(mix: GaussianMixture, t_grid: Sequence[float], tol: float = DEFAUL
             )
         )
 
-    hw_dd, hw_err = second_difference(
-        ts, [r.hW for r in rows], [r.hW_err for r in rows], [r.converged[0] for r in rows]
-    )
-    jw_dd, jw_err = second_difference(
-        ts, [r.JW for r in rows], [r.JW_err for r in rows], [r.converged[1] for r in rows]
-    )
+    hw_dd, hw_err = second_difference(ts, [r.hW for r in rows], [r.hW_err for r in rows])
+    jw_dd, jw_err = second_difference(ts, [r.JW for r in rows], [r.JW_err for r in rows])
     for i, row in enumerate(rows):
         row.hW_dd, row.hW_dd_err = float(hw_dd[i]), float(hw_err[i])
         row.JW_dd, row.JW_dd_err = float(jw_dd[i]), float(jw_err[i])
-        # -J' + t^2 - 2 t J >= 0 rests on C_1's and C_2's trees at s
-        row.txz_status = _sign_status(row.txz_margin, row.txz_err, 1, all(row.converged[1:]))
+        row.txz_status = _sign_status(row.txz_margin, row.txz_err, 1)
     return WtReport(mix, rows)
 
 

@@ -237,6 +237,14 @@ class TestConfigParsing:
             (lambda d: d["t_grid"].update(start=0), "t_grid.start"),
             (lambda d: d["t_grid"].update(spacing="cubic"), "t_grid.spacing"),
             (lambda d: d.update(max_order=9), "max_order"),
+            # a misspelt field would otherwise run with its default
+            (lambda d: d.update(max_ordr=6), "at max_ordr: unknown field"),
+            (lambda d: d.update(tolerance={"quad": 1e-9}), "at tolerance: unknown field"),
+            (lambda d: d["mixture"][0].update(wieght=0.5), "at mixture[0].wieght: unknown field"),
+            (lambda d: d["t_grid"].update(spacnig="log"), "at t_grid.spacnig: unknown field"),
+            (lambda d: d.update(tolerances={"qaud": 1e-9}), "at tolerances.qaud: unknown field"),
+            (lambda d: d.update(tolerances=[]), "at tolerances: expected an object"),
+            (lambda d: d.update(tolerances=0), "at tolerances: expected an object"),
         ],
     )
     def test_field_diagnostics(self, mutate, needle):

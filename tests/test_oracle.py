@@ -159,6 +159,25 @@ class TestFiniteDifferences:
         value, error = fd_entropy_deriv_result(BIMODAL_MIXTURE, 0.5, 3)
         assert value > 3 * error > 0
 
+    def test_order_15_counterexample_to_conjecture_1(self):
+        # Conjecture 1, (-1)^(n+1) h^(n) >= 0, wants h^(15) >= 0; on this
+        # 3-component mixture it is negative beyond 3 errors.  The reference
+        # is an independent 40-digit mpmath computation that shares no code
+        # with heatcalc: the series of J(t + e) = int F_1^2/F dy, with
+        # F = sum_k f_2k e^k / (2^k k!), by composite Gauss-Legendre on
+        # [-50, 50], agreeing to 1e-37 at 100 and 200 panels
+        mix = GaussianMixture.create(
+            [
+                (0.485794422544006, 9.462099905280322, 0.2927166680303707),
+                (0.44417022902254055, -3.094463110625134, 0.033919760751179515),
+                (0.07003534843345344, 3.4251332239786123, 0.01055668597965914),
+            ]
+        )
+        reference = -9.5251868441752e-5
+        value, error = fd_entropy_deriv_result(mix, 8.21434358491943, 15)
+        assert value + 3 * error < 0
+        assert abs(value - reference) <= error
+
     def test_gaussian_errors_cover_the_closed_form(self):
         # every stated jet error covers h^(n) = (-1)^(n+1) (n-1)! / (2 (v+t)^n),
         # from sharp to wide Gaussians and from tiny to large flow times
@@ -631,8 +650,10 @@ class TestSecondDifference:
             assert (dd[i], err[i]) == (2.0 * slopes / (hp + hm), 2.0 * noise / (hp + hm))
 
     def test_a_point_whose_tree_stopped_short_has_no_error_bound(self):
+        # such a point's row carries an infinite error, and so does every
+        # estimate that uses it
         ts, vals = [1.0, 2.0, 3.0, 4.0, 5.0], [0.0, 1.0, 4.0, 9.0, 16.0]
-        dd, err = second_difference(ts, vals, [1e-9] * 5, [True, True, True, True, False])
+        dd, err = second_difference(ts, vals, [1e-9] * 4 + [math.inf])
         assert list(dd[1:-1]) == [2.0] * 3
         assert list(np.isinf(err)) == [False, False, False, True, False]
 
@@ -656,39 +677,55 @@ class TestScan:
 
     def test_a_stopped_short_tree_leaves_its_verdicts_inconclusive(self, capped):
         # under the cap the 16-component draw's C_4 tree at t = 0.1 stops
-        # short: d4_sym's verdict rests on it, and only that verdict is withheld
+        # short: d4_sym rests on it, and only its error is infinite, so
+        # only that verdict is withheld
         with pytest.warns(QuadratureNonConvergence, match="C_4 at t=0.1 "):
             res = scan_conjectures(wide_mixture(), [0.1, 1.0], 4)
+        with pytest.warns(QuadratureNonConvergence, match="functional at t=0.1 "):
+            c4 = oracle.functional_result(entropy_derivative(4), wide_mixture(), 0.1)
         short, done = res.rows
         # the jet orders 0..4, then C_1..C_4
         assert short.converged == (True,) * 8 + (False,)
         assert done.converged == (True,) * 9
-        assert _sign_status(*short.d_sym[3], -1) == "pass"
+        # the tree's own estimate would pass; the row keeps its value only
+        assert not c4.converged
+        assert _sign_status(0.5 * c4.value, 0.5 * c4.error, -1) == "pass"
+        assert short.d_sym[3] == (0.5 * c4.value, math.inf)
+        errors = [e for _, e in short.d_fd + short.d_sym]
+        assert [math.isinf(e) for e in errors] == [False] * 7 + [True]
+        assert math.isfinite(short.costa_margin_err)
         signs = (1, -1, 1, -1)
         for row in res.rows:
             fd = [_sign_status(v, e, w) for (v, e), w in zip(row.d_fd, signs)]
             sym = [_sign_status(v, e, w) for (v, e), w in zip(row.d_sym, signs)]
-            if row is short:
-                sym[3] = "inconclusive"
             assert list(row.sign_status) == fd + sym
+        assert short.sign_status[7] == "inconclusive"
         assert res.inconclusive_rows() == 1
         assert res.all_signs_ok()
 
     def test_a_stopped_short_C2_tree_leaves_costa_inconclusive(self, c2_capped):
-        # at max_order 1 only -J' >= J^2 rests on C_2; its own numbers would
-        # pass, but not from a tree that stopped short
+        # at max_order 1 only -J' >= J^2 rests on C_2; the tree's own
+        # estimate would pass, but a tree that stopped short gives J' and
+        # the margin an infinite error
         grid = time_grid(0.05, 100.0, 12, "log")
         with pytest.warns(QuadratureNonConvergence, match="C_2 at t=") as caught:
             res = scan_conjectures(BIMODAL_MIXTURE, grid, max_order=1)
         assert len(caught) == 2
         short = [i for i, row in enumerate(res.rows) if not row.converged[3]]
         assert short == [4, 5]
+        eps = np.finfo(float).eps
         for i, row in enumerate(res.rows):
-            own = _sign_status(row.costa_margin, row.costa_margin_err, 1)
             if i in short:
-                assert (own, row.costa_status) == ("pass", "inconclusive")
+                with pytest.warns(QuadratureNonConvergence, match="C_2 at t="):
+                    j, jp = oracle._flow_results(BIMODAL_MIXTURE, row.t, C_1_AND_C_2, DEFAULT_TOL)
+                assert not jp.converged and (row.J, row.Jp) == (j.value, jp.value)
+                own = 2.0 * j.value * j.error + jp.error + eps * (abs(jp.value) + j.value**2)
+                assert _sign_status(row.costa_margin, own, 1) == "pass"
+                assert (row.Jp_err, row.costa_margin_err) == (math.inf, math.inf)
+                assert row.costa_status == "inconclusive"
             else:
-                assert row.costa_status == own
+                assert math.isfinite(row.costa_margin_err)
+                assert row.costa_status == _sign_status(row.costa_margin, row.costa_margin_err, 1)
             assert row.withheld == (i in short)
             assert row.sign_status == ("pass", "pass")
         assert res.all_costa_ok() and res.all_signs_ok()
@@ -826,9 +863,17 @@ class TestWt:
             rep = wt_checks(BIMODAL_MIXTURE, list(np.linspace(0.05, 0.95, 31)))
         short = [i for i, row in enumerate(rep.rows) if not row.converged[2]]
         assert short == [i for i in range(7, 22) if i != 18] and len(caught) == 14
+        eps = np.finfo(float).eps
         for i, row in enumerate(rep.rows):
             assert row.converged[:2] == (True, True)
-            assert _sign_status(row.txz_margin, row.txz_err, 1) == "pass"
+            t, err = row.t, row.txz_err
+            if i in short:
+                # the trees' own estimates would pass; the row's error is infinite
+                with pytest.warns(QuadratureNonConvergence, match="C_2 at t="):
+                    j, jp = oracle._flow_results(BIMODAL_MIXTURE, row.s, C_1_AND_C_2, DEFAULT_TOL)
+                assert not jp.converged and row.txz_err == math.inf
+                err = 2.0 * t * j.error + jp.error + eps * (abs(jp.value) + t * t + 2 * t * j.value)
+            assert _sign_status(row.txz_margin, err, 1) == "pass"
             assert row.txz_status == ("inconclusive" if i in short else "pass")
         assert rep.txz_ok() and rep.concavity_ok()
         assert rep.inconclusive_rows() == 14
@@ -884,6 +929,20 @@ class TestWt:
             with pytest.raises(oracle.FlowRangeError, match=message) as caught:
                 wt_checks(GaussianMixture.single(0, var), [0.1, 0.5, 0.9])
             assert (caught.value.t, caught.value.component) == (0.1, 0)
+
+    def test_h_curvature_is_the_interpolation_margin(self):
+        # at s = 1/t - 1, h(W_t)'' = -txz_margin / (2 t^4): the grid's second
+        # differences of h and the rows' C_1 and C_2 test one inequality by
+        # two routes, and the grid's truncation shrinks like its step squared
+        gaps = []
+        for points in (31, 61, 121):
+            rep = wt_checks(BIMODAL_MIXTURE, time_grid(0.05, 0.95, points))
+            inner = rep.rows[1:-1]
+            exact = [-r.txz_margin / (2.0 * r.t**4) for r in inner]
+            assert all(np.sign(r.hW_dd) == np.sign(x) != 0 for r, x in zip(inner, exact))
+            gaps.append(max(abs(r.hW_dd - x) / abs(x) for r, x in zip(inner, exact)))
+        # 0.0227, 0.0064 and 0.0018
+        assert gaps[0] < 0.03 and gaps[1] <= gaps[0] / 3 and gaps[2] <= gaps[1] / 3
 
     @pytest.mark.parametrize("case", ["bimodal", "wide"])
     def test_rows_are_the_scan_rows_at_s(self, case):

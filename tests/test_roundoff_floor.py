@@ -17,7 +17,7 @@ import pytest
 
 from heatcalc import oracle
 from heatcalc.mixtures import BIMODAL_MIXTURE, GaussianMixture
-from heatcalc.oracle import DEFAULT_TOL, scan_conjectures, time_grid
+from heatcalc.oracle import DEFAULT_TOL, scan_conjectures, time_grid, wt_checks
 from heatcalc.quadrature import QuadratureNonConvergence
 from heatcalc.reduction import entropy_derivative
 
@@ -136,6 +136,14 @@ class TestKernelWork:
             mix = GaussianMixture.create([components[i] for i in order])
             counts.add(self._node_times(monkeypatch, lambda: scan_conjectures(mix, grid, 4)))
         assert len(counts) == 1
+
+    def test_wide_wt_scan(self, monkeypatch):
+        # the larger half of the benchmark's wide_mixture workload: 191,904
+        # node-times in 22 map_flow calls
+        grid = workloads.WIDE_WT_GRID
+        ts = time_grid(grid["start"], grid["stop"], grid["points"], grid["spacing"])
+        mix = GaussianMixture.create(workloads.wide_mixture_components())
+        assert self._node_times(monkeypatch, lambda: wt_checks(mix, ts)) <= 196_000
 
     def test_bimodal_scan(self, monkeypatch):
         grid = workloads.BIMODAL_GRID
