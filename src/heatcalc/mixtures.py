@@ -95,14 +95,19 @@ def _frozen(values) -> np.ndarray:
 BIMODAL_MIXTURE = GaussianMixture(((0.5, 0.0, 0.1), (0.5, 10.0, 0.1)))
 
 
-# The kernel works on blocks of nodes small enough that each temporary, a
-# row per component or a row per ratio, holds at most this many values:
-# 64 KiB or less.
-# Larger temporaries are mapped from and returned to the OS on every call:
-# whole refinement levels of a 16-component mixture cost a wt-scan 20k-31k
-# page faults instead of 5k, and the count moved with the size of the
-# process environment.  Every value is computed per node, so blocking
-# changes no bit.
+# The kernel works on blocks of nodes small enough that each of its
+# (component, node) temporaries holds at most this many values: 64 KiB or
+# less.  Larger temporaries are mapped from and returned to the OS on every
+# call: whole refinement levels of a 16-component mixture cost a wt-scan
+# 20k-31k page faults instead of 5k, and the count moved with the size of
+# the process environment.  The ratio rows and the epilogue's rows are a
+# fixed number of rows per block whatever its length, so they do not
+# shorten it.  A mixture of one component counts as two: blocks of 8192
+# nodes cost a 400-point Gaussian scan about 13,000 page faults in every
+# environment tried, and blocks of 4096 nodes about 45.  The bimodal scan's
+# 4096-node blocks hold about 1.2 MB of rows, and in some environments the
+# heap returns those pages between calls: up to 8,500 faults per scan.
+# Every value is computed per node, so blocking changes no bit.
 _BLOCK_PAIRS = 8192
 
 
@@ -165,8 +170,8 @@ def map_flow(
         ratio_scales,
     )
     # equal blocks, never a single node unless there is only one; a
-    # temporary holds a node's value per component, or per ratio row
-    per_node = max(len(s), max_m + 1)
+    # temporary holds a node's value per component, two at least
+    per_node = max(len(s), 2)
     blocks = max(1, -(-y.size // max(64, _BLOCK_PAIRS // per_node)))
     edges = [y.size * i // blocks for i in range(blocks + 1)]
     out = None

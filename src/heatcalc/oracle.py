@@ -119,11 +119,13 @@ def _jet_remainder(n: int) -> Combination:
     return total
 
 
+@lru_cache(maxsize=None)
 def _compiled(spec: Union[Combination, int]) -> Tuple[Tuple[float, tuple], ...]:
     """A quantity's terms as (coefficient, factors); a factor is a ratio power (m, k) or log f.
 
     A combination's terms are its monomials'; jet order n's are
-    -log f r_2n / 2^n and the terms of -P_n.
+    -log f r_2n / 2^n and the terms of -P_n.  Each quantity is compiled
+    once per process: every forest of a scan reads the same few.
     """
     if isinstance(spec, Combination):
         terms = [(float(coeff), mono.exps) for mono, coeff in spec.items()]
@@ -143,6 +145,15 @@ def _ratio_powers(quantities: Sequence[Quantity]) -> Dict[int, int]:
             for m, k in (pair for pair in factors if pair != _LOG_F):
                 tops[m] = max(tops.get(m, 0), k)
     return tops
+
+
+def _term_weight(quantities: Sequence[Quantity]) -> int:
+    """The largest weight of the quantities' terms: a term's is m k summed over its powers r_m^k."""
+    return max(
+        sum(m * k for m, k in (pair for pair in factors if pair != _LOG_F))
+        for _, spec in quantities
+        for _, factors in _compiled(spec)
+    )
 
 
 def _flow_rows(
@@ -251,19 +262,28 @@ def _window(mix: GaussianMixture, t: float) -> Tuple[float, ...]:
     return (a, *sorted(edges), b)
 
 
-def _check_kernel(mix: GaussianMixture, windows: Sequence[Tuple[float, ...]], ts, power: int):
-    """Raise ``FlowRangeError`` if ratio row ``power`` leaves float64 on ``windows[j]``.
+def _check_kernel(
+    mix: GaussianMixture,
+    windows: Sequence[Tuple[float, ...]],
+    ts,
+    power: int,
+    weight: Optional[int] = None,
+):
+    """Raise ``FlowRangeError`` if ratio row ``power``, or an integrand term
+    of weight ``weight``, leaves float64 on ``windows[j]``; a weight of
+    None is ``power``, that of r_power alone.
 
     Node y at flow time ``ts[j]`` has z = (y - mu)/sqrt(s), s = v + ts[j],
     largest at a window's ends, and ratio row m raises z to the m-th power.
     Where |z|**power overflows, the means are at fault, the largest |mu|,
     when they lie farther apart than the window's padding; otherwise the
-    variance of the component whose z overflows.  An integrand of row m
-    scales like f r_m ~ s**(-(m + 1)/2), largest, or where every component
-    is wide smallest, at the narrowest component's s.  That power must stay
-    within 2**1000 of 1, leaving 2**24 for the Hermite values, coefficients
-    and log f; outside it, the larger of that v and the flow time is at
-    fault, as in ``_check_fisher``.
+    variance of the component whose z overflows.  An integrand term
+    f r_m1^k1 r_m2^k2 ... of weight W = m1 k1 + m2 k2 + ... scales like
+    s**(-(W + 1)/2), largest, or where every component is wide smallest,
+    at the narrowest component's s.  That power must stay within 2**1000
+    of 1, leaving 2**24 for the Hermite values, coefficients and log f;
+    outside it, the larger of that v and the flow time is at fault, as in
+    ``_check_fisher``.
     """
     ends = np.array([(w[0], w[-1]) for w in windows])
     times = np.asarray(ts, dtype=float)
@@ -283,7 +303,7 @@ def _check_kernel(mix: GaussianMixture, windows: Sequence[Tuple[float, ...]], ts
             int(np.argmax(np.abs(mix.means))) if spread else int(k),
             "mu" if spread else "var",
         )
-    scale = (power + 1) / 2.0
+    scale = ((power if weight is None else weight) + 1) / 2.0
     bad = np.flatnonzero(~(np.abs(np.log2(s)) * scale < 1000.0))
     if bad.size:
         j = bad[0]
@@ -313,7 +333,9 @@ def _flow_forest(
         c = float(min(mix.means, key=abs))
         mix = GaussianMixture(tuple((w, mu - c, v) for w, mu, v in mix.components))
     windows = [_window(mix, t) for t in ts]
-    _check_kernel(mix, windows, ts, max([2, *_ratio_powers(quantities)]))
+    _check_kernel(
+        mix, windows, ts, max([2, *_ratio_powers(quantities)]), max(2, _term_weight(quantities))
+    )
     return Forest(
         _flow_rows(mix, ts, quantities),
         windows,

@@ -557,6 +557,18 @@ class TestScanCommand:
                     "max_order": 4,
                 },
             ),
+            # at max_order 1 the top ratio row is 2, but the terms of C_2 =
+            # -f_2**2/f + f_1**4/(3 f**3), integrated at every order, have
+            # weight 4: their s**-2.5 overflows at s = 2e-150, and wt-scan's
+            # s = 1/t - 1 = 1e150 underflows it
+            (
+                {"scan": "mixture[0].var", "wt-scan": "t_grid.start"},
+                {
+                    "mixture": [{"w": 1, "mu": 0, "var": 1e-150}],
+                    "t_grid": {"start": 1e-150, "stop": 3e-150, "points": 5, "spacing": "linear"},
+                    "max_order": 1,
+                },
+            ),
         ],
     )
     def test_values_out_of_float_range_name_their_field(self, tmp_path, capsys, field, payload):

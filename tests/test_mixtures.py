@@ -121,17 +121,27 @@ class TestRatios:
         f = density_deriv(BIMODAL_MIXTURE, 0.05, y, 0)
         assert np.all(np.isfinite(f * ratios[1] ** 8))
 
-    def test_node_blocks_change_no_bit(self, monkeypatch):
+    @pytest.mark.parametrize("max_m", [0, 8, 20])
+    @pytest.mark.parametrize("components", [1, 2, 3, 16])
+    def test_node_blocks_change_no_bit(self, monkeypatch, components, max_m):
+        # the default cuts 9001 nodes into 3 blocks of 3000-3001 nodes (one
+        # or two components), 4 (three) or 18 (sixteen), whatever max_m
         rng = np.random.default_rng(3)
         mix = GaussianMixture.create(
-            zip(rng.dirichlet(np.ones(16)), rng.uniform(-20, 20, 16), rng.uniform(0.01, 1, 16))
+            zip(
+                rng.dirichlet(np.ones(components)),
+                rng.uniform(-20, 20, components),
+                rng.uniform(0.01, 1, components),
+            )
         )
-        y = np.linspace(-30.0, 30.0, 1001)
-        whole = log_density_and_ratios(mix, 0.3, y, 8)
-        monkeypatch.setattr(mixtures, "_BLOCK_PAIRS", 1)  # 16 blocks of 62-63 nodes
-        blocked = log_density_and_ratios(mix, 0.3, y, 8)
-        assert np.array_equal(blocked[0], whole[0])
-        assert np.array_equal(blocked[1], whole[1])
+        y = np.linspace(-30.0, 30.0, 9001)
+        lf, ratios = log_density_and_ratios(mix, 0.3, y, max_m)
+        # 141 blocks of 63-64 nodes, and one block of all 9001
+        for block_pairs in (1, 10**9):
+            monkeypatch.setattr(mixtures, "_BLOCK_PAIRS", block_pairs)
+            blocked = log_density_and_ratios(mix, 0.3, y, max_m)
+            assert np.array_equal(blocked[0], lf)
+            assert np.array_equal(blocked[1], ratios)
 
     @pytest.mark.parametrize("components", [2, 16])
     @pytest.mark.parametrize("nodes", [192, 4097, 20000])

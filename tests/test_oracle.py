@@ -2,8 +2,10 @@
 
 import functools
 import math
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +36,9 @@ from heatcalc.oracle import (
 from heatcalc.quadrature import QuadratureNonConvergence, adaptive_quad, build_mesh
 from heatcalc.reduction import entropy_derivative
 from heatcalc.terms import Combination, combination, d_dy, make_monomial
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench import workloads  # noqa: E402
 
 
 def gaussian_entropy(s: float) -> float:
@@ -177,6 +182,33 @@ class TestFiniteDifferences:
         value, error = fd_entropy_deriv_result(mix, 8.21434358491943, 15)
         assert value + 3 * error < 0
         assert abs(value - reference) <= error
+
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_orders_up_to_10_show_that_j_is_not_completely_monotone(self, r):
+        # Conjecture 1 says J = 2 h' is completely monotone; then (Bernstein)
+        # every Hankel matrix H_r = [(-1)^(i+j+r) J^(i+j+r)] is positive
+        # semidefinite.  On the benchmark's 16-component draw the 5x5 H_0
+        # and H_1, from h^(1)..h^(10), are not: after a diagonal scaling
+        # their least eigenvalue (-5.2e-4 and -2.9e-3) lies below minus the
+        # spectral norm of the scaled error matrix (8.7e-11 and 9.7e-10),
+        # which bounds how far an eigenvalue moves (Weyl).  det H_0 =
+        # -1.3657e-6 and det H_1 = -2.1911e-5 agree with a 40-digit mpmath
+        # computation to 10 digits
+        mix = GaussianMixture.create(workloads.wide_mixture_components())
+        jet = oracle._flow_results(
+            mix, 2.3101297000831593, [oracle._jet(n) for n in range(1, 11)], DEFAULT_TOL
+        )
+        assert all(result.converged for result in jet)
+        # J^(k) = 2 h^(k+1)
+        values = np.array([2.0 * result.value for result in jet])
+        errors = np.array([2.0 * result.error for result in jet])
+        k = np.add.outer(np.arange(5), np.arange(5)) + r
+        hankel = (-1.0) ** k * values[k]
+        assert np.all(np.diag(hankel) > 0)
+        diagonal = 1.0 / np.sqrt(np.diag(hankel))
+        scale = np.outer(diagonal, diagonal)
+        least = np.linalg.eigvalsh(hankel * scale)[0]
+        assert least + np.linalg.norm(errors[k] * scale, 2) < 0
 
     def test_gaussian_errors_cover_the_closed_form(self):
         # every stated jet error covers h^(n) = (-1)^(n+1) (n-1)! / (2 (v+t)^n),
@@ -575,10 +607,12 @@ class TestSharedEvaluation:
         assert all(row.converged)
 
     def test_a_fisher_information_too_small_to_square_names_the_widest_component(self):
-        # at max_order 1 the top ratio row is 2, where 1/s of s = 1e200 is in
-        # range, and J**2 is the first value to leave it
-        mix = GaussianMixture.create([(0.5, 0.0, 1e200), (0.5, 3.0, 1e199)])
-        with np.errstate(all="ignore"):
+        # the narrowest component, of weight 1e-300, keeps C_2's s**-2.5 in
+        # range, while J is about 1e-200, of the wide one: J**2 is the first
+        # value to leave float64's range, and no numpy warning comes first
+        mix = GaussianMixture.create([(1.0, 0.0, 1e200), (1e-300, 3.0, 1.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(oracle.FlowRangeError, match="J\\*\\*2") as caught:
                 scan_conjectures(mix, [0.1, 0.2, 0.3], 1)
         assert (caught.value.t, caught.value.component) == (0.1, 0)
@@ -916,18 +950,22 @@ class TestWt:
             assert row.txz_status == "inconclusive"
 
     def test_values_out_of_float_range_name_the_grid_time(self):
-        # s = 1/t - 1 overflows at t = 1e-320; at t = 1e-200, s = 1e200
-        # and J(Y_s)**2 underflows; at t = 1e-250 the integrands' s**-1.5
-        # underflows first.  A variance of 1e190 makes J tiny at every t,
-        # and one of 1e300 the integrands: that component is at fault
+        # s = 1/t - 1 overflows at t = 1e-320; at t = 1e-200 and 1e-250,
+        # s = 1e200 and 1e250, where C_2's s**-2.5 underflows.  A variance
+        # of 1e190 beside a narrow component of weight 1e-300 makes J tiny
+        # at every t, and one of 1e300 alone the integrands: the wide
+        # component is at fault
         g = GaussianMixture.single(0, 1)
         for t in (1e-320, 1e-200, 1e-250):
             with pytest.raises(oracle.FlowRangeError) as caught:
                 wt_checks(g, [t, 0.5, 0.6])
             assert (caught.value.t, caught.value.component) == (t, None)
-        for var, message in ((1e190, "J\\*\\*2"), (1e300, "flowed variance")):
+        for mix, message in (
+            (GaussianMixture.create([(1.0, 0.0, 1e190), (1e-300, 0.0, 1.0)]), "J\\*\\*2"),
+            (GaussianMixture.single(0, 1e300), "flowed variance"),
+        ):
             with pytest.raises(oracle.FlowRangeError, match=message) as caught:
-                wt_checks(GaussianMixture.single(0, var), [0.1, 0.5, 0.9])
+                wt_checks(mix, [0.1, 0.5, 0.9])
             assert (caught.value.t, caught.value.component) == (0.1, 0)
 
     def test_h_curvature_is_the_interpolation_margin(self):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from heatcalc import oracle
+from heatcalc import mixtures, oracle
 from heatcalc.mixtures import BIMODAL_MIXTURE, GaussianMixture
 from heatcalc.oracle import DEFAULT_TOL, scan_conjectures, time_grid, wt_checks
 from heatcalc.quadrature import QuadratureNonConvergence
@@ -117,6 +117,19 @@ class TestKernelWork:
         action()
         return counted[0]
 
+    @staticmethod
+    def _blocks(monkeypatch, action):
+        counted = [0]
+        block = mixtures._block
+
+        def counting(*args):
+            counted[0] += 1
+            return block(*args)
+
+        monkeypatch.setattr(mixtures, "_block", counting)
+        action()
+        return counted[0]
+
     def test_wide_scan(self, monkeypatch):
         # 88,992 when its three C_4 trees at t = 0.1-0.35 refined their
         # roundoff to the depth limit, and 50,784 when the fd stencil
@@ -152,3 +165,20 @@ class TestKernelWork:
         # 842,496 when the fd stencil entropies took 537,600 of them; the
         # jet rows take none of their own: the forest refines as it did
         assert self._node_times(monkeypatch, lambda: scan_conjectures(mix, ts, 4)) <= 310_000
+
+    def test_bimodal_blocks_follow_its_two_components(self, monkeypatch):
+        # 349 blocks of about 870 nodes when its nine ratio rows, and not
+        # its two components, set a block's length; now 81 of up to 4096
+        grid = workloads.BIMODAL_GRID
+        ts = time_grid(grid["start"], grid["stop"], grid["points"], grid["spacing"])
+        mix = GaussianMixture.create(workloads.BIMODAL)
+        assert self._blocks(monkeypatch, lambda: scan_conjectures(mix, ts, 4)) <= 100
+
+    def test_wide_blocks_follow_its_sixteen_components(self, monkeypatch):
+        # 16 components outnumber the nine ratio rows, which bounded the
+        # blocks too: they keep their length of up to 512 nodes
+        grid = workloads.WIDE_WT_GRID
+        ts = time_grid(grid["start"], grid["stop"], grid["points"], grid["spacing"])
+        mix = GaussianMixture.create(workloads.wide_mixture_components())
+        assert self._blocks(monkeypatch, lambda: wt_checks(mix, ts)) == 382
+        assert self._blocks(monkeypatch, lambda: scan_conjectures(mix, _wide_scan_grid(), 4)) == 50
