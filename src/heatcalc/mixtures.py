@@ -99,15 +99,12 @@ BIMODAL_MIXTURE = GaussianMixture(((0.5, 0.0, 0.1), (0.5, 10.0, 0.1)))
 # (component, node) temporaries holds at most this many values: 64 KiB or
 # less.  Larger temporaries are mapped from and returned to the OS on every
 # call: whole refinement levels of a 16-component mixture cost a wt-scan
-# 20k-31k page faults instead of 5k, and the count moved with the size of
-# the process environment.  The ratio rows and the epilogue's rows are a
-# fixed number of rows per block whatever its length, so they do not
-# shorten it.  A mixture of one component counts as two: blocks of 8192
-# nodes cost a 400-point Gaussian scan about 13,000 page faults in every
-# environment tried, and blocks of 4096 nodes about 45.  The bimodal scan's
-# 4096-node blocks hold about 1.2 MB of rows, and in some environments the
-# heap returns those pages between calls: up to 8,500 faults per scan.
-# Every value is computed per node, so blocking changes no bit.
+# 20k-31k page faults instead of 5k.  A mixture of one component counts as
+# two, since its 8192-node blocks were mapped afresh on every call too.
+# The ratio rows do not shorten a block: one buffer of them serves every
+# block of a call, and the epilogue writes into the result, so what else a
+# block allocates is single rows of its nodes.  Every value is computed
+# per node, so blocking changes no bit.
 _BLOCK_PAIRS = 8192
 
 
@@ -124,10 +121,13 @@ def log_density_and_ratios(
     if np.ndim(t):
         raise ValueError("t must be a number; map_flow takes arrays of times")
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    out = map_flow(
-        mix, [t], y, np.zeros(y.size, np.intp), max_m, lambda lf, r: np.concatenate([lf[None], r])
-    )
+    out = map_flow(mix, [t], y, np.zeros(y.size, np.intp), max_m, _joined, (max_m + 2,))
     return out[0], out[1:]
+
+
+def _joined(lf: np.ndarray, ratios: np.ndarray, out: np.ndarray) -> None:
+    out[0] = lf
+    out[1:] = ratios
 
 
 def log_density(mix: GaussianMixture, t: float, y: np.ndarray) -> np.ndarray:
@@ -136,16 +136,16 @@ def log_density(mix: GaussianMixture, t: float, y: np.ndarray) -> np.ndarray:
 
 
 def map_flow(
-    mix: GaussianMixture, t, y: np.ndarray, jobs, max_m: int, fn
+    mix: GaussianMixture, t, y: np.ndarray, jobs, max_m: int, fn, shape: Tuple[int, ...]
 ) -> np.ndarray:
-    """``fn(lf, ratios)`` on the nodes y, node i flowed to time ``t[jobs[i]]``.
+    """``fn(lf, ratios, out)`` on the nodes y, node i flowed to time ``t[jobs[i]]``.
 
-    ``t`` holds one time per job.  ``fn`` gets a block of nodes' log f and
-    ratio rows 0..max_m, as ``log_density_and_ratios`` gives them, and
-    returns an array whose last axis is the block's nodes; the result
-    joins the blocks along that axis.  No block's ratio rows outlive it,
-    so a caller that needs a few rows of values never holds max_m + 1
-    rows for every node.
+    ``t`` holds one time per job.  The result has shape ``shape + (y.size,)``.
+    ``fn`` gets a block of nodes' log f and ratio rows 0..max_m, as
+    ``log_density_and_ratios`` gives them, and writes its values to
+    ``out``, the result's columns of those nodes.  No block's ratio rows
+    outlive it: the next block writes over them, so a caller that needs a
+    few rows of values never holds max_m + 1 rows for every node.
 
     The per-job factors are computed once per (component, job) and
     gathered per node.  Components are summed in order, a row at a time,
@@ -174,15 +174,13 @@ def map_flow(
     per_node = max(len(s), 2)
     blocks = max(1, -(-y.size // max(64, _BLOCK_PAIRS // per_node)))
     edges = [y.size * i // blocks for i in range(blocks + 1)]
-    out = None
+    # one buffer of ratio rows for every block, the last one the longest
+    buffer = np.empty((max_m + 1, edges[-1] - edges[-2]))
+    buffer[0] = 1.0
+    out = np.empty(shape + (y.size,))
     for lo, hi in zip(edges[:-1], edges[1:]):
-        ratios = np.empty((max_m + 1, hi - lo))
-        ratios[0] = 1.0
-        lf = _block(comps, y[lo:hi], jobs[lo:hi], ratios[1:])
-        vals = fn(lf, ratios)
-        if out is None:
-            out = np.empty(vals.shape[:-1] + (y.size,))
-        out[..., lo:hi] = vals
+        ratios = buffer[:, : hi - lo]
+        fn(_block(comps, y[lo:hi], jobs[lo:hi], ratios[1:]), ratios, out[..., lo:hi])
     return out
 
 

@@ -147,15 +147,6 @@ def _ratio_powers(quantities: Sequence[Quantity]) -> Dict[int, int]:
     return tops
 
 
-def _term_weight(quantities: Sequence[Quantity]) -> int:
-    """The largest weight of the quantities' terms: a term's is m k summed over its powers r_m^k."""
-    return max(
-        sum(m * k for m, k in (pair for pair in factors if pair != _LOG_F))
-        for _, spec in quantities
-        for _, factors in _compiled(spec)
-    )
-
-
 def _flow_rows(
     mix: GaussianMixture,
     ts: Sequence,
@@ -185,14 +176,13 @@ def _flow_rows(
     mag_rows = [None if row == q else row for q, row in enumerate(_magnitude_rows(quantities))]
     size = len(combs) + sum(row is not None for row in mag_rows)
 
-    def rows(lf: np.ndarray, ratios: np.ndarray) -> np.ndarray:
+    def rows(lf: np.ndarray, ratios: np.ndarray, out: np.ndarray) -> None:
         f = np.exp(lf)
         table = {_LOG_F: lf}
         for m, top in tops.items():
             power = table[m, 1] = ratios[m]
             for k in range(2, top + 1):
                 power = table[m, k] = power * ratios[m]
-        out = np.empty((size, lf.size))
         term = np.empty_like(lf)
         for row, items, mag in zip(out, combs, mag_rows):
             _term(items[0], table, row)
@@ -205,10 +195,9 @@ def _flow_rows(
             row *= f
             if mag is not None:
                 mag *= f
-        return out
 
     def fn(y: np.ndarray, jobs: np.ndarray) -> np.ndarray:
-        return map_flow(mix, times, y, jobs, max_m, rows)
+        return map_flow(mix, times, y, jobs, max_m, rows, (size,))
 
     return fn
 
@@ -266,25 +255,30 @@ def _check_kernel(
     mix: GaussianMixture,
     windows: Sequence[Tuple[float, ...]],
     ts,
-    power: int,
-    weight: Optional[int] = None,
+    quantities: Sequence[Quantity],
 ):
-    """Raise ``FlowRangeError`` if ratio row ``power``, or an integrand term
-    of weight ``weight``, leaves float64 on ``windows[j]``; a weight of
-    None is ``power``, that of r_power alone.
+    """Raise ``FlowRangeError`` if an integrand of ``quantities`` leaves float64 on ``windows[j]``.
 
     Node y at flow time ``ts[j]`` has z = (y - mu)/sqrt(s), s = v + ts[j],
-    largest at a window's ends, and ratio row m raises z to the m-th power.
-    Where |z|**power overflows, the means are at fault, the largest |mu|,
-    when they lie farther apart than the window's padding; otherwise the
-    variance of the component whose z overflows.  An integrand term
-    f r_m1^k1 r_m2^k2 ... of weight W = m1 k1 + m2 k2 + ... scales like
-    s**(-(W + 1)/2), largest, or where every component is wide smallest,
-    at the narrowest component's s.  That power must stay within 2**1000
-    of 1, leaving 2**24 for the Hermite values, coefficients and log f;
-    outside it, the larger of that v and the flow time is at fault, as in
-    ``_check_fisher``.
+    largest at a window's ends, and ratio row m raises z to the m-th power,
+    up to the top row m of the quantities' terms, 2 at least.  Where
+    |z|**m overflows, the means are at fault, the largest |mu|, when they
+    lie farther apart than the window's padding; otherwise the variance of
+    the component whose z overflows.  A term f r_m1^k1 r_m2^k2 ... of
+    weight W = m1 k1 + m2 k2 + ... scales like s**(-(W + 1)/2), largest,
+    or where every component is wide smallest, at the narrowest
+    component's s.  At the largest weight, 2 at least, that power must
+    stay within 2**1000 of 1, leaving 2**24 for the Hermite values,
+    coefficients and log f; outside it, the larger of that v and the flow
+    time is at fault, as in ``_check_fisher``.
     """
+    terms = [
+        [pair for pair in factors if pair != _LOG_F]
+        for _, spec in quantities
+        for _, factors in _compiled(spec)
+    ]
+    power = max([2, *(m for pairs in terms for m, _ in pairs)])
+    weight = max([2, *(sum(m * k for m, k in pairs) for pairs in terms)])
     ends = np.array([(w[0], w[-1]) for w in windows])
     times = np.asarray(ts, dtype=float)
     narrowest = int(np.argmin(mix.variances))
@@ -303,7 +297,7 @@ def _check_kernel(
             int(np.argmax(np.abs(mix.means))) if spread else int(k),
             "mu" if spread else "var",
         )
-    scale = ((power if weight is None else weight) + 1) / 2.0
+    scale = (weight + 1) / 2.0
     bad = np.flatnonzero(~(np.abs(np.log2(s)) * scale < 1000.0))
     if bad.size:
         j = bad[0]
@@ -333,9 +327,7 @@ def _flow_forest(
         c = float(min(mix.means, key=abs))
         mix = GaussianMixture(tuple((w, mu - c, v) for w, mu, v in mix.components))
     windows = [_window(mix, t) for t in ts]
-    _check_kernel(
-        mix, windows, ts, max([2, *_ratio_powers(quantities)]), max(2, _term_weight(quantities))
-    )
+    _check_kernel(mix, windows, ts, quantities)
     return Forest(
         _flow_rows(mix, ts, quantities),
         windows,

@@ -17,13 +17,14 @@ from heatcalc.mixtures import (
 )
 
 
-def _joined(lf, ratios):
+def _joined(lf, ratios, out):
     """A map_flow epilogue: log f on top of the ratio rows."""
-    return np.concatenate([lf[None], ratios])
+    out[0] = lf
+    out[1:] = ratios
 
 
-def _log_f(lf, ratios):
-    return lf
+def _log_f(lf, ratios, out):
+    out[...] = lf
 
 
 class TestConstruction:
@@ -159,9 +160,9 @@ class TestRatios:
         ts = np.array([0.05, 0.3, 2.0])
         # every node at all three times, a job per time
         jobs = np.repeat(np.arange(ts.size), nodes)
-        out = map_flow(mix, ts, np.tile(y, ts.size), jobs, 4, _joined)
+        out = map_flow(mix, ts, np.tile(y, ts.size), jobs, 4, _joined, (6,))
         assert out.shape == (6, 3 * nodes)
-        many = map_flow(mix, ts, np.tile(y, ts.size), jobs, 0, _log_f)
+        many = map_flow(mix, ts, np.tile(y, ts.size), jobs, 0, _log_f, ())
         assert many.shape == (3 * nodes,)
         for i, t in enumerate(ts):
             mine = jobs == i
@@ -186,10 +187,10 @@ class TestRatios:
         y = np.linspace(-30.0, 30.0, 4099)
         ts = np.array([0.05, 0.3, 2.0, 17.0])
         jobs = np.sort(rng.integers(0, 4, y.size))
-        out = map_flow(mix, ts, y, jobs, 6, _joined)
+        out = map_flow(mix, ts, y, jobs, 6, _joined, (8,))
         assert out.shape == (8, y.size)
         # no ratio rows
-        many = map_flow(mix, ts, y, jobs, 0, _log_f)
+        many = map_flow(mix, ts, y, jobs, 0, _log_f, ())
         assert many.shape == (y.size,)
         for j, t in enumerate(ts):
             mine = jobs == j
@@ -204,9 +205,9 @@ class TestRatios:
         # one time per job: no rows of times, and no scalar
         for t in ([[0.5]], [[0.5, 0.6]], [[[0.5]]], 0.5):
             with pytest.raises(ValueError, match="1-D"):
-                map_flow(BIMODAL_MIXTURE, t, y, jobs, 0, _log_f)
+                map_flow(BIMODAL_MIXTURE, t, y, jobs, 0, _log_f, ())
         with pytest.raises(ValueError, match=">= 0"):
-            map_flow(BIMODAL_MIXTURE, [0.5, -0.1], y, jobs, 0, _log_f)
+            map_flow(BIMODAL_MIXTURE, [0.5, -0.1], y, jobs, 0, _log_f, ())
         with pytest.raises(ValueError, match=">= 0"):
             log_density(BIMODAL_MIXTURE, -0.1, y)
         # one flow time per call; map_flow takes arrays of times

@@ -398,8 +398,8 @@ class TestCompiledEpilogue:
 
         kernel = oracle.map_flow
 
-        def spying(mix, t, y, jobs, max_m, fn):
-            return kernel(mix, t, y, jobs, max_m, lambda lf, r: fn(lf, r.view(Spy)))
+        def spying(mix, t, y, jobs, max_m, fn, shape):
+            return kernel(mix, t, y, jobs, max_m, lambda lf, r, out: fn(lf, r.view(Spy), out), shape)
 
         monkeypatch.setattr(oracle, "map_flow", spying)
         y = np.linspace(-3.0, 3.0, 10)
@@ -597,10 +597,12 @@ class TestSharedEvaluation:
             with pytest.raises(oracle.FlowRangeError, match="flowed variance") as caught:
                 oracle._scan_row_core(mix, t, 4, DEFAULT_TOL)
             assert (caught.value.t, caught.value.component) == (t, component)
-        # s = 2e-100 is in range at wt-scan's ratio row 2, and s = 2e-66 at
-        # the scan's ratio row 8, where every tree converges with no
-        # overflow
-        oracle._check_kernel(GaussianMixture.single(0, 1e-100), [(-1.0, 1.0)], [1e-100], 2)
+        # s = 2e-100 is in range for wt-scan's quantities, whose largest
+        # term weight is C_2's 4, and s = 2e-66 at the scan's weight 8,
+        # where every tree converges with no overflow
+        oracle._check_kernel(
+            GaussianMixture.single(0, 1e-100), [(-1.0, 1.0)], [1e-100], [oracle._jet(0), *C_1_AND_C_2]
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             row = oracle._scan_row_core(GaussianMixture.single(0, 1e-66), 1e-66, 4, DEFAULT_TOL)
