@@ -555,13 +555,18 @@ def _json_number(value, where: str, what: str) -> Fraction:
         raise ValueError(f"certificate field {where}: invalid {what} {value!r}") from None
 
 
-def _json_terms(entries, where: str) -> List[Tuple[DerivMonomial, Fraction]]:
-    """[[monomial, coefficient], ...] with string monomials and exact coefficients."""
+def _json_terms(
+    entries, where: str, weight: Optional[int] = None
+) -> Dict[DerivMonomial, Fraction]:
+    """[[monomial, coefficient], ...] with distinct string monomials and exact coefficients.
+
+    Every monomial must have ``weight``, when one is given.
+    """
     if not isinstance(entries, list):
         raise ValueError(
             f"certificate field {where}: expected a list of [monomial, coefficient] pairs"
         )
-    terms = []
+    terms: Dict[DerivMonomial, Fraction] = {}
     for j, entry in enumerate(entries):
         if not (
             isinstance(entry, list)
@@ -575,7 +580,14 @@ def _json_terms(entries, where: str) -> List[Tuple[DerivMonomial, Fraction]]:
             mono = parse_monomial(entry[0])
         except ValueError as exc:
             raise ValueError(f"certificate field {where}[{j}]: {exc}") from None
-        terms.append((mono, _json_number(entry[1], f"{where}[{j}]", "coefficient")))
+        if mono in terms:
+            raise ValueError(f"certificate field {where}[{j}]: monomial {mono} is repeated")
+        if weight is not None and mono.weight != weight:
+            raise ValueError(
+                f"certificate field {where}[{j}]: monomial {mono} has weight {mono.weight}, "
+                f"expected {weight}"
+            )
+        terms[mono] = _json_number(entry[1], f"{where}[{j}]", "coefficient")
     return terms
 
 
@@ -602,6 +614,7 @@ def certificate_from_json(text: str) -> Certificate:
         weight = _json_number(value, f"weights[{i}]", "weight")
         if weight < 0:
             raise ValueError(f"certificate field weights[{i}]: weight {value!r} is negative")
-        squares.append(SquareForm(order, tuple(_json_terms(entries, f"squares[{i}]")), weight))
-    remainder = Combination(dict(_json_terms(payload["remainder"], "remainder")))
+        terms = _json_terms(entries, f"squares[{i}]", order)
+        squares.append(SquareForm(order, tuple(terms.items()), weight))
+    remainder = Combination(_json_terms(payload["remainder"], "remainder"))
     return Certificate(order, tuple(squares), remainder, payload["sign"])

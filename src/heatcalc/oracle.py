@@ -27,10 +27,10 @@ own frame (``_flow_forest``).  A row whose terms cancel carries a
 magnitude row, f times the sum of its terms' absolute values, that sets
 its roundoff floor.  Every density evaluation is one ``mixtures.map_flow``
 call, one flow time per job, with an epilogue from ``_flow_rows``.  A
-quantity whose tree stops short of the tolerance has no error bound: its
-row carries it as an infinite error, which every error derived from it,
-on the row or in a grid difference, inherits, so each verdict that rests
-on it is inconclusive.
+quantity whose tree stops short of the tolerance has no error bound, so
+its quadrature reports an infinite error, which every error derived from
+it, on the row or in a grid difference, inherits: each verdict that
+rests on it is inconclusive.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -119,13 +119,11 @@ def _jet_remainder(n: int) -> Combination:
     return total
 
 
-@lru_cache(maxsize=None)
 def _compiled(spec: Union[Combination, int]) -> Tuple[Tuple[float, tuple], ...]:
     """A quantity's terms as (coefficient, factors); a factor is a ratio power (m, k) or log f.
 
     A combination's terms are its monomials'; jet order n's are
-    -log f r_2n / 2^n and the terms of -P_n.  Each quantity is compiled
-    once per process: every forest of a scan reads the same few.
+    -log f r_2n / 2^n and the terms of -P_n.
     """
     if isinstance(spec, Combination):
         terms = [(float(coeff), mono.exps) for mono, coeff in spec.items()]
@@ -137,14 +135,38 @@ def _compiled(spec: Union[Combination, int]) -> Tuple[Tuple[float, tuple], ...]:
     return tuple(terms) or ((0.0, ()),)
 
 
-def _ratio_powers(quantities: Sequence[Quantity]) -> Dict[int, int]:
-    """Per ratio row m, the highest power k that a term of the quantities takes."""
+class _Layout(NamedTuple):
+    """The rows of ``_flow_rows`` for a list of quantities, and what their terms reach."""
+
+    terms: Tuple[Tuple[Tuple[float, tuple], ...], ...]  # per quantity, ``_compiled``
+    tops: Dict[int, int]  # per ratio row m, the highest power k that a term takes
+    magnitudes: Tuple[int, ...]  # per quantity, the row that holds its magnitude
+    size: int  # the quantities' rows and the magnitude rows after them
+    max_m: int  # the top ratio row, 0 for none
+    weight: int  # the largest term weight m1 k1 + m2 k2 + ..., 0 for none
+
+
+@lru_cache(maxsize=None)
+def _layout(quantities: Tuple[Quantity, ...]) -> _Layout:
+    """The quantities' ``_Layout``, built once per process: every forest of a scan reads the same.
+
+    A quantity of two terms or more cancels between its terms, so its
+    magnitude is a row of its own after the quantities'; a one-term
+    quantity names its own row, and its floor comes from the absolute
+    values of its own rule sums.
+    """
+    terms = tuple(_compiled(spec) for _, spec in quantities)
     tops: Dict[int, int] = {}
-    for _, spec in quantities:
-        for _, factors in _compiled(spec):
-            for m, k in (pair for pair in factors if pair != _LOG_F):
+    magnitudes, size, weight = [], len(terms), 0
+    for q, items in enumerate(terms):
+        for _, factors in items:
+            pairs = [pair for pair in factors if pair != _LOG_F]
+            for m, k in pairs:
                 tops[m] = max(tops.get(m, 0), k)
-    return tops
+            weight = max(weight, sum(m * k for m, k in pairs))
+        magnitudes.append(size if len(items) > 1 else q)
+        size += len(items) > 1
+    return _Layout(terms, tops, tuple(magnitudes), size, max(tops, default=0), weight)
 
 
 def _flow_rows(
@@ -155,9 +177,9 @@ def _flow_rows(
     """One row per named quantity, node i at flow time ``ts[jobs[i]]``, from one kernel call.
 
     A quantity's row is f times the sum of its ``_compiled`` terms.  The
-    magnitude rows that ``_magnitude_rows`` names follow the quantities'
-    rows: per quantity of two terms or more, f times the sum of its terms'
-    absolute values.
+    magnitude rows that ``_layout`` names follow the quantities' rows: per
+    quantity of two terms or more, f times the sum of its terms' absolute
+    values.
 
     Per block of nodes, the powers of the ratios r_m = f_m/f come from a
     table built by multiplication, r_m^k = r_m^(k-1) r_m: ``**`` with an
@@ -168,23 +190,20 @@ def _flow_rows(
     every value is computed per node, exactly as it would be on its own,
     and sharing the kernel call, the block or the forest changes no bit.
     """
-    combs = [_compiled(spec) for _, spec in quantities]
-    tops = _ratio_powers(quantities)
-    max_m = max(tops, default=0)
+    layout = _layout(tuple(quantities))
     times = np.array(ts, dtype=float)
     # per quantity, the output row of its magnitude, if it has a row of its own
-    mag_rows = [None if row == q else row for q, row in enumerate(_magnitude_rows(quantities))]
-    size = len(combs) + sum(row is not None for row in mag_rows)
+    mag_rows = [None if row == q else row for q, row in enumerate(layout.magnitudes)]
 
     def rows(lf: np.ndarray, ratios: np.ndarray, out: np.ndarray) -> None:
         f = np.exp(lf)
         table = {_LOG_F: lf}
-        for m, top in tops.items():
+        for m, top in layout.tops.items():
             power = table[m, 1] = ratios[m]
             for k in range(2, top + 1):
                 power = table[m, k] = power * ratios[m]
         term = np.empty_like(lf)
-        for row, items, mag in zip(out, combs, mag_rows):
+        for row, items, mag in zip(out, layout.terms, mag_rows):
             _term(items[0], table, row)
             if mag is not None:
                 mag = np.abs(row, out=out[mag])
@@ -197,27 +216,9 @@ def _flow_rows(
                 mag *= f
 
     def fn(y: np.ndarray, jobs: np.ndarray) -> np.ndarray:
-        return map_flow(mix, times, y, jobs, max_m, rows, (size,))
+        return map_flow(mix, times, y, jobs, layout.max_m, rows, (layout.size,))
 
     return fn
-
-
-def _magnitude_rows(quantities: Sequence[Quantity]) -> Tuple[int, ...]:
-    """Per quantity, the row of ``_flow_rows`` that holds its magnitude.
-
-    A quantity of two terms or more cancels between its terms, so its
-    magnitude is a row of its own after the quantities'; a one-term
-    quantity names its own row, and its floor comes from the absolute
-    values of its own rule sums.
-    """
-    out, extra = [], len(quantities)
-    for q, (_, spec) in enumerate(quantities):
-        if len(_compiled(spec)) > 1:
-            out.append(extra)
-            extra += 1
-        else:
-            out.append(q)
-    return tuple(out)
 
 
 def _term(item, table, out: np.ndarray) -> np.ndarray:
@@ -272,13 +273,8 @@ def _check_kernel(
     coefficients and log f; outside it, the larger of that v and the flow
     time is at fault, as in ``_check_fisher``.
     """
-    terms = [
-        [pair for pair in factors if pair != _LOG_F]
-        for _, spec in quantities
-        for _, factors in _compiled(spec)
-    ]
-    power = max([2, *(m for pairs in terms for m, _ in pairs)])
-    weight = max([2, *(sum(m * k for m, k in pairs) for pairs in terms)])
+    layout = _layout(tuple(quantities))
+    power, weight = max(2, layout.max_m), max(2, layout.weight)
     ends = np.array([(w[0], w[-1]) for w in windows])
     times = np.asarray(ts, dtype=float)
     narrowest = int(np.argmin(mix.variances))
@@ -332,7 +328,7 @@ def _flow_forest(
         _flow_rows(mix, ts, quantities),
         windows,
         [_flow_labels(t, quantities) for t in ts],
-        _magnitude_rows(quantities),
+        _layout(tuple(quantities)).magnitudes,
     )
 
 
@@ -494,9 +490,6 @@ class ScanRow:
     d_sym: Tuple[Tuple[float, float], ...]  # symbolic (value, error) for n = 1..min(4, max_order)
     costa_margin: float  # -J' - J^2, zero for a single Gaussian
     costa_margin_err: float  # 2 J J_err + J'_err + eps (|J'| + J^2)
-    # per quadrature tree, the jet orders 0..max_order (h first) then
-    # C_1..C_k: False where it stopped short, and its error is inf
-    converged: Tuple[bool, ...]
     logJ_dd: float = math.nan
     logJ_dd_err: float = math.nan
     invJ_dd: float = math.nan
@@ -562,7 +555,7 @@ def _scan_rows(
     Each flow time has one tree on which the jet orders 0..max_order (h
     first) and C_1..C_4 each accept their own panels.  At max_order 0 the
     quantities are h, C_1 and C_2, the rows that ``wt_checks`` reads.  A
-    tree that stopped short gives its value an infinite error.
+    tree that stopped short has an infinite error, which its row keeps.
     """
     sym_orders = min(_SYM_ORDERS, max_order)
     # the jet; C_1 and C_2 (which integrate to J and J') always; C_3, C_4 as the orders ask
@@ -573,7 +566,7 @@ def _scan_rows(
     for i in range(0, len(ts), _FOREST_TIMES):
         batch = ts[i : i + _FOREST_TIMES]
         for t, flow in zip(batch, refine(_flow_forest(mix, batch, quantities), tol)):
-            pairs = [(r.value, r.error if r.converged else math.inf) for r in flow]
+            pairs = [(r.value, r.error) for r in flow]
             (h, h_err), jet, sym = pairs[0], pairs[1 : max_order + 1], pairs[max_order + 1 :]
             (j, j_err), (jp, jp_err) = sym[0], sym[1]
             _check_fisher(mix, j, t)
@@ -592,7 +585,6 @@ def _scan_rows(
                     d_sym=tuple((0.5 * v, 0.5 * e) for v, e in sym[:sym_orders]),
                     costa_margin=-jp - j * j,
                     costa_margin_err=costa_err,
-                    converged=tuple(r.converged for r in flow),
                 )
             )
     return rows
@@ -704,7 +696,6 @@ class WtRow:
     JW_err: float  # J(Y_s)'s quadrature error / t
     txz_margin: float  # -J'(Y_s) + t^2 - 2 t J(Y_s)
     txz_err: float  # 2 t J_err + J'_err + eps (|J'| + t^2 + 2 t J), of Y_s
-    converged: Tuple[bool, ...]  # per tree, h, C_1 and C_2 at s: False where it stopped short
     hW_dd: float = math.nan
     hW_dd_err: float = math.nan
     JW_dd: float = math.nan
@@ -774,7 +765,6 @@ def wt_checks(mix: GaussianMixture, t_grid: Sequence[float], tol: float = DEFAUL
                 # the integrals' errors to first order, and the margin's own rounding
                 txz_err=2.0 * t * flow.J_err + flow.Jp_err
                 + _EPS * (abs(jp) + t * t + 2.0 * t * j),
-                converged=flow.converged,
             )
         )
 

@@ -19,7 +19,9 @@ of the forest together, one level at a time, so a level costs one
 integrand call for the whole forest, not one per job or row.  A level is
 evaluated in chunks of at most ``_CHUNK_NODES`` abscissae, so the memory
 of a call does not grow with the forest.  Each ``QuadResult`` keeps the
-panels its row accepted, so a row's own mesh comes with its integral.
+panels its row accepted, so a row's own mesh comes with its integral.  A
+tree that stops short of the tolerance has no error bound: its result's
+error is infinite, and it warns ``QuadratureNonConvergence``.
 ``adaptive_quad`` and ``build_mesh`` are forests of one job, and
 ``Mesh.integrate`` sums an integrand's whole-panel values on fixed panels.
 
@@ -170,7 +172,7 @@ def _bisect(forest: Forest, tol: float, max_depth: int, max_panels: int) -> List
     refines.  A row's decisions rest on its own values and job only, so it
     accepts exactly the panels it would accept refined alone.  A level
     whose splits would take a tree past ``max_panels`` accepts its open
-    panels unconverged instead, so no tree has more than ``max_panels``
+    panels as they are instead, so no tree has more than ``max_panels``
     panels, or its initial panels if those are more.
     """
     lo, hi, job, width = _initial_panels(forest.spans)
@@ -198,8 +200,8 @@ def _bisect(forest: Forest, tol: float, max_depth: int, max_panels: int) -> List
         magnitude = mags[:, 0::2] + mags[:, 1::2]
         floor = _REL_FLOOR * np.maximum(np.abs(wholes), magnitude)
         local_tol = tol * (hi - lo) / width[job]
-        # a panel whose rule sums are not finite is accepted at once, not
-        # converged: bisecting it can only find more of the same
+        # a panel whose rule sums are not finite stops at once, short of
+        # tol: bisecting it can only find more of the same
         finite = np.isfinite(wholes) & np.isfinite(halves)
         with np.errstate(invalid="ignore"):
             discrepancy = np.abs(wholes - halves)
@@ -233,14 +235,13 @@ def _bisect(forest: Forest, tol: float, max_depth: int, max_panels: int) -> List
     sizes = counts.T.ravel()
     absolute = _sequential_sums(np.abs(halves[sort]), segments, count * rows)
     errors += sizes * np.finfo(float).eps * absolute
+    errors[exhausted.T.ravel()] = np.inf
     panels = np.stack([lo, hi], axis=1)[sort]
     panels.flags.writeable = False
     ends = np.cumsum(sizes).tolist()
     results = [
-        QuadResult(total, err, not stopped, panels[end - n : end])
-        for total, err, stopped, n, end in zip(
-            values.tolist(), errors.tolist(), exhausted.T.ravel().tolist(), sizes.tolist(), ends
-        )
+        QuadResult(total, err, panels[end - n : end])
+        for total, err, n, end in zip(values.tolist(), errors.tolist(), sizes.tolist(), ends)
     ]
     return [results[j * rows : (j + 1) * rows] for j in range(count)]
 
@@ -248,11 +249,11 @@ def _bisect(forest: Forest, tol: float, max_depth: int, max_panels: int) -> List
 def _warn_exhausted(
     forest: Forest, results: List[List[QuadResult]], tol: float, stacklevel: int
 ) -> None:
-    """One warning per tree that stopped short, job by job and, within a job, row by row."""
+    """One warning per tree whose error is infinite, job by job and, within a job, row by row."""
     for j, (span, rows) in enumerate(zip(forest.spans, results)):
         labels = forest.labels[j] if len(forest.labels) > j else ()
         for row, result in enumerate(rows):
-            if result.converged:
+            if result.error != np.inf:
                 continue
             name = labels[row] if len(labels) == len(rows) else ""
             # the quantity, interval and panel count make each event's
@@ -293,10 +294,9 @@ class Mesh:
 @dataclass(frozen=True)
 class QuadResult:
     value: float
-    error: float
-    # False when refinement stopped short of the tolerance: at its depth or
+    # inf when refinement stopped short of the tolerance: at its depth or
     # panel limit, or on a panel whose rule sums are not finite
-    converged: bool = True
+    error: float
     # the panels the row accepted, left to right, as read-only (lo, hi)
     # rows; none when no bisection computed the value
     panels: np.ndarray = field(default_factory=lambda: np.empty((0, 2)), compare=False, repr=False)
@@ -320,9 +320,9 @@ def refine(
     discrepancy (a conservative proxy for the truncation error of smooth
     integrands) or the panel's roundoff floor where that is larger, and
     n eps times the sum of the n panel values' magnitudes for the rounding
-    of their total.  Every tree that stops short of ``tol`` warns
-    ``QuadratureNonConvergence``, in the order in which refining each job
-    alone would warn.
+    of their total.  A tree that stops short of ``tol`` has an infinite
+    error and warns ``QuadratureNonConvergence``, in the order in which
+    refining each job alone would warn.
     """
     results = _bisect(forest, tol, max_depth, max_panels)
     _warn_exhausted(forest, results, tol, stacklevel + 1)

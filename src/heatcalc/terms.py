@@ -74,12 +74,6 @@ class DerivMonomial:
         """Largest derivative order present, 0 for the bare density."""
         return self.exps[-1][0] if self.exps else 0
 
-    def exponent(self, order: int) -> int:
-        for m, k in self.exps:
-            if m == order:
-                return k
-        return 0
-
     def as_dict(self) -> Dict[int, int]:
         return dict(self.exps)
 
@@ -141,7 +135,7 @@ def parse_monomial(text: str) -> DerivMonomial:
                 raise ValueError(f"bare 'f' cannot be mixed with factors: {text!r}")
             break
         base, _, exp = token.partition("^")
-        if not base.startswith("f") or not base[1:].isdigit():
+        if not (base[:1] == "f" and base[1:].isdecimal() and (exp.isdecimal() or not exp)):
             raise ValueError(f"bad factor {token!r} in {text!r}")
         order = int(base[1:])
         k = int(exp) if exp else 1
@@ -151,9 +145,9 @@ def parse_monomial(text: str) -> DerivMonomial:
     mono = monomial(counts)
     if den:
         den = den.strip()
-        if not den.startswith("f"):
+        if not (den == "f" or den[:2] == "f^" and den[2:].isdecimal()):
             raise ValueError(f"bad denominator {den!r} in {text!r}")
-        power = int(den[2:]) if den.startswith("f^") else 1
+        power = int(den[2:]) if den != "f" else 1
         if power != max(mono.degree - 1, 0):
             raise ValueError(
                 f"denominator f^{power} does not match implied f^{mono.degree - 1} in {text!r}"
@@ -203,9 +197,6 @@ class Combination:
 
     def weights(self) -> Tuple[int, ...]:
         return tuple(sorted({m.weight for m in self._terms}))
-
-    def max_order(self) -> int:
-        return max((m.max_order for m in self._terms), default=0)
 
     def __add__(self, other: "Combination") -> "Combination":
         out = dict(self._terms)

@@ -399,6 +399,22 @@ class TestCertificateJson:
             (lambda d: d.update(weights=[1, 1]), "field weights: expected a list of 1 weights"),
             (lambda d: d.update(weights=["x"]), "field weights[0]: invalid weight 'x'"),
             (lambda d: d.update(weights=[True]), "field weights[0]: expected a string or number"),
+            (
+                lambda d: d.update(remainder=[["f1^6/f^5", "-1"], ["f1^6/f^5", "1/45"]]),
+                "field remainder[1]: monomial f1^6/f^5 is repeated",
+            ),
+            (
+                lambda d: d["squares"][0].insert(1, ["f3", "2"]),
+                "field squares[0][1]: monomial f3 is repeated",
+            ),
+            (
+                lambda d: d["squares"][0].append(["f2", "1"]),
+                "field squares[0][3]: monomial f2 has weight 2, expected 3",
+            ),
+            (
+                lambda d: d["remainder"][0].__setitem__(0, "f3/f^x"),
+                "field remainder[0]: bad denominator 'f^x' in 'f3/f^x'",
+            ),
         ],
     )
     def test_bad_fields_are_named(self, mutate, needle):

@@ -198,7 +198,7 @@ class TestFiniteDifferences:
         jet = oracle._flow_results(
             mix, 2.3101297000831593, [oracle._jet(n) for n in range(1, 11)], DEFAULT_TOL
         )
-        assert all(result.converged for result in jet)
+        assert all(math.isfinite(result.error) for result in jet)
         # J^(k) = 2 h^(k+1)
         values = np.array([2.0 * result.value for result in jet])
         errors = np.array([2.0 * result.error for result in jet])
@@ -347,7 +347,7 @@ class TestCompiledEpilogue:
         lf, ratios = log_density_and_ratios(self.MIX, t, y, 16)
         f = np.exp(lf)
         eps = np.finfo(float).eps
-        layout = oracle._magnitude_rows(qs)
+        layout = oracle._layout(tuple(qs)).magnitudes
         assert len(values) == max(layout) + 1 > len(qs)
         # h is -f log f to the bit
         assert np.array_equal(values[0], -f * lf)
@@ -449,6 +449,18 @@ def nan_at(monkeypatch, quantity, s):
     monkeypatch.setattr(oracle, "refine", refine)
 
 
+def uncapped(mix, t, quantities):
+    """The quantities' results at flow time t, refined without a fixture's panel cap."""
+    (results,) = quadrature.refine(oracle._flow_forest(mix, [t], quantities), DEFAULT_TOL)
+    return results
+
+
+def tree_errors(row):
+    """A scan row's error of each tree: the jet orders 0..max_order, then C_1, C_2, ..."""
+    jet = [e for _, e in row.d_fd]
+    return [row.h_err, *jet, row.J_err, row.Jp_err, *(e for _, e in row.d_sym[2:])]
+
+
 class TestSharedEvaluation:
     """Sharing kernel calls between the quantities of a row changes no bit."""
 
@@ -533,7 +545,7 @@ class TestSharedEvaluation:
             # so the cap of 45 stops it short, with the panels it had; its
             # jet h'''' takes 40
             panels = [m.split(" at ")[-1].split(" panels")[0] for m in messages[0]]
-            assert [r.converged for r in flows[0]] == [True] * 8 + [False]
+            assert [r.error == math.inf for r in flows[0]] == [False] * 8 + [True]
             assert panels == [str(len(flows[0][8].panels))]
             assert len(flows[0][8].panels) <= 45
         else:
@@ -543,13 +555,13 @@ class TestSharedEvaluation:
             build_mesh([self._plain(mix, t, self.ROW[0])], *mix.support_interval(t)) for t in ts
         ]
 
-    def test_converged_flag_follows_the_tree(self, capped):
+    def test_infinite_error_follows_the_tree(self, capped):
         # under the cap the 16-component draw's C_4 tree at t = 0.1 stops short
         with warnings.catch_warnings(record=True):
             warnings.simplefilter("always")
             results = oracle._flow_results(wide_mixture(), 0.1, self.ROW, DEFAULT_TOL)
-        assert [r.converged for r in results] == [True] * 8 + [False]
-        assert oracle.entropy_result(BIMODAL_MIXTURE, 1.0).converged
+        assert [r.error == math.inf for r in results] == [False] * 8 + [True]
+        assert math.isfinite(oracle.entropy_result(BIMODAL_MIXTURE, 1.0).error)
 
     @pytest.mark.parametrize("t", [0.05, 0.7, 12.0])
     def test_fd_orders_together_equal_each_alone(self, t):
@@ -606,7 +618,7 @@ class TestSharedEvaluation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             row = oracle._scan_row_core(GaussianMixture.single(0, 1e-66), 1e-66, 4, DEFAULT_TOL)
-        assert all(row.converged)
+        assert not any(map(math.isinf, tree_errors(row)))
 
     def test_a_fisher_information_too_small_to_square_names_the_widest_component(self):
         # the narrowest component, of weight 1e-300, keeps C_2's s**-2.5 in
@@ -620,12 +632,44 @@ class TestSharedEvaluation:
         assert (caught.value.t, caught.value.component) == (0.1, 0)
 
 
+class TestStoppedShortResults:
+    """Every public result of a tree that stops short reports an infinite error."""
+
+    # two narrow components 2e4 apart: every tree below at t = 0.5 stops
+    # short of the tolerance
+    FAR = GaussianMixture.create([(0.5, -1e4, 0.1), (0.5, 1e4, 0.1)])
+    C_1 = ("C_1", entropy_derivative(1))
+    RESULTS = {
+        "entropy": lambda mix: oracle.entropy_result(mix, 0.5),
+        "fisher": lambda mix: oracle.fisher_result(mix, 0.5),
+        "functional": lambda mix: oracle.functional_result(entropy_derivative(2), mix, 0.5),
+        "jet": lambda mix: fd_entropy_deriv_result(mix, 0.5, 2),
+        "adaptive_quad": lambda mix: adaptive_quad(
+            TestSharedEvaluation._plain(mix, 0.5, TestStoppedShortResults.C_1),
+            *mix.support_interval(0.5),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RESULTS))
+    def test_the_error_is_infinite(self, name):
+        with pytest.warns(QuadratureNonConvergence, match="stopped at"):
+            result = self.RESULTS[name](self.FAR)
+        value, error = result if name == "jet" else (result.value, result.error)
+        assert math.isfinite(value) and error == math.inf
+
+    def test_the_jet_derivative_warns_of_its_accuracy(self):
+        with pytest.warns(QuadratureNonConvergence):
+            with pytest.warns(FdAccuracyWarning, match="estimated error inf"):
+                value = fd_entropy_deriv(self.FAR, 0.5, 2)
+            assert value == fd_entropy_deriv_result(self.FAR, 0.5, 2)[0]
+
+
 class TestWindows:
     """A component far narrower than the window gets initial panels of its own."""
 
     # J of [(0.5, 0, 1), (0.5, 0, v)] at t = 1, from windows split at each
     # component's own 12-sigma edges; a window of 8 equal panels misses the
-    # narrow component from v of about 1e8 on (J 5.0e-9, converged=True)
+    # narrow component from v of about 1e8 on (J 5.0e-9, with a finite error)
     SPLIT_WINDOW_J = {1e8: 0.249286989117, 1e10: 0.249899770903, 1e12: 0.249986763383}
 
     @pytest.mark.parametrize("v", sorted(SPLIT_WINDOW_J))
@@ -635,9 +679,9 @@ class TestWindows:
         edge = 12.0 * math.sqrt(2.0)
         assert oracle._window(mix, 1.0) == (a, -edge, edge, b)
         j = oracle.fisher_result(mix, 1.0)
-        assert j.converged
+        assert math.isfinite(j.error)
         assert j.value == pytest.approx(self.SPLIT_WINDOW_J[v], rel=1e-9)
-        assert oracle.entropy_result(mix, 1.0).converged
+        assert math.isfinite(oracle.entropy_result(mix, 1.0).error)
 
     @pytest.mark.parametrize("v", [1e2, 1e4])
     def test_a_resolvable_component_adds_no_breakpoint(self, v):
@@ -721,12 +765,14 @@ class TestScan:
             c4 = oracle.functional_result(entropy_derivative(4), wide_mixture(), 0.1)
         short, done = res.rows
         # the jet orders 0..4, then C_1..C_4
-        assert short.converged == (True,) * 8 + (False,)
-        assert done.converged == (True,) * 9
-        # the tree's own estimate would pass; the row keeps its value only
-        assert not c4.converged
-        assert _sign_status(0.5 * c4.value, 0.5 * c4.error, -1) == "pass"
+        assert [math.isinf(e) for e in tree_errors(short)] == [False] * 8 + [True]
+        assert [math.isinf(e) for e in tree_errors(done)] == [False] * 9
+        # the row keeps the capped tree's value, with its infinite error;
+        # the same row refined uncapped would pass
+        assert c4.error == math.inf
         assert short.d_sym[3] == (0.5 * c4.value, math.inf)
+        (full,) = uncapped(wide_mixture(), 0.1, [("C_4", entropy_derivative(4))])
+        assert _sign_status(0.5 * full.value, 0.5 * full.error, -1) == "pass"
         errors = [e for _, e in short.d_fd + short.d_sym]
         assert [math.isinf(e) for e in errors] == [False] * 7 + [True]
         assert math.isfinite(short.costa_margin_err)
@@ -740,23 +786,24 @@ class TestScan:
         assert res.all_signs_ok()
 
     def test_a_stopped_short_C2_tree_leaves_costa_inconclusive(self, c2_capped):
-        # at max_order 1 only -J' >= J^2 rests on C_2; the tree's own
-        # estimate would pass, but a tree that stopped short gives J' and
-        # the margin an infinite error
+        # at max_order 1 only -J' >= J^2 rests on C_2; a tree that stopped
+        # short gives J' and the margin an infinite error, while the same
+        # row refined uncapped would pass
         grid = time_grid(0.05, 100.0, 12, "log")
         with pytest.warns(QuadratureNonConvergence, match="C_2 at t=") as caught:
             res = scan_conjectures(BIMODAL_MIXTURE, grid, max_order=1)
         assert len(caught) == 2
-        short = [i for i, row in enumerate(res.rows) if not row.converged[3]]
+        short = [i for i, row in enumerate(res.rows) if row.Jp_err == math.inf]
         assert short == [4, 5]
         eps = np.finfo(float).eps
         for i, row in enumerate(res.rows):
             if i in short:
                 with pytest.warns(QuadratureNonConvergence, match="C_2 at t="):
                     j, jp = oracle._flow_results(BIMODAL_MIXTURE, row.t, C_1_AND_C_2, DEFAULT_TOL)
-                assert not jp.converged and (row.J, row.Jp) == (j.value, jp.value)
+                assert jp.error == math.inf and (row.J, row.Jp) == (j.value, jp.value)
+                j, jp = uncapped(BIMODAL_MIXTURE, row.t, C_1_AND_C_2)
                 own = 2.0 * j.value * j.error + jp.error + eps * (abs(jp.value) + j.value**2)
-                assert _sign_status(row.costa_margin, own, 1) == "pass"
+                assert _sign_status(-jp.value - j.value**2, own, 1) == "pass"
                 assert (row.Jp_err, row.costa_margin_err) == (math.inf, math.inf)
                 assert row.costa_status == "inconclusive"
             else:
@@ -772,7 +819,7 @@ class TestScan:
         nan_at(monkeypatch, "C_2", 1.0)
         res = scan_conjectures(BIMODAL_MIXTURE, [0.5, 1.0, 2.0], max_order=1)
         row = res.rows[1]
-        assert math.isnan(row.costa_margin) and all(row.converged)
+        assert math.isnan(row.costa_margin) and not any(map(math.isinf, tree_errors(row)))
         assert row.costa_status == "inconclusive"
         assert [r.costa_status for r in res.rows] == ["pass", "inconclusive", "pass"]
         assert res.all_costa_ok()
@@ -897,19 +944,22 @@ class TestWt:
     def test_a_stopped_short_C2_tree_leaves_txz_inconclusive(self, c2_capped):
         with pytest.warns(QuadratureNonConvergence, match="C_2 at t=") as caught:
             rep = wt_checks(BIMODAL_MIXTURE, list(np.linspace(0.05, 0.95, 31)))
-        short = [i for i, row in enumerate(rep.rows) if not row.converged[2]]
+        short = [i for i, row in enumerate(rep.rows) if row.txz_err == math.inf]
         assert short == [i for i in range(7, 22) if i != 18] and len(caught) == 14
         eps = np.finfo(float).eps
         for i, row in enumerate(rep.rows):
-            assert row.converged[:2] == (True, True)
-            t, err = row.t, row.txz_err
+            # h's and C_1's trees end within the cap
+            assert math.isfinite(row.hW_err) and math.isfinite(row.JW_err)
+            t, margin, err = row.t, row.txz_margin, row.txz_err
             if i in short:
-                # the trees' own estimates would pass; the row's error is infinite
+                # the row's error is infinite; the same row refined uncapped would pass
                 with pytest.warns(QuadratureNonConvergence, match="C_2 at t="):
                     j, jp = oracle._flow_results(BIMODAL_MIXTURE, row.s, C_1_AND_C_2, DEFAULT_TOL)
-                assert not jp.converged and row.txz_err == math.inf
+                assert jp.error == math.inf
+                j, jp = uncapped(BIMODAL_MIXTURE, row.s, C_1_AND_C_2)
+                margin = -jp.value + t * t - 2.0 * t * j.value
                 err = 2.0 * t * j.error + jp.error + eps * (abs(jp.value) + t * t + 2 * t * j.value)
-            assert _sign_status(row.txz_margin, err, 1) == "pass"
+            assert _sign_status(margin, err, 1) == "pass"
             assert row.txz_status == ("inconclusive" if i in short else "pass")
         assert rep.txz_ok() and rep.concavity_ok()
         assert rep.inconclusive_rows() == 14

@@ -103,7 +103,7 @@ def test_a_level_sums_each_chunk_once(monkeypatch):
     monkeypatch.setattr(quadrature, "_CHUNK_NODES", 10 * quadrature._ORDER)
     rows = Rows(0.02, 3e-4, 1e-5)
     results = adaptive_quad(rows, -12.0, 12.0)
-    assert all(result.converged for result in results)
+    assert all(math.isfinite(result.error) for result in results)
     # the panels of depth d are 3 / 2**d wide; levels 0..max depth are reached
     levels = 1 + max(round(math.log2(3.0 / (hi - lo))) for r in results for lo, hi in r.panels)
     assert rows.calls > levels
@@ -161,7 +161,7 @@ def test_mesh_results_sum_the_bisection_halves():
         ]
         # adding n panel values rounds by at most n eps times their magnitudes
         rounding = len(halves) * np.finfo(float).eps * plain_sum([abs(h) for h in halves])
-        assert result == QuadResult(value, plain_sum(panel_errors) + rounding, True)
+        assert result == QuadResult(value, plain_sum(panel_errors) + rounding)
         assert mesh.integrate(fn) == plain_sum(wholes)
         # the two totals differ by at most their discrepancy and the rounding
         # of adding their panels, both of which the error covers
@@ -221,10 +221,10 @@ def test_a_magnitude_row_sets_the_floor_of_a_cancelling_row():
 
     forest = quadrature.Forest(rows, [(-12.0, 12.0)], magnitudes=(0,))
     (alone,), events = _nonconverged(lambda: quadrature.refine(forest, max_depth=6))
-    assert len(alone) == 1 and not alone[0].converged and len(events) == 1
+    assert len(alone) == 1 and alone[0].error == math.inf and len(events) == 1
     forest = quadrature.Forest(rows, [(-12.0, 12.0)], magnitudes=(1,))
     ((result,),), events = _nonconverged(lambda: quadrature.refine(forest))
-    assert result.converged and len(result.panels) == 8 and events == []
+    assert math.isfinite(result.error) and len(result.panels) == 8 and events == []
     # the floor it stopped on is in its error, and covers the noise
     assert result.error >= quadrature._REL_FLOOR * 2e10
     assert abs(result.value - 1.0) <= result.error
@@ -339,8 +339,8 @@ def test_forest_jobs_equal_one_job_each(max_depth):
     for j, results in enumerate(alone):
         for row, row_alone in zip(together[j], results):
             assert np.array_equal(row.panels, row_alone.panels)
-        converged = [max_depth == 24 or variances[j] > 1e-3] * 2
-        assert [r.converged for r in together[j]] == converged
+        bounded = [max_depth == 24 or variances[j] > 1e-3] * 2
+        assert [math.isfinite(r.error) for r in together[j]] == bounded
 
 
 def test_breakpoints_split_the_initial_panels():
@@ -348,11 +348,11 @@ def test_breakpoints_split_the_initial_panels():
     fn = Recorder(1e-8)
     forest = quadrature.Forest(lambda y, jobs: fn(y)[None], [(-12.0, -1e-3, 1e-3, 12.0)])
     ((result,),) = quadrature.refine(forest)
-    assert result.converged
+    assert math.isfinite(result.error)
     assert result.value == pytest.approx(1.0, abs=1e-11)
     # the narrow Gaussian at 0 falls between every node of the equal panels
     (plain,) = adaptive_quad(lambda y: fn(y)[None], -12.0, 12.0)
-    assert plain.converged and plain.value < 1e-30
+    assert math.isfinite(plain.error) and plain.value < 1e-30
     first = fn.calls[0]
     assert first.size == 24 * 10 and first.min() < 0 < first.max()
     assert {-12.0, -9.0, -3.0, -1e-3, 0.0, 1e-3, 3.0, 12.0} <= set(result.panels.ravel().tolist())
@@ -374,7 +374,7 @@ def test_one_row_mesh_results_equal_adaptive_quad(max_depth):
     )
     assert meshes == [result.mesh() for result in alone]
     assert mesh_events == alone_events
-    assert [r.converged for r in alone].count(False) == (3 if max_depth == 3 else 0)
+    assert [r.error for r in alone].count(math.inf) == (3 if max_depth == 3 else 0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -386,7 +386,7 @@ def test_non_finite_panels_stop_unconverged(bad):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = adaptive_quad(lambda y: np.where(y > 0.5, bad, fn(y)), 0.0, 1.0)
-    assert not result.converged
+    assert result.error == math.inf
     assert [w.category for w in caught] == [QuadratureNonConvergence]
     assert "at 8 panels" in str(caught[0].message)
     assert len(result.panels) == quadrature._INITIAL_PANELS
