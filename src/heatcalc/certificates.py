@@ -377,6 +377,12 @@ _GAP = 1e-10
 _NEWTON_CAP = 100
 _CENTRED = 1e-7
 _DENOMINATOR = 10**6
+# The highest order whose search stays near 2 GB.  With p = len(partitions(n)),
+# K = len(canonical_basis(2 n)) and d = p (p + 1) / 2 - K + 1 directions,
+# _central_path holds units, null and dirs, the two (d, p, p) products and
+# the (d, d) normal matrix at once: 2.1 GB at order 13 (d = 4,674), 6.9 GB
+# at order 14 (d = 8,473) and 20 GB at order 15 (d = 14,538).
+SEARCH_MAX_ORDER = 13
 
 
 def _central_path(gram: np.ndarray, target: np.ndarray):

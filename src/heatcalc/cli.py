@@ -312,6 +312,7 @@ def _cmd_verify_identities(args) -> int:
 
 def _cmd_certify(args) -> int:
     from .certificates import (
+        SEARCH_MAX_ORDER,
         builtin_certificate,
         certificate_from_json,
         certificate_to_json,
@@ -322,8 +323,15 @@ def _cmd_certify(args) -> int:
     if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
         raise ConfigError(f"certify: --out {args.out}: not a file path in an existing directory")
     if args.search:
+        if args.cert:
+            raise ConfigError("certify: --search finds its own certificate; it takes no --cert")
         if args.order < 2:
             raise ConfigError("certify: --search needs --order >= 2")
+        if args.order > SEARCH_MAX_ORDER:
+            raise ConfigError(
+                f"certify: --search needs --order <= {SEARCH_MAX_ORDER}: past it the Gram "
+                "search needs 7 GB of memory or more"
+            )
         if args.starts < 1:
             raise ConfigError("certify: --starts must be >= 1")
         if args.seed < 0:

@@ -211,9 +211,7 @@ def _flow_rows(
                 row += _term(item, table, term)
                 if mag is not None:
                     mag += np.abs(term, out=term)
-            row *= f
-            if mag is not None:
-                mag *= f
+        out *= f
 
     def fn(y: np.ndarray, jobs: np.ndarray) -> np.ndarray:
         return map_flow(mix, times, y, jobs, layout.max_m, rows, (layout.size,))
@@ -338,7 +336,7 @@ def _flow_results(
     """Each quantity's integral at flow time t > 0, from one bisection forest."""
     if t <= 0:
         raise ValueError("quantities along the flow need t > 0")
-    (results,) = refine(_flow_forest(mix, [t], quantities), tol, stacklevel=3)
+    (results,) = refine(_flow_forest(mix, [t], quantities), tol)
     return results
 
 
@@ -633,12 +631,9 @@ def scan_conjectures(
     j_vals = [r.J for r in rows]
     j_errs = [r.J_err for r in rows]
     e2h = [math.exp(2.0 * r.h) for r in rows]
-    # per-point noise floors include one ulp of the stored value, which
-    # dominates when the quadrature is machine-exact
-    logj_dd, logj_err = second_difference(
-        ts, np.log(j_vals), [max(e / v, 3e-16) for v, e in zip(j_vals, j_errs)]
-    )
-    invj_errs = [max(e / (v * v), 3e-16 / v) for v, e in zip(j_vals, j_errs)]
+    logj_errs = [e / v for v, e in zip(j_vals, j_errs)]
+    logj_dd, logj_err = second_difference(ts, np.log(j_vals), logj_errs)
+    invj_errs = [e / (v * v) for v, e in zip(j_vals, j_errs)]
     invj_dd, invj_err = second_difference(ts, [1.0 / v for v in j_vals], invj_errs)
     e2h_dd, e2h_err = second_difference(ts, e2h, [2.0 * p * r.h_err for p, r in zip(e2h, rows)])
     for i, row in enumerate(rows):

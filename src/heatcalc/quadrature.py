@@ -3,27 +3,26 @@
 All integrands here decay like Gaussians, so fixed-order Gauss-Legendre
 panels with adaptive bisection converge fast.
 
-An integrand maps an array of N abscissae to N values, or to a (k, N)
-array: k rows that share their evaluation, such as several quantities at
-one flow time.  An integrand may carry a ``labels`` attribute, one name
-per row, that non-convergence warnings quote.
+Bisection runs on forests: a ``Forest`` is one integrand of k rows that
+share their evaluation, such as several quantities at one flow time, over
+many intervals, one job per interval.  Every row of every job is a tree
+that accepts its panels by its own test.  A row whose terms cancel can
+name a magnitude row of the same integrand, the sum of its terms'
+absolute values, that sets its roundoff floor; the magnitude rows get no
+result, and any other row's floor is the absolute values of its own rule
+sums.  ``refine`` bisects every tree of the forest together, one level at
+a time, so a level costs one integrand call for the whole forest, not one
+per job or row.  A level is evaluated in chunks of at most
+``_CHUNK_NODES`` abscissae, so the memory of a call does not grow with
+the forest.  Each ``QuadResult`` keeps the panels its row accepted, so a
+row's own mesh comes with its integral.  A tree that stops short of the
+tolerance, at the constant limits ``_MAX_DEPTH`` and ``_MAX_PANELS`` or
+on a value that is not finite, has an infinite error and warns
+``QuadratureNonConvergence``.
 
-Bisection runs on forests: a ``Forest`` is one integrand over many
-intervals, one job per interval, such as one flow time per job of a
-scan.  Every row of every job is a tree that accepts its panels by its
-own test.  A row whose terms cancel can name a magnitude row of the same
-integrand, the sum of its terms' absolute values, that sets its roundoff
-floor; the magnitude rows get no result, and any other row's floor is
-the absolute values of its own rule sums.  ``refine`` bisects every tree
-of the forest together, one level at a time, so a level costs one
-integrand call for the whole forest, not one per job or row.  A level is
-evaluated in chunks of at most ``_CHUNK_NODES`` abscissae, so the memory
-of a call does not grow with the forest.  Each ``QuadResult`` keeps the
-panels its row accepted, so a row's own mesh comes with its integral.  A
-tree that stops short of the tolerance has no error bound: its result's
-error is infinite, and it warns ``QuadratureNonConvergence``.
-``adaptive_quad`` and ``build_mesh`` are forests of one job, and
-``Mesh.integrate`` sums an integrand's whole-panel values on fixed panels.
+``adaptive_quad``, ``build_mesh`` and ``Mesh.integrate`` take one plain
+integrand, which maps N abscissae to N values, and refuse a (k, N) array
+of rows; its one-name ``labels``, if any, name it in the warnings.
 
 No bit depends on which panels, rows or jobs share a call: every value is
 computed per abscissa; each panel's rule sum is one ``ddot`` of its own
@@ -36,7 +35,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, List, Sequence, Tuple, Union
+from typing import Callable, ClassVar, List, Sequence, Tuple
 
 import numpy as np
 
@@ -63,7 +62,7 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(_ORDER)
 # a panel whose rules agree within this share of its magnitude is
 # accepted: refining further would only chase roundoff
 _REL_FLOOR = 5e-15
-# a tree's limits by default (adaptive_quad always uses _MAX_PANELS)
+# every tree's limits, read when a forest is refined
 _MAX_DEPTH = 24
 _MAX_PANELS = 16384
 # abscissae per integrand call; a level of a forest takes as many calls as
@@ -158,7 +157,7 @@ def _initial_panels(spans) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     return lo, np.concatenate([row[1:] for row in edges]), job, width
 
 
-def _bisect(forest: Forest, tol: float, max_depth: int, max_panels: int) -> List[List[QuadResult]]:
+def _bisect(forest: Forest, tol: float) -> List[List[QuadResult]]:
     """Bisect every tree of every job of the forest, one level at a time; see ``refine``.
 
     A row accepts a panel when its whole-panel rule and its two half-panel
@@ -171,9 +170,10 @@ def _bisect(forest: Forest, tol: float, max_depth: int, max_panels: int) -> List
     Each level evaluates the halves of every panel that some row still
     refines.  A row's decisions rest on its own values and job only, so it
     accepts exactly the panels it would accept refined alone.  A level
-    whose splits would take a tree past ``max_panels`` accepts its open
-    panels as they are instead, so no tree has more than ``max_panels``
-    panels, or its initial panels if those are more.
+    whose splits would take a tree past ``_MAX_PANELS`` accepts its open
+    panels as they are instead, so no tree has more than ``_MAX_PANELS``
+    panels, or its initial panels if those are more; a panel at depth
+    ``_MAX_DEPTH`` is accepted as it is.
     """
     lo, hi, job, width = _initial_panels(forest.spans)
     count = width.size
@@ -208,10 +208,10 @@ def _bisect(forest: Forest, tol: float, max_depth: int, max_panels: int) -> List
         ok = finite & ~(discrepancy > np.maximum(np.maximum(local_tol, floor), 1e-300))
         # a panel's value is known no better than its roundoff floor
         error = np.maximum(discrepancy, floor)
-        stop = open_ if depth >= max_depth else open_ & (ok | ~finite)
+        stop = open_ if depth >= _MAX_DEPTH else open_ & (ok | ~finite)
         deeper = open_ & ~stop
         capped = counts + _per_tree(stop, job, count) + 2 * _per_tree(deeper, job, count)
-        capped = (capped > max_panels)[:, job]
+        capped = (capped > _MAX_PANELS)[:, job]
         stop |= deeper & capped
         deeper &= ~capped
         exhausted |= _per_tree(stop & ~ok, job, count) > 0
@@ -246,9 +246,7 @@ def _bisect(forest: Forest, tol: float, max_depth: int, max_panels: int) -> List
     return [results[j * rows : (j + 1) * rows] for j in range(count)]
 
 
-def _warn_exhausted(
-    forest: Forest, results: List[List[QuadResult]], tol: float, stacklevel: int
-) -> None:
+def _warn_exhausted(forest: Forest, results: List[List[QuadResult]], tol: float) -> None:
     """One warning per tree whose error is infinite, job by job and, within a job, row by row."""
     for j, (span, rows) in enumerate(zip(forest.spans, results)):
         labels = forest.labels[j] if len(forest.labels) > j else ()
@@ -265,8 +263,20 @@ def _warn_exhausted(
                 f"on its depth or panel limit or a value that is not finite; "
                 f"result may miss tol {tol:.3g}",
                 QuadratureNonConvergence,
-                stacklevel=stacklevel,
+                stacklevel=3,  # at the line that called refine
             )
+
+
+def _one_row(fn: Integrand) -> JobIntegrand:
+    """The plain integrand ``fn`` as a forest integrand of one row; rows raise ``ValueError``."""
+
+    def row(y, jobs):
+        out = np.asarray(fn(y), dtype=float)
+        if out.ndim > 1:
+            raise ValueError(f"one integrand row, not {len(out)}: values of shape {out.shape}")
+        return out[None]
+
+    return row
 
 
 @dataclass(frozen=True)
@@ -281,14 +291,12 @@ class Mesh:
     # tracer reads it
     order: ClassVar[int] = _ORDER
 
-    def integrate(self, fn: Integrand) -> Union[float, Tuple[float, ...]]:
-        """The integral of ``fn`` on the mesh; a tuple, one per row, for an integrand of rows."""
-        rows, ndims = _job_rows([fn])
+    def integrate(self, fn: Integrand) -> float:
+        """The integral of the one row of ``fn`` on the mesh."""
         bounds = np.array(self.panels, dtype=float).reshape(-1, 2)
-        sums = _evaluate(rows, bounds[:, 0], bounds[:, 1], np.zeros(len(bounds), np.intp))
-        segments = np.repeat(np.arange(len(sums)), sums.shape[1])
-        totals = tuple(_sequential_sums(sums.ravel(), segments, len(sums)).tolist())
-        return totals if max(ndims) > 1 else totals[0]
+        jobs = np.zeros(len(bounds), np.intp)
+        (sums,) = _evaluate(_one_row(fn), bounds[:, 0], bounds[:, 1], jobs)
+        return float(_sequential_sums(sums, np.zeros(sums.size, np.intp), 1)[0])
 
 
 @dataclass(frozen=True)
@@ -306,13 +314,7 @@ class QuadResult:
         return Mesh(tuple(map(tuple, self.panels.tolist())))
 
 
-def refine(
-    forest: Forest,
-    tol: float = 1e-11,
-    max_depth: int = _MAX_DEPTH,
-    max_panels: int = _MAX_PANELS,
-    stacklevel: int = 2,
-) -> List[List[QuadResult]]:
+def refine(forest: Forest, tol: float = 1e-11) -> List[List[QuadResult]]:
     """Bisect every tree of the forest; per job, one ``QuadResult`` per row.
 
     A row's ``QuadResult`` sums its half-panel values over its accepted
@@ -324,68 +326,21 @@ def refine(
     error and warns ``QuadratureNonConvergence``, in the order in which
     refining each job alone would warn.
     """
-    results = _bisect(forest, tol, max_depth, max_panels)
-    _warn_exhausted(forest, results, tol, stacklevel + 1)
+    results = _bisect(forest, tol)
+    _warn_exhausted(forest, results, tol)
     return results
 
 
-def _job_rows(fns: Sequence[Integrand]) -> Tuple[JobIntegrand, List[int]]:
-    """A one-job integrand whose rows are those of the plain integrands ``fns``.
-
-    The list fills with the number of dimensions of each value they return.
-    """
-    ndims = []
-
-    def rows(y, jobs):
-        outs = [np.asarray(fn(y), dtype=float) for fn in fns]
-        ndims.extend(out.ndim for out in outs)
-        return np.concatenate([out.reshape(-1, y.size) for out in outs])
-
-    return rows, ndims
+def build_mesh(integrands: Sequence[Integrand], a: float, b: float) -> Mesh:
+    """The panels on which ``adaptive_quad`` of the one integrand in ``integrands`` sums."""
+    # each row has a mesh of its own
+    if len(integrands) != 1:
+        raise ValueError(f"build_mesh takes one integrand row, not {len(integrands)}")
+    return adaptive_quad(integrands[0], a, b).mesh()
 
 
-def _one_job(fns: Sequence[Integrand], a: float, b: float) -> Tuple[Forest, list]:
-    """A forest of one job whose rows are those of the plain integrands ``fns``."""
-    rows, ndims = _job_rows(fns)
-    labels = (tuple(label for fn in fns for label in getattr(fn, "labels", ())),)
-    return Forest(rows, [(a, b)], labels), ndims
-
-
-def build_mesh(
-    integrands: Sequence[Integrand],
-    a: float,
-    b: float,
-    tol: float = 1e-11,
-    max_depth: int = _MAX_DEPTH,
-    max_panels: int = _MAX_PANELS,
-) -> Mesh:
-    """The mesh of the one row of ``integrands``: the panels its bisection accepts.
-
-    These are the panels on which ``adaptive_quad`` of that row sums its
-    result.  Integrands with more than one row raise ``ValueError``: each
-    row has a mesh of its own.
-    """
-    forest, _ = _one_job(integrands, a, b)
-    (results,) = refine(forest, tol, max_depth, max_panels, stacklevel=3)
-    if len(results) != 1:
-        raise ValueError(f"build_mesh takes one integrand row, not {len(results)}")
-    return results[0].mesh()
-
-
-def adaptive_quad(
-    fn: Integrand,
-    a: float,
-    b: float,
-    tol: float = 1e-11,
-    max_depth: int = _MAX_DEPTH,
-) -> Union[QuadResult, List[QuadResult]]:
-    """Integrate ``fn`` on [a, b] with an error estimate.
-
-    For an integrand of rows the result is a list with one ``QuadResult``
-    per row: all rows share one bisection forest, but each row accepts its
-    panels by its own test, so each result, and each non-convergence
-    warning, is exactly that of the row integrated alone.
-    """
-    forest, ndims = _one_job([fn], a, b)
-    (results,) = refine(forest, tol, max_depth, stacklevel=3)
-    return results if max(ndims) > 1 else results[0]
+def adaptive_quad(fn: Integrand, a: float, b: float) -> QuadResult:
+    """Integrate the one row of ``fn`` on [a, b] with an error estimate."""
+    forest = Forest(_one_row(fn), [(a, b)], [tuple(getattr(fn, "labels", ()))])
+    ((result,),) = refine(forest)
+    return result

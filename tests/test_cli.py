@@ -17,7 +17,7 @@ from heatcalc.certificates import (
     certificate_to_json,
     verify_certificate,
 )
-from heatcalc import cli, oracle, quadrature
+from heatcalc import certificates, cli, oracle, quadrature
 from heatcalc.cli import main, parse_config, ConfigError
 from test_oracle import c2_capped, capped, nan_at, wide_mixture  # noqa: F401 (fixtures)
 
@@ -728,6 +728,14 @@ class TestExitOne:
             ["certify", "--order", "4", "--search", "--seed", "-1"],
             "certify: --seed must be >= 0",
         ),
+        "certify-search-with-cert": (
+            ["certify", "--order", "3", "--search", "--cert", "{tmp}/order3.json"],
+            "certify: --search finds its own certificate; it takes no --cert",
+        ),
+        "certify-search-order-14": (
+            ["certify", "--order", "14", "--search"],
+            "certify: --search needs --order <= 13: ",
+        ),
         "certify-missing-cert": (
             ["certify", "--order", "3", "--cert", "{tmp}/absent.json"],
             "certify: --cert {tmp}/absent.json: ",
@@ -764,7 +772,13 @@ class TestExitOne:
     }
 
     @pytest.mark.parametrize("case", CASES)
-    def test_one_line_on_stderr(self, tmp_path, capsys, case):
+    def test_one_line_on_stderr(self, tmp_path, capsys, monkeypatch, case):
+        def no_search(n):
+            raise AssertionError(f"a search started at order {n}")
+
+        # every case is refused before any search; one that started at
+        # order 14 would hold about 7 GB
+        monkeypatch.setattr(certificates, "_gram_problem", no_search)
         stop = json.loads(json.dumps(WT_SCAN))
         stop["t_grid"]["stop"] = 1.5
         files = {

@@ -1,6 +1,5 @@
 """Oracle tests: quadrature closed forms, the Taylor jet, scans, W_t checks."""
 
-import functools
 import math
 import sys
 import warnings
@@ -242,7 +241,7 @@ class TestFiniteDifferences:
         # trees held to their initial panels cannot resolve modes of
         # standard deviation 0.045 that lie 30 apart, so the stated error
         # is larger than the value
-        monkeypatch.setattr(oracle, "refine", functools.partial(quadrature.refine, max_panels=8))
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 8)
         mix = GaussianMixture.create([(0.5, 0.0, 1e-3), (0.5, 30.0, 1e-3)])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", QuadratureNonConvergence)
@@ -409,18 +408,18 @@ class TestCompiledEpilogue:
 
 @pytest.fixture
 def capped(monkeypatch):
-    """The oracle's trees capped at 45 panels.
+    """Every tree capped at 45 panels.
 
     The 16-component draw's C_4 trees at t = 0.1 and 0.187 (the first two
     times of its 12-point scan) take 49 and 46 panels, so they stop short;
     every other tree of that scan takes at most 44.
     """
-    monkeypatch.setattr(oracle, "refine", functools.partial(quadrature.refine, max_panels=45))
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 45)
 
 
 @pytest.fixture
 def c2_capped(monkeypatch):
-    """The oracle's trees capped at 9 panels.
+    """Every tree capped at 9 panels.
 
     On the bimodal mixture every h, jet and C_1 tree below keeps its 8
     initial panels, and so does C_2's, except where the two modes merge:
@@ -428,7 +427,7 @@ def c2_capped(monkeypatch):
     t = 0.26..0.68 but 0.59 of the 31-point wt grid on [0.05, 0.95], C_2's
     tree takes 10 panels, so there it stops short and nothing else does.
     """
-    monkeypatch.setattr(oracle, "refine", functools.partial(quadrature.refine, max_panels=9))
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 9)
 
 
 def nan_at(monkeypatch, quantity, s):
@@ -439,8 +438,8 @@ def nan_at(monkeypatch, quantity, s):
     """
     label = f"{quantity} at t={float(s)!r}"
 
-    def refine(forest, tol, stacklevel=2):
-        results = quadrature.refine(forest, tol, stacklevel=stacklevel + 1)
+    def refine(forest, tol):
+        results = quadrature.refine(forest, tol)
         for labels, row in zip(forest.labels, results):
             if label in labels:
                 row[labels.index(label)] = quadrature.QuadResult(math.nan, math.nan)
@@ -449,9 +448,15 @@ def nan_at(monkeypatch, quantity, s):
     monkeypatch.setattr(oracle, "refine", refine)
 
 
+# the trees' panel limit as the program sets it, before a fixture caps it
+_MAX_PANELS = quadrature._MAX_PANELS
+
+
 def uncapped(mix, t, quantities):
     """The quantities' results at flow time t, refined without a fixture's panel cap."""
-    (results,) = quadrature.refine(oracle._flow_forest(mix, [t], quantities), DEFAULT_TOL)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadrature, "_MAX_PANELS", _MAX_PANELS)
+        (results,) = quadrature.refine(oracle._flow_forest(mix, [t], quantities), DEFAULT_TOL)
     return results
 
 

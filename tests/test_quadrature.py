@@ -52,6 +52,12 @@ class Rows:
         return np.array([single(y) for single in self.singles])
 
 
+def quad_rows(fn, a, b):
+    """Each row of the integrand of rows ``fn`` refined on [a, b], as a forest of one job."""
+    (results,) = quadrature.refine(quadrature.Forest(lambda y, jobs: fn(y), [(a, b)], [fn.labels]))
+    return results
+
+
 def plain_sum(values):
     # a plain loop, not sum(): sum() compensates its rounding from
     # Python 3.12 on, which would change the last bits of the total
@@ -102,7 +108,7 @@ def test_a_level_sums_each_chunk_once(monkeypatch):
     # ten panels per chunk, so a level takes several chunks
     monkeypatch.setattr(quadrature, "_CHUNK_NODES", 10 * quadrature._ORDER)
     rows = Rows(0.02, 3e-4, 1e-5)
-    results = adaptive_quad(rows, -12.0, 12.0)
+    results = quad_rows(rows, -12.0, 12.0)
     assert all(math.isfinite(result.error) for result in results)
     # the panels of depth d are 3 / 2**d wide; levels 0..max depth are reached
     levels = 1 + max(round(math.log2(3.0 / (hi - lo))) for r in results for lo, hi in r.panels)
@@ -142,7 +148,7 @@ def test_mesh_results_sum_the_bisection_halves():
     # accepted; integrate on that row's mesh sums whole panels, within the
     # error the result states
     fns = [Recorder(0.01), Recorder(0.003), Recorder(0.02)]
-    results = adaptive_quad(Rows(0.01, 0.003, 0.02), -12.0, 12.0)
+    results = quad_rows(Rows(0.01, 0.003, 0.02), -12.0, 12.0)
     assert len(results) == len(fns)
     for fn, result in zip(fns, results):
         mesh = result.mesh()
@@ -168,11 +174,12 @@ def test_mesh_results_sum_the_bisection_halves():
         assert abs(mesh.integrate(fn) - result.value) <= result.error
 
 
-def test_panel_budget_caps_the_mesh():
+def test_panel_budget_caps_the_mesh(monkeypatch):
     fn = Recorder(1e-6)
     assert len(build_mesh([fn], -12.0, 12.0).panels) > 16
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 16)
     with pytest.warns(QuadratureNonConvergence, match="depth or panel limit"):
-        mesh = build_mesh([fn], -12.0, 12.0, max_panels=16)
+        mesh = build_mesh([fn], -12.0, 12.0)
     assert 8 < len(mesh.panels) <= 16
     # the accepted panels still tile the interval
     assert mesh.panels[0][0] == -12.0 and mesh.panels[-1][1] == 12.0
@@ -182,10 +189,11 @@ def test_panel_budget_caps_the_mesh():
 def test_every_nonconverged_mesh_warns(capped):
     # the default filter keeps one warning per text and call site, so the
     # two events must differ in their text to both be shown
-    with warnings.catch_warnings(record=True) as caught:
+    with warnings.catch_warnings(record=True) as caught, pytest.MonkeyPatch.context() as patch:
         warnings.simplefilter("default")
+        patch.setattr(quadrature, "_MAX_DEPTH", 0)
         for a, b in ((-12.0, 12.0), (-10.0, 10.0)):
-            build_mesh([Recorder(0.001)], a, b, max_depth=0)
+            build_mesh([Recorder(0.001)], a, b)
     messages = [
         str(w.message) for w in caught if issubclass(w.category, QuadratureNonConvergence)
     ]
@@ -220,7 +228,9 @@ def test_a_magnitude_row_sets_the_floor_of_a_cancelling_row():
         return np.array([(b + g(y)) - b, b + g(y) + b])
 
     forest = quadrature.Forest(rows, [(-12.0, 12.0)], magnitudes=(0,))
-    (alone,), events = _nonconverged(lambda: quadrature.refine(forest, max_depth=6))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadrature, "_MAX_DEPTH", 6)
+        (alone,), events = _nonconverged(lambda: quadrature.refine(forest))
     assert len(alone) == 1 and alone[0].error == math.inf and len(events) == 1
     forest = quadrature.Forest(rows, [(-12.0, 12.0)], magnitudes=(1,))
     ((result,),), events = _nonconverged(lambda: quadrature.refine(forest))
@@ -231,15 +241,14 @@ def test_a_magnitude_row_sets_the_floor_of_a_cancelling_row():
 
 
 @pytest.mark.parametrize("max_depth", [24, 3])
-def test_rows_accept_their_panels_by_their_own_test(max_depth):
+def test_rows_accept_their_panels_by_their_own_test(max_depth, monkeypatch):
     # at depth 3 the two narrow rows stop unconverged, at different panels
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", max_depth)
     rows = Rows(0.02, 3e-4, 1e-5)
-    shared, shared_events = _nonconverged(
-        lambda: adaptive_quad(rows, -12.0, 12.0, max_depth=max_depth)
-    )
+    shared, shared_events = _nonconverged(lambda: quad_rows(rows, -12.0, 12.0))
     shared_calls = rows.calls
     alone, alone_events = _nonconverged(
-        lambda: [adaptive_quad(fn, -12.0, 12.0, max_depth=max_depth) for fn in rows.singles]
+        lambda: [adaptive_quad(fn, -12.0, 12.0) for fn in rows.singles]
     )
     assert [(r.value, r.error) for r in shared] == [(r.value, r.error) for r in alone]
     assert shared_events == alone_events
@@ -255,9 +264,17 @@ def test_build_mesh_takes_one_row():
     for integrands in ([rows], rows.singles):
         with pytest.raises(ValueError, match="one integrand row, not 2"):
             build_mesh(integrands, -12.0, 12.0)
-    # an integrand of rows integrates on any one mesh, a row at a time
+    # an integrand of rows integrates on no mesh, a row at a time: each of
+    # its rows does, with the bits of that row's own integrand; rows are a
+    # forest's, and refine integrates them
     mesh = build_mesh(rows.singles[:1], -12.0, 12.0)
-    assert mesh.integrate(rows) == tuple(mesh.integrate(fn) for fn in rows.singles)
+    with pytest.raises(ValueError, match=r"not 2: values of shape \(2, "):
+        mesh.integrate(rows)
+    with pytest.raises(ValueError, match=r"not 2: values of shape \(2, "):
+        adaptive_quad(rows, -12.0, 12.0)
+    assert tuple(mesh.integrate(lambda y, k=k: rows(y)[k]) for k in range(2)) == tuple(
+        mesh.integrate(fn) for fn in rows.singles
+    )
 
 
 def _bits(values):
@@ -317,20 +334,16 @@ def _one(var):
 
 
 @pytest.mark.parametrize("max_depth", [24, 3])
-def test_forest_jobs_equal_one_job_each(max_depth):
+def test_forest_jobs_equal_one_job_each(max_depth, monkeypatch):
     # at depth 3 the narrow jobs stop unconverged, with different panel counts
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", max_depth)
     variances = [0.02, 3e-4, 1.0, 1e-5]
     spans = [(-12.0, 12.0), (-10.0, 14.0), (-30.0, 30.0), (-12.0, 12.0)]
     labels = [(f"var {v}", f"var {v} / 3") for v in variances]
     forest = quadrature.Forest(_gaussian_rows(variances), spans, labels)
-    together, together_events = _nonconverged(
-        lambda: quadrature.refine(forest, max_depth=max_depth)
-    )
+    together, together_events = _nonconverged(lambda: quadrature.refine(forest))
     alone, alone_events = _nonconverged(
-        lambda: [
-            adaptive_quad(_one(v), a, b, max_depth=max_depth)
-            for v, (a, b) in zip(variances, spans)
-        ]
+        lambda: [quad_rows(_one(v), a, b) for v, (a, b) in zip(variances, spans)]
     )
     # events job by job, and within a job row by row
     assert together_events == alone_events
@@ -351,7 +364,7 @@ def test_breakpoints_split_the_initial_panels():
     assert math.isfinite(result.error)
     assert result.value == pytest.approx(1.0, abs=1e-11)
     # the narrow Gaussian at 0 falls between every node of the equal panels
-    (plain,) = adaptive_quad(lambda y: fn(y)[None], -12.0, 12.0)
+    plain = adaptive_quad(fn, -12.0, 12.0)
     assert math.isfinite(plain.error) and plain.value < 1e-30
     first = fn.calls[0]
     assert first.size == 24 * 10 and first.min() < 0 < first.max()
@@ -359,18 +372,19 @@ def test_breakpoints_split_the_initial_panels():
 
 
 @pytest.mark.parametrize("max_depth", [24, 3])
-def test_one_row_mesh_results_equal_adaptive_quad(max_depth):
+def test_one_row_mesh_results_equal_adaptive_quad(max_depth, monkeypatch):
     # a one-row mesh is the panels on which adaptive_quad of that row sums
     # its result, and it warns as that result does
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", max_depth)
     spans = ((-12.0, 12.0), (-3.0, 9.0))
     cases = [(Recorder(var), a, b) for var in (0.02, 3e-4, 1e-5) for a, b in spans]
     for fn, a, b in cases:
         fn.labels = (f"var {fn.var}",)
     meshes, mesh_events = _nonconverged(
-        lambda: [build_mesh([fn], a, b, max_depth=max_depth) for fn, a, b in cases]
+        lambda: [build_mesh([fn], a, b) for fn, a, b in cases]
     )
     alone, alone_events = _nonconverged(
-        lambda: [adaptive_quad(fn, a, b, max_depth=max_depth) for fn, a, b in cases]
+        lambda: [adaptive_quad(fn, a, b) for fn, a, b in cases]
     )
     assert meshes == [result.mesh() for result in alone]
     assert mesh_events == alone_events
