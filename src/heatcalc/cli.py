@@ -181,16 +181,11 @@ def load_config(path: str) -> ExperimentConfig:
 
 _SVG_W, _SVG_H = 840, 520
 _MARGIN = 60.0
-_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+_COLOR = "#1f77b4"
 
 
-def polyline_chart(
-    x: Sequence[float],
-    series: Dict[str, Sequence[float]],
-    title: str = "",
-    logx: bool = False,
-) -> str:
-    """A minimal self-contained SVG line chart (finite points only)."""
+def polyline_chart(x: Sequence[float], values: Sequence[float], title: str, logx: bool) -> str:
+    """A minimal self-contained SVG line chart of one series titled ``title`` (finite points only)."""
     import numpy as np
 
     xv = np.asarray(x, dtype=float)
@@ -199,12 +194,11 @@ def polyline_chart(
     plot_w = _SVG_W - 2 * _MARGIN
     plot_h = _SVG_H - 2 * _MARGIN
 
-    all_y = np.concatenate(
-        [np.asarray(v, dtype=float)[np.isfinite(np.asarray(v, dtype=float))] for v in series.values()]
-    )
-    if all_y.size == 0:
-        all_y = np.array([0.0, 1.0])
-    ylo, yhi = float(np.min(all_y)), float(np.max(all_y))
+    vals = np.asarray(values, dtype=float)
+    finite = vals[np.isfinite(vals)]
+    if finite.size == 0:
+        finite = np.array([0.0, 1.0])
+    ylo, yhi = float(np.min(finite)), float(np.max(finite))
     if yhi == ylo:
         yhi = ylo + 1.0
     xlo, xhi = float(np.min(xv)), float(np.max(xv))
@@ -238,21 +232,14 @@ def polyline_chart(
             f'<line x1="{_MARGIN}" y1="{sy(0.0):.2f}" x2="{_SVG_W - _MARGIN}" '
             f'y2="{sy(0.0):.2f}" stroke="#cccccc" stroke-dasharray="4 3"/>'
         )
-    for idx, (label, values) in enumerate(series.items()):
-        vals = np.asarray(values, dtype=float)
-        pts = [
-            f"{sx(xi):.2f},{sy(yi):.2f}"
-            for xi, yi in zip(xv, vals)
-            if math.isfinite(yi)
-        ]
-        color = _COLORS[idx % len(_COLORS)]
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{" ".join(pts)}"/>'
-        )
-        parts.append(
-            f'<text x="{_SVG_W - _MARGIN:.1f}" y="{_MARGIN + 16 * idx:.1f}" '
-            f'text-anchor="end" font-size="12" fill="{color}">{label}</text>'
-        )
+    pts = [f"{sx(xi):.2f},{sy(yi):.2f}" for xi, yi in zip(xv, vals) if math.isfinite(yi)]
+    parts.append(
+        f'<polyline fill="none" stroke="{_COLOR}" stroke-width="1.5" points="{" ".join(pts)}"/>'
+    )
+    parts.append(
+        f'<text x="{_SVG_W - _MARGIN:.1f}" y="{_MARGIN:.1f}" '
+        f'text-anchor="end" font-size="12" fill="{_COLOR}">{title}</text>'
+    )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -263,7 +250,7 @@ def _write_svgs(
     """One chart per named series, at ``<prefix>_<name>.svg``, in order."""
     for name, values in series.items():
         path = prefix.with_name(prefix.name + f"_{name}.svg")
-        path.write_text(polyline_chart(ts, {name: values}, title=name, logx=logx))
+        path.write_text(polyline_chart(ts, values, name, logx))
         print(f"wrote {path}")
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -46,11 +46,10 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequenc
 import numpy as np
 
 from .mixtures import WINDOW_SIGMAS, GaussianMixture, map_flow
-from .quadrature import INITIAL_NODES, Forest, QuadResult, refine
+from .quadrature import DEFAULT_TOL, INITIAL_NODES, Forest, QuadResult, refine
 from .reduction import entropy_derivative
 from .terms import Combination, make_monomial
 
-DEFAULT_TOL = 1e-11
 _EPS = sys.float_info.epsilon
 
 # a quantity of ``_flow_rows``: its name, and a combination, or the order
@@ -231,10 +230,6 @@ def _term(item, table, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _flow_labels(t: float, quantities) -> Tuple[str, ...]:
-    return tuple(f"{name} at t={float(t)!r}" for name, _ in quantities)
-
-
 def _window(mix: GaussianMixture, t: float) -> Tuple[float, ...]:
     """``support_interval`` at t as breakpoints, with the ``WINDOW_SIGMAS`` edges
     of each component narrower than the mean spacing of the initial nodes,
@@ -316,6 +311,7 @@ def _flow_forest(
     h, J and every C_n ignore a translation, so the windows, the range
     check and the kernel see the mixture shifted by c, 0 when the means
     straddle 0 and else the mean nearest 0, where y - mu keeps its digits.
+    A tree that stops short is named by its quantity and flow time.
     """
     if not mix.means.min() <= 0.0 <= mix.means.max():
         c = float(min(mix.means, key=abs))
@@ -325,7 +321,7 @@ def _flow_forest(
     return Forest(
         _flow_rows(mix, ts, quantities),
         windows,
-        [_flow_labels(t, quantities) for t in ts],
+        lambda job, row: f"{quantities[row][0]} at t={float(ts[job])!r}",
         _layout(tuple(quantities)).magnitudes,
     )
 
@@ -508,9 +504,7 @@ class ScanRow:
 class ScanResult:
     """Scan output plus the grid-level verdicts."""
 
-    mixture: GaussianMixture
-    max_order: int
-    rows: List[ScanRow] = field(default_factory=list)
+    rows: List[ScanRow]
 
     def ts(self) -> np.ndarray:
         return np.array([r.t for r in self.rows])
@@ -651,7 +645,7 @@ def scan_conjectures(
         # concavity too, and e2h_dd, its grid cross-check, gets no verdict
         row.costa_status = _sign_status(row.costa_margin, row.costa_margin_err, 1)
 
-    return ScanResult(mix, max_order, rows)
+    return ScanResult(rows)
 
 
 CSV_HEADER = (
@@ -705,7 +699,6 @@ class WtRow:
 
 @dataclass
 class WtReport:
-    mixture: GaussianMixture
     rows: List[WtRow]
 
     def concavity_ok(self) -> bool:
@@ -769,7 +762,7 @@ def wt_checks(mix: GaussianMixture, t_grid: Sequence[float], tol: float = DEFAUL
         row.hW_dd, row.hW_dd_err = float(hw_dd[i]), float(hw_err[i])
         row.JW_dd, row.JW_dd_err = float(jw_dd[i]), float(jw_err[i])
         row.txz_status = _sign_status(row.txz_margin, row.txz_err, 1)
-    return WtReport(mix, rows)
+    return WtReport(rows)
 
 
 WT_CSV_HEADER = "t,s,hW,JW,hW_dd,JW_dd,txz_margin,txz_ok"

@@ -22,7 +22,7 @@ on a value that is not finite, has an infinite error and warns
 
 ``adaptive_quad``, ``build_mesh`` and ``Mesh.integrate`` take one plain
 integrand, which maps N abscissae to N values, and refuse a (k, N) array
-of rows; its one-name ``labels``, if any, name it in the warnings.
+of rows.
 
 No bit depends on which panels, rows or jobs share a call: every value is
 computed per abscissa; each panel's rule sum is one ``ddot`` of its own
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, List, Sequence, Tuple
+from typing import Callable, ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,6 +51,8 @@ class QuadratureNonConvergence(UserWarning):
     """
 
 
+# the tolerance of every integral that is not given one
+DEFAULT_TOL = 1e-11
 # Gauss-Legendre nodes per panel, and the panels of a tree before bisection
 _ORDER = 24
 _INITIAL_PANELS = 8
@@ -118,8 +120,9 @@ class Forest:
     the same rows, and each row accepts its panels by its own test, as if
     integrated alone.  A job's span is its breakpoints ``(a, ..., b)``: its
     trees start from ``_INITIAL_PANELS`` equal panels of [a, b], split at
-    every interior breakpoint.  ``labels`` holds, per job, one name per
-    row for the non-convergence warnings.
+    every interior breakpoint.  ``label(job, row)``, if given, names a
+    tree in its non-convergence warning; it is called only for a tree
+    that stops short.
 
     ``magnitudes`` holds, per result row, the row of ``fn`` that holds its
     magnitude, a nonnegative integrand at least as large as the row's
@@ -134,7 +137,7 @@ class Forest:
 
     fn: JobIntegrand
     spans: Sequence[Sequence[float]]
-    labels: Sequence[Sequence[str]] = ()
+    label: Optional[Callable[[int, int], str]] = None
     magnitudes: Sequence[int] = ()
 
 
@@ -249,16 +252,15 @@ def _bisect(forest: Forest, tol: float) -> List[List[QuadResult]]:
 def _warn_exhausted(forest: Forest, results: List[List[QuadResult]], tol: float) -> None:
     """One warning per tree whose error is infinite, job by job and, within a job, row by row."""
     for j, (span, rows) in enumerate(zip(forest.spans, results)):
-        labels = forest.labels[j] if len(forest.labels) > j else ()
         for row, result in enumerate(rows):
             if result.error != np.inf:
                 continue
-            name = labels[row] if len(labels) == len(rows) else ""
+            name = f" for {forest.label(j, row)}" if forest.label else ""
             # the quantity, interval and panel count make each event's
             # text distinct, so the default warning filter shows every
             # one, not one per call site
             warnings.warn(
-                f"mesh refinement{' for ' + name if name else ''} on "
+                f"mesh refinement{name} on "
                 f"[{span[0]:.17g}, {span[-1]:.17g}] stopped at {len(result.panels)} panels "
                 f"on its depth or panel limit or a value that is not finite; "
                 f"result may miss tol {tol:.3g}",
@@ -314,7 +316,7 @@ class QuadResult:
         return Mesh(tuple(map(tuple, self.panels.tolist())))
 
 
-def refine(forest: Forest, tol: float = 1e-11) -> List[List[QuadResult]]:
+def refine(forest: Forest, tol: float = DEFAULT_TOL) -> List[List[QuadResult]]:
     """Bisect every tree of the forest; per job, one ``QuadResult`` per row.
 
     A row's ``QuadResult`` sums its half-panel values over its accepted
@@ -341,6 +343,5 @@ def build_mesh(integrands: Sequence[Integrand], a: float, b: float) -> Mesh:
 
 def adaptive_quad(fn: Integrand, a: float, b: float) -> QuadResult:
     """Integrate the one row of ``fn`` on [a, b] with an error estimate."""
-    forest = Forest(_one_row(fn), [(a, b)], [tuple(getattr(fn, "labels", ()))])
-    ((result,),) = refine(forest)
+    ((result,),) = refine(Forest(_one_row(fn), [(a, b)]))
     return result

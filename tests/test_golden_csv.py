@@ -110,6 +110,14 @@ CASES = {
         SCAN_OUT.format("no (reported)"),
         "c1c647d6a307683bfa2fb41168b91fe638d36fd58a0ad5fbdb16b535a3998e53",
     ),
+    # Conjecture 1's counterexample around t = 8.2: orders <= 6 hold there,
+    # and h^(15) fails (test_oracle.py::test_order_15_counterexample_to_conjecture_1)
+    "counterexample": (
+        "scan",
+        _demo("counterexample.json"),
+        SCAN_OUT.format("no (reported)"),
+        "1b1104a58d30dfc05f296df8357357016119880c6e5f0d453371a69ba6655476",
+    ),
 }
 
 

@@ -1,5 +1,6 @@
 """Oracle tests: quadrature closed forms, the Taylor jet, scans, W_t checks."""
 
+import dataclasses
 import math
 import sys
 import warnings
@@ -436,13 +437,14 @@ def nan_at(monkeypatch, quantity, s):
     That is what refining a NaN integrand gives: no rule sum exceeds the
     tolerance, so the tree ends with a NaN value and error.
     """
-    label = f"{quantity} at t={float(s)!r}"
+    name = f"{quantity} at t={float(s)!r}"
 
     def refine(forest, tol):
         results = quadrature.refine(forest, tol)
-        for labels, row in zip(forest.labels, results):
-            if label in labels:
-                row[labels.index(label)] = quadrature.QuadResult(math.nan, math.nan)
+        for j, row in enumerate(results):
+            for r in range(len(row)):
+                if forest.label(j, r) == name:
+                    row[r] = quadrature.QuadResult(math.nan, math.nan)
         return results
 
     monkeypatch.setattr(oracle, "refine", refine)
@@ -513,7 +515,6 @@ class TestSharedEvaluation:
         def fn(y):
             return rows(y, np.zeros(y.size, dtype=np.intp))[0]
 
-        fn.labels = oracle._flow_labels(t, [quantity])
         return fn
 
     @pytest.mark.parametrize("case", ["bimodal", "wide"])
@@ -667,6 +668,50 @@ class TestStoppedShortResults:
             with pytest.warns(FdAccuracyWarning, match="estimated error inf"):
                 value = fd_entropy_deriv(self.FAR, 0.5, 2)
             assert value == fd_entropy_deriv_result(self.FAR, 0.5, 2)[0]
+
+
+class TestTreeNames:
+    """A tree's name is formatted only for a tree that stops short."""
+
+    @staticmethod
+    def _count_names(monkeypatch):
+        """Every name that the scan's forests format, in order."""
+        names = []
+        flow_forest = oracle._flow_forest
+
+        def counted(*args):
+            forest = flow_forest(*args)
+
+            def label(job, row):
+                names.append(forest.label(job, row))
+                return names[-1]
+
+            return dataclasses.replace(forest, label=label)
+
+        monkeypatch.setattr(oracle, "_flow_forest", counted)
+        return names
+
+    def test_a_scan_whose_trees_converge_formats_no_name(self, monkeypatch):
+        names = self._count_names(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", QuadratureNonConvergence)
+            scan_conjectures(BIMODAL_MIXTURE, time_grid(0.05, 100.0, 40, "log"), 4)
+        assert names == []
+
+    def test_each_tree_that_stops_short_is_named_once_in_warning_order(
+        self, monkeypatch, capped
+    ):
+        # the cap stops the wide scan's C_4 trees at its first two times
+        names = self._count_names(monkeypatch)
+        ts = time_grid(0.1, 100.0, 12, "log")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            scan_conjectures(wide_mixture(), ts, 4)
+        messages = [str(w.message) for w in caught if w.category is QuadratureNonConvergence]
+        assert names == [f"C_4 at t={float(t)!r}" for t in ts[:2]]
+        assert [m.split(" on [")[0] for m in messages] == [
+            f"mesh refinement for {name}" for name in names
+        ]
 
 
 class TestWindows:

@@ -42,9 +42,6 @@ class Rows:
 
     def __init__(self, *variances):
         self.singles = [Recorder(var) for var in variances]
-        self.labels = tuple(f"var {var}" for var in variances)
-        for single, label in zip(self.singles, self.labels):
-            single.labels = (label,)
         self.calls = 0
 
     def __call__(self, y):
@@ -52,9 +49,12 @@ class Rows:
         return np.array([single(y) for single in self.singles])
 
 
-def quad_rows(fn, a, b):
-    """Each row of the integrand of rows ``fn`` refined on [a, b], as a forest of one job."""
-    (results,) = quadrature.refine(quadrature.Forest(lambda y, jobs: fn(y), [(a, b)], [fn.labels]))
+def quad_rows(fn, a, b, label=None):
+    """Each row of the integrand of rows ``fn`` refined on [a, b], as a forest of one job.
+
+    ``label(job, row)``, if given, names a tree that stops short.
+    """
+    (results,) = quadrature.refine(quadrature.Forest(lambda y, jobs: fn(y), [(a, b)], label))
     return results
 
 
@@ -200,7 +200,7 @@ def test_every_nonconverged_mesh_warns(capped):
     assert len(messages) == 2
     assert "[-12, 12]" in messages[0] and "[-10, 10]" in messages[1]
     assert "8 panels" in messages[0] and "depth or panel limit" in messages[0]
-    # the labels the oracle attaches name the quantity and the flow time:
+    # the oracle names a tree that stops short by its quantity and flow time:
     # with its trees capped at 45 panels, the 16-component wide_mixture
     # scan stops short in its first two C_4 trees (49 and 46 panels)
     ts = time_grid(0.1, 100.0, 12, "log")
@@ -329,8 +329,12 @@ def _one(var):
     def fn(y):
         return _gaussian_rows([var])(y, np.zeros(y.size, dtype=np.intp))
 
-    fn.labels = (f"var {var}", f"var {var} / 3")
     return fn
+
+
+def _names(variances):
+    """A forest's ``label`` that names the rows of ``_gaussian_rows(variances)``."""
+    return lambda job, row: (f"var {variances[job]}", f"var {variances[job]} / 3")[row]
 
 
 @pytest.mark.parametrize("max_depth", [24, 3])
@@ -339,11 +343,10 @@ def test_forest_jobs_equal_one_job_each(max_depth, monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_DEPTH", max_depth)
     variances = [0.02, 3e-4, 1.0, 1e-5]
     spans = [(-12.0, 12.0), (-10.0, 14.0), (-30.0, 30.0), (-12.0, 12.0)]
-    labels = [(f"var {v}", f"var {v} / 3") for v in variances]
-    forest = quadrature.Forest(_gaussian_rows(variances), spans, labels)
+    forest = quadrature.Forest(_gaussian_rows(variances), spans, _names(variances))
     together, together_events = _nonconverged(lambda: quadrature.refine(forest))
     alone, alone_events = _nonconverged(
-        lambda: [quad_rows(_one(v), a, b) for v, (a, b) in zip(variances, spans)]
+        lambda: [quad_rows(_one(v), a, b, _names([v])) for v, (a, b) in zip(variances, spans)]
     )
     # events job by job, and within a job row by row
     assert together_events == alone_events
@@ -378,8 +381,6 @@ def test_one_row_mesh_results_equal_adaptive_quad(max_depth, monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_DEPTH", max_depth)
     spans = ((-12.0, 12.0), (-3.0, 9.0))
     cases = [(Recorder(var), a, b) for var in (0.02, 3e-4, 1e-5) for a, b in spans]
-    for fn, a, b in cases:
-        fn.labels = (f"var {fn.var}",)
     meshes, mesh_events = _nonconverged(
         lambda: [build_mesh([fn], a, b) for fn, a, b in cases]
     )
