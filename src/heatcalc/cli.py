@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Sequence
 # so derive, verify-identities and certify without --search never load
 # numpy; the certificate code is imported by certify alone.
 from .reduction import entropy_derivative, reduce, verify_ibp_identities
-from .terms import d_dt
+from .terms import Combination, d_dt
 
 if TYPE_CHECKING:
     import numpy as np
@@ -91,7 +91,7 @@ def _require_known(obj: dict, prefix: str, keys: Sequence[str]) -> None:
 
 def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     from .mixtures import GaussianMixture
-    from .oracle import DEFAULT_TOL
+    from .oracle import DEFAULT_TOL, time_grid
 
     try:
         payload = json.loads(text)
@@ -133,6 +133,8 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     _require(_is_number(points, int) and points >= 3, "t_grid.points", "must be an int >= 3")
     spacing = grid.get("spacing", "linear")
     _require(spacing in ("linear", "log"), "t_grid.spacing", "must be 'linear' or 'log'")
+    ts = time_grid(float(start), float(stop), points, spacing).tolist()
+    _require(all(a < b for a, b in zip(ts, ts[1:])), "t_grid.points", "the grid repeats a time")
 
     max_order = payload.get("max_order", 4)
     _require(
@@ -265,23 +267,22 @@ def _write_csv(prefix: Path, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _print_reduction_trace(order: int) -> None:
-    """The rewrites that reduce d/dt C_{order-1} to C_order, one per line, on stderr."""
+def _print_reduction_trace(order: int) -> Combination:
+    """The rewrites that reduce d/dt C_{order-1} to C_order, one per line, on stderr; C_order."""
     if order == 1:
         print("C_1 = f1^2/f is the starting form; nothing to reduce", file=sys.stderr)
-        return
+        return entropy_derivative(1)
     _, trace = reduce(d_dt(entropy_derivative(order - 1)), trace=True)
     print(f"reduce d/dt C_{order - 1}: {len(trace.steps)} rewrites", file=sys.stderr)
     for i, step in enumerate(trace.steps, 1):
         print(f"{i}: {step.target}  [{step.rule}]  ->  {step.replacement}", file=sys.stderr)
+    return trace.final
 
 
 def _cmd_derive(args) -> int:
     if args.order < 1:
         raise ConfigError("derive: --order must be >= 1")
-    if args.trace:
-        _print_reduction_trace(args.order)
-    print(entropy_derivative(args.order))
+    print(_print_reduction_trace(args.order) if args.trace else entropy_derivative(args.order))
     return 0
 
 
@@ -319,10 +320,6 @@ def _cmd_certify(args) -> int:
                 f"certify: --search needs --order <= {SEARCH_MAX_ORDER}: past it the Gram "
                 "search needs 7 GB of memory or more"
             )
-        if args.starts < 1:
-            raise ConfigError("certify: --starts must be >= 1")
-        if args.seed < 0:
-            raise ConfigError("certify: --seed must be >= 0")
         outcome = search_certificate(args.order)
         if outcome.breakdown is None:
             where, verdict = f"best residual {outcome.best_residual:.3e}, Gram margin t*", ""
@@ -496,8 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--cert", help="certificate JSON file (default: built-in)")
     p.add_argument("--search", action="store_true", help="exact certificate or Farkas witness")
-    p.add_argument("--starts", type=int, default=64, help="no longer affects the search")
-    p.add_argument("--seed", type=int, default=0, help="no longer affects the search")
+    # accepted for old command lines, and ignored
+    p.add_argument("--starts", type=int, help=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     p.add_argument("--out", help="write the verified or found certificate JSON here")
     p.set_defaults(func=_cmd_certify)
 

@@ -186,7 +186,6 @@ def _bisect(forest: Forest, tol: float) -> List[List[QuadResult]]:
     magnitudes = np.array(forest.magnitudes or range(rows), dtype=np.intp)
     open_ = np.ones((rows, lo.size), dtype=bool)
     counts = np.zeros((rows, count), dtype=np.intp)
-    exhausted = np.zeros((rows, count), dtype=bool)
     accepted = []
     depth = 0
     while lo.size:
@@ -209,15 +208,15 @@ def _bisect(forest: Forest, tol: float) -> List[List[QuadResult]]:
         with np.errstate(invalid="ignore"):
             discrepancy = np.abs(wholes - halves)
         ok = finite & ~(discrepancy > np.maximum(np.maximum(local_tol, floor), 1e-300))
-        # a panel's value is known no better than its roundoff floor
-        error = np.maximum(discrepancy, floor)
+        # a panel's value is known no better than its roundoff floor; one that
+        # stops short of its test has no bound, and neither has its tree
+        error = np.where(ok, np.maximum(discrepancy, floor), np.inf)
         stop = open_ if depth >= _MAX_DEPTH else open_ & (ok | ~finite)
         deeper = open_ & ~stop
         capped = counts + _per_tree(stop, job, count) + 2 * _per_tree(deeper, job, count)
         capped = (capped > _MAX_PANELS)[:, job]
         stop |= deeper & capped
         deeper &= ~capped
-        exhausted |= _per_tree(stop & ~ok, job, count) > 0
         counts += _per_tree(stop, job, count)
         r, p = np.nonzero(stop)
         accepted.append((job[p], r, lo[p], hi[p], error[r, p], halves[r, p]))
@@ -238,7 +237,8 @@ def _bisect(forest: Forest, tol: float) -> List[List[QuadResult]]:
     sizes = counts.T.ravel()
     absolute = _sequential_sums(np.abs(halves[sort]), segments, count * rows)
     errors += sizes * np.finfo(float).eps * absolute
-    errors[exhausted.T.ravel()] = np.inf
+    # rule sums that are not finite can make a tree's sum nan: no bound either
+    errors[np.isnan(errors)] = np.inf
     panels = np.stack([lo, hi], axis=1)[sort]
     panels.flags.writeable = False
     ends = np.cumsum(sizes).tolist()

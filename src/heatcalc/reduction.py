@@ -43,6 +43,10 @@ from .terms import (
 )
 
 
+# rewrites per term before ``reduce`` gives up, read when it is called
+_MAX_STEPS_PER_TERM = 10_000
+
+
 class ReductionDepthError(RuntimeError):
     """Rewriting failed to reach canonical form within the step bound.
 
@@ -136,10 +140,7 @@ def _needs_rewrite(mono: DerivMonomial) -> bool:
 
 
 def reduce(
-    c: Combination,
-    *,
-    trace: bool = False,
-    max_steps_per_term: int = 10_000,
+    c: Combination, *, trace: bool = False
 ) -> Combination | Tuple[Combination, ReductionTrace]:
     """Rewrite ``c`` so every monomial is canonical.
 
@@ -155,7 +156,7 @@ def reduce(
     working terms live in one dict updated in place, so a rewrite costs the
     size of its replacement.
     """
-    budget = max_steps_per_term * max(1, len(c))
+    budget = _MAX_STEPS_PER_TERM * max(1, len(c))
     log = ReductionTrace() if trace else None
     flux: Dict[DerivMonomial, Fraction] = {}
     current: Dict[DerivMonomial, Fraction] = dict(c.items())

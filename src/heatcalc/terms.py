@@ -139,6 +139,8 @@ def parse_monomial(text: str) -> DerivMonomial:
             raise ValueError(f"bad factor {token!r} in {text!r}")
         order = int(base[1:])
         k = int(exp) if exp else 1
+        if k == 0:  # it would drop its factor silently
+            raise ValueError(f"bad factor {token!r} in {text!r}")
         if order == 0:
             raise ValueError(f"f0 is not a valid factor in {text!r}")
         counts[order] = counts.get(order, 0) + k

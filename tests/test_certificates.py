@@ -415,6 +415,10 @@ class TestCertificateJson:
                 lambda d: d["remainder"][0].__setitem__(0, "f3/f^x"),
                 "field remainder[0]: bad denominator 'f^x' in 'f3/f^x'",
             ),
+            (
+                lambda d: d["squares"][0][0].__setitem__(0, "f3 f1^0"),
+                "field squares[0][0]: bad factor 'f1^0' in 'f3 f1^0'",
+            ),
         ],
     )
     def test_bad_fields_are_named(self, mutate, needle):

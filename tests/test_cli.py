@@ -17,7 +17,8 @@ from heatcalc.certificates import (
     certificate_to_json,
     verify_certificate,
 )
-from heatcalc import certificates, cli, oracle, quadrature
+from heatcalc import certificates, cli, oracle, quadrature, reduction
+from heatcalc.reduction import reduce
 from heatcalc.cli import main, parse_config, ConfigError
 from test_oracle import c2_capped, capped, nan_at, wide_mixture  # noqa: F401 (fixtures)
 
@@ -71,6 +72,22 @@ class TestDerive:
             "3: f1 f2 f3/f^2  [ibp(top=f3)]  ->  -1/2 f2^3/f^2 + f1^2 f2^2/f^3",
             "4: f1^4 f2/f^4  [ibp(top=f2)]  ->  4/5 f1^6/f^5",
         ]
+
+    def test_trace_reduces_each_order_once(self, capsys, monkeypatch):
+        assert main(["derive", "--order", "8"]) == 0
+        plain = capsys.readouterr().out
+        calls = []
+
+        def counted(c, **kwargs):
+            calls.append(c)
+            return reduce(c, **kwargs)
+
+        monkeypatch.setattr(reduction, "_ENTROPY_CACHE", {1: reduction.entropy_derivative(1)})
+        monkeypatch.setattr(reduction, "reduce", counted)
+        monkeypatch.setattr(cli, "reduce", counted)
+        assert main(["derive", "--order", "8", "--trace"]) == 0
+        assert capsys.readouterr().out == plain
+        assert len(calls) == 7
 
     def test_trace_of_order1(self, capsys):
         assert main(["derive", "--order", "1", "--trace"]) == 0
@@ -134,11 +151,10 @@ class TestCertify:
         assert "re-verified exactly" in capsys.readouterr().out
 
 
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_order4_search_finds_verified_certificate(self, tmp_path, capsys, seed):
+    def test_order4_search_finds_verified_certificate(self, tmp_path, capsys):
         out_path = tmp_path / "found.json"
-        argv = ["certify", "--order", "4", "--search", "--starts", "16", "--seed", str(seed)]
-        assert main([*argv, "--out", str(out_path)]) == 0
+        argv = ["certify", "--order", "4", "--search", "--out", str(out_path)]
+        assert main(argv) == 0
         assert "re-verified exactly" in capsys.readouterr().out
         cert = certificate_from_json(out_path.read_text())
         assert cert.order == 4
@@ -184,18 +200,22 @@ class TestCertify:
         assert lines[0].endswith("; undecided")
         assert lines[1] == "no exactly-verified certificate found (reported, not asserted)"
 
-    @pytest.mark.parametrize("starts", ["0", "-2"])
-    def test_search_needs_at_least_one_start(self, starts, capsys):
-        code = main(["certify", "--order", "4", "--search", "--starts", starts])
-        assert code == 1
-        assert "certify: --starts must be >= 1" in capsys.readouterr().err
+    def test_starts_and_seed_are_accepted_and_ignored(self, capsys):
+        # old command lines, the benchmark's among them, still run
+        assert main(["certify", "--order", "4", "--search"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["certify", "--order", "4", "--search", "--starts", "0", "--seed", "-1"]) == 0
+        assert capsys.readouterr().out == plain
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["certify", "--help"])
+        usage = capsys.readouterr().out
+        assert "--order" in usage and "--starts" not in usage and "--seed" not in usage
 
     @pytest.mark.parametrize(
         "case,needle",
         [
             ("wrong-sign", "sign must be 1 for order 3"),
             ("not-an-object", "certificate JSON must be an object"),
-            ("negative-seed", "--seed must be >= 0"),
             ("missing-out-dir", "--out"),
         ],
     )
@@ -206,7 +226,6 @@ class TestCertify:
         argv = {
             "wrong-sign": ["--order", "3", "--cert", str(tmp_path / "cert.json")],
             "not-an-object": ["--order", "3", "--cert", str(tmp_path / "cert.json")],
-            "negative-seed": ["--order", "4", "--search", "--seed", "-1"],
             "missing-out-dir": [
                 "--order", "4", "--search", "--out", str(tmp_path / "missing" / "x.json")
             ],
@@ -720,14 +739,6 @@ class TestExitOne:
             ["certify", "--order", "1", "--search"],
             "certify: --search needs --order >= 2",
         ),
-        "certify-starts-0": (
-            ["certify", "--order", "4", "--search", "--starts", "0"],
-            "certify: --starts must be >= 1",
-        ),
-        "certify-seed-negative": (
-            ["certify", "--order", "4", "--search", "--seed", "-1"],
-            "certify: --seed must be >= 0",
-        ),
         "certify-search-with-cert": (
             ["certify", "--order", "3", "--search", "--cert", "{tmp}/order3.json"],
             "certify: --search finds its own certificate; it takes no --cert",
@@ -769,6 +780,15 @@ class TestExitOne:
             ["wt-scan", "--config", "{tmp}/stop.json", "--out", "{tmp}/w"],
             "config error at t_grid.stop: wt-scan needs the grid inside (0, 1)",
         ),
+        # 20 points on a span of a few ulps repeat times
+        "scan-repeated-time": (
+            ["scan", "--config", "{tmp}/repeat.json", "--out", "{tmp}/r"],
+            "config error at t_grid.points: ",
+        ),
+        "wt-scan-repeated-time": (
+            ["wt-scan", "--config", "{tmp}/wt_repeat.json", "--out", "{tmp}/r"],
+            "config error at t_grid.points: ",
+        ),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -787,6 +807,12 @@ class TestExitOne:
             "wt.json": json.dumps(WT_SCAN),
             "stop.json": json.dumps(stop),
             "range.json": json.dumps(dict(WT_SCAN, mixture=FAR_MEANS)),
+            "repeat.json": json.dumps(
+                dict(SMALL_SCAN, t_grid={"start": 1.0, "stop": 1.000000000000001, "points": 20})
+            ),
+            "wt_repeat.json": json.dumps(
+                dict(WT_SCAN, t_grid={"start": 0.5, "stop": 0.5000000000000002, "points": 20})
+            ),
             "order3.json": certificate_to_json(builtin_certificate(3)),
         }
         for name, text in files.items():

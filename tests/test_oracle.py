@@ -434,8 +434,9 @@ def c2_capped(monkeypatch):
 def nan_at(monkeypatch, quantity, s):
     """The oracle's trees as they are, but ``quantity``'s integral at flow time s NaN.
 
-    That is what refining a NaN integrand gives: no rule sum exceeds the
-    tolerance, so the tree ends with a NaN value and error.
+    Refining a NaN integrand gives a NaN value with an infinite error, as
+    every tree that stops short has.  The error here is NaN as well, so a
+    verdict must see the NaN value itself, not only an infinite error.
     """
     name = f"{quantity} at t={float(s)!r}"
 
@@ -894,6 +895,8 @@ class TestScan:
             scan_conjectures(g, [0.0, 1.0, 2.0])
         with pytest.raises(ValueError):
             scan_conjectures(g, [2.0, 1.0, 0.5])
+        with pytest.raises(ValueError):
+            scan_conjectures(g, [1.0, 1.0, 2.0])
 
     def test_bimodal_invJ_changes_curvature(self):
         grid = time_grid(0.05, 100, 40, "log")
@@ -990,6 +993,8 @@ class TestWt:
         g = GaussianMixture.single(0, 1)
         with pytest.raises(ValueError):
             wt_checks(g, [0.5, 1.5])
+        with pytest.raises(ValueError):
+            wt_checks(g, [0.5, 0.5, 0.6])
 
     def test_a_stopped_short_C2_tree_leaves_txz_inconclusive(self, c2_capped):
         with pytest.warns(QuadratureNonConvergence, match="C_2 at t=") as caught:

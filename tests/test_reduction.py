@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heatcalc import reduction
 from heatcalc.reduction import (
     IBP_IDENTITIES,
     ReductionDepthError,
@@ -84,11 +85,10 @@ class TestReduce:
         assert trace.final == final
         assert len(trace.steps) >= 2
 
-    def test_step_bound_raises(self):
+    def test_step_bound_raises(self, monkeypatch):
+        monkeypatch.setattr(reduction, "_MAX_STEPS_PER_TERM", 1)
         with pytest.raises(ReductionDepthError):
-            reduce(
-                Combination.term(parse_monomial("f3 f5/f^1")), max_steps_per_term=1
-            )
+            reduce(Combination.term(parse_monomial("f3 f5/f^1")))
 
     def test_mixed_weights_allowed(self):
         c = Combination.term(parse_monomial("f1 f2/f^1")) + Combination.term(
@@ -357,7 +357,7 @@ def test_total_derivatives_reduce_to_zero_symbolically(c):
 # -- rewrite order ------------------------------------------------------------
 
 
-def _reduce_one_max_per_step(c, max_steps_per_term=10_000):
+def _reduce_one_max_per_step(c):
     """Reference reduction: one ``max`` over every pending monomial per rewrite.
 
     ``reduce`` sorts each level of maximal order once instead; the targets,
@@ -370,7 +370,7 @@ def _reduce_one_max_per_step(c, max_steps_per_term=10_000):
     def needs(m):
         return not m.is_empty() and not is_canonical(m)
 
-    budget = max_steps_per_term * max(1, len(c))
+    budget = reduction._MAX_STEPS_PER_TERM * max(1, len(c))
     log = ReductionTrace()
     current = dict(c.items())
     pending = {m: priority(m) for m in current if needs(m)}
@@ -455,10 +455,11 @@ class TestRewriteOrder:
         ],
         ids=["f2 f4", "f1^2 f2 f4", "f3 f5", "mixed"],
     )
-    def test_step_budget_fires_at_the_same_target(self, start):
+    def test_step_budget_fires_at_the_same_target(self, start, monkeypatch):
         # each needs more rewrites than it has terms
+        monkeypatch.setattr(reduction, "_MAX_STEPS_PER_TERM", 1)
         with pytest.raises(ReductionDepthError) as got:
-            reduce(start, max_steps_per_term=1)
+            reduce(start)
         with pytest.raises(ReductionDepthError) as ref:
-            _reduce_one_max_per_step(start, max_steps_per_term=1)
+            _reduce_one_max_per_step(start)
         assert str(got.value) == str(ref.value)
