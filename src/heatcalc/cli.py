@@ -133,8 +133,8 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     _require(_is_number(points, int) and points >= 3, "t_grid.points", "must be an int >= 3")
     spacing = grid.get("spacing", "linear")
     _require(spacing in ("linear", "log"), "t_grid.spacing", "must be 'linear' or 'log'")
-    ts = time_grid(float(start), float(stop), points, spacing).tolist()
-    _require(all(a < b for a, b in zip(ts, ts[1:])), "t_grid.points", "the grid repeats a time")
+    ts = time_grid(float(start), float(stop), points, spacing)
+    _require(bool((ts[1:] > ts[:-1]).all()), "t_grid.points", "the grid repeats a time")
 
     max_order = payload.get("max_order", 4)
     _require(
