@@ -599,7 +599,10 @@ def _json_terms(
 
 def certificate_from_json(text: str) -> Certificate:
     """Parse ``certificate_to_json`` output; a ValueError names the bad field."""
-    payload = json.loads(text)
+    try:
+        payload = json.loads(text)
+    except RecursionError as exc:  # arrays or objects nested too deep
+        raise ValueError(f"invalid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError("certificate JSON must be an object")
     for key in ("order", "sign", "squares", "remainder"):

@@ -49,18 +49,12 @@ class ConfigError(ValueError):
 @dataclass
 class ExperimentConfig:
     mixture: GaussianMixture
-    t_start: float
-    t_stop: float
-    t_points: int
+    # the grid's flow times, built once by ``parse_config``, and its spacing
+    ts: np.ndarray
     quad_tol: float
     t_spacing: str = "linear"
     max_order: int = 4
     output: Optional[str] = None
-
-    def grid(self) -> np.ndarray:
-        from .oracle import time_grid
-
-        return time_grid(self.t_start, self.t_stop, self.t_points, self.t_spacing)
 
 
 def _require(condition: bool, where: str, message: str) -> None:
@@ -99,6 +93,8 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         raise ConfigError(f"config error in {source}: invalid JSON at line {exc.lineno}: {exc.msg}")
     except ValueError as exc:  # an integer past Python's digit limit for int()
         raise ConfigError(f"config error in {source}: {exc}")
+    except RecursionError as exc:  # arrays or objects nested too deep
+        raise ConfigError(f"config error in {source}: invalid JSON: {exc}")
 
     _require(isinstance(payload, dict), "<root>", "expected a JSON object")
     _require_known(payload, "", ("mixture", "t_grid", "max_order", "tolerances", "output"))
@@ -130,7 +126,12 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         _require(_is_number(grid[key]), f"t_grid.{key}", "expected a finite number")
     _require(start > 0, "t_grid.start", "must be > 0")
     _require(stop > start, "t_grid.stop", "must be > start")
-    _require(_is_number(points, int) and points >= 3, "t_grid.points", "must be an int >= 3")
+    # checked before the grid is built: 1e13 points would ask for 73 TiB
+    _require(
+        _is_number(points, int) and 3 <= points <= 100_000,
+        "t_grid.points",
+        "must be an int in 3..100000",
+    )
     spacing = grid.get("spacing", "linear")
     _require(spacing in ("linear", "log"), "t_grid.spacing", "must be 'linear' or 'log'")
     ts = time_grid(float(start), float(stop), points, spacing)
@@ -159,9 +160,7 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
 
     return ExperimentConfig(
         mixture=mix,
-        t_start=float(start),
-        t_stop=float(stop),
-        t_points=points,
+        ts=ts,
         t_spacing=spacing,
         max_order=max_order,
         quad_tol=quad_tol,
@@ -172,7 +171,7 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
 def load_config(path: str) -> ExperimentConfig:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     return parse_config(text, source=path)
 
@@ -417,7 +416,7 @@ def _cmd_scan(args) -> int:
     config = load_config(args.config)
     prefix = _output_prefix("scan", args.out, config.output or "scan")
     result = _in_range(
-        scan_conjectures, config.mixture, config.grid(), config.max_order, config.quad_tol
+        scan_conjectures, config.mixture, config.ts, config.max_order, config.quad_tol
     )
     _write_csv(prefix, scan_to_csv(result))
     if args.svg:
@@ -450,10 +449,10 @@ def _cmd_wt_scan(args) -> int:
     from .oracle import wt_checks, wt_to_csv
 
     config = load_config(args.config)
-    if config.t_stop >= 1.0:
+    if config.ts[-1] >= 1.0:
         raise ConfigError("config error at t_grid.stop: wt-scan needs the grid inside (0, 1)")
     prefix = _output_prefix("wt-scan", args.out, config.output or "wt_scan")
-    report = _in_range(wt_checks, config.mixture, config.grid(), config.quad_tol)
+    report = _in_range(wt_checks, config.mixture, config.ts, config.quad_tol)
     _write_csv(prefix, wt_to_csv(report))
     if args.svg:
         series = {

@@ -141,12 +141,6 @@ class Forest:
     magnitudes: Sequence[int] = ()
 
 
-def _per_tree(mask: np.ndarray, jobs: np.ndarray, count: int) -> np.ndarray:
-    """The number of set entries of a (rows, panels) mask per row and job."""
-    trees = np.arange(mask.shape[0])[:, None] * count + jobs
-    return np.bincount(trees[mask], minlength=mask.shape[0] * count).reshape(-1, count)
-
-
 def _initial_panels(spans) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every job's initial panels (lo, hi, job) and its width b - a."""
     ends = np.array([(span[0], span[-1]) for span in spans], dtype=float).reshape(-1, 2)
@@ -185,7 +179,8 @@ def _bisect(forest: Forest, tol: float) -> List[List[QuadResult]]:
     wholes = sums[:rows]
     magnitudes = np.array(forest.magnitudes or range(rows), dtype=np.intp)
     open_ = np.ones((rows, lo.size), dtype=bool)
-    counts = np.zeros((rows, count), dtype=np.intp)
+    # each tree's accepted panels plus its open ones
+    sizes = np.tile(np.bincount(job, minlength=count), (rows, 1))
     accepted = []
     depth = 0
     while lo.size:
@@ -211,14 +206,15 @@ def _bisect(forest: Forest, tol: float) -> List[List[QuadResult]]:
         # a panel's value is known no better than its roundoff floor; one that
         # stops short of its test has no bound, and neither has its tree
         error = np.where(ok, np.maximum(discrepancy, floor), np.inf)
-        stop = open_ if depth >= _MAX_DEPTH else open_ & (ok | ~finite)
-        deeper = open_ & ~stop
-        capped = counts + _per_tree(stop, job, count) + 2 * _per_tree(deeper, job, count)
-        capped = (capped > _MAX_PANELS)[:, job]
-        stop |= deeper & capped
-        deeper &= ~capped
-        counts += _per_tree(stop, job, count)
-        r, p = np.nonzero(stop)
+        deeper = open_ & ~ok & finite & (depth < _MAX_DEPTH)
+        # each split adds one panel to its tree; a tree that would pass
+        # _MAX_PANELS splits none
+        trees = np.arange(rows)[:, None] * count + job
+        grown = sizes + np.bincount(trees[deeper], minlength=rows * count).reshape(rows, count)
+        capped = grown > _MAX_PANELS
+        deeper &= ~capped[:, job]
+        sizes = np.where(capped, sizes, grown)
+        r, p = np.nonzero(open_ & ~deeper)
         accepted.append((job[p], r, lo[p], hi[p], error[r, p], halves[r, p]))
         # the next level holds the halves of every panel some row refines
         split = np.flatnonzero(deeper.any(axis=0))
@@ -234,7 +230,7 @@ def _bisect(forest: Forest, tol: float) -> List[List[QuadResult]]:
     values = _sequential_sums(halves[sort], segments, count * rows)
     errors = _sequential_sums(error[sort], segments, count * rows)
     # adding n panel values rounds by at most n eps times their magnitudes
-    sizes = counts.T.ravel()
+    sizes = sizes.T.ravel()
     absolute = _sequential_sums(np.abs(halves[sort]), segments, count * rows)
     errors += sizes * np.finfo(float).eps * absolute
     # rule sums that are not finite can make a tree's sum nan: no bound either

@@ -16,8 +16,9 @@ f_{m*-1}^{e+1}, and replaces the target by
     target - D_y(Phi) / (e+1),
 
 which has the same integral and in which the target cancels, so every
-produced term has maximal order m* - 1.  Iterating therefore terminates;
-a step bound guards against rule gaps regardless.  The trace sums the
+produced term has maximal order m* - 1.  So one pass per level, from the
+highest down, reaches canonical form; a monomial left non-canonical after
+it can only come from a gap in the rules, and raises.  The trace sums the
 fluxes, so a start minus its reduction is exactly ``d_dy`` of one flux.
 
 ``entropy_derivative(n)`` chains the heat-flow time derivative with this
@@ -43,12 +44,8 @@ from .terms import (
 )
 
 
-# rewrites per term before ``reduce`` gives up, read when it is called
-_MAX_STEPS_PER_TERM = 10_000
-
-
 class ReductionDepthError(RuntimeError):
-    """Rewriting failed to reach canonical form within the step bound.
+    """Rewriting left a monomial that still needs a rewrite.
 
     This signals a gap in the rewrite rules (an internal error), not a
     problem with the caller's input.
@@ -148,48 +145,42 @@ def reduce(
     coefficients are preserved term by term.  With ``trace=True`` also
     returns the step-by-step audit trail.
 
-    The rewrites go one level of maximal order m* at a time.  Rewriting a
-    monomial of level m* yields only terms of level m* - 1, so once a level
-    starts its non-canonical monomials neither grow in number nor change
-    coefficient: they are sorted once, largest ``_rewrite_priority`` first,
-    which is the order of always taking the largest pending key.  The
-    working terms live in one dict updated in place, so a rewrite costs the
-    size of its replacement.
+    The rewrites go one level of maximal order m* at a time, from the
+    highest down.  Rewriting a monomial of level m* yields only terms of
+    level m* - 1, so while a level is rewritten its non-canonical monomials
+    neither grow in number nor change coefficient: each level is one pass
+    over them, sorted largest ``_rewrite_priority`` first, which is the
+    order of always taking the largest key still to rewrite.  The working
+    terms live in one dict updated in place, so a rewrite costs the size of
+    its replacement.  A monomial still non-canonical after the last level
+    raises ``ReductionDepthError``: only a gap in the rules can leave one.
     """
-    budget = _MAX_STEPS_PER_TERM * max(1, len(c))
     log = ReductionTrace() if trace else None
     flux: Dict[DerivMonomial, Fraction] = {}
     current: Dict[DerivMonomial, Fraction] = dict(c.items())
-    pending = {m for m in current if _needs_rewrite(m)}
-    steps = 0
-    while pending:
-        top = max(m.max_order for m in pending)
+    for top in range(max((m.max_order for m in current), default=0), 0, -1):
         level = sorted(
-            (m for m in pending if m.max_order == top), key=_rewrite_priority, reverse=True
+            (m for m in current if m.max_order == top and _needs_rewrite(m)),
+            key=_rewrite_priority,
+            reverse=True,
         )
-        pending.difference_update(level)
         for target in level:
-            steps += 1
-            if steps > budget:
-                raise ReductionDepthError(
-                    f"no canonical form after {budget} rewrites; stuck near {target}"
-                )
             replacement = rewrite_once(target)
             coeff = current.pop(target)
             for mono, r in replacement.items():
                 total = current.get(mono, _ZERO) + coeff * r
                 if total:
                     current[mono] = total
-                    if mono not in pending and _needs_rewrite(mono):
-                        pending.add(mono)
                 else:
                     del current[mono]
-                    pending.discard(mono)
             if log is not None:
                 rule = "total-derivative" if target.degree == 1 else f"ibp(top=f{target.max_order})"
                 log.steps.append(ReductionStep(target, rule, replacement))
                 phi, e = _antiderivative(target)
                 flux[phi] = flux.get(phi, _ZERO) + coeff / (e + 1)
+    stuck = [m for m in current if _needs_rewrite(m)]
+    if stuck:
+        raise ReductionDepthError(f"a gap in the rewrite rules left {stuck[0]} non-canonical")
     result = Combination(current)
     if log is not None:
         log.final = result

@@ -242,7 +242,8 @@ class TestCertify:
 class TestConfigParsing:
     def test_valid(self):
         cfg = parse_config(json.dumps(SMALL_SCAN))
-        assert cfg.t_points == 12
+        assert len(cfg.ts) == 12
+        assert (cfg.ts[0], cfg.ts[-1]) == (0.05, 100.0)
         assert cfg.t_spacing == "log"
         assert len(cfg.mixture.components) == 2
 
@@ -254,6 +255,15 @@ class TestConfigParsing:
             (lambda d: d["mixture"][0].pop("var"), "mixture[0].var"),
             (lambda d: d["t_grid"].pop("points"), "t_grid.points"),
             (lambda d: d["t_grid"].update(start=0), "t_grid.start"),
+            # refused before the grid is built: 1e13 points would ask for 73 TiB
+            (
+                lambda d: d["t_grid"].update(points=10**13),
+                "at t_grid.points: must be an int in 3..100000",
+            ),
+            (
+                lambda d: d["t_grid"].update(points=100_001),
+                "at t_grid.points: must be an int in 3..100000",
+            ),
             (lambda d: d["t_grid"].update(spacing="cubic"), "t_grid.spacing"),
             (lambda d: d.update(max_order=9), "max_order"),
             # a misspelt field would otherwise run with its default
@@ -789,6 +799,22 @@ class TestExitOne:
             ["wt-scan", "--config", "{tmp}/wt_repeat.json", "--out", "{tmp}/r"],
             "config error at t_grid.points: ",
         ),
+        "scan-not-utf8": (
+            ["scan", "--config", "{tmp}/not_utf8.json"],
+            "cannot read config {tmp}/not_utf8.json: ",
+        ),
+        "wt-scan-not-utf8": (
+            ["wt-scan", "--config", "{tmp}/not_utf8.json"],
+            "cannot read config {tmp}/not_utf8.json: ",
+        ),
+        "scan-nested-too-deep": (
+            ["scan", "--config", "{tmp}/deep.json"],
+            "config error in {tmp}/deep.json: invalid JSON: ",
+        ),
+        "certify-nested-too-deep": (
+            ["certify", "--order", "3", "--cert", "{tmp}/deep.json"],
+            "certify: --cert {tmp}/deep.json: invalid JSON: ",
+        ),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -814,9 +840,11 @@ class TestExitOne:
                 dict(WT_SCAN, t_grid={"start": 0.5, "stop": 0.5000000000000002, "points": 20})
             ),
             "order3.json": certificate_to_json(builtin_certificate(3)),
+            "deep.json": "[" * 200_000 + "]" * 200_000,
         }
         for name, text in files.items():
             (tmp_path / name).write_text(text)
+        (tmp_path / "not_utf8.json").write_bytes(b"\xff\xfe{}")
         argv, start = self.CASES[case]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
