@@ -21,11 +21,10 @@ one convex Gram problem and ends in an exactly verified certificate (orders
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from .records import FrozenRecord
 from .reduction import entropy_derivative, is_canonical, reduce
 from .terms import (
     Combination,
@@ -71,8 +70,7 @@ def square_basis(n: int) -> List[DerivMonomial]:
     return [make_monomial(p) for p in partitions(n)]
 
 
-@dataclass(frozen=True)
-class SquareForm:
+class SquareForm(FrozenRecord):
     """A linear form over the partition basis, denoting weight * f * (form)^2.
 
     The exact weight >= 0 carries an LDL^T pivot, rarely a rational square.
@@ -127,8 +125,7 @@ def expand_square(square: SquareForm) -> Combination:
     return reduce(Combination(raw))
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Signed square decomposition of the order-n entropy derivative.
 
     Denotes ``sign * (sum of squares + remainder) = C_n`` where C_n is the
@@ -237,8 +234,7 @@ def check_order3_family(beta: CoeffLike) -> Tuple[bool, Tuple[Fraction, Fraction
     return coeffs[0] >= 0 and coeffs[1] >= 0, coeffs
 
 
-@dataclass(frozen=True)
-class SqrtExtValue:
+class SqrtExtValue(NamedTuple):
     """The exact number a + b*sqrt(d), for an integer d > 0 that is not a square."""
 
     a: Fraction
@@ -330,8 +326,7 @@ def _coeff_vector(c: Combination, basis: Sequence[DerivMonomial]) -> List[Fracti
     return out
 
 
-@dataclass
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """Search report; ``certificate`` and ``witness`` are set only after exact checks.
 
     ``best_residual`` is max |A(Q) - sign C_n| at the final float Q; ``margin`` is its
@@ -537,6 +532,8 @@ def search_certificate(n: int) -> SearchOutcome:
 
 def certificate_to_json(cert: Certificate) -> str:
     """JSON text; the ``weights`` list is written only when some weight is not 1."""
+    import json
+
     payload = {
         "order": cert.order,
         "sign": cert.sign,
@@ -599,6 +596,8 @@ def _json_terms(
 
 def certificate_from_json(text: str) -> Certificate:
     """Parse ``certificate_to_json`` output; a ValueError names the bad field."""
+    import json
+
     try:
         payload = json.loads(text)
     except RecursionError as exc:  # arrays or objects nested too deep

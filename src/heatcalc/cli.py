@@ -19,13 +19,11 @@ output.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Sequence
 
 # numpy and the numeric layers are imported by the functions that use them,
 # so derive, verify-identities and certify without --search never load
@@ -38,6 +36,8 @@ if TYPE_CHECKING:
 
     from .mixtures import GaussianMixture
 
+DERIVE_MAX_ORDER = 24  # C_24 took 12 s on a 2-core Xeon, each order about 1.5 times the last
+
 
 class ConfigError(ValueError):
     """A usage or configuration error; the message names the option or field.
@@ -46,8 +46,7 @@ class ConfigError(ValueError):
     """
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     mixture: GaussianMixture
     # the grid's flow times, built once by ``parse_config``, and its spacing
     ts: np.ndarray
@@ -84,6 +83,8 @@ def _require_known(obj: dict, prefix: str, keys: Sequence[str]) -> None:
 
 
 def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
+    import json
+
     from .mixtures import GaussianMixture
     from .oracle import DEFAULT_TOL, time_grid
 
@@ -281,6 +282,10 @@ def _print_reduction_trace(order: int) -> Combination:
 def _cmd_derive(args) -> int:
     if args.order < 1:
         raise ConfigError("derive: --order must be >= 1")
+    if args.order > DERIVE_MAX_ORDER:
+        raise ConfigError(
+            f"derive: --order must be <= {DERIVE_MAX_ORDER}: a higher order takes 15 s or more"
+        )
     print(_print_reduction_trace(args.order) if args.trace else entropy_derivative(args.order))
     return 0
 

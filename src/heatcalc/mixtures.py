@@ -19,18 +19,18 @@ and hands every block of nodes to an epilogue.  ``log_density`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Tuple
 
 import numpy as np
 
+from .records import FrozenRecord
+
 _LOG_2PI = math.log(2.0 * math.pi)
 WINDOW_SIGMAS = 12.0  # the integration window's padding, in flow standard deviations
 
 
-@dataclass(frozen=True)
-class GaussianMixture:
+class GaussianMixture(FrozenRecord):
     """Mixture of normals: tuple of (weight, mean, variance) components."""
 
     components: Tuple[Tuple[float, float, float], ...]

@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -47,6 +46,7 @@ import numpy as np
 
 from .mixtures import WINDOW_SIGMAS, GaussianMixture, map_flow
 from .quadrature import DEFAULT_TOL, INITIAL_NODES, Forest, QuadResult, refine
+from .records import Record
 from .reduction import entropy_derivative
 from .terms import Combination, make_monomial
 
@@ -469,8 +469,7 @@ def _withheld(*pairs: Tuple[float, float]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ScanRow:
+class ScanRow(Record):
     """Per-t record of the scan."""
 
     t: float
@@ -500,8 +499,7 @@ class ScanRow:
         return _withheld((self.costa_margin, self.costa_margin_err), *pairs)
 
 
-@dataclass
-class ScanResult:
+class ScanResult(NamedTuple):
     """Scan output plus the grid-level verdicts."""
 
     rows: List[ScanRow]
@@ -675,8 +673,7 @@ def scan_to_csv(result: ScanResult) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class WtRow:
+class WtRow(Record):
     t: float
     s: float  # 1/t - 1, the equivalent flow time
     hW: float
@@ -697,8 +694,7 @@ class WtRow:
         return _withheld((self.hW, self.hW_err), (self.JW, self.JW_err), margin)
 
 
-@dataclass
-class WtReport:
+class WtReport(NamedTuple):
     rows: List[WtRow]
 
     def concavity_ok(self) -> bool:

@@ -34,10 +34,11 @@ elementwise; and every total adds its panels strictly left to right.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, ClassVar, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
+
+from .records import FrozenRecord
 
 Integrand = Callable[[np.ndarray], np.ndarray]
 # maps abscissae and the job index of each to a (rows, N) array
@@ -111,8 +112,7 @@ def _sequential_sums(values: np.ndarray, segments: np.ndarray, count: int) -> np
     return totals
 
 
-@dataclass(frozen=True)
-class Forest:
+class Forest(NamedTuple):
     """One integrand's bisection trees over many intervals, one job per interval.
 
     ``fn(y, jobs)`` gets abscissae and the job index of each and returns a
@@ -277,17 +277,16 @@ def _one_row(fn: Integrand) -> JobIntegrand:
     return row
 
 
-@dataclass(frozen=True)
-class Mesh:
+class Mesh(NamedTuple):
     """A fixed list of panels; integration on a mesh is non-adaptive.
 
     ``integrate`` sums whole-panel values, the same rule for every integrand.
     """
 
     panels: Tuple[Tuple[float, float], ...]
-    # Gauss-Legendre nodes per panel, the same for every mesh; perfbench's
-    # tracer reads it
-    order: ClassVar[int] = _ORDER
+    # Gauss-Legendre nodes per panel: a class attribute, the same for every
+    # mesh, and not a field; perfbench's tracer reads it
+    order = _ORDER
 
     def integrate(self, fn: Integrand) -> float:
         """The integral of the one row of ``fn`` on the mesh."""
@@ -297,15 +296,20 @@ class Mesh:
         return float(_sequential_sums(sums, np.zeros(sums.size, np.intp), 1)[0])
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(FrozenRecord):
     value: float
     # inf when refinement stopped short of the tolerance: at its depth or
     # panel limit, or on a panel whose rule sums are not finite
     error: float
     # the panels the row accepted, left to right, as read-only (lo, hi)
     # rows; none when no bisection computed the value
-    panels: np.ndarray = field(default_factory=lambda: np.empty((0, 2)), compare=False, repr=False)
+    panels: np.ndarray
+    _uncompared = ("panels",)
+
+    # a scan builds one per tree: the base class's binding would take about 4 times as long
+    def __init__(self, value: float, error: float, panels: Optional[np.ndarray] = None) -> None:
+        panels = np.empty((0, 2)) if panels is None else panels
+        vars(self).update(value=value, error=error, panels=panels)
 
     def mesh(self) -> Mesh:
         """The row's own mesh: the panels it accepted."""

@@ -28,10 +28,10 @@ reduction to produce the canonical integrand C_n with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
+from .records import Record
 from .terms import (
     _ZERO,
     _derive,
@@ -67,8 +67,7 @@ def is_canonical(mono: DerivMonomial) -> bool:
     return mono.max_order == 1 and mono.degree >= 2
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     """One rewrite: every occurrence of ``target`` replaced by ``replacement``."""
 
     target: DerivMonomial
@@ -76,17 +75,19 @@ class ReductionStep:
     replacement: Combination
 
 
-@dataclass
-class ReductionTrace:
+class ReductionTrace(Record):
     """Audit trail for a reduction; replaying the steps reproduces ``final``.
 
     ``flux`` is what the steps integrated away: the start minus ``final``
     is exactly ``d_dy(flux)``, the sum of coeff * Phi/(e+1) over the steps.
     """
 
-    steps: List[ReductionStep] = field(default_factory=list)
-    final: Combination = field(default_factory=Combination.zero)
-    flux: Combination = field(default_factory=Combination.zero)
+    steps: List[ReductionStep]
+    final: Combination
+    flux: Combination
+
+    def __init__(self, steps=None, final=Combination.zero(), flux=Combination.zero()) -> None:
+        super().__init__([] if steps is None else steps, final, flux)
 
     def replay(self, start: Combination) -> Combination:
         current = start
@@ -261,8 +262,7 @@ IBP_IDENTITIES: Dict[str, Tuple[Combination, Combination]] = {
 }
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     label: str
     passed: bool
     residual: Combination

@@ -741,6 +741,12 @@ class TestExitOne:
     # start of its one stderr line
     CASES = {
         "derive-order-0": (["derive", "--order", "0"], "derive: --order must be >= 1"),
+        # refused before any work: it ran until killed
+        "derive-order-99999": (["derive", "--order", "99999"], "derive: --order must be <= 24: "),
+        "derive-trace-order-25": (
+            ["derive", "--order", "25", "--trace"],
+            "derive: --order must be <= 24: ",
+        ),
         "certify-bad-out": (
             ["certify", "--order", "4", "--out", "{tmp}/missing/x.json"],
             "certify: --out {tmp}/missing/x.json: not a file path",
@@ -907,6 +913,84 @@ class TestProcess:
             "    print(code, 'numpy' in sys.modules)"
         )
         assert self._run(code) == ["False"] + ["0", "False"] * len(steps)
+
+    def test_no_module_imports_dataclasses(self):
+        # importing dataclasses took 6-8 ms of each start-up, and building
+        # each record's methods with exec 0.55-0.85 ms more
+        code = (
+            "import sys\n"
+            "import heatcalc.cli, heatcalc.certificates, heatcalc.oracle\n"
+            "import heatcalc.quadrature, heatcalc.mixtures\n"
+            "print('dataclasses' in sys.modules)"
+        )
+        assert self._run(code) == ["False"]
+
+    def test_exact_commands_load_no_inspect_or_json(self):
+        steps = [["derive", "--order", "6"], ["verify-identities"]]
+        steps += [["certify", "--order", str(n)] for n in (2, 3, 4)]
+        code = (
+            "import contextlib, io, sys\n"
+            "from heatcalc import cli\n"
+            f"for args in {steps!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = cli.main(args)\n"
+            "    print(code, 'inspect' in sys.modules, 'json' in sys.modules)"
+        )
+        assert self._run(code) == ["0", "False", "False"] * len(steps)
+
+    def test_quad_result_equality_ignores_panels(self):
+        one = quadrature.QuadResult(1.0, 0.5, np.array([[0.0, 1.0]]))
+        assert one == quadrature.QuadResult(1.0, 0.5)
+        assert hash(one) == hash(quadrature.QuadResult(1.0, 0.5))
+        assert one != quadrature.QuadResult(1.0, 0.25)
+        assert repr(one) == "QuadResult(value=1.0, error=0.5)"
+
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: heatcalc.make_monomial([1, 1, 2]), "exps"),
+            (lambda: heatcalc.SquareForm.from_vector(2, [1, 0]), "weight"),
+            (lambda: heatcalc.GaussianMixture.single(), "components"),
+            (lambda: heatcalc.GaussianMixture.single(), "weights"),
+            (lambda: quadrature.QuadResult(1.0, 0.5), "panels"),
+            (lambda: quadrature.Mesh(((0.0, 1.0),)), "panels"),
+            (lambda: builtin_certificate(4), "squares"),
+            (lambda: heatcalc.verify_ibp_identities()[0], "passed"),
+            (lambda: heatcalc.order3_family_upper_endpoint(), "d"),
+        ],
+        ids=[
+            "DerivMonomial",
+            "SquareForm",
+            "GaussianMixture",
+            "GaussianMixture-cached",
+            "QuadResult",
+            "Mesh",
+            "Certificate",
+            "IdentityCheck",
+            "SqrtExtValue",
+        ],
+    )
+    def test_frozen_records_refuse_assignment(self, make, field):
+        record = make()
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        assert record == make() and hash(record) == hash(make())
+
+    def test_record_constructors_bind_their_fields_as_before(self):
+        first = dict(t=1.0, h=0.5, h_err=0.0, J=1.0, J_err=0.0, Jp=-1.0, Jp_err=0.0)
+        first.update(d_fd=(), d_sym=(), costa_margin=0.0, costa_margin_err=0.0)
+        row = oracle.ScanRow(*first.values())
+        assert row == oracle.ScanRow(**first) and row.costa_status == "inconclusive"
+        assert repr(row).startswith("ScanRow(t=1.0, h=0.5, h_err=0.0, J=1.0,")
+        bad = [((), {}), ((0.0,) * 21, {}), ((1.0,), first), ((), dict(first, x=0.0))]
+        for args, kwargs in bad:  # missing, too many, repeated and unknown fields
+            with pytest.raises(TypeError):
+                oracle.ScanRow(*args, **kwargs)
+        assert heatcalc.SquareForm(2, ()).weight == 1
+        with pytest.raises(ValueError, match="has weight 3, expected 2"):
+            heatcalc.SquareForm(2, ((heatcalc.make_monomial([3]), 1),))
+        one, two = reduction.ReductionTrace(), reduction.ReductionTrace()
+        assert one.steps == [] and one.steps is not two.steps
 
     def test_numeric_commands_load_numpy_when_they_run(self, tmp_path):
         cfg = tmp_path / "cfg.json"

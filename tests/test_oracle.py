@@ -1,6 +1,5 @@
 """Oracle tests: quadrature closed forms, the Taylor jet, scans, W_t checks."""
 
-import dataclasses
 import math
 import sys
 import warnings
@@ -687,7 +686,7 @@ class TestTreeNames:
                 names.append(forest.label(job, row))
                 return names[-1]
 
-            return dataclasses.replace(forest, label=label)
+            return forest._replace(label=label)
 
         monkeypatch.setattr(oracle, "_flow_forest", counted)
         return names
