@@ -341,6 +341,11 @@ def _cmd_certify(args) -> int:
         if not args.out:
             print(certificate_to_json(cert))
     else:
+        if args.order > DERIVE_MAX_ORDER:
+            raise ConfigError(
+                f"certify: --order must be <= {DERIVE_MAX_ORDER}: verifying derives C_N, "
+                "and a higher order takes 15 s or more"
+            )
         try:
             if args.cert:
                 cert = certificate_from_json(Path(args.cert).read_text())

@@ -12,8 +12,10 @@ terms with log-sum-exp weights.  That form never divides by a tiny
 density, which matters for monomials like f1^8/f^7 far into the tails.
 
 There is one kernel, ``map_flow``: it flows each node to its job's time
-and hands every block of nodes to an epilogue.  ``log_density`` and
-``log_density_and_ratios`` are that kernel at one flow time.
+and yields every block of nodes' log f and ratio rows, which its caller
+turns into its own values before the next block overwrites the rows.
+``log_density`` and ``log_density_and_ratios`` are that kernel at one
+flow time.
 """
 
 from __future__ import annotations
@@ -102,9 +104,9 @@ BIMODAL_MIXTURE = GaussianMixture(((0.5, 0.0, 0.1), (0.5, 10.0, 0.1)))
 # 20k-31k page faults instead of 5k.  A mixture of one component counts as
 # two, since its 8192-node blocks were mapped afresh on every call too.
 # The ratio rows do not shorten a block: one buffer of them serves every
-# block of a call, and the epilogue writes into the result, so what else a
-# block allocates is single rows of its nodes.  Every value is computed
-# per node, so blocking changes no bit.
+# block of a call, and the caller writes each block's values into its own
+# result, so what else a block allocates is single rows of its nodes.
+# Every value is computed per node, so blocking changes no bit.
 _BLOCK_PAIRS = 8192
 
 
@@ -121,13 +123,10 @@ def log_density_and_ratios(
     if np.ndim(t):
         raise ValueError("t must be a number; map_flow takes arrays of times")
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    out = map_flow(mix, [t], y, np.zeros(y.size, np.intp), max_m, _joined, (max_m + 2,))
-    return out[0], out[1:]
-
-
-def _joined(lf: np.ndarray, ratios: np.ndarray, out: np.ndarray) -> None:
-    out[0] = lf
-    out[1:] = ratios
+    lf, ratios = np.empty(y.size), np.empty((max_m + 1, y.size))
+    for part, block_lf, block_ratios in map_flow(mix, [t], y, np.zeros(y.size, np.intp), max_m):
+        lf[part], ratios[:, part] = block_lf, block_ratios
+    return lf, ratios
 
 
 def log_density(mix: GaussianMixture, t: float, y: np.ndarray) -> np.ndarray:
@@ -135,17 +134,14 @@ def log_density(mix: GaussianMixture, t: float, y: np.ndarray) -> np.ndarray:
     return log_density_and_ratios(mix, t, y, 0)[0]
 
 
-def map_flow(
-    mix: GaussianMixture, t, y: np.ndarray, jobs, max_m: int, fn, shape: Tuple[int, ...]
-) -> np.ndarray:
-    """``fn(lf, ratios, out)`` on the nodes y, node i flowed to time ``t[jobs[i]]``.
+def map_flow(mix: GaussianMixture, t, y: np.ndarray, jobs, max_m: int):
+    """Yield ``(part, lf, ratios)`` per block of the nodes y, node i flowed to time ``t[jobs[i]]``.
 
-    ``t`` holds one time per job.  The result has shape ``shape + (y.size,)``.
-    ``fn`` gets a block of nodes' log f and ratio rows 0..max_m, as
-    ``log_density_and_ratios`` gives them, and writes its values to
-    ``out``, the result's columns of those nodes.  No block's ratio rows
-    outlive it: the next block writes over them, so a caller that needs a
-    few rows of values never holds max_m + 1 rows for every node.
+    ``t`` holds one time per job.  ``part`` is the block's slice of y;
+    ``lf`` and ``ratios`` are its nodes' log f and ratio rows 0..max_m, as
+    ``log_density_and_ratios`` gives them.  No block's ratio rows outlive
+    it: the next block writes over them, so a caller that needs a few rows
+    of values never holds max_m + 1 rows for every node.
 
     The per-job factors are computed once per (component, job) and
     gathered per node.  Components are summed in order, a row at a time,
@@ -177,11 +173,9 @@ def map_flow(
     # one buffer of ratio rows for every block, the last one the longest
     buffer = np.empty((max_m + 1, edges[-1] - edges[-2]))
     buffer[0] = 1.0
-    out = np.empty(shape + (y.size,))
     for lo, hi in zip(edges[:-1], edges[1:]):
         ratios = buffer[:, : hi - lo]
-        fn(_block(comps, y[lo:hi], jobs[lo:hi], ratios[1:]), ratios, out[..., lo:hi])
-    return out
+        yield slice(lo, hi), _block(comps, y[lo:hi], jobs[lo:hi], ratios[1:]), ratios
 
 
 def _block(comps, y: np.ndarray, jobs: np.ndarray, rows: np.ndarray) -> np.ndarray:

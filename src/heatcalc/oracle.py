@@ -26,7 +26,8 @@ at max_order 0, at s = 1/t - 1, and a forest sees the mixture in its
 own frame (``_flow_forest``).  A row whose terms cancel carries a
 magnitude row, f times the sum of its terms' absolute values, that sets
 its roundoff floor.  Every density evaluation is one ``mixtures.map_flow``
-call, one flow time per job, with an epilogue from ``_flow_rows``.  A
+call, one flow time per job, and ``_flow_rows`` turns each block of nodes
+that it yields into those nodes' columns of the rows.  A
 quantity whose tree stops short of the tolerance has no error bound, so
 its quadrature reports an infinite error, which every error derived from
 it, on the row or in a grid difference, inherits: each verdict that
@@ -194,26 +195,27 @@ def _flow_rows(
     # per quantity, the output row of its magnitude, if it has a row of its own
     mag_rows = [None if row == q else row for q, row in enumerate(layout.magnitudes)]
 
-    def rows(lf: np.ndarray, ratios: np.ndarray, out: np.ndarray) -> None:
-        f = np.exp(lf)
-        table = {_LOG_F: lf}
-        for m, top in layout.tops.items():
-            power = table[m, 1] = ratios[m]
-            for k in range(2, top + 1):
-                power = table[m, k] = power * ratios[m]
-        term = np.empty_like(lf)
-        for row, items, mag in zip(out, layout.terms, mag_rows):
-            _term(items[0], table, row)
-            if mag is not None:
-                mag = np.abs(row, out=out[mag])
-            for item in items[1:]:
-                row += _term(item, table, term)
-                if mag is not None:
-                    mag += np.abs(term, out=term)
-        out *= f
-
     def fn(y: np.ndarray, jobs: np.ndarray) -> np.ndarray:
-        return map_flow(mix, times, y, jobs, layout.max_m, rows, (layout.size,))
+        out = np.empty((layout.size, y.size))
+        for part, lf, ratios in map_flow(mix, times, y, jobs, layout.max_m):
+            table = {_LOG_F: lf}
+            for m, top in layout.tops.items():
+                table[m, 1] = ratios[m]
+                for k in range(2, top + 1):
+                    table[m, k] = table[m, k - 1] * ratios[m]
+            block, term = out[:, part], np.empty_like(lf)
+            for row, items, mag in zip(block, layout.terms, mag_rows):
+                _term(items[0], table, row)
+                if mag is not None:
+                    mag = np.abs(row, out=block[mag])
+                for item in items[1:]:
+                    row += _term(item, table, term)
+                    if mag is not None:
+                        mag += np.abs(term, out=term)
+            block *= np.exp(lf)
+            # freed before map_flow resumes for the next block, so only one block's powers live
+            del table, term, lf
+        return out
 
     return fn
 
@@ -489,9 +491,26 @@ class ScanRow(Record):
     invJ_dd_err: float = math.nan
     e2h_dd: float = math.nan
     e2h_dd_err: float = math.nan
-    sign_status: Tuple[str, ...] = ()
-    signs_ok: bool = True
-    costa_status: str = "inconclusive"
+
+    # each verdict is read from the row's own values, never stored beside them
+    @property
+    def sign_status(self) -> Tuple[str, ...]:
+        """Per jet order, then per symbolic order: the signs alternate, starting positive."""
+        return tuple(
+            _sign_status(value, error, 1 if n % 2 else -1)
+            for derivs in (self.d_fd, self.d_sym)
+            for n, (value, error) in enumerate(derivs, start=1)
+        )
+
+    @property
+    def signs_ok(self) -> bool:
+        return "fail" not in self.sign_status
+
+    @property
+    def costa_status(self) -> str:
+        # (e^{2h})'' = e^{2h} (J^2 + J') makes -J' >= J^2 the entropy-power
+        # concavity too, and e2h_dd, its grid cross-check, gets no verdict
+        return _sign_status(self.costa_margin, self.costa_margin_err, 1)
 
     @property
     def withheld(self) -> bool:  # a number is not finite, as where a tree stopped short
@@ -547,6 +566,8 @@ def _scan_rows(
     quantities are h, C_1 and C_2, the rows that ``wt_checks`` reads.  A
     tree that stopped short has an infinite error, which its row keeps.
     """
+    if max_order < 0:
+        raise ValueError(f"max_order must be >= 0, not {max_order}")
     sym_orders = min(_SYM_ORDERS, max_order)
     # the jet; C_1 and C_2 (which integrate to J and J') always; C_3, C_4 as the orders ask
     quantities = [_jet(n) for n in range(max_order + 1)] + [
@@ -632,17 +653,6 @@ def scan_conjectures(
         row.logJ_dd, row.logJ_dd_err = float(logj_dd[i]), float(logj_err[i])
         row.invJ_dd, row.invJ_dd_err = float(invj_dd[i]), float(invj_err[i])
         row.e2h_dd, row.e2h_dd_err = float(e2h_dd[i]), float(e2h_err[i])
-
-        row.sign_status = tuple(
-            _sign_status(value, error, 1 if n % 2 else -1)
-            for derivs in (row.d_fd, row.d_sym)
-            for n, (value, error) in enumerate(derivs, start=1)
-        )
-        row.signs_ok = "fail" not in row.sign_status
-        # (e^{2h})'' = e^{2h} (J^2 + J') makes -J' >= J^2 the entropy-power
-        # concavity too, and e2h_dd, its grid cross-check, gets no verdict
-        row.costa_status = _sign_status(row.costa_margin, row.costa_margin_err, 1)
-
     return ScanResult(rows)
 
 
@@ -686,7 +696,10 @@ class WtRow(Record):
     hW_dd_err: float = math.nan
     JW_dd: float = math.nan
     JW_dd_err: float = math.nan
-    txz_status: str = "inconclusive"  # the interpolation inequality's verdict
+
+    @property
+    def txz_status(self) -> str:  # the interpolation inequality's verdict
+        return _sign_status(self.txz_margin, self.txz_err, 1)
 
     @property
     def withheld(self) -> bool:  # a number is not finite, as where a tree stopped short
@@ -757,7 +770,6 @@ def wt_checks(mix: GaussianMixture, t_grid: Sequence[float], tol: float = DEFAUL
     for i, row in enumerate(rows):
         row.hW_dd, row.hW_dd_err = float(hw_dd[i]), float(hw_err[i])
         row.JW_dd, row.JW_dd_err = float(jw_dd[i]), float(jw_err[i])
-        row.txz_status = _sign_status(row.txz_margin, row.txz_err, 1)
     return WtReport(rows)
 
 

@@ -7,8 +7,10 @@ it by more than 3 (error + 3 tol).  The fd columns and that function
 carry the Taylor jet's h^(n) and its quadrature error.  It fails a
 wt-scan row when the command's verdict lines are missing or the row's
 ``txz_ok`` is not 1.  A change to the oracle that trips those checks
-fails here, not only under the benchmark.  The checks are imported as
-they are, never edited.
+fails here, not only under the benchmark.  So does a change that trips
+the checks of the ``certify`` workload's commands: ``derive``,
+``verify-identities``, the built-in certificates and the searches at
+orders 4 and 5.  The checks are imported as they are, never edited.
 """
 
 import sys
@@ -55,3 +57,10 @@ def test_wide_mixture_wt_scan_passes_the_gate(tmp_path, capsys):
         rc, capsys.readouterr().out, "", 0.0, 0.0, 0, (tmp_path / "wt.csv").read_bytes()
     )
     assert workloads._check_wt(out, workloads.WIDE_WT_GRID["points"]) == 0
+
+
+def test_certify_commands_pass_the_gate(tmp_path, capsys):
+    for command in workloads.prepare("certify", 0, tmp_path):
+        rc = main(command.args)
+        out = workloads.Outcome(rc, capsys.readouterr().out, "", 0.0, 0.0, 0)
+        assert command.check(out) == 0, command.label

@@ -767,6 +767,11 @@ class TestExitOne:
             ["certify", "--order", "3", "--cert", "{tmp}/absent.json"],
             "certify: --cert {tmp}/absent.json: ",
         ),
+        # refused before the file is read: verifying it derived C_99999 until killed
+        "certify-cert-order-99999": (
+            ["certify", "--order", "99999", "--cert", "{tmp}/order99999.json"],
+            "certify: --order must be <= 24: ",
+        ),
         "certify-order-mismatch": (
             ["certify", "--order", "4", "--cert", "{tmp}/order3.json"],
             "certify: file is order 3, not 4",
@@ -846,6 +851,7 @@ class TestExitOne:
                 dict(WT_SCAN, t_grid={"start": 0.5, "stop": 0.5000000000000002, "points": 20})
             ),
             "order3.json": certificate_to_json(builtin_certificate(3)),
+            "order99999.json": '{"order": 99999, "sign": 1, "squares": [], "remainder": []}',
             "deep.json": "[" * 200_000 + "]" * 200_000,
         }
         for name, text in files.items():

@@ -17,14 +17,17 @@ from heatcalc.mixtures import (
 )
 
 
-def _joined(lf, ratios, out):
-    """A map_flow epilogue: log f on top of the ratio rows."""
-    out[0] = lf
-    out[1:] = ratios
+def _flowed(mix, ts, y, jobs, max_m):
+    """map_flow's blocks joined: every node's log f and ratio rows 0..max_m.
 
-
-def _log_f(lf, ratios, out):
-    out[...] = lf
+    The blocks must cover the nodes in order, each once.
+    """
+    lf, ratios, stop = np.empty(y.size), np.empty((max_m + 1, y.size)), 0
+    for part, block_lf, block_ratios in map_flow(mix, ts, y, jobs, max_m):
+        assert part.start == stop < part.stop
+        lf[part], ratios[:, part], stop = block_lf, block_ratios, part.stop
+    assert stop == y.size
+    return lf, ratios
 
 
 class TestConstruction:
@@ -160,15 +163,14 @@ class TestRatios:
         ts = np.array([0.05, 0.3, 2.0])
         # every node at all three times, a job per time
         jobs = np.repeat(np.arange(ts.size), nodes)
-        out = map_flow(mix, ts, np.tile(y, ts.size), jobs, 4, _joined, (6,))
-        assert out.shape == (6, 3 * nodes)
-        many = map_flow(mix, ts, np.tile(y, ts.size), jobs, 0, _log_f, ())
-        assert many.shape == (3 * nodes,)
+        lf, ratios = _flowed(mix, ts, np.tile(y, ts.size), jobs, 4)
+        assert ratios.shape == (5, 3 * nodes)
+        many, _ = _flowed(mix, ts, np.tile(y, ts.size), jobs, 0)
         for i, t in enumerate(ts):
             mine = jobs == i
             one_lf, one_ratios = log_density_and_ratios(mix, float(t), y, 4)
-            assert np.array_equal(out[0, mine], one_lf)
-            assert np.array_equal(out[1:, mine], one_ratios)
+            assert np.array_equal(lf[mine], one_lf)
+            assert np.array_equal(ratios[:, mine], one_ratios)
             assert np.array_equal(many[mine], log_density(mix, float(t), y))
 
     @pytest.mark.parametrize("components", [1, 2, 3, 16])
@@ -187,16 +189,15 @@ class TestRatios:
         y = np.linspace(-30.0, 30.0, 4099)
         ts = np.array([0.05, 0.3, 2.0, 17.0])
         jobs = np.sort(rng.integers(0, 4, y.size))
-        out = map_flow(mix, ts, y, jobs, 6, _joined, (8,))
-        assert out.shape == (8, y.size)
-        # no ratio rows
-        many = map_flow(mix, ts, y, jobs, 0, _log_f, ())
-        assert many.shape == (y.size,)
+        lf, ratios = _flowed(mix, ts, y, jobs, 6)
+        assert ratios.shape == (7, y.size)
+        # no ratio rows but row 0
+        many, _ = _flowed(mix, ts, y, jobs, 0)
         for j, t in enumerate(ts):
             mine = jobs == j
             one_lf, one_ratios = log_density_and_ratios(mix, float(t), y[mine], 6)
-            assert np.array_equal(out[0, mine], one_lf)
-            assert np.array_equal(out[1:, mine], one_ratios)
+            assert np.array_equal(lf[mine], one_lf)
+            assert np.array_equal(ratios[:, mine], one_ratios)
             assert np.array_equal(many[mine], one_lf)
 
     def test_times_must_be_a_vector_of_nonnegatives(self):
@@ -205,9 +206,9 @@ class TestRatios:
         # one time per job: no rows of times, and no scalar
         for t in ([[0.5]], [[0.5, 0.6]], [[[0.5]]], 0.5):
             with pytest.raises(ValueError, match="1-D"):
-                map_flow(BIMODAL_MIXTURE, t, y, jobs, 0, _log_f, ())
+                next(map_flow(BIMODAL_MIXTURE, t, y, jobs, 0))
         with pytest.raises(ValueError, match=">= 0"):
-            map_flow(BIMODAL_MIXTURE, [0.5, -0.1], y, jobs, 0, _log_f, ())
+            next(map_flow(BIMODAL_MIXTURE, [0.5, -0.1], y, jobs, 0))
         with pytest.raises(ValueError, match=">= 0"):
             log_density(BIMODAL_MIXTURE, -0.1, y)
         # one flow time per call; map_flow takes arrays of times

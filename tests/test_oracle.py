@@ -397,8 +397,9 @@ class TestCompiledEpilogue:
 
         kernel = oracle.map_flow
 
-        def spying(mix, t, y, jobs, max_m, fn, shape):
-            return kernel(mix, t, y, jobs, max_m, lambda lf, r, out: fn(lf, r.view(Spy), out), shape)
+        def spying(*args):
+            for part, lf, ratios in kernel(*args):
+                yield part, lf, ratios.view(Spy)
 
         monkeypatch.setattr(oracle, "map_flow", spying)
         y = np.linspace(-3.0, 3.0, 10)
@@ -896,6 +897,27 @@ class TestScan:
             scan_conjectures(g, [2.0, 1.0, 0.5])
         with pytest.raises(ValueError):
             scan_conjectures(g, [1.0, 1.0, 2.0])
+        # rows are sliced by order, so a negative one reported C_1 as h
+        for order in (-1, -3):
+            with pytest.raises(ValueError, match="max_order"):
+                scan_conjectures(g, [0.5, 1.0, 2.0], max_order=order)
+        assert scan_conjectures(g, [0.5, 1.0, 2.0], max_order=0).rows[0].d_fd == ()
+
+    def test_verdicts_are_read_from_the_row_values(self):
+        # a row built outside scan_conjectures claims no pass that no check
+        # computed: h'' = 1 +- 1e-9 and a Costa margin of -1 +- 1e-9 fail
+        fields = dict(t=1.0, h=0.0, h_err=0.0, J=1.0, J_err=0.0, Jp=0.0, Jp_err=0.0, d_sym=())
+        fields.update(d_fd=((1.0, 1e-9), (1.0, 1e-9)), costa_margin=-1.0, costa_margin_err=1e-9)
+        row = oracle.ScanRow(**fields)
+        assert row.sign_status == ("pass", "fail") and not row.signs_ok
+        assert row.costa_status == "fail"
+        wt = oracle.WtRow(0.5, 1.0, 0.0, 0.0, 1.0, 0.0, txz_margin=-1.0, txz_err=1e-9)
+        assert wt.txz_status == "fail"
+        # a row of one flow time has the verdicts of the same row in a scan
+        core = oracle._scan_row_core(BIMODAL_MIXTURE, 0.5, 4, DEFAULT_TOL)
+        scanned = scan_conjectures(BIMODAL_MIXTURE, [0.25, 0.5, 1.0]).rows[1]
+        assert core.sign_status == scanned.sign_status == ("pass",) * 8
+        assert (core.signs_ok, core.costa_status) == (True, "pass")
 
     def test_bimodal_invJ_changes_curvature(self):
         grid = time_grid(0.05, 100, 40, "log")
