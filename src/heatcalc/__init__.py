@@ -32,6 +32,7 @@ _EXPORTS = {
         "make_monomial",
         "monomial",
         "parse_monomial",
+        "partitions",
         "weight",
     ),
     "reduction": (
@@ -61,7 +62,6 @@ _EXPORTS = {
         "order3_family",
         "order3_family_upper_endpoint",
         "order4_certificate",
-        "partitions",
         "search_certificate",
         "square_basis",
         "verify_certificate",

@@ -21,6 +21,7 @@ one convex Gram problem and ends in an exactly verified certificate (orders
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -33,29 +34,13 @@ from .terms import (
     make_monomial,
     monomial,
     parse_monomial,
+    partitions,
 )
 
 # numpy is imported by the search alone; verification and the JSON code run
 # on Fraction, so ``certify`` without ``--search`` starts without it.
 if TYPE_CHECKING:
     import numpy as np
-
-
-def partitions(n: int) -> List[Tuple[int, ...]]:
-    """Integer partitions of n as descending tuples, largest-part-first order."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    result: List[Tuple[int, ...]] = []
-
-    def extend(prefix: Tuple[int, ...], remaining: int, cap: int) -> None:
-        if remaining == 0:
-            result.append(prefix)
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            extend(prefix + (part,), remaining - part, part)
-
-    extend((), n, n)
-    return sorted(result, reverse=True)
 
 
 def square_basis(n: int) -> List[DerivMonomial]:
@@ -552,6 +537,16 @@ def _json_number(value, where: str, what: str) -> Fraction:
     """An exact JSON string or number; booleans are not numbers."""
     if not isinstance(value, (str, int, float)) or isinstance(value, bool):
         raise ValueError(f"certificate field {where}: expected a string or number")
+    # refused before Fraction expands the exponent: "1e-99999999" ran until killed
+    if isinstance(value, str):
+        mantissa, _, exponent = value.lower().partition("e")
+        try:
+            digits = sum(map(str.isdigit, mantissa)) + abs(int(exponent or 0))
+        except ValueError:  # not a decimal exponent: Fraction judges the string below
+            digits = 0
+        limit = sys.get_int_max_str_digits()
+        if digits > limit:
+            raise ValueError(f"certificate field {where}: {what} needs more than {limit} digits")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, OverflowError):

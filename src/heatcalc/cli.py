@@ -360,7 +360,11 @@ def _cmd_certify(args) -> int:
         if cert.order != args.order:
             raise ConfigError(f"certify: file is order {cert.order}, not {args.order}")
         if not ok:
-            print(f"FAILED, residual: {residual}")
+            try:
+                text = str(residual)
+            except ValueError:  # a coefficient past Python's int-to-str digit limit
+                text = f"{len(residual)} terms, too long to print"
+            print(f"FAILED, residual: {text}")
             return 2
         print("VERIFIED (exact)")
     if args.out:

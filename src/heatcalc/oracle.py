@@ -9,7 +9,9 @@ independent ways:
   the heat equation f_t = f_yy/2 alone, never touching the symbolic
   calculus: f(y, t + e) = f (1 + G), G = sum_k e^k r_2k / (2^k k!) with
   r_m = f_m/f, so h^(n) = -int f (log f r_2n / 2^n + P_n) dy, with P_n
-  exact in the ratios (``_jet_remainder``).  Order 0 is h itself.
+  exact in the ratios: the sum over partitions l of n into k >= 2 parts,
+  m_j their multiplicities, of n! (-1)^k (k-2)! / (2^n prod l_i! prod m_j!)
+  times r_2l_1 ... r_2l_k (``_jet_remainder``).  Order 0 is h itself.
 
 Scans sweep a t-grid and record both routes together with the quantities
 the sign conjectures speak about (log J and 1/J curvature, the entropy
@@ -49,7 +51,7 @@ from .mixtures import WINDOW_SIGMAS, GaussianMixture, map_flow
 from .quadrature import DEFAULT_TOL, INITIAL_NODES, Forest, QuadResult, refine
 from .records import Record
 from .reduction import entropy_derivative
-from .terms import Combination, make_monomial
+from .terms import Combination, make_monomial, partitions
 
 _EPS = sys.float_info.epsilon
 
@@ -98,25 +100,20 @@ def _jet_remainder(n: int) -> Combination:
 
     F log F = f log f (1 + G) + f (1 + G) log(1 + G) for F = f (1 + G), and
     (1 + G) log(1 + G) = G + sum_{k>=2} (-1)^k G^k / (k (k-1)); G's own
-    term f_2n / 2^n integrates to zero.  f times a product of ratios is a
-    derivative monomial, so f P_n is exact in f_2..f_{2n-2}.
+    term f_2n / 2^n integrates to zero.  Each of the k!/prod m_j! orderings
+    of a partition l of n into k parts, m_j its part multiplicities, adds
+    prod 1/(2^l_i l_i!) to [e^n] G^k, and k!/(k (k-1)) = (k-2)!: f P_n is the
+    sum over l with k >= 2 of n! (-1)^k (k-2)! / (2^n prod l_i! prod m_j!)
+    times f r_2l_1 ... r_2l_k, a derivative monomial, exact in f_2..f_{2n-2}.
     """
-    # the series in e: {(power of e, ratio orders): coefficient}
-    g = {(k, (2 * k,)): Fraction(1, 2**k * math.factorial(k)) for k in range(1, n + 1)}
-    total, power = Combination(), g
-    for k in range(2, n + 1):
-        product: Dict[Tuple[int, Tuple[int, ...]], Fraction] = {}
-        for (i, a), c in power.items():
-            for (j, b), d in g.items():
-                if i + j <= n:
-                    key = (i + j, tuple(sorted(a + b)))
-                    product[key] = product.get(key, Fraction(0)) + c * d
-        power = product
-        scale = Fraction((-1) ** k * math.factorial(n), k * (k - 1))
-        total += Combination(
-            {make_monomial(orders): scale * c for (i, orders), c in power.items() if i == n}
-        )
-    return total
+    terms = {}
+    for parts in partitions(n)[1:]:  # every partition but the first, (n,), has 2 parts or more
+        k = len(parts)
+        repeats = math.prod(math.factorial(parts.count(p)) for p in set(parts))
+        denominator = 2**n * math.prod(map(math.factorial, parts)) * repeats
+        numerator = (-1) ** k * math.factorial(k - 2) * math.factorial(n)
+        terms[make_monomial(2 * p for p in parts)] = Fraction(numerator, denominator)
+    return Combination(terms)
 
 
 def _compiled(spec: Union[Combination, int]) -> Tuple[Tuple[float, tuple], ...]:

@@ -22,7 +22,7 @@ All coefficients are ``fractions.Fraction``; nothing here ever rounds.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Mapping, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Tuple, Union
 
 from .records import FrozenRecord
 
@@ -118,6 +118,21 @@ def make_monomial(orders: Iterable[int]) -> DerivMonomial:
             raise ValueError(f"derivative orders must be >= 1, got {m}")
         counts[m] = counts.get(m, 0) + 1
     return monomial(counts)
+
+
+def partitions(n: int) -> List[Tuple[int, ...]]:
+    """Integer partitions of n as descending tuples, largest-part-first order."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+
+    def below(remaining: int, cap: int) -> Iterator[Tuple[int, ...]]:
+        if remaining == 0:
+            yield ()
+        for part in range(min(cap, remaining), 0, -1):
+            for rest in below(remaining - part, part):
+                yield (part,) + rest
+
+    return list(below(n, n))
 
 
 def weight(mono: DerivMonomial) -> int:

@@ -399,6 +399,16 @@ class TestCertificateJson:
             (lambda d: d.update(weights=[1, 1]), "field weights: expected a list of 1 weights"),
             (lambda d: d.update(weights=["x"]), "field weights[0]: invalid weight 'x'"),
             (lambda d: d.update(weights=[True]), "field weights[0]: expected a string or number"),
+            # refused before Fraction expands the exponent into a 10^8-digit
+            # integer: each ran until killed
+            (
+                lambda d: d["squares"][0][0].__setitem__(1, "1e-99999999"),
+                "field squares[0][0]: coefficient needs more than 4300 digits",
+            ),
+            (
+                lambda d: d.update(weights=["1e99999999"]),
+                "field weights[0]: weight needs more than 4300 digits",
+            ),
             (
                 lambda d: d.update(remainder=[["f1^6/f^5", "-1"], ["f1^6/f^5", "1/45"]]),
                 "field remainder[1]: monomial f1^6/f^5 is repeated",

@@ -124,6 +124,18 @@ class TestCertify:
         assert main(["certify", "--order", "3", "--cert", str(path)]) == 2
         assert "FAILED" in capsys.readouterr().out
 
+    def test_a_residual_past_the_digit_limit_fails_with_exit_2(self, tmp_path, capsys):
+        # "1e4000" parses, but its residual's coefficients pass Python's
+        # int-to-str limit: printing it raised ValueError after the verdict
+        payload = json.loads(certificate_to_json(builtin_certificate(2)))
+        payload["squares"][0][0][1] = "1e4000"
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(payload))
+        assert main(["certify", "--order", "2", "--cert", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "FAILED, residual: 2 terms, too long to print\n"
+        assert captured.err == ""
+
     def test_order_mismatch_is_usage_error(self, tmp_path):
         path = tmp_path / "order3.json"
         path.write_text(certificate_to_json(builtin_certificate(3)))
@@ -772,6 +784,15 @@ class TestExitOne:
             ["certify", "--order", "99999", "--cert", "{tmp}/order99999.json"],
             "certify: --order must be <= 24: ",
         ),
+        # refused before Fraction expands the exponent: each ran until killed
+        "certify-tiny-coefficient": (
+            ["certify", "--order", "2", "--cert", "{tmp}/tiny.json"],
+            "certify: --cert {tmp}/tiny.json: certificate field squares[0][0]: ",
+        ),
+        "certify-huge-weight": (
+            ["certify", "--order", "2", "--cert", "{tmp}/huge.json"],
+            "certify: --cert {tmp}/huge.json: certificate field weights[0]: ",
+        ),
         "certify-order-mismatch": (
             ["certify", "--order", "4", "--cert", "{tmp}/order3.json"],
             "certify: file is order 3, not 4",
@@ -838,6 +859,9 @@ class TestExitOne:
         monkeypatch.setattr(certificates, "_gram_problem", no_search)
         stop = json.loads(json.dumps(WT_SCAN))
         stop["t_grid"]["stop"] = 1.5
+        tiny = json.loads(certificate_to_json(builtin_certificate(2)))
+        tiny["squares"][0][0][1] = "1e-99999999"
+        huge = dict(tiny, weights=["1e99999999"] * len(tiny["squares"]))
         files = {
             "bad.json": '{"mixture": "nope"}',
             "scan.json": json.dumps(SMALL_SCAN),
@@ -851,6 +875,8 @@ class TestExitOne:
                 dict(WT_SCAN, t_grid={"start": 0.5, "stop": 0.5000000000000002, "points": 20})
             ),
             "order3.json": certificate_to_json(builtin_certificate(3)),
+            "tiny.json": json.dumps(tiny),
+            "huge.json": json.dumps(huge),
             "order99999.json": '{"order": 99999, "sign": 1, "squares": [], "remainder": []}',
             "deep.json": "[" * 200_000 + "]" * 200_000,
         }

@@ -1,5 +1,6 @@
 """Oracle tests: quadrature closed forms, the Taylor jet, scans, W_t checks."""
 
+import hashlib
 import math
 import sys
 import warnings
@@ -95,6 +96,31 @@ class TestClosedForms:
         assert math.isclose(
             fisher(BIMODAL_MIXTURE, 1.0), 0.9090308841, abs_tol=1e-6
         )
+
+
+class TestLargeTime:
+    """A closed form off the Gaussians: for large t, the Edgeworth expansion
+    of the flowed density gives J(X + sqrt(t) Z) = 1/s + kappa_3^2 / (2 s^4)
+    + O(kappa_4^2 / s^5), s = Var X + t, with kappa_n the cumulants of X."""
+
+    MIX = GaussianMixture.create([(0.3, -2.0, 0.5), (0.7, 1.0, 0.2)])
+    VAR, KAPPA_3, KAPPA_4 = 2.18, -2.835, -3.0051
+
+    # the series is asymptotic, so the check starts at t = 100: at t = 30
+    # its next term is not yet small, the residual 1.13e-7 against
+    # 2 x 4.36e-8; the stated errors here are 7e-17 or less
+    @pytest.mark.parametrize("t", [100.0, 300.0, 1000.0])
+    def test_fisher_information_to_second_order(self, t):
+        result = oracle.fisher_result(self.MIX, t)
+        s = self.VAR + t
+        bound = 2 * self.KAPPA_4**2 / (6 * s**5) + 3 * result.error
+
+        def residual(kappa_3):
+            return abs(result.value - 1 / s - kappa_3**2 / (2 * s**4))
+
+        assert residual(self.KAPPA_3) <= bound
+        # kappa_3 10% off misses the bound by 26x or more
+        assert min(residual(1.1 * self.KAPPA_3), residual(0.9 * self.KAPPA_3)) > 25 * bound
 
 
 class TestFunctional:
@@ -236,6 +262,29 @@ class TestFiniteDifferences:
         assert oracle._jet_remainder(4) == comb(
             ("1/4", [2, 6]), ("3/16", [4, 4]), ("-3/8", [2, 2, 4]), ("1/8", [2, 2, 2, 2])
         )
+        # P_5..P_16 as the series convolution in e built them, by the sha256
+        # of their text; P_5 in full
+        assert str(oracle._jet_remainder(5)) == (
+            "5/32 f2 f8/f^1 + 5/16 f4 f6/f^1 - 5/16 f2^2 f6/f^2 - 15/32 f2 f4^2/f^2"
+            " + 5/8 f2^3 f4/f^3 - 3/16 f2^5/f^4"
+        )
+        digests = {
+            5: "d476a581a82df9c9d48a6e04763a864c743a6e0e5baeae22922bc638a657b12e",
+            6: "76d8ffb2ed448eef39a47cc219dbc8dbfea5f8218b3eab9d1e4b77784fb4de65",
+            7: "3baa0bb65d15664e7c6605fa8f333763ebceb6b0e7d737634e1df2f3f5994988",
+            8: "656c25b58f6e12cdf963eef5b33605c1012a8c6b4564fa22e58b5f41a63bd693",
+            9: "30cacaaa39ee2b41e8cd04a9a24d8ce5e51b1fecfbe8179dc10c0334e179e302",
+            10: "0eb9fcdf4d06946b1e0cde61c603c6dec8906fbd5b27e100874a209ddef1961c",
+            11: "8ab9acecbf2d2afbf576cbc4453c2afc0b3f45cf297fad35424043ec0b70b982",
+            12: "b6c152e6e42aa40881616847ae3bdd0ac719ea7d71f02390dd43baf3001aeffc",
+            13: "1949fcf016d0d331345b737f69a724f27c3be65e27eea62d359e621fe8d9df04",
+            14: "a7b357b9803b2d76266413c3882172cb40b702a0612d3590953b74c99958ed89",
+            15: "2937104d83eddfe4f99cedf301191390bad6ecc4570296b55fee64e20b5a2558",
+            16: "abf35b658ba85eceba78eb378d3fe6c209e4eb7731877656f2d3974111044498",
+        }
+        for n, digest in digests.items():
+            text = str(oracle._jet_remainder(n)).encode()
+            assert hashlib.sha256(text).hexdigest() == digest, n
 
     def test_warns_when_error_estimate_large(self, monkeypatch):
         # trees held to their initial panels cannot resolve modes of

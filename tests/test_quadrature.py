@@ -407,3 +407,22 @@ def test_non_finite_panels_stop_unconverged(bad):
     assert len(result.panels) == quadrature._INITIAL_PANELS
     # the initial level and the halves of its panels, nothing deeper
     assert len(fn.nodes()) == 3 * quadrature.INITIAL_NODES
+
+
+def test_a_kink_inside_the_panels_is_refined_to_its_closed_form():
+    # the accept test compares whole- and half-panel rules, so a panel
+    # whose nodes straddle the kink of |y - 1/3| is bisected until it agrees
+    result = adaptive_quad(lambda y: np.abs(y - 1 / 3), 0.0, 1.0)
+    assert result.value == 5 / 18
+    assert result.error <= 3.2e-15
+    assert len(result.panels) == 29
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="no node falls in [0.5, 0.5001], so both rules integrate a linear "
+    "function exactly and the panel is accepted 1.0e-8 off (CHANGES.md FOUND)",
+)
+def test_a_kink_near_a_panel_edge_is_within_the_stated_error():
+    result = adaptive_quad(lambda y: np.abs(y - 0.5001), 0.0, 1.0)
+    assert abs(result.value - (0.5001**2 + 0.4999**2) / 2) <= result.error
