@@ -594,11 +594,16 @@ def certificate_from_json(text: str) -> Certificate:
     import json
 
     try:
-        payload = json.loads(text)
+        # a number with a fraction or exponent stays its text, so it is read exactly:
+        # as a float, 0.1 would be 3602879701896397/2^55 and 1e-400 would be 0
+        payload = json.loads(text, parse_float=str)
     except RecursionError as exc:  # arrays or objects nested too deep
         raise ValueError(f"invalid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError("certificate JSON must be an object")
+    for key in payload:  # a misspelt field would silently take its default
+        if key not in ("order", "sign", "squares", "weights", "remainder"):
+            raise ValueError(f"certificate field {key}: unknown field")
     for key in ("order", "sign", "squares", "remainder"):
         if key not in payload:
             raise ValueError(f"certificate field {key} is missing")

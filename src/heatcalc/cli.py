@@ -384,6 +384,9 @@ def _output_prefix(command: str, out: Optional[str], default: str) -> Path:
     whole scan.
     """
     prefix = Path(out or default)
+    where = f"--out {out}" if out else f"output {default}"
+    if prefix.name in ("", ".", ".."):  # "/" and "." have no name; ".." would write a hidden "...csv"
+        raise ConfigError(f"{command}: {where}: the prefix must end in a file name")
     csv_path = prefix.with_name(prefix.name + ".csv")
     try:
         csv_path.parent.mkdir(parents=True, exist_ok=True)
@@ -392,7 +395,6 @@ def _output_prefix(command: str, out: Optional[str], default: str) -> Path:
         if not os.access(csv_path.parent, os.W_OK):
             raise PermissionError(f"{csv_path.parent} is not writable")
     except OSError as exc:
-        where = f"--out {out}" if out else f"output {default}"
         raise ConfigError(f"{command}: {where}: {exc}") from exc
     return prefix
 

@@ -49,7 +49,6 @@ import numpy as np
 
 from .mixtures import WINDOW_SIGMAS, GaussianMixture, map_flow
 from .quadrature import DEFAULT_TOL, INITIAL_NODES, Forest, QuadResult, refine
-from .records import Record
 from .reduction import entropy_derivative
 from .terms import Combination, make_monomial, partitions
 
@@ -468,7 +467,7 @@ def _withheld(*pairs: Tuple[float, float]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class ScanRow(Record):
+class ScanRow(NamedTuple):
     """Per-t record of the scan."""
 
     t: float
@@ -646,11 +645,9 @@ def scan_conjectures(
     invj_errs = [e / (v * v) for v, e in zip(j_vals, j_errs)]
     invj_dd, invj_err = second_difference(ts, [1.0 / v for v in j_vals], invj_errs)
     e2h_dd, e2h_err = second_difference(ts, e2h, [2.0 * p * r.h_err for p, r in zip(e2h, rows)])
-    for i, row in enumerate(rows):
-        row.logJ_dd, row.logJ_dd_err = float(logj_dd[i]), float(logj_err[i])
-        row.invJ_dd, row.invJ_dd_err = float(invj_dd[i]), float(invj_err[i])
-        row.e2h_dd, row.e2h_dd_err = float(e2h_dd[i]), float(e2h_err[i])
-    return ScanResult(rows)
+    # the grid curvatures are a row's last six fields, which _scan_rows leaves NaN
+    grid = np.column_stack([logj_dd, logj_err, invj_dd, invj_err, e2h_dd, e2h_err]).tolist()
+    return ScanResult([ScanRow(*row[:-6], *dd) for row, dd in zip(rows, grid)])
 
 
 CSV_HEADER = (
@@ -680,7 +677,7 @@ def scan_to_csv(result: ScanResult) -> str:
 # ---------------------------------------------------------------------------
 
 
-class WtRow(Record):
+class WtRow(NamedTuple):
     t: float
     s: float  # 1/t - 1, the equivalent flow time
     hW: float
@@ -764,10 +761,9 @@ def wt_checks(mix: GaussianMixture, t_grid: Sequence[float], tol: float = DEFAUL
 
     hw_dd, hw_err = second_difference(ts, [r.hW for r in rows], [r.hW_err for r in rows])
     jw_dd, jw_err = second_difference(ts, [r.JW for r in rows], [r.JW_err for r in rows])
-    for i, row in enumerate(rows):
-        row.hW_dd, row.hW_dd_err = float(hw_dd[i]), float(hw_err[i])
-        row.JW_dd, row.JW_dd_err = float(jw_dd[i]), float(jw_err[i])
-    return WtReport(rows)
+    # the grid curvatures are a row's last four fields, left NaN above
+    grid = np.column_stack([hw_dd, hw_err, jw_dd, jw_err]).tolist()
+    return WtReport([WtRow(*row[:-4], *dd) for row, dd in zip(rows, grid)])
 
 
 WT_CSV_HEADER = "t,s,hW,JW,hW_dd,JW_dd,txz_margin,txz_ok"

@@ -1,13 +1,13 @@
-"""Record base classes: the behaviour of ``dataclasses`` without its import or generated code."""
+"""The record base class: a frozen ``dataclasses`` class without its import or generated code."""
 
 
-class Record:
-    """A mutable record without a hash.
+class FrozenRecord:
+    """A hashable record whose fields cannot be assigned or deleted.
 
     Its fields are its annotations, in order, and a class attribute is a
     field's default; ``__init__`` calls ``__post_init__`` if there is one.
     Records of one class are equal when their fields are, apart from those
-    in ``_uncompared``, which ``repr`` leaves out too.
+    in ``_uncompared``, which ``repr`` and the hash leave out too.
     """
 
     _uncompared = ()
@@ -29,16 +29,12 @@ class Record:
         same = other.__class__ is self.__class__
         return self._compared() == other._compared() if same else NotImplemented
 
+    def __hash__(self) -> int:
+        return hash(self._compared())
+
     def __repr__(self) -> str:
         shown = [f for f in self.__annotations__ if f not in self._uncompared]
         return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in shown)})"
-
-
-class FrozenRecord(Record):
-    """A hashable record whose fields cannot be assigned or deleted."""
-
-    def __hash__(self) -> int:
-        return hash(self._compared())
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign to or delete field {name!r} of a frozen record")

@@ -31,7 +31,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Tuple
 
-from .records import Record
 from .terms import (
     _ZERO,
     _derive,
@@ -75,19 +74,16 @@ class ReductionStep(NamedTuple):
     replacement: Combination
 
 
-class ReductionTrace(Record):
+class ReductionTrace(NamedTuple):
     """Audit trail for a reduction; replaying the steps reproduces ``final``.
 
     ``flux`` is what the steps integrated away: the start minus ``final``
     is exactly ``d_dy(flux)``, the sum of coeff * Phi/(e+1) over the steps.
     """
 
-    steps: List[ReductionStep]
+    steps: Tuple[ReductionStep, ...]
     final: Combination
     flux: Combination
-
-    def __init__(self, steps=None, final=Combination.zero(), flux=Combination.zero()) -> None:
-        super().__init__([] if steps is None else steps, final, flux)
 
     def replay(self, start: Combination) -> Combination:
         current = start
@@ -156,7 +152,7 @@ def reduce(
     its replacement.  A monomial still non-canonical after the last level
     raises ``ReductionDepthError``: only a gap in the rules can leave one.
     """
-    log = ReductionTrace() if trace else None
+    steps: List[ReductionStep] | None = [] if trace else None
     flux: Dict[DerivMonomial, Fraction] = {}
     current: Dict[DerivMonomial, Fraction] = dict(c.items())
     for top in range(max((m.max_order for m in current), default=0), 0, -1):
@@ -174,19 +170,17 @@ def reduce(
                     current[mono] = total
                 else:
                     del current[mono]
-            if log is not None:
+            if steps is not None:
                 rule = "total-derivative" if target.degree == 1 else f"ibp(top=f{target.max_order})"
-                log.steps.append(ReductionStep(target, rule, replacement))
+                steps.append(ReductionStep(target, rule, replacement))
                 phi, e = _antiderivative(target)
                 flux[phi] = flux.get(phi, _ZERO) + coeff / (e + 1)
     stuck = [m for m in current if _needs_rewrite(m)]
     if stuck:
         raise ReductionDepthError(f"a gap in the rewrite rules left {stuck[0]} non-canonical")
     result = Combination(current)
-    if log is not None:
-        log.final = result
-        log.flux = Combination(flux)
-        return result, log
+    if steps is not None:
+        return result, ReductionTrace(tuple(steps), result, Combination(flux))
     return result
 
 

@@ -399,6 +399,8 @@ class TestCertificateJson:
             (lambda d: d.update(weights=[1, 1]), "field weights: expected a list of 1 weights"),
             (lambda d: d.update(weights=["x"]), "field weights[0]: invalid weight 'x'"),
             (lambda d: d.update(weights=[True]), "field weights[0]: expected a string or number"),
+            # a misspelt field was ignored, so every weight was taken as 1
+            (lambda d: d.update(wieghts=["2"]), "certificate field wieghts: unknown field"),
             # refused before Fraction expands the exponent into a 10^8-digit
             # integer: each ran until killed
             (
@@ -436,6 +438,24 @@ class TestCertificateJson:
         mutate(payload)
         with pytest.raises(ValueError, match=re.escape(needle)):
             certificate_from_json(json.dumps(payload))
+
+    @staticmethod
+    def _weighted(literal):
+        """Order 3's certificate with its one weight written as the bare JSON number ``literal``."""
+        payload = json.loads(certificate_to_json(builtin_certificate(3)))
+        return json.dumps(dict(payload, weights=["w"])).replace('"w"', literal)
+
+    # read through float, 0.1 was 3602879701896397/2^55 and 1e-400 was 0
+    @pytest.mark.parametrize(
+        "literal, weight", [("0.1", Fraction(1, 10)), ("1e-400", Fraction(1, 10**400))]
+    )
+    def test_numbers_are_read_as_written(self, literal, weight):
+        assert certificate_from_json(self._weighted(literal)).squares[0].weight == weight
+
+    def test_a_number_too_long_to_read_names_its_field(self):
+        needle = "certificate field weights[0]: weight needs more than 4300 digits"
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            certificate_from_json(self._weighted("1e99999999"))
 
 
 class TestCertifiedSignsHoldNumerically:

@@ -326,6 +326,11 @@ def _put(field, literal):
     return mutate
 
 
+def _scanned(check, grid, *args):
+    """The middle row of a grid check on the standard normal, curvatures filled in."""
+    return check(heatcalc.GaussianMixture.single(), grid, *args).rows[1]
+
+
 class TestScanCommand:
     def test_scan_writes_csv_and_passes(self, tmp_path, capsys):
         cfg = tmp_path / "scan.json"
@@ -793,6 +798,11 @@ class TestExitOne:
             ["certify", "--order", "2", "--cert", "{tmp}/huge.json"],
             "certify: --cert {tmp}/huge.json: certificate field weights[0]: ",
         ),
+        # a misspelt field was ignored: every weight was taken as 1
+        "certify-misspelt-field": (
+            ["certify", "--order", "4", "--cert", "{tmp}/misspelt.json"],
+            "certify: --cert {tmp}/misspelt.json: certificate field wieghts: unknown field",
+        ),
         "certify-order-mismatch": (
             ["certify", "--order", "4", "--cert", "{tmp}/order3.json"],
             "certify: file is order 3, not 4",
@@ -801,6 +811,27 @@ class TestExitOne:
         "scan-bad-out": (
             ["scan", "--config", "{tmp}/scan.json", "--out", "/dev/null/x"],
             "scan: --out /dev/null/x: ",
+        ),
+        # a prefix with no file name: "/" and "." ended in a traceback, ".." wrote "...csv"
+        "scan-out-root": (
+            ["scan", "--config", "{tmp}/scan.json", "--out", "/"],
+            "scan: --out /: the prefix must end in a file name",
+        ),
+        "scan-out-dot": (
+            ["scan", "--config", "{tmp}/scan.json", "--out", "."],
+            "scan: --out .: the prefix must end in a file name",
+        ),
+        "scan-out-dotdot": (
+            ["scan", "--config", "{tmp}/scan.json", "--out", "{tmp}/.."],
+            "scan: --out {tmp}/..: the prefix must end in a file name",
+        ),
+        "wt-scan-out-dot": (
+            ["wt-scan", "--config", "{tmp}/wt.json", "--out", "."],
+            "wt-scan: --out .: the prefix must end in a file name",
+        ),
+        "scan-config-output-dot": (
+            ["scan", "--config", "{tmp}/dot.json"],
+            "scan: output .: the prefix must end in a file name",
         ),
         "scan-out-of-range": (
             ["scan", "--config", "{tmp}/range.json", "--out", "{tmp}/r"],
@@ -862,10 +893,13 @@ class TestExitOne:
         tiny = json.loads(certificate_to_json(builtin_certificate(2)))
         tiny["squares"][0][0][1] = "1e-99999999"
         huge = dict(tiny, weights=["1e99999999"] * len(tiny["squares"]))
+        misspelt = json.loads(certificate_to_json(builtin_certificate(4)))
+        misspelt["wieghts"] = ["1/2"] * len(misspelt["squares"])
         files = {
             "bad.json": '{"mixture": "nope"}',
             "scan.json": json.dumps(SMALL_SCAN),
             "wt.json": json.dumps(WT_SCAN),
+            "dot.json": json.dumps(dict(SMALL_SCAN, output=".")),
             "stop.json": json.dumps(stop),
             "range.json": json.dumps(dict(WT_SCAN, mixture=FAR_MEANS)),
             "repeat.json": json.dumps(
@@ -877,6 +911,7 @@ class TestExitOne:
             "order3.json": certificate_to_json(builtin_certificate(3)),
             "tiny.json": json.dumps(tiny),
             "huge.json": json.dumps(huge),
+            "misspelt.json": json.dumps(misspelt),
             "order99999.json": '{"order": 99999, "sign": 1, "squares": [], "remainder": []}',
             "deep.json": "[" * 200_000 + "]" * 200_000,
         }
@@ -989,6 +1024,9 @@ class TestProcess:
             (lambda: builtin_certificate(4), "squares"),
             (lambda: heatcalc.verify_ibp_identities()[0], "passed"),
             (lambda: heatcalc.order3_family_upper_endpoint(), "d"),
+            (lambda: _scanned(heatcalc.scan_conjectures, [0.5, 1.0, 2.0], 1), "invJ_dd"),
+            (lambda: _scanned(heatcalc.wt_checks, [0.25, 0.5, 0.75]), "JW_dd_err"),
+            (lambda: reduce(heatcalc.d_dt(heatcalc.entropy_derivative(2)), trace=True)[1], "final"),
         ],
         ids=[
             "DerivMonomial",
@@ -1000,6 +1038,9 @@ class TestProcess:
             "Certificate",
             "IdentityCheck",
             "SqrtExtValue",
+            "ScanRow",
+            "WtRow",
+            "ReductionTrace",
         ],
     )
     def test_frozen_records_refuse_assignment(self, make, field):
@@ -1021,8 +1062,9 @@ class TestProcess:
         assert heatcalc.SquareForm(2, ()).weight == 1
         with pytest.raises(ValueError, match="has weight 3, expected 2"):
             heatcalc.SquareForm(2, ((heatcalc.make_monomial([3]), 1),))
-        one, two = reduction.ReductionTrace(), reduction.ReductionTrace()
-        assert one.steps == [] and one.steps is not two.steps
+        # a trace is built whole: its steps are a tuple, so no two traces share a list
+        one, two = (reduce(heatcalc.Combination.zero(), trace=True)[1] for _ in range(2))
+        assert one.steps == () and one == two and not hasattr(one.steps, "append")
 
     def test_numeric_commands_load_numpy_when_they_run(self, tmp_path):
         cfg = tmp_path / "cfg.json"

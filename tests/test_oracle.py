@@ -101,7 +101,9 @@ class TestClosedForms:
 class TestLargeTime:
     """A closed form off the Gaussians: for large t, the Edgeworth expansion
     of the flowed density gives J(X + sqrt(t) Z) = 1/s + kappa_3^2 / (2 s^4)
-    + O(kappa_4^2 / s^5), s = Var X + t, with kappa_n the cumulants of X."""
+    + O(kappa_4^2 / s^5) and h(X + sqrt(t) Z) = log(2 pi e s) / 2
+    - kappa_3^2 / (12 s^3) + O(kappa_4^2 / s^4), s = Var X + t, with kappa_n
+    the cumulants of X."""
 
     MIX = GaussianMixture.create([(0.3, -2.0, 0.5), (0.7, 1.0, 0.2)])
     VAR, KAPPA_3, KAPPA_4 = 2.18, -2.835, -3.0051
@@ -121,6 +123,21 @@ class TestLargeTime:
         assert residual(self.KAPPA_3) <= bound
         # kappa_3 10% off misses the bound by 26x or more
         assert min(residual(1.1 * self.KAPPA_3), residual(0.9 * self.KAPPA_3)) > 25 * bound
+
+    # from t = 100 as for J: at t = 30 the residual is 4.0e-7 against 3.5e-7
+    @pytest.mark.parametrize("t", [100.0, 300.0, 1000.0])
+    def test_entropy_to_second_order(self, t):
+        result = oracle.entropy_result(self.MIX, t)
+        s = self.VAR + t
+        bound = 2 * self.KAPPA_4**2 / (48 * s**4) + 3 * result.error
+
+        def residual(kappa_3):
+            gaussian = 0.5 * math.log(2 * math.pi * math.e * s)
+            return abs(result.value - gaussian + kappa_3**2 / (12 * s**3))
+
+        assert residual(self.KAPPA_3) <= bound
+        # kappa_3 10% off misses the bound by 35x or more
+        assert min(residual(1.1 * self.KAPPA_3), residual(0.9 * self.KAPPA_3)) > 34 * bound
 
 
 class TestFunctional:
@@ -1054,9 +1071,8 @@ class TestWt:
         assert all(r.JW_dd_err == pytest.approx(0.0, abs=1e-6) and r.JW_dd_err > 0 for r in inner)
         assert rep.jw_dd_has_both_signs()
         # a negative curvature inside its own noise bar no longer counts
-        for r in inner:
-            if r.JW_dd < 0:
-                r.JW_dd_err = -r.JW_dd
+        inner = [r._replace(JW_dd_err=-r.JW_dd) if r.JW_dd < 0 else r for r in inner]
+        rep = rep._replace(rows=[rep.rows[0], *inner, rep.rows[-1]])
         assert not rep.jw_dd_has_both_signs()
 
     def test_grid_validation(self):

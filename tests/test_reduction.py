@@ -380,7 +380,7 @@ def _reduce_one_max_per_step(c):
     def needs(m):
         return not m.is_empty() and not is_canonical(m)
 
-    log = ReductionTrace()
+    steps = []
     current = dict(c.items())
     pending = {m: priority(m) for m in current if needs(m)}
     while pending:
@@ -398,9 +398,10 @@ def _reduce_one_max_per_step(c):
                 del current[mono]
                 pending.pop(mono, None)
         rule = "total-derivative" if target.degree == 1 else f"ibp(top=f{target.max_order})"
-        log.steps.append(ReductionStep(target, rule, replacement))
-    log.final = Combination(current)
-    return log.final, log
+        steps.append(ReductionStep(target, rule, replacement))
+    final = Combination(current)
+    # the reference integrates no flux; the old default trace's flux was zero too
+    return final, ReductionTrace(tuple(steps), final, Combination.zero())
 
 
 def _mixed_levels():
