@@ -73,10 +73,10 @@ _EXPORTS = {
         "ScanResult",
         "ScanRow",
         "WtReport",
-        "entropy",
+        "entropy_result",
         "fd_entropy_deriv",
-        "fisher",
-        "functional",
+        "fisher_result",
+        "functional_result",
         "scan_conjectures",
         "scan_to_csv",
         "time_grid",

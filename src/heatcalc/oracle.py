@@ -4,7 +4,7 @@ Everything here evaluates closed-form Gaussian-mixture densities under
 the heat flow, so the symbolic canonical forms can be cross-checked two
 independent ways:
 
-* ``functional`` integrates a derivative-monomial combination directly;
+* ``functional_result`` integrates a derivative-monomial combination directly;
 * ``fd_entropy_deriv`` integrates the Taylor jet of -f log f in t, from
   the heat equation f_t = f_yy/2 alone, never touching the symbolic
   calculus: f(y, t + e) = f (1 + G), G = sum_k e^k r_2k / (2^k k!) with
@@ -335,12 +335,8 @@ def _flow_results(
 
 
 def entropy_result(mix: GaussianMixture, t: float, tol: float = DEFAULT_TOL) -> QuadResult:
+    """Differential entropy (natural log) of the mixture flowed to time t."""
     return _flow_results(mix, t, [_jet(0)], tol)[0]
-
-
-def entropy(mix: GaussianMixture, t: float, tol: float = DEFAULT_TOL) -> float:
-    """Differential entropy of the mixture flowed to time t (natural log)."""
-    return entropy_result(mix, t, tol).value
 
 
 def fisher_result(mix: GaussianMixture, t: float, tol: float = DEFAULT_TOL) -> QuadResult:
@@ -348,26 +344,15 @@ def fisher_result(mix: GaussianMixture, t: float, tol: float = DEFAULT_TOL) -> Q
     return _flow_results(mix, t, [("C_1", entropy_derivative(1))], tol)[0]
 
 
-def fisher(mix: GaussianMixture, t: float, tol: float = DEFAULT_TOL) -> float:
-    """Fisher information (second moment of the score) at time t."""
-    return fisher_result(mix, t, tol).value
-
-
 def functional_result(
     comb: Combination, mix: GaussianMixture, t: float, tol: float = DEFAULT_TOL
 ) -> QuadResult:
-    return _flow_results(mix, t, [("functional", comb)], tol)[0]
-
-
-def functional(
-    comb: Combination, mix: GaussianMixture, t: float, tol: float = DEFAULT_TOL
-) -> float:
     """Integral over y of the combination evaluated on the flowed density.
 
     Monomials are evaluated as f * prod (f_m/f)^k with stable ratio
     averaging, so high powers like f1^8/f^7 stay finite in the tails.
     """
-    return functional_result(comb, mix, t, tol).value
+    return _flow_results(mix, t, [("functional", comb)], tol)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -461,7 +461,7 @@ class TestCertificateJson:
 class TestCertifiedSignsHoldNumerically:
     def test_certified_sign_matches_oracle(self):
         from heatcalc.mixtures import BIMODAL_MIXTURE, GaussianMixture
-        from heatcalc.oracle import functional
+        from heatcalc.oracle import functional_result
 
         mixes = [
             GaussianMixture.single(0.0, 1.0),
@@ -474,7 +474,7 @@ class TestCertifiedSignsHoldNumerically:
             assert ok
             for mix in mixes:
                 for t in (0.4, 1.0, 3.0):
-                    value = functional(entropy_derivative(n), mix, t)
+                    value = functional_result(entropy_derivative(n), mix, t).value
                     assert value * cert.sign > 0, (n, mix, t, value)
 
 

@@ -21,11 +21,11 @@ from heatcalc.oracle import (
     DEFAULT_TOL,
     _sign_status,
     FdAccuracyWarning,
-    entropy,
+    entropy_result,
     fd_entropy_deriv,
     fd_entropy_deriv_result,
-    fisher,
-    functional,
+    fisher_result,
+    functional_result,
     scan_conjectures,
     scan_to_csv,
     second_difference,
@@ -77,24 +77,29 @@ class TestClosedForms:
     @pytest.mark.parametrize("t", [0.3, 1.0, 3.0])
     def test_entropy_and_fisher(self, var, t):
         g = GaussianMixture.single(0, var)
-        assert abs(entropy(g, t) - gaussian_entropy(var + t)) < 1e-10
-        assert abs(fisher(g, t) - 1.0 / (var + t)) < 1e-10
+        h, j = entropy_result(g, t), fisher_result(g, t)
+        assert abs(h.value - gaussian_entropy(var + t)) < 1e-10
+        assert abs(j.value - 1.0 / (var + t)) < 1e-10
+        # and each within its own stated error
+        assert abs(h.value - gaussian_entropy(var + t)) <= h.error
+        assert abs(j.value - 1.0 / (var + t)) <= j.error
 
     def test_entropy_rejects_t_zero(self):
         with pytest.raises(ValueError):
-            entropy(GaussianMixture.single(0, 1), 0.0)
+            entropy_result(GaussianMixture.single(0, 1), 0.0)
 
     def test_fisher_of_shifted_mixture_is_shift_invariant(self):
         a = GaussianMixture.create([(0.5, -1.0, 0.4), (0.5, 1.0, 0.7)])
         b = GaussianMixture.create([(0.5, 4.0, 0.4), (0.5, 6.0, 0.7)])
-        assert math.isclose(fisher(a, 0.8), fisher(b, 0.8), rel_tol=1e-11)
+        j_a, j_b = fisher_result(a, 0.8), fisher_result(b, 0.8)
+        assert math.isclose(j_a.value, j_b.value, rel_tol=1e-11)
 
     def test_bimodal_fisher_frozen_value(self):
         # frozen after cross-checking against three independent 1e7-sample
         # Monte Carlo score estimates (0.9099+-4e-4, 0.9092+-4e-4, 0.9086+-4e-4)
         # and against de Bruijn (2 dh/dt = 0.90903088)
         assert math.isclose(
-            fisher(BIMODAL_MIXTURE, 1.0), 0.9090308841, abs_tol=1e-6
+            fisher_result(BIMODAL_MIXTURE, 1.0).value, 0.9090308841, abs_tol=1e-6
         )
 
 
@@ -143,31 +148,35 @@ class TestLargeTime:
 class TestFunctional:
     def test_fisher_integrand(self):
         g = GaussianMixture.single(0, 1)
-        assert math.isclose(
-            functional(entropy_derivative(1), g, 1.0), 0.5, abs_tol=1e-11
-        )
+        got = functional_result(entropy_derivative(1), g, 1.0)
+        assert math.isclose(got.value, 0.5, abs_tol=1e-11)
+        assert abs(got.value - 0.5) <= got.error
 
     def test_third_derivative_gaussian(self):
         g = GaussianMixture.single(0, 1)
-        got = functional(entropy_derivative(3), g, 1.0)
-        assert math.isclose(got, 0.25, abs_tol=1e-10)  # 2 * d3h = 2/(1+1)^3
+        got = functional_result(entropy_derivative(3), g, 1.0)
+        assert math.isclose(got.value, 0.25, abs_tol=1e-10)  # 2 * d3h = 2/(1+1)^3
+        assert abs(got.value - 0.25) <= got.error
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_gaussian_derivatives_all_orders(self, n):
         g = GaussianMixture.single(0, 0.7)
         for t in (0.4, 1.7):
-            got = functional(entropy_derivative(n), g, t)
-            assert math.isclose(got, 2 * gaussian_dnh(n, 0.7 + t), rel_tol=1e-9)
+            got = functional_result(entropy_derivative(n), g, t)
+            assert math.isclose(got.value, 2 * gaussian_dnh(n, 0.7 + t), rel_tol=1e-9)
+            assert abs(got.value - 2 * gaussian_dnh(n, 0.7 + t)) <= got.error
 
     def test_zero_combination(self):
-        assert functional(Combination.zero(), BIMODAL_MIXTURE, 1.0) == 0.0
+        assert functional_result(Combination.zero(), BIMODAL_MIXTURE, 1.0).value == 0.0
 
     def test_density_normalization_via_empty_monomial(self):
         # the bare-density monomial integrates to one for any mixture and t
         one = Combination.term(make_monomial([]))
         for mix in (BIMODAL_MIXTURE, GaussianMixture.single(-2.0, 0.4)):
             for t in (0.05, 1.0, 30.0):
-                assert abs(functional(one, mix, t) - 1.0) < 1e-10
+                got = functional_result(one, mix, t)
+                assert abs(got.value - 1.0) < 1e-10
+                assert abs(got.value - 1.0) <= got.error
 
     def test_gaussian_family_closed_forms_to_order_5(self):
         for var in (0.5, 2.0):
@@ -175,8 +184,9 @@ class TestFunctional:
             for t in (0.4, 1.5):
                 s = var + t
                 for n in range(1, 6):
-                    got = functional(entropy_derivative(n), g, t)
-                    assert math.isclose(got, 2 * gaussian_dnh(n, s), rel_tol=1e-8)
+                    got = functional_result(entropy_derivative(n), g, t)
+                    assert math.isclose(got.value, 2 * gaussian_dnh(n, s), rel_tol=1e-8)
+                    assert abs(got.value - 2 * gaussian_dnh(n, s)) <= got.error
 
     def test_agrees_with_fd_on_bimodal(self):
         # the symbolic C_4 and the jet's h^(4) agree within their joint error
@@ -196,7 +206,8 @@ class TestFiniteDifferences:
 
     def test_de_bruijn(self):
         got = fd_entropy_deriv(BIMODAL_MIXTURE, 0.7, 1)
-        assert math.isclose(got, 0.5 * fisher(BIMODAL_MIXTURE, 0.7), rel_tol=1e-12)
+        j = fisher_result(BIMODAL_MIXTURE, 0.7)
+        assert math.isclose(got, 0.5 * j.value, rel_tol=1e-12)
 
     def test_fourth_order_value(self):
         g = GaussianMixture.single(0, 1)
@@ -565,9 +576,9 @@ class TestSharedEvaluation:
         ]
         assert messages[0] == messages[1]
         assert len(messages[0]) == (1 if case == "wide" else 0)
-        assert entropy(mix, t) == shared[0].value
+        assert entropy_result(mix, t).value == shared[0].value
         assert fd_entropy_deriv_result(mix, t, 3) == (shared[3].value, shared[3].error)
-        assert functional(entropy_derivative(3), mix, t) == shared[7].value
+        assert functional_result(entropy_derivative(3), mix, t).value == shared[7].value
         # a plain integrand takes its own absolute value as its magnitude,
         # and so do the one-term h, h' and C_1
         a, b = mix.support_interval(t)
@@ -1203,7 +1214,7 @@ class TestNumericInvariants:
             {make_monomial([1, 2]): 2, make_monomial([1, 1, 1]): -1}
         )
         for t in (0.3, 1.0, 3.0):
-            assert abs(functional(d_dy(c), mix, t)) < 1e-8
+            assert abs(functional_result(d_dy(c), mix, t).value) < 1e-8
 
     def test_functional_invariant_under_reduce(self):
         from fractions import Fraction
@@ -1220,6 +1231,6 @@ class TestNumericInvariants:
         reduced = reduce(c)
         assert reduced != c
         for t in (0.3, 1.0, 3.0):
-            before = functional(c, mix, t)
-            after = functional(reduced, mix, t)
+            before = functional_result(c, mix, t).value
+            after = functional_result(reduced, mix, t).value
             assert abs(before - after) < 1e-8
