@@ -65,6 +65,12 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(_ORDER)
 # a panel whose rules agree within this share of its magnitude is
 # accepted: refining further would only chase roundoff
 _REL_FLOOR = 5e-15
+# a panel at least this deep whose discrepancy is within _NOISE_FLOORS
+# roundoff floors and shrank by less than _NOISE_SHRINK on halving has
+# reached its rounding noise, and is accepted too
+_NOISE_DEPTH = 5
+_NOISE_FLOORS = 64
+_NOISE_SHRINK = 16
 # every tree's limits, read when a forest is refined
 _MAX_DEPTH = 24
 _MAX_PANELS = 16384
@@ -161,8 +167,14 @@ def _bisect(forest: Forest, tol: float) -> List[List[QuadResult]]:
     rules agree within the panel's share of ``tol`` or within the roundoff
     floor, ``_REL_FLOOR`` of the panel's magnitude -- a sum that cancels
     stops refining at the rounding of its terms instead of chasing an
-    absolute target below it.  Every abscissa is evaluated once: a child
-    panel's whole-panel value is its parent's half-panel value.
+    absolute target below it.  From depth ``_NOISE_DEPTH`` on, a row also
+    accepts a panel that has reached its rounding noise: its discrepancy
+    is within ``_NOISE_FLOORS`` floors and shrank by less than
+    ``_NOISE_SHRINK`` times from its parent's, where a smooth integrand's
+    would shrink by orders of magnitude (QUADPACK's roundoff detection).
+    Such a panel keeps its discrepancy as its error.  Every abscissa is
+    evaluated once: a child panel's whole-panel value is its parent's
+    half-panel value.
 
     Each level evaluates the halves of every panel that some row still
     refines.  A row's decisions rest on its own values and job only, so it
@@ -179,6 +191,8 @@ def _bisect(forest: Forest, tol: float) -> List[List[QuadResult]]:
     wholes = sums[:rows]
     magnitudes = np.array(forest.magnitudes or range(rows), dtype=np.intp)
     open_ = np.ones((rows, lo.size), dtype=bool)
+    # each open panel's parent discrepancy, none at the first level
+    parent = np.full((rows, lo.size), np.inf)
     # each tree's accepted panels plus its open ones
     sizes = np.tile(np.bincount(job, minlength=count), (rows, 1))
     accepted = []
@@ -203,6 +217,9 @@ def _bisect(forest: Forest, tol: float) -> List[List[QuadResult]]:
         with np.errstate(invalid="ignore"):
             discrepancy = np.abs(wholes - halves)
         ok = finite & ~(discrepancy > np.maximum(np.maximum(local_tol, floor), 1e-300))
+        if depth >= _NOISE_DEPTH:
+            noise = (discrepancy <= _NOISE_FLOORS * floor) & (_NOISE_SHRINK * discrepancy > parent)
+            ok |= finite & noise
         # a panel's value is known no better than its roundoff floor; one that
         # stops short of its test has no bound, and neither has its tree
         error = np.where(ok, np.maximum(discrepancy, floor), np.inf)
@@ -222,6 +239,7 @@ def _bisect(forest: Forest, tol: float) -> List[List[QuadResult]]:
         lo, hi, job = half_lo[children], half_hi[children], job[children // 2]
         wholes = sums[:, children]
         open_ = np.repeat(deeper[:, split], 2, axis=1)
+        parent = np.repeat(discrepancy[:, split], 2, axis=1)
         depth += 1
     job, row, lo, hi, error, halves = [np.concatenate(column) for column in zip(*accepted)]
     # the trees by job, then row, and each tree's panels left to right

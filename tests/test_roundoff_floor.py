@@ -70,6 +70,22 @@ def test_bimodal_fourth_derivative_jet_is_within_its_error():
     assert abs(value - BIMODAL_H4) <= error
 
 
+@pytest.mark.parametrize("v", [0.01, 1.0])
+@pytest.mark.parametrize("t", [0.001, 0.1, 1.0, 10.0])
+def test_gaussian_jet_orders_to_10_are_within_their_error(v, t):
+    # h^(n) of N(0, v) at t is (-1)^(n+1) (n-1)! / (2 s^n), s = v + t; a
+    # panel accepted at its rounding noise keeps its discrepancy as its
+    # error, so these stay covered.  The worst case is 0.06 of its error
+    rows = [oracle._jet(n) for n in range(1, 11)]
+    results = _quiet(
+        lambda: oracle._flow_results(GaussianMixture.single(0.0, v), t, rows, DEFAULT_TOL)
+    )
+    s = v + t
+    for n, result in enumerate(results, 1):
+        exact = (-1) ** (n + 1) * math.factorial(n - 1) / (2.0 * s**n)
+        assert abs(result.value - exact) <= result.error, n
+
+
 @pytest.mark.parametrize("tol", [1e-11, 1e-14, 1e-15, 1e-16])
 @pytest.mark.parametrize("v", [1e-9, 1e-6, 1e-4, 1e-2])
 def test_gaussian_entropy_is_within_its_error(v, tol):
@@ -184,3 +200,20 @@ class TestKernelWork:
         mix = GaussianMixture.create(workloads.wide_mixture_components())
         assert self._blocks(monkeypatch, lambda: wt_checks(mix, ts)) == 382
         assert self._blocks(monkeypatch, lambda: scan_conjectures(mix, _wide_scan_grid(), 4)) == 50
+
+    def test_small_t_wide_scan_to_order_10(self, monkeypatch):
+        # 17,021,760 node-times, and 222 trees stopped short at their depth
+        # or panel limit, when panels at their rounding noise kept refining
+        # to those limits; orders 4 and 6 took 332,736 and 3,178,464
+        mix = GaussianMixture.create(workloads.wide_mixture_components())
+        grid = time_grid(0.001, 0.1, 40, "log")
+        result = []
+        work = self._node_times(
+            monkeypatch, lambda: result.append(_quiet(lambda: scan_conjectures(mix, grid, 10)))
+        )
+        assert work == 309_024
+        (scan,) = result
+        assert scan.inconclusive_rows() == 0
+        for row in scan.rows:
+            errors = [row.h_err, row.J_err, row.Jp_err, *(e for _, e in row.d_fd + row.d_sym)]
+            assert all(map(math.isfinite, errors))
