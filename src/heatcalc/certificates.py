@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .records import FrozenRecord
+from .records import FrozenRecord, json_int
 from .reduction import entropy_derivative, is_canonical, reduce
 from .terms import (
     Combination,
@@ -595,8 +595,9 @@ def certificate_from_json(text: str) -> Certificate:
 
     try:
         # a number with a fraction or exponent stays its text, so it is read exactly:
-        # as a float, 0.1 would be 3602879701896397/2^55 and 1e-400 would be 0
-        payload = json.loads(text, parse_float=str)
+        # as a float, 0.1 would be 3602879701896397/2^55 and 1e-400 would be 0; so
+        # does an integer too long for int(), which its field refuses by name
+        payload = json.loads(text, parse_float=str, parse_int=json_int)
     except RecursionError as exc:  # arrays or objects nested too deep
         raise ValueError(f"invalid JSON: {exc}") from None
     if not isinstance(payload, dict):

@@ -87,13 +87,13 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
 
     from .mixtures import GaussianMixture
     from .oracle import DEFAULT_TOL, time_grid
+    from .records import json_int
 
     try:
-        payload = json.loads(text)
+        # an integer too long for int() stays its text, which its field refuses by name
+        payload = json.loads(text, parse_int=json_int)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config error in {source}: invalid JSON at line {exc.lineno}: {exc.msg}")
-    except ValueError as exc:  # an integer past Python's digit limit for int()
-        raise ConfigError(f"config error in {source}: {exc}")
     except RecursionError as exc:  # arrays or objects nested too deep
         raise ConfigError(f"config error in {source}: invalid JSON: {exc}")
 

@@ -439,6 +439,31 @@ class TestCertificateJson:
         with pytest.raises(ValueError, match=re.escape(needle)):
             certificate_from_json(json.dumps(payload))
 
+    # a bare integer past Python's digit limit stays its text, so its field
+    # is named: int() refused it with a message that named none.  Built from
+    # the text, since json.dumps cannot write such an integer
+    @pytest.mark.parametrize(
+        "place, needle",
+        [
+            (
+                lambda d: d.update(weights=["@@"]),
+                "field weights[0]: weight needs more than 4300 digits",
+            ),
+            (
+                lambda d: d["squares"][0][0].__setitem__(1, "@@"),
+                "field squares[0][0]: coefficient needs more than 4300 digits",
+            ),
+            (lambda d: d.update(order="@@"), "field order: expected an integer"),
+            (lambda d: d.update(sign="@@"), "field sign: expected an integer"),
+        ],
+    )
+    def test_an_integer_too_long_to_read_names_its_field(self, place, needle):
+        payload = json.loads(certificate_to_json(builtin_certificate(3)))
+        place(payload)
+        text = json.dumps(payload).replace('"@@"', "1" + "0" * 5000)
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            certificate_from_json(text)
+
     @staticmethod
     def _weighted(literal):
         """Order 3's certificate with its one weight written as the bare JSON number ``literal``."""

@@ -458,13 +458,14 @@ class TestScanCommand:
             assert len(err) == 1 and err[0].startswith(f"config error at {field}: "), command
 
     def test_integer_past_the_digit_limit_exit_1(self, tmp_path, capsys):
-        # Python's json refuses to convert an integer of 4301 digits or more
+        # Python's int() refuses an integer of 4301 digits or more; it stays
+        # its text, which the field refuses by name
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(WT_SCAN).replace('"var": 1.0', '"var": ' + "1" * 5000))
         for command in ("scan", "wt-scan"):
             assert main([command, "--config", str(cfg), "--out", str(tmp_path / "s")]) == 1
             err = capsys.readouterr().err.splitlines()
-            assert len(err) == 1 and err[0].startswith(f"config error in {cfg}: "), command
+            assert err == ["config error at mixture[0].var: expected a finite number"], command
 
     def test_missing_config_exit_1(self, tmp_path):
         assert main(["scan", "--config", str(tmp_path / "absent.json")]) == 1
@@ -798,6 +799,12 @@ class TestExitOne:
             ["certify", "--order", "2", "--cert", "{tmp}/huge.json"],
             "certify: --cert {tmp}/huge.json: certificate field weights[0]: ",
         ),
+        # a bare integer past Python's digit limit named no field
+        "certify-huge-integer-weight": (
+            ["certify", "--order", "2", "--cert", "{tmp}/huge_int.json"],
+            "certify: --cert {tmp}/huge_int.json: certificate field weights[0]: "
+            "weight needs more than 4300 digits",
+        ),
         # a misspelt field was ignored: every weight was taken as 1
         "certify-misspelt-field": (
             ["certify", "--order", "4", "--cert", "{tmp}/misspelt.json"],
@@ -862,6 +869,10 @@ class TestExitOne:
             ["wt-scan", "--config", "{tmp}/wt_repeat.json", "--out", "{tmp}/r"],
             "config error at t_grid.points: ",
         ),
+        "scan-huge-integer-points": (
+            ["scan", "--config", "{tmp}/huge_points.json", "--out", "{tmp}/r"],
+            "config error at t_grid.points: must be an int in 3..100000",
+        ),
         "scan-not-utf8": (
             ["scan", "--config", "{tmp}/not_utf8.json"],
             "cannot read config {tmp}/not_utf8.json: ",
@@ -893,6 +904,11 @@ class TestExitOne:
         tiny = json.loads(certificate_to_json(builtin_certificate(2)))
         tiny["squares"][0][0][1] = "1e-99999999"
         huge = dict(tiny, weights=["1e99999999"] * len(tiny["squares"]))
+        # 1 and 5,000 zeros, as a bare JSON integer
+        huge_int = "1" + "0" * 5000
+        plain = json.loads(certificate_to_json(builtin_certificate(2)))
+        huge_weights = dict(plain, weights=["@@"] * len(plain["squares"]))
+        huge_points = dict(SMALL_SCAN, t_grid=dict(SMALL_SCAN["t_grid"], points="@@"))
         misspelt = json.loads(certificate_to_json(builtin_certificate(4)))
         misspelt["wieghts"] = ["1/2"] * len(misspelt["squares"])
         files = {
@@ -911,6 +927,8 @@ class TestExitOne:
             "order3.json": certificate_to_json(builtin_certificate(3)),
             "tiny.json": json.dumps(tiny),
             "huge.json": json.dumps(huge),
+            "huge_int.json": json.dumps(huge_weights).replace('"@@"', huge_int),
+            "huge_points.json": json.dumps(huge_points).replace('"@@"', huge_int),
             "misspelt.json": json.dumps(misspelt),
             "order99999.json": '{"order": 99999, "sign": 1, "squares": [], "remainder": []}',
             "deep.json": "[" * 200_000 + "]" * 200_000,
