@@ -418,6 +418,31 @@ def test_a_kink_inside_the_panels_is_refined_to_its_closed_form():
     assert len(result.panels) == 29
 
 
+def test_a_panel_at_its_rounding_noise_keeps_its_discrepancy_as_its_error():
+    # a 1e-12 relative ripple reads as rounding noise at tol 1e-16: halving
+    # no longer shrinks a deep panel's discrepancy, so the panel is accepted
+    # as it is.  Refined to its depth and panel limits, this tree took
+    # 10,633 panels
+    def fn(y):
+        return np.exp(-0.5 * y * y) * (1.0 + 1e-12 * np.sin(1e5 * y))
+
+    row = quadrature._one_row(fn)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", QuadratureNonConvergence)
+        ((result,),) = quadrature.refine(quadrature.Forest(row, [(-10.0, 10.0)]), 1e-16)
+    assert len(result.panels) == 184
+    # the ripple is odd, so the integral is sqrt(2 pi) to within e^-50
+    assert abs(result.value - math.sqrt(2.0 * math.pi)) <= result.error
+    # the error covers every accepted panel's discrepancy, with the bits
+    # that bisection saw: a child's whole-panel rule is its parent's half
+    lo, hi = result.panels.T
+    mid = 0.5 * (lo + hi)
+    jobs = np.zeros(lo.size, np.intp)
+    (whole,) = quadrature._evaluate(row, lo, hi, jobs)
+    (left,), (right,) = (quadrature._evaluate(row, *ends, jobs) for ends in ((lo, mid), (mid, hi)))
+    assert np.abs(whole - (left + right)).sum() <= result.error
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="no node falls in [0.5, 0.5001], so both rules integrate a linear "
