@@ -1,15 +1,13 @@
 """The record base class, a frozen ``dataclasses`` class without its import or generated
-code, and ``json_int``, which the config and certificate readers share."""
+code; and ``json_int``, how the config and certificate readers take a JSON integer."""
 
 import sys
 
 
 def json_int(text: str):
-    """A JSON integer as an int, or as its text when it has more digits than ``int`` reads.
+    """``json.loads``'s ``parse_int``: an int, or the text of one too long for ``int()``.
 
-    Readers pass it to ``json.loads`` as ``parse_int``: past
-    ``sys.get_int_max_str_digits()`` digits ``int`` raises an error that
-    names no field, so the text is left for the field's own check, which does.
+    ``int()`` would refuse it with an error that names no field; the field's own check names it.
     """
     limit = sys.get_int_max_str_digits()  # 0: no limit
     return text if 0 < limit < len(text.lstrip("-")) else int(text)
